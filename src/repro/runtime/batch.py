@@ -408,7 +408,7 @@ class _BatchLowerer(_Lowerer):
     def _lower_simple(self, stmt: ir.SimpleStmt, ops: List) -> None:
         timing = self.timing
         if isinstance(stmt, ir.ArrayAssign):
-            cost = timing.array_cost(stmt.flops, self.sim._elements(stmt.region))
+            cost = timing.array_cost(stmt.flops, self.sim.layout.element_counts(stmt.region))
             ops.append(partial(timing.charge_array_vec, cost, stmt.target))
         elif isinstance(stmt, ir.ScalarAssign):
             tree_time = timing.matrix.reduction_time
@@ -416,7 +416,7 @@ class _BatchLowerer(_Lowerer):
                 if isinstance(node, ir.IRReduce):
                     part = timing.reduction_cost(
                         ir.expr_flops(node.operand),
-                        self.sim._elements(node.region),
+                        self.sim.layout.element_counts(node.region),
                     )
                     ops.append(
                         partial(timing.charge_reduction_vec, part, tree_time)
@@ -475,10 +475,10 @@ class _BatchSimulation:
     for :class:`_Lowerer`).
 
     When a :class:`BatchEvaluator` is passed as ``shared``, the
-    variant-independent state — processor grid, problem layout, plan
-    cache, and per-region element vectors — is borrowed from it instead
-    of rebuilt; all of it is pure geometry, so sharing cannot change a
-    single float of the result.
+    variant-independent state — processor grid, problem layout (with
+    its memoized per-region element counts) and plan cache — is
+    borrowed from it instead of rebuilt; all of it is pure geometry, so
+    sharing cannot change a single float of the result.
     """
 
     def __init__(
@@ -496,7 +496,6 @@ class _BatchSimulation:
             self.grid = shared.grid
             self.layout = shared.layout
             self.plans = shared.plans
-            self._elems_cache = shared._elems_cache
             self._static_count = shared.static_count
         else:
             rows, cols = self.machine.grid_shape
@@ -506,7 +505,6 @@ class _BatchSimulation:
             fluff = {name: f for name, (_, f) in program.arrays.items()}
             self.layout.check_fluff_feasible(fluff)
             self.plans = PlanCache(self.layout, self.machine.nprocs)
-            self._elems_cache: Dict[Tuple, np.ndarray] = {}
             self._static_count = static_comm_count(program)
         self.instrument = Instrumentation(self.machine.nprocs)
         self.timing = BatchTimingEngine(matrix, self.instrument)
@@ -525,21 +523,6 @@ class _BatchSimulation:
             "depending on reduced values is unreliable — run NUMERIC"
         )
         return 0.0
-
-    def _elements(self, region) -> np.ndarray:
-        key = (region.lows, region.highs)
-        vec = self._elems_cache.get(key)
-        if vec is None:
-            vec = np.fromiter(
-                (
-                    region.intersect(self.layout.owned(region.rank, p)).size
-                    for p in self.grid.ranks()
-                ),
-                dtype=np.float64,
-                count=self.machine.nprocs,
-            )
-            self._elems_cache[key] = vec
-        return vec
 
     def run(self) -> "BatchRun":
         lowerer = _BatchLowerer(self)
@@ -599,7 +582,6 @@ class BatchEvaluator:
         fluff = {name: f for name, (_, f) in program.arrays.items()}
         self.layout.check_fluff_feasible(fluff)
         self.plans = PlanCache(self.layout, base.nprocs)
-        self._elems_cache: Dict[Tuple, np.ndarray] = {}
         self.static_count = static_comm_count(program)
         self.calls = 0
         self.variants_evaluated = 0

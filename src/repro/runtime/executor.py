@@ -32,7 +32,7 @@ parameter for the escape hatch).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from repro.comm.counts import static_comm_count
 from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
 from repro.ironman.calls import CallKind
-from repro.lang.regions import Region
 from repro.machine.params import Machine
 from repro.obs import core as obs
 from repro.runtime.distarray import DistArray
@@ -117,7 +116,6 @@ class _Simulation:
         self.instrument = Instrumentation(machine.nprocs)
         self.timing = TimingEngine(machine, self.instrument, trace_rank=trace_rank)
         self.plans = PlanCache(self.layout, machine.nprocs)
-        self._elems_cache: Dict[Tuple, np.ndarray] = {}
         self._payloads: Dict[int, List[List[np.ndarray]]] = {}
 
         # replicated scalar environment: configs + scalars (zeroed) +
@@ -151,23 +149,6 @@ class _Simulation:
             "depending on reduced values is unreliable — run NUMERIC"
         )
         return 0.0
-
-    def _elements(self, region: Region) -> np.ndarray:
-        key = (region.lows, region.highs)
-        vec = self._elems_cache.get(key)
-        if vec is None:
-            vec = np.fromiter(
-                (
-                    region.intersect(
-                        self.layout.owned(region.rank, p)
-                    ).size
-                    for p in self.grid.ranks()
-                ),
-                dtype=np.float64,
-                count=self.machine.nprocs,
-            )
-            self._elems_cache[key] = vec
-        return vec
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -254,7 +235,7 @@ class _Simulation:
     def _exec_simple(self, stmt: ir.SimpleStmt) -> None:
         if isinstance(stmt, ir.ArrayAssign):
             self.timing.charge_array_stmt(
-                stmt.flops, self._elements(stmt.region), label=stmt.target
+                stmt.flops, self.layout.element_counts(stmt.region), label=stmt.target
             )
             if self.arrays is not None:
                 self._store_array_stmt(stmt)
@@ -295,7 +276,7 @@ class _Simulation:
         for node in ir.walk_expr(stmt.expr):
             if isinstance(node, ir.IRReduce):
                 self.timing.charge_reduction(
-                    ir.expr_flops(node.operand), self._elements(node.region)
+                    ir.expr_flops(node.operand), self.layout.element_counts(node.region)
                 )
         self.timing.charge_scalar_stmt(ir.expr_flops(stmt.expr))
         self.scalars[stmt.target] = self.scalar_eval.eval(stmt.expr)

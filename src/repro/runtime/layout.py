@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import RuntimeFault
 from repro.lang.regions import Region, bounding_region
 from repro.runtime.grid import ProcessorGrid
@@ -64,11 +66,15 @@ class ProblemLayout:
         self.grid = grid
         self.array_domains = dict(array_domains)
         self._classes: Dict[int, RankClassLayout] = {}
+        self._blocks: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._counts: Dict[Tuple, np.ndarray] = {}
         by_rank: Dict[int, List[Region]] = {}
         for region in array_domains.values():
             by_rank.setdefault(region.rank, []).append(region)
         for rank, regions in by_rank.items():
-            self._classes[rank] = self._build_class(rank, regions)
+            cls = self._build_class(rank, regions)
+            self._classes[rank] = cls
+            self._blocks[rank] = self._owned_boxes(cls)
 
     # ------------------------------------------------------------------
     def _build_class(self, rank: int, regions: List[Region]) -> RankClassLayout:
@@ -93,6 +99,26 @@ class ProblemLayout:
             distributed_dims=dist_dims,
         )
 
+    def _owned_boxes(self, cls: RankClassLayout) -> Tuple[np.ndarray, np.ndarray]:
+        """Every processor's owned box of one rank class, as read-only
+        ``(nprocs, rank)`` int arrays of lows and highs."""
+        nprocs = self.grid.nprocs
+        mesh_coords = np.divmod(np.arange(nprocs), self.grid.cols)
+        lows = np.tile(np.array(cls.bounding.lows, dtype=np.int64), (nprocs, 1))
+        highs = np.tile(np.array(cls.bounding.highs, dtype=np.int64), (nprocs, 1))
+        for i, d in enumerate(cls.distributed_dims):
+            splits = np.array(cls.dim_splits[i], dtype=np.int64)
+            lows[:, d] = splits[mesh_coords[i], 0]
+            highs[:, d] = splits[mesh_coords[i], 1]
+        if cls.rank == 1:
+            # resident on mesh column 0 only
+            idle = mesh_coords[1] != 0
+            lows[idle, 0] = cls.bounding.lows[0]
+            highs[idle, 0] = cls.bounding.lows[0] - 1
+        lows.setflags(write=False)
+        highs.setflags(write=False)
+        return lows, highs
+
     # ------------------------------------------------------------------
     def rank_class(self, array_rank: int) -> RankClassLayout:
         try:
@@ -105,44 +131,63 @@ class ProblemLayout:
     def distributed_dims(self, array_rank: int) -> Tuple[int, ...]:
         return self.rank_class(array_rank).distributed_dims
 
+    def block_bounds(self, array_rank: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The owned box of every processor for one rank class:
+        ``(lows, highs)``, each a read-only ``(nprocs, array_rank)`` int
+        array whose row ``p`` is :meth:`owned` ``(array_rank, p)``.  Idle
+        processors (rank-1 arrays off mesh column 0) hold an empty box."""
+        self.rank_class(array_rank)  # names the missing class
+        return self._blocks[array_rank]
+
     def owned(self, array_rank: int, proc: int) -> Region:
         """The block of the rank-class index space owned by ``proc``
         (empty region for idle processors)."""
+        self.grid.coords(proc)  # range check
+        lows, highs = self.block_bounds(array_rank)
+        return Region(
+            f"<own{proc}>", tuple(lows[proc].tolist()), tuple(highs[proc].tolist())
+        )
+
+    def element_counts(self, region: Region) -> np.ndarray:
+        """Elements of ``region`` on each processor, as a read-only
+        float64 vector (memoized per region bounds)."""
+        key = (region.lows, region.highs)
+        counts = self._counts.get(key)
+        if counts is None:
+            lows, highs = self.block_bounds(region.rank)
+            extent = np.minimum(highs, region.highs) - np.maximum(lows, region.lows) + 1
+            counts = np.maximum(extent, 0).prod(axis=1).astype(np.float64)
+            counts.setflags(write=False)
+            self._counts[key] = counts
+        return counts
+
+    def owners(self, array_rank: int, indices: np.ndarray) -> np.ndarray:
+        """The processor owning each row of an ``(n, array_rank)`` array
+        of global indices."""
         cls = self.rank_class(array_rank)
-        row, col = self.grid.coords(proc)
-        lows = list(cls.bounding.lows)
-        highs = list(cls.bounding.highs)
-        mesh_coords = (row, col)
-        if array_rank == 1:
-            if col != 0:
-                # resident on mesh column 0 only
-                return Region(f"<own{proc}>", (lows[0],), (lows[0] - 1,))
-            lo, hi = cls.dim_splits[0][row]
-            return Region(f"<own{proc}>", (lo,), (hi,))
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1, array_rank)
+        mesh_coords = []
         for i, d in enumerate(cls.distributed_dims):
-            lo, hi = cls.dim_splits[i][mesh_coords[i]]
-            lows[d], highs[d] = lo, hi
-        return Region(f"<own{proc}>", tuple(lows), tuple(highs))
+            column = indices[:, d]
+            outside = (column < cls.bounding.lows[d]) | (column > cls.bounding.highs[d])
+            if outside.any():
+                index = tuple(indices[np.argmax(outside)].tolist())
+                raise RuntimeFault(
+                    f"index {index} outside the rank-{array_rank} "
+                    f"bounding region {cls.bounding}"
+                )
+            # the first block reaching the index owns it; empty blocks
+            # trail the mesh and never come first
+            block_highs = np.array(cls.dim_splits[i], dtype=np.int64)[:, 1]
+            mesh_coords.append(np.searchsorted(block_highs, column))
+        row = mesh_coords[0]
+        # rank-1 arrays are resident on mesh column 0
+        col = mesh_coords[1] if len(mesh_coords) > 1 else 0
+        return row * self.grid.cols + col
 
     def owner_of(self, array_rank: int, index: Sequence[int]) -> int:
         """Processor owning a global index (for tests/diagnostics)."""
-        cls = self.rank_class(array_rank)
-        coords = [0, 0]
-        for i, d in enumerate(cls.distributed_dims):
-            pos = None
-            for j, (lo, hi) in enumerate(cls.dim_splits[i]):
-                if lo <= index[d] <= hi:
-                    pos = j
-                    break
-            if pos is None:
-                raise RuntimeFault(
-                    f"index {tuple(index)} outside the rank-{array_rank} "
-                    f"bounding region {cls.bounding}"
-                )
-            coords[i] = pos
-        if array_rank == 1:
-            return self.grid.rank_of(coords[0], 0)
-        return self.grid.rank_of(coords[0], coords[1])
+        return int(self.owners(array_rank, [index])[0])
 
     def check_fluff_feasible(
         self, fluff: Dict[str, Tuple[int, ...]]

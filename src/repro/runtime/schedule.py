@@ -483,7 +483,7 @@ class _Lowerer:
 
     ``sim`` is the owning :class:`repro.runtime.executor._Simulation`
     (duck-typed: needs ``timing``, ``instrument``, ``scalars``,
-    ``machine``, ``plans``, ``_elements``, ``scalar_eval``,
+    ``machine``, ``plans``, ``layout``, ``scalar_eval``,
     ``repeat_cap``)."""
 
     def __init__(self, sim) -> None:
@@ -525,7 +525,7 @@ class _Lowerer:
     def _lower_simple(self, stmt: ir.SimpleStmt, ops: List) -> None:
         timing = self.timing
         if isinstance(stmt, ir.ArrayAssign):
-            cost = timing.array_cost(stmt.flops, self.sim._elements(stmt.region))
+            cost = timing.array_cost(stmt.flops, self.sim.layout.element_counts(stmt.region))
             ops.append(partial(timing.charge_array_vec, cost, stmt.target))
         elif isinstance(stmt, ir.ScalarAssign):
             tree_time = self.machine.reduction.time(self.machine.nprocs)
@@ -533,7 +533,7 @@ class _Lowerer:
                 if isinstance(node, ir.IRReduce):
                     part = timing.reduction_cost(
                         ir.expr_flops(node.operand),
-                        self.sim._elements(node.region),
+                        self.sim.layout.element_counts(node.region),
                     )
                     ops.append(
                         partial(timing.charge_reduction_vec, part, tree_time)

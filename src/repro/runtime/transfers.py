@@ -15,21 +15,34 @@ A combined descriptor packs all its entries' strips for the same
 neighbour pair into one message (that is the point of combining: fewer,
 larger messages, same volume).
 
-Plans are pure metadata (global-coordinate boxes and byte counts).  The
-timing engine consumes the vectorized views; the numeric engine walks the
-message list to snapshot and deliver real strip data.
+Plans are computed in closed form, for every processor at once.  Owned
+blocks are separable per distributed dimension, so an entry shifted
+along ``k`` distributed dimensions has ``2^k - 1`` *strip classes*, one
+per nonempty subset of those dimensions (the faces and the corner of the
+L).  A strip of a class spans the overflow beyond the receiver's block
+in the subset's dimensions and the inner extent elsewhere: integer
+array expressions over the block lows and highs of
+:meth:`~repro.runtime.layout.ProblemLayout.block_bounds`.  The sender is
+the receiver's mesh neighbour one step along the subset's dimensions,
+or, for a periodic (``@@``) transfer, the owner of the strip folded back
+into the domain.  Strip sizes summed per (sender, receiver) pair, pairs
+in sorted order, give the vectors the timing engines read; the
+:class:`Message` list with real strip boxes, which only the numeric
+engine walks to snapshot and deliver data, is built from the same strip
+arrays on first access.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RuntimeFault
-from repro.ir.nodes import CommDescriptor
+from repro.ir.nodes import CommDescriptor, CommEntry
 from repro.lang.regions import Region
 from repro.runtime.layout import ProblemLayout
 
@@ -80,39 +93,89 @@ class _PrimCache:
     wire: np.ndarray  # per message: latency + bytes/bandwidth
 
 
+@dataclass(frozen=True, eq=False)
+class _StripSet:
+    """One strip class of one entry: a strip for each receiver that has
+    a nonempty one, in receiver order."""
+
+    array: str
+    senders: np.ndarray
+    receivers: np.ndarray
+    #: ``(n, rank)`` strip boxes in destination coordinates
+    lows: np.ndarray
+    highs: np.ndarray
+    #: periodic transfers only: the boxes folded into the domain
+    src_lows: Optional[np.ndarray] = None
+    src_highs: Optional[np.ndarray] = None
+
+    def copies(self):
+        """``(sender, receiver, StripCopy)`` per strip."""
+        sources = [None] * len(self.senders)
+        if self.src_lows is not None:
+            sources = [
+                Region(f"<wrapsrc:{self.array}>", tuple(lows), tuple(highs))
+                for lows, highs in zip(self.src_lows.tolist(), self.src_highs.tolist())
+            ]
+        for sender, receiver, lows, highs, src in zip(
+            self.senders.tolist(),
+            self.receivers.tolist(),
+            self.lows.tolist(),
+            self.highs.tolist(),
+            sources,
+        ):
+            box = Region(f"<strip:{self.array}>", tuple(lows), tuple(highs))
+            yield sender, receiver, StripCopy(self.array, box, src)
+
+
 class TransferPlan:
-    """All messages of one descriptor on one machine layout."""
+    """All messages of one descriptor on one machine layout.
+
+    ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
+    in (sender, receiver) order; :attr:`messages` materializes the
+    messages themselves on first access."""
 
     def __init__(
         self, desc: CommDescriptor, layout: ProblemLayout, nprocs: int
     ) -> None:
         self.desc = desc
         self.nprocs = nprocs
-        self.messages: List[Message] = _build_messages(desc, layout)
-        m = len(self.messages)
-        self.senders = np.fromiter(
-            (msg.sender for msg in self.messages), dtype=np.int64, count=m
+        self._strips: List[_StripSet] = [
+            strips
+            for entry in desc.entries
+            for strips in _entry_strips(desc, entry, layout)
+        ]
+        self.senders, self.receivers, self.nbytes = _pair_totals(
+            self._strips, nprocs
         )
-        self.receivers = np.fromiter(
-            (msg.receiver for msg in self.messages), dtype=np.int64, count=m
-        )
-        self.nbytes = np.fromiter(
-            (msg.nbytes for msg in self.messages), dtype=np.int64, count=m
-        )
-        participants = np.zeros(nprocs, dtype=bool)
-        participants[self.senders] = True
-        participants[self.receivers] = True
-        self.participants = participants
-        self.participant_count = int(participants.sum())
-        self.receivers_unique = np.unique(self.receivers)
-        self.senders_unique = np.unique(self.senders)
+        sending = np.zeros(nprocs, dtype=bool)
+        sending[self.senders] = True
+        receiving = np.zeros(nprocs, dtype=bool)
+        receiving[self.receivers] = True
+        self.participants = sending | receiving
+        self.participant_count = int(np.count_nonzero(self.participants))
+        self.receivers_unique = np.flatnonzero(receiving)
+        self.senders_unique = np.flatnonzero(sending)
         self._prim_cache: Dict[Tuple, _PrimCache] = {}
         self._recv_sw_cache: Dict[Tuple, np.ndarray] = {}
         self._fixed_cache: Dict[Tuple[str, float], np.ndarray] = {}
 
     @property
     def message_count(self) -> int:
-        return len(self.messages)
+        return len(self.senders)
+
+    @cached_property
+    def messages(self) -> List[Message]:
+        """The messages in (sender, receiver) order, each carrying its
+        strips in (entry, strip class) order.  Built on first access:
+        only the numeric engine reads strip boxes."""
+        pairs: Dict[Tuple[int, int], List[StripCopy]] = {}
+        for strips in self._strips:
+            for sender, receiver, copy in strips.copies():
+                pairs.setdefault((sender, receiver), []).append(copy)
+        return [
+            Message(sender=s, receiver=r, copies=copies)
+            for (s, r), copies in sorted(pairs.items())
+        ]
 
     def prim_vectors(self, prim, network) -> _PrimCache:
         """Cached per-primitive (cum_sw, total_by_rank, wire) vectors.
@@ -175,141 +238,154 @@ class TransferPlan:
         return out
 
 
-def _nonempty_subsets(dims: List[int]) -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = []
-    n = len(dims)
-    for mask in range(1, 1 << n):
-        out.append(tuple(dims[i] for i in range(n) if mask & (1 << i)))
+def _pair_totals(
+    strips: List[_StripSet], nprocs: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(senders, receivers, nbytes)`` per message: strip sizes summed
+    per (sender, receiver) pair, pairs in sorted order."""
+    if not strips:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    keys = np.concatenate([s.senders * nprocs + s.receivers for s in strips])
+    sizes = np.concatenate([(s.highs - s.lows + 1).prod(axis=1) for s in strips])
+    order = np.argsort(keys, kind="stable")
+    keys, sizes = keys[order], sizes[order]
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    senders, receivers = np.divmod(keys[first], nprocs)
+    return senders, receivers, np.add.reduceat(sizes, first) * _DOUBLE
+
+
+def _entry_strips(
+    desc: CommDescriptor, entry: CommEntry, layout: ProblemLayout
+) -> List[_StripSet]:
+    """The nonempty strip classes of one entry, in subset-mask order.
+
+    Raises the fault of the first faulty strip in (receiver, strip
+    class) order."""
+    domain = layout.array_domains[entry.array]
+    rank = domain.rank
+    dist_dims = layout.distributed_dims(rank)
+    offsets = desc.direction.offsets
+    active = [d for d in dist_dims if offsets[d] != 0]
+    if not active:
+        return []  # purely local shift: no messages
+
+    own_lo, own_hi = layout.block_bounds(rank)
+    box_lo = np.maximum(own_lo, entry.use_region.lows)
+    box_hi = np.minimum(own_hi, entry.use_region.highs)
+    live = (box_hi >= box_lo).all(axis=1)
+    if not live.any():
+        return []
+    need_lo, need_hi = box_lo + offsets, box_hi + offsets
+    # off the shift side a strip keeps the inner extent: the needed box
+    # clipped to the receiver's block in the distributed dims
+    distributed = [d in dist_dims for d in range(rank)]
+    inner_lo = np.where(distributed, np.maximum(need_lo, own_lo), need_lo)
+    inner_hi = np.where(distributed, np.minimum(need_hi, own_hi), need_hi)
+    # on the shift side it takes the overflow beyond the block
+    ahead = np.asarray(offsets) > 0
+    over_lo = np.where(ahead, np.maximum(need_lo, own_hi + 1), need_lo)
+    over_hi = np.where(ahead, need_hi, np.minimum(need_hi, own_lo - 1))
+    inner_fits, over_fits = inner_hi >= inner_lo, over_hi >= over_lo
+
+    out: List[_StripSet] = []
+    fault: Optional[Tuple[int, str]] = None  # (receiver, message)
+    for mask in range(1, 1 << len(active)):
+        subset = [d for i, d in enumerate(active) if mask >> i & 1]
+        chosen = [d in subset for d in range(rank)]
+        keep = live & np.where(chosen, over_fits, inner_fits).all(axis=1)
+        receivers = np.flatnonzero(keep)
+        if not len(receivers):
+            continue
+        lo = np.where(chosen, over_lo, inner_lo)[receivers]
+        hi = np.where(chosen, over_hi, inner_hi)[receivers]
+        if desc.wrap:
+            strips, bad = _wrap_strips(desc, entry, layout, lo, hi, receivers)
+        else:
+            strips, bad = _neighbour_strips(
+                desc, entry, layout, dist_dims, subset, lo, hi, receivers
+            )
+        # the earliest receiver's fault wins; ties go to the lower mask
+        if bad is not None and (fault is None or bad[0] < fault[0]):
+            fault = bad
+        if strips is not None:
+            out.append(strips)
+    if fault is not None:
+        raise RuntimeFault(fault[1])
     return out
 
 
-def _build_messages(
-    desc: CommDescriptor, layout: ProblemLayout
-) -> List[Message]:
+def _neighbour_strips(desc, entry, layout, dist_dims, subset, lo, hi, receivers):
+    """Strips sent by the receiver's mesh neighbour one step along the
+    subset's dimensions: ``(strips, fault)``, one of them None."""
     grid = layout.grid
-    pair_copies: Dict[Tuple[int, int], List[StripCopy]] = {}
-
-    for entry in desc.entries:
-        domain = layout.array_domains[entry.array]
-        rank = domain.rank
-        dist_dims = list(layout.distributed_dims(rank))
-        offsets = desc.direction.offsets
-        active = [d for d in dist_dims if offsets[d] != 0]
-        if not active:
-            continue  # purely local shift: no messages
-
-        for receiver in grid.ranks():
-            owned_class = layout.owned(rank, receiver)
-            box = entry.use_region.intersect(owned_class)
-            if box.is_empty:
-                continue
-            needed = box.shifted(desc.direction)
-            for subset in _nonempty_subsets(active):
-                lows, highs = list(needed.lows), list(needed.highs)
-                ok = True
-                for d in range(rank):
-                    if d in subset:
-                        # the overflow strip on the offset's side
-                        if offsets[d] > 0:
-                            lo = max(lows[d], owned_class.highs[d] + 1)
-                            hi = highs[d]
-                        else:
-                            lo = lows[d]
-                            hi = min(highs[d], owned_class.lows[d] - 1)
-                    elif d in dist_dims:
-                        lo = max(lows[d], owned_class.lows[d])
-                        hi = min(highs[d], owned_class.highs[d])
-                    else:
-                        lo, hi = lows[d], highs[d]
-                    if hi < lo:
-                        ok = False
-                        break
-                    lows[d], highs[d] = lo, hi
-                if not ok:
-                    continue
-                strip = Region(
-                    f"<strip:{entry.array}>", tuple(lows), tuple(highs)
-                )
-                if desc.wrap:
-                    sender, src = _wrap_source(
-                        desc, entry, strip, domain, layout
-                    )
-                    pair_copies.setdefault((sender, receiver), []).append(
-                        StripCopy(array=entry.array, box=strip, src_box=src)
-                    )
-                    continue
-                step = _mesh_step(rank, dist_dims, subset, offsets)
-                sender = grid.neighbor(receiver, step)
-                if sender is None:
-                    raise RuntimeFault(
-                        f"transfer {desc.describe()}: strip {strip} for "
-                        f"rank {receiver} has no owning neighbour — "
-                        "layout/semantic inconsistency"
-                    )
-                pair_copies.setdefault((sender, receiver), []).append(
-                    StripCopy(array=entry.array, box=strip)
-                )
-
-    return [
-        Message(sender=s, receiver=r, copies=copies)
-        for (s, r), copies in sorted(pair_copies.items())
-    ]
-
-
-def _wrap_source(desc, entry, strip: Region, domain: Region, layout):
-    """Source rank and source-coordinate box for a (possibly wrapped)
-    periodic strip: coordinates outside the domain fold back by one
-    domain extent, and the owner of the folded box sends it."""
-    cls = layout.rank_class(domain.rank)
-    lows, highs = list(strip.lows), list(strip.highs)
-    for d in range(domain.rank):
-        extent = domain.highs[d] - domain.lows[d] + 1
-        if (
-            cls.bounding.lows[d] != domain.lows[d]
-            or cls.bounding.highs[d] != domain.highs[d]
-        ) and (lows[d] < domain.lows[d] or highs[d] > domain.highs[d]):
-            raise RuntimeFault(
-                f"wrap transfer of {entry.array!r}: its domain does not "
-                f"span the rank-class layout in dim {d + 1}; periodic "
-                "arrays must cover the full distributed extent"
-            )
-        if highs[d] < domain.lows[d]:
-            lows[d] += extent
-            highs[d] += extent
-        elif lows[d] > domain.highs[d]:
-            lows[d] -= extent
-            highs[d] -= extent
-    src = Region(f"<wrapsrc:{entry.array}>", tuple(lows), tuple(highs))
-    if not domain.contains(src):
-        raise RuntimeFault(
-            f"wrap transfer of {entry.array!r}: folded strip {src} still "
-            f"escapes the domain {domain} — offset too large for the mesh"
-        )
-    sender = layout.owner_of(domain.rank, src.lows)
-    sender_hi = layout.owner_of(domain.rank, src.highs)
-    if sender != sender_hi:
-        raise RuntimeFault(
-            f"wrap transfer of {entry.array!r}: strip {src} spans "
-            "processors — shift width exceeds a block"
-        )
-    return sender, src
-
-
-def _mesh_step(
-    rank: int,
-    dist_dims: List[int],
-    subset: Tuple[int, ...],
-    offsets: Tuple[int, ...],
-) -> Tuple[int, int]:
-    """Mesh offset of the neighbour owning the overflow strip for
-    ``subset`` (receiver -> sender direction)."""
-    step = [0, 0]
+    rows, cols = np.divmod(receivers, grid.cols)
+    edge = np.zeros(len(receivers), dtype=bool)
+    step = 0
     for mesh_axis, d in enumerate(dist_dims):
         if d in subset:
-            step[mesh_axis] = 1 if offsets[d] > 0 else -1
-    if rank == 1:
-        return (step[0], 0)
-    return (step[0], step[1])
+            forward = desc.direction.offsets[d] > 0
+            coords, size = (rows, grid.rows) if mesh_axis == 0 else (cols, grid.cols)
+            edge |= coords == (size - 1 if forward else 0)
+            step += (1 if forward else -1) * (grid.cols if mesh_axis == 0 else 1)
+    if edge.any():
+        j = int(np.argmax(edge))
+        receiver = int(receivers[j])
+        strip = Region("<strip>", tuple(lo[j].tolist()), tuple(hi[j].tolist()))
+        return None, (
+            receiver,
+            f"transfer {desc.describe()}: strip {strip} for rank {receiver} "
+            "has no owning neighbour — layout/semantic inconsistency",
+        )
+    return _StripSet(entry.array, receivers + step, receivers, lo, hi), None
+
+
+def _wrap_strips(desc, entry, layout, lo, hi, receivers):
+    """Periodic strips: coordinates outside the domain fold back by one
+    domain extent, and the owner of the folded box sends it.  Returns
+    ``(strips, fault)``, one of them None."""
+    domain = layout.array_domains[entry.array]
+    bounding = layout.rank_class(domain.rank).bounding
+    dom_lo, dom_hi = np.array(domain.lows), np.array(domain.highs)
+    extent = dom_hi - dom_lo + 1
+    # folding is only sound where the domain spans the whole layout
+    partial = (np.array(bounding.lows) != dom_lo) | (np.array(bounding.highs) != dom_hi)
+    unspanned = partial & ((lo < dom_lo) | (hi > dom_hi))
+    shift = np.where(hi < dom_lo, extent, 0) - np.where(lo > dom_hi, extent, 0)
+    src_lo, src_hi = lo + shift, hi + shift
+    escapes = ((src_lo < dom_lo) | (src_hi > dom_hi)).any(axis=1)
+    bad = unspanned.any(axis=1) | escapes
+    senders = np.zeros(len(receivers), dtype=np.int64)
+    good = ~bad
+    senders[good] = layout.owners(domain.rank, src_lo[good])
+    split = np.zeros_like(bad)
+    split[good] = senders[good] != layout.owners(domain.rank, src_hi[good])
+    bad |= split
+    if not bad.any():
+        return _StripSet(
+            entry.array, senders, receivers, lo, hi, src_lo, src_hi
+        ), None
+    j = int(np.argmax(bad))
+    src = Region("<wrapsrc>", tuple(src_lo[j].tolist()), tuple(src_hi[j].tolist()))
+    what = f"wrap transfer of {entry.array!r}"
+    if unspanned[j].any():
+        message = (
+            f"{what}: its domain does not span the rank-class layout in "
+            f"dim {int(np.argmax(unspanned[j])) + 1}; periodic arrays must "
+            "cover the full distributed extent"
+        )
+    elif escapes[j]:
+        message = (
+            f"{what}: folded strip {src} still escapes the domain {domain} "
+            "— offset too large for the mesh"
+        )
+    else:
+        message = (
+            f"{what}: strip {src} spans processors — shift width exceeds "
+            "a block"
+        )
+    return None, (int(receivers[j]), message)
 
 
 class PlanCache:
@@ -319,7 +395,7 @@ class PlanCache:
     domains, descriptor geometry), so re-simulating the same program on
     the same layout — e.g. every cell of a study sweep, or a fast-path
     run next to its interpreted check — reuses the built plans instead of
-    re-deriving the message lists.  A ``TransferPlan`` is pure metadata
+    re-deriving their strips.  A ``TransferPlan`` is pure metadata
     and safe to share within a process; the memo is bounded LRU.
     """
 

@@ -4,7 +4,12 @@ import pytest
 
 from repro import ExecutionMode, OptimizationConfig, compile_program, simulate, t3d
 from repro.errors import MachineError, RuntimeFault
+from repro.ir.nodes import CommDescriptor, CommEntry
+from repro.lang.regions import Direction, Region
 from repro.machine import paragon
+from repro.runtime.grid import ProcessorGrid
+from repro.runtime.layout import ProblemLayout
+from repro.runtime.transfers import TransferPlan
 
 
 class TestFluffFeasibility:
@@ -76,3 +81,61 @@ class TestWrapFaults:
         prog = compile_program(src, opt=OptimizationConfig.full())
         with pytest.raises(RuntimeFault, match="shift width"):
             simulate(prog, t3d(16), ExecutionMode.TIMING)
+
+
+def _plan(rows, cols, domains, array, offsets, wrap):
+    """A plan for ``array @ offsets`` over its whole domain, built from a
+    hand-made layout (no semantic checks, no fluff-feasibility check)."""
+    layout = ProblemLayout(ProcessorGrid(rows, cols), domains)
+    desc = CommDescriptor(
+        direction=Direction("d", offsets),
+        entries=[CommEntry(array=array, use_region=domains[array])],
+        wrap=wrap,
+    )
+    return TransferPlan(desc, layout, rows * cols)
+
+
+class TestPlanConstructionFaults:
+    """Each geometric fault of plan construction raises from the
+    ``TransferPlan`` constructor itself, before any message exists."""
+
+    def test_strip_without_owning_neighbour(self):
+        # a plain east shift over the whole domain reads column 9 on the
+        # east edge of the mesh, where no neighbour owns it
+        square = Region("R", (1, 1), (8, 8))
+        with pytest.raises(
+            RuntimeFault,
+            match=r"strip \[1\.\.4, 9\.\.9\] for rank 1 has no owning neighbour",
+        ):
+            _plan(2, 2, {"A": square}, "A", (0, 1), wrap=False)
+
+    def test_wrap_domain_not_spanning_the_layout(self):
+        # B widens the rank-2 layout to 12 columns, so A's west wrap
+        # would fold onto columns nobody holds for A
+        domains = {
+            "A": Region("R", (1, 1), (8, 8)),
+            "B": Region("W", (1, 1), (8, 12)),
+        }
+        with pytest.raises(
+            RuntimeFault,
+            match="does not span the rank-class layout in dim 2",
+        ):
+            _plan(2, 2, domains, "A", (0, -1), wrap=True)
+
+    def test_folded_strip_escaping_the_domain(self):
+        # an offset beyond the domain extent still overflows after one fold
+        square = Region("R", (1, 1), (4, 4))
+        with pytest.raises(
+            RuntimeFault,
+            match=r"folded strip \[1\.\.4, 2\.\.5\] still escapes the domain",
+        ):
+            _plan(1, 1, {"A": square}, "A", (0, 5), wrap=True)
+
+    def test_folded_strip_spanning_processors(self):
+        # 12 columns over a 1x4 mesh: blocks of 3, so a 5-wide wrap
+        # shift reads columns 6..8 from two owners
+        square = Region("R", (1, 1), (12, 12))
+        with pytest.raises(
+            RuntimeFault, match=r"strip \[1\.\.12, 6\.\.8\] spans processors"
+        ):
+            _plan(1, 4, {"A": square}, "A", (0, 5), wrap=True)

@@ -1,5 +1,7 @@
 """Unit tests for block distribution."""
 
+import itertools
+
 import pytest
 
 from repro.errors import RuntimeFault
@@ -85,6 +87,76 @@ class TestRank1:
         assert not layout.owned(1, 0).is_empty
         assert layout.owned(1, 1).is_empty  # column 1 idles
         assert layout.owner_of(1, (8,)) == grid.rank_of(1, 0)
+
+
+def mixed_layout(rows=2, cols=3):
+    """Uneven blocks (and, on a 4-row mesh, empty ones) in every rank class."""
+    grid = ProcessorGrid(rows, cols)
+    return ProblemLayout(
+        grid,
+        {
+            "V": Region("L", (0,), (2,)),
+            "A": Region("R", (1, 1), (7, 10)),
+            "U": Region("C", (1, 1, 1), (5, 2, 3)),
+        },
+    )
+
+
+class TestBlockBounds:
+    @pytest.mark.parametrize("rows,cols", [(1, 1), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_rows_follow_the_mesh_splits(self, rows, cols, rank):
+        layout = mixed_layout(rows, cols)
+        bounding = layout.rank_class(rank).bounding
+        lows, highs = layout.block_bounds(rank)
+        assert lows.shape == highs.shape == (rows * cols, rank)
+        for p in layout.grid.ranks():
+            row, col = layout.grid.coords(p)
+            lo, hi = list(bounding.lows), list(bounding.highs)
+            if rank == 1 and col != 0:
+                hi[0] = lo[0] - 1  # idle off mesh column 0
+            else:
+                for d, (coord, parts) in enumerate(((row, rows), (col, cols))[:rank]):
+                    lo[d], hi[d] = split_extent(lo[d], hi[d], parts)[coord]
+            assert (tuple(lows[p]), tuple(highs[p])) == (tuple(lo), tuple(hi))
+            owned = layout.owned(rank, p)
+            assert (owned.lows, owned.highs) == (tuple(lo), tuple(hi))
+
+    def test_bounds_are_read_only(self):
+        lows, _ = mixed_layout().block_bounds(2)
+        with pytest.raises(ValueError):
+            lows[0, 0] = 99
+
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (4, 2)])
+    def test_element_counts_match_owned_intersections(self, rows, cols):
+        layout = mixed_layout(rows, cols)
+        regions = [
+            Region("L", (1,), (2,)),
+            Region("In", (2, 2), (6, 9)),
+            Region("Edge", (7, 1), (7, 10)),
+            Region("Empty", (3, 3), (2, 9)),
+            Region("Z", (1, 1, 2), (5, 2, 3)),
+        ]
+        for region in regions:
+            counts = layout.element_counts(region)
+            expected = [
+                region.intersect(layout.owned(region.rank, p)).size
+                for p in layout.grid.ranks()
+            ]
+            assert counts.dtype.kind == "f"
+            assert counts.tolist() == expected
+            assert layout.element_counts(region) is counts  # memoized
+
+    @pytest.mark.parametrize("rows,cols", [(2, 3), (4, 2)])
+    def test_owners_match_owned_boxes(self, rows, cols):
+        layout = mixed_layout(rows, cols)
+        for rank, domain in ((1, (0, 2)), (2, (1, 7, 1, 10))):
+            axes = [range(domain[2 * i], domain[2 * i + 1] + 1) for i in range(rank)]
+            indices = list(itertools.product(*axes))
+            owners = layout.owners(rank, indices)
+            for index, owner in zip(indices, owners.tolist()):
+                assert layout.owned(rank, owner).contains_index(index)
+                assert layout.owner_of(rank, index) == owner
 
 
 class TestFluffFeasibility:
