@@ -6,23 +6,17 @@ every cell from the result cache.  Asserts the ISSUE/acceptance bar
 (warm at least 3x faster than cold — in practice it is orders of
 magnitude) and that the cached results are *identical* to the freshly
 computed ones, then benchmarks the warm path.
-
-Parametrized over the dir and sqlite backends, so the shared-store
-backend's read path is held to the same bar as the historical
-directory layout.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from repro import run_study
 from repro.programs import BENCHMARKS, small_config
 
 
-def _study_kwargs(cache_dir, backend):
+def _study_kwargs(cache_dir):
     overrides = {name: small_config(name) for name in BENCHMARKS}
     # enough work that the cold pass dwarfs cache bookkeeping
     overrides["swm"].update(nsteps=20)
@@ -32,12 +26,11 @@ def _study_kwargs(cache_dir, backend):
         nprocs=16,
         config_overrides=overrides,
         cache_dir=cache_dir,
-        cache_backend=backend,
     )
 
-@pytest.mark.parametrize("backend", ("dir", "sqlite"))
-def test_engine_cache_speedup(benchmark, tmp_path, backend):
-    kwargs = _study_kwargs(tmp_path / "cache", backend)
+
+def test_engine_cache_speedup(benchmark, tmp_path):
+    kwargs = _study_kwargs(tmp_path / "cache")
 
     t0 = time.perf_counter()
     cold = run_study(**kwargs)

@@ -35,19 +35,11 @@ machine-parameter overrides, and ``--no-fast-path``.
     compiler/pass/engine/simulation spans, the cache and IRONMAN
     counters, and the bridged per-rank simulated timelines
     (``--ranks``); ``--jsonl PATH`` additionally writes the raw
-    structured event log.  The engine knobs apply: ``--jobs N``/
-    ``--dispatch sharded --shards N`` trace the distributed dispatch
-    paths (worker spans are shipped back and stitched under the
-    coordinator's root span — one trace id across every process), and
-    pointing ``--cache-backend http --cache-url`` at a cache server
-    adds the remote cache calls.  The result cache stays off unless a
-    cache flag is given, so every compile/simulate span is captured.
-
-``top URL``
-    Follow a running study on a ``repro serve`` instance: consume its
-    ``GET /v1/progress/<key>`` stream (picking the live study
-    automatically, or ``--key``) and print per-benchmark progress as
-    job events arrive.
+    structured event log.  The engine knobs apply: with ``--jobs N``
+    the pool workers' spans are shipped back and stitched under the
+    coordinator's root span — one trace id across every process.  The
+    result cache stays off unless ``--cache-dir`` is given, so every
+    compile/simulate span is captured.
 
 ``compare``
     Re-run a study and diff its counts and times against a committed
@@ -104,20 +96,10 @@ machine-parameter overrides, and ``--no-fast-path``.
     exiting nonzero with a copy-pasteable repro line per failing seed.
 
 ``cache``
-    Inspect and maintain a result-cache backend: ``cache stats`` prints
-    the entry/byte totals and per-schema census, ``cache prune`` removes
-    entries by age (``--older-than 7d``) and/or stored schema version
-    (``--schema N``), and ``cache serve`` exposes the backend over HTTP
-    so other hosts can reach it with ``--cache-backend http``.  All
-    three honor the shared ``--cache-dir``/``--cache-backend``/
-    ``--cache-url`` flags.
-
-``serve``
-    Run the asyncio study/sweep service (``POST /v1/study``,
-    ``POST /v1/sweep``): identical in-flight submissions dedup onto one
-    execution, finished work is served from the configured cache
-    backend, and cost-only sweeps batch through the vectorized
-    simulator; see ``docs/ENGINE.md``.
+    Inspect and maintain the result cache (``--cache-dir``): ``cache
+    stats`` prints the entry/byte totals and per-schema census, and
+    ``cache prune`` removes entries by age (``--older-than 7d``) and/or
+    stored schema version (``--schema N``).
 
 ``figure6``
     Run the synthetic overhead benchmark and print the Figure 6 curves.
@@ -126,7 +108,6 @@ machine-parameter overrides, and ``--no-fast-path``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -149,7 +130,7 @@ from repro.analysis import attribution as attr
 from repro.analysis import figures as fig
 from repro.analysis import scaling
 from repro.comm import registered_passes
-from repro.engine import BACKEND_KINDS, DISPATCHER_KINDS, Job, MachineSpec
+from repro.engine import DirCache, Job, MachineSpec
 from repro.errors import ExperimentError
 from repro.experiments_registry import COMPOSITION_KEYS
 from repro.frontend import parse_config_assignments
@@ -223,24 +204,12 @@ def _sim_parent(nprocs_default):
 
 
 def _cache_parent():
-    """The cache-backend selection flags (``experiments``, ``sweep``,
-    ``cache``, ``serve``)."""
+    """The result-cache location flag (the study commands and
+    ``cache``)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="result cache root (default .repro-cache/ or "
-        "$REPRO_CACHE_DIR; the sqlite backend stores cache.sqlite there)",
-    )
-    parent.add_argument(
-        "--cache-backend", default=None, metavar="KIND",
-        choices=BACKEND_KINDS,
-        help="cache storage backend: dir (default), sqlite, http, null "
-        "(a set $REPRO_CACHE_URL implies http)",
-    )
-    parent.add_argument(
-        "--cache-url", default=None, metavar="URL",
-        help="base URL for the http backend (default $REPRO_CACHE_URL); "
-        "start one with `repro cache serve`",
+        help="result cache root (default .repro-cache/ or $REPRO_CACHE_DIR)",
     )
     return parent
 
@@ -257,16 +226,6 @@ def _engine_parent():
         help="bypass the result cache entirely",
     )
     parent.add_argument(
-        "--dispatch", default=None, choices=DISPATCHER_KINDS,
-        help="execution strategy for cache misses: local (default) or "
-        "sharded (work-stealing shards with per-job retry); results are "
-        "bit-identical",
-    )
-    parent.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="N",
-        help="shard count for --dispatch sharded (default 4 x jobs)",
-    )
-    parent.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="write per-job telemetry records as JSON",
     )
@@ -276,20 +235,10 @@ def _engine_parent():
 def _engine_kwargs(args) -> dict:
     """Resolve the shared engine flags into ``run_study``/``run_sweep``
     keyword arguments."""
-    dispatcher = args.dispatch
-    if args.shards is not None:
-        if dispatcher != "sharded":
-            raise SystemExit("--shards requires --dispatch sharded")
-        from repro.engine import ShardedDispatcher
-
-        dispatcher = ShardedDispatcher(workers=args.jobs, shards=args.shards)
     return {
         "jobs": args.jobs,
         "cache": not args.no_cache,
         "cache_dir": args.cache_dir,
-        "cache_backend": args.cache_backend,
-        "cache_url": args.cache_url,
-        "dispatcher": dispatcher,
     }
 
 
@@ -411,8 +360,8 @@ def cmd_trace(args) -> int:
     engine_kwargs = _engine_kwargs(args)
     # historical default: serial and uncached, so every compile phase,
     # optimizer pass, and cache counter lands in-process.  An explicit
-    # cache flag opts the (remote) cache into the trace instead.
-    if not (args.cache_dir or args.cache_backend or args.cache_url):
+    # --cache-dir opts the result cache into the trace instead.
+    if not args.cache_dir:
         engine_kwargs["cache"] = False
     sinks = [obs.ChromeTraceSink(args.out)]
     if args.jsonl:
@@ -465,10 +414,6 @@ def cmd_trace(args) -> int:
           f"{bridged} events ({args.opt} on {args.machine}/{args.nprocs})")
     print(f"counters recorded:  {len(counters)}")
     print(f"trace id:           {recorder.trace_id}")
-    if args.dispatch == "sharded":
-        print(f"dispatch:           sharded "
-              f"({counters.get('engine.dispatch.shards', 0)} shards, "
-              f"{counters.get('engine.dispatch.jobs', 0)} dispatched jobs)")
     return 0
 
 
@@ -945,22 +890,8 @@ def _duration(text: str) -> float:
     return value
 
 
-def _cache_backend(args):
-    from repro.engine import make_cache
-
-    try:
-        return make_cache(
-            True,
-            args.cache_dir,
-            backend=args.cache_backend,
-            url=args.cache_url,
-        )
-    except ExperimentError as exc:
-        raise SystemExit(f"cache: {exc}") from None
-
-
 def cmd_cache_stats(args) -> int:
-    print(_cache_backend(args).stats().describe())
+    print(DirCache(args.cache_dir).stats().describe())
     return 0
 
 
@@ -970,142 +901,10 @@ def cmd_cache_prune(args) -> int:
             "cache prune: pass --older-than and/or --schema, or --all to "
             "empty the store"
         )
-    backend = _cache_backend(args)
-    removed = backend.prune(older_than=args.older_than, schema=args.schema)
-    where = backend.describe()["location"]
-    print(f"pruned {removed} records from {backend.kind} backend at {where}")
+    cache = DirCache(args.cache_dir)
+    removed = cache.prune(older_than=args.older_than, schema=args.schema)
+    print(f"pruned {removed} records from {cache.kind} backend at {cache.root}")
     return 0
-
-
-def cmd_cache_serve(args) -> int:
-    from repro.engine import CacheServer
-
-    backend = _cache_backend(args)
-    if backend.kind == "http":
-        raise SystemExit(
-            "cache serve: pick a storage backend to serve (dir or sqlite), "
-            "not the http client"
-        )
-    obs.configure(obs.MemorySink())  # live counters for the obs registry
-    server = CacheServer(backend, host=args.host, port=args.port)
-    print(f"cache server listening on {server.url}")
-    print(f"backing store: {backend.stats().describe()}")
-    print(f"point clients at it with --cache-backend http --cache-url {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
-def cmd_serve(args) -> int:
-    from repro.serve import ReproServer, ServeApp
-
-    try:
-        app = ServeApp(**_engine_kwargs(args))
-    except ExperimentError as exc:
-        raise SystemExit(f"serve: {exc}") from None
-    # a live in-memory sink so GET /stats reports the serve.* and
-    # cache.backend.* counters without any tracing flags
-    obs.configure(obs.MemorySink())
-    server = ReproServer(app, host=args.host, port=args.port).start()
-    print(f"repro serve listening on {server.url}")
-    print(f"cache: {app.cache_info['backend']} at {app.cache_info['location']}")
-    print("routes: GET /healthz | GET /stats | GET /metrics | "
-          "GET /v1/progress[/<key>] | POST /v1/study | POST /v1/sweep")
-    try:
-        server._thread.join()
-    except KeyboardInterrupt:
-        server.close()
-    return 0
-
-
-def cmd_top(args) -> int:
-    import time as _time
-    from urllib import error as urlerror
-    from urllib import request as urlrequest
-
-    url = args.url.rstrip("/")
-    if "/v1/progress/" in url:
-        stream_url = url
-    else:
-        # a bare server URL: find a study to watch (prefer a live one,
-        # else the most recently started), polling until --timeout
-        key = args.key
-        deadline = _time.monotonic() + args.timeout
-        while key is None:
-            try:
-                with urlrequest.urlopen(
-                    f"{url}/v1/progress", timeout=5
-                ) as resp:
-                    studies = json.loads(resp.read()).get("studies", [])
-            except (OSError, ValueError, urlerror.URLError) as exc:
-                print(f"top: cannot reach {url}: {exc}", file=sys.stderr)
-                return 1
-            live = [s for s in studies if not s.get("done")]
-            pool = live or studies
-            if pool:
-                key = max(pool, key=lambda s: s.get("started", 0))["key"]
-                break
-            if _time.monotonic() >= deadline:
-                print(f"top: no study submitted to {url} within "
-                      f"{args.timeout:.0f}s", file=sys.stderr)
-                return 1
-            _time.sleep(0.2)
-        stream_url = f"{url}/v1/progress/{key}"
-
-    per_bench: dict = {}
-    jobs_seen = 0
-    total = None
-    try:
-        with urlrequest.urlopen(stream_url, timeout=args.timeout) as resp:
-            for raw in resp:  # chunked JSONL; urllib de-chunks for us
-                line = raw.strip()
-                if not line:
-                    continue
-                event = json.loads(line)
-                kind = event.get("event")
-                if kind == "start":
-                    total = event.get("cells")
-                    print(f"watching {event.get('kind', 'study')} "
-                          f"{event.get('key', '')[:12]} "
-                          f"({total if total is not None else '?'} cells)")
-                elif kind == "job":
-                    jobs_seen += 1
-                    bench = event.get("benchmark", "?")
-                    counts = per_bench.setdefault(bench, [0, 0])
-                    counts[0] += 1
-                    if event.get("status") == "cached":
-                        counts[1] += 1
-                    print(f"[{jobs_seen}/{total if total is not None else '?'}] "
-                          f"{bench:<10} {event.get('experiment', '?'):<14} "
-                          f"{event.get('status', '?')}")
-                elif kind == "retry":
-                    print(f"          {event.get('benchmark', '?'):<10} "
-                          f"{event.get('experiment', '?'):<14} "
-                          f"retry ({event.get('reason', '?')})")
-                elif kind == "error":
-                    print(f"error: {event.get('error')}", file=sys.stderr)
-                    return 1
-                elif kind == "done":
-                    for bench in sorted(per_bench):
-                        done, cached = per_bench[bench]
-                        print(f"  {bench:<10} {done} jobs "
-                              f"({cached} cache hits)")
-                    print(f"done: {event.get('cells')} cells, "
-                          f"{event.get('executed')} executed, "
-                          f"{event.get('cache_hits')} cache hits")
-                    return 0
-    except urlerror.HTTPError as exc:
-        print(f"top: {stream_url} -> HTTP {exc.code}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, urlerror.URLError) as exc:
-        print(f"top: stream failed: {exc}", file=sys.stderr)
-        return 1
-    print("top: stream ended without a done event", file=sys.stderr)
-    return 1
 
 
 def cmd_figure6(args) -> int:
@@ -1356,7 +1155,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser(
-        "cache", help="inspect and maintain a result-cache backend"
+        "cache", help="inspect and maintain the result cache"
     )
     cache_sub = p.add_subparsers(dest="cache_command", required=True)
 
@@ -1378,41 +1177,6 @@ def main(argv=None) -> int:
     pc.add_argument("--all", action="store_true",
                     help="remove every entry (no age/schema filter)")
     pc.set_defaults(func=cmd_cache_prune)
-
-    pc = cache_sub.add_parser(
-        "serve", help="expose a dir/sqlite backend over HTTP",
-        parents=[_cache_parent()],
-    )
-    pc.add_argument("--host", default="127.0.0.1")
-    pc.add_argument("--port", type=int, default=8750,
-                    help="listen port (default 8750; 0 picks one)")
-    pc.set_defaults(func=cmd_cache_serve)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the asyncio study/sweep service",
-        parents=[_engine_parent()],
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8751,
-                   help="listen port (default 8751; 0 picks one)")
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "top",
-        help="stream a serve instance's live study progress",
-    )
-    p.add_argument(
-        "url", metavar="URL",
-        help="a `repro serve` base URL (watches the newest study) or a "
-        "direct /v1/progress/<key> stream URL",
-    )
-    p.add_argument("--key", default=None, metavar="KEY",
-                   help="watch this progress key instead of the newest")
-    p.add_argument("--timeout", type=float, default=30.0, metavar="S",
-                   help="seconds to wait for a study to appear and for "
-                   "stream reads (default 30)")
-    p.set_defaults(func=cmd_top)
 
     p = sub.add_parser("figure6", help="run the synthetic overhead benchmark")
     p.add_argument("--reps", type=int, default=1000)

@@ -38,7 +38,7 @@ break that circle.
 
 The whole grid — every program under every key on every machine
 variant — is submitted as one :class:`~repro.engine.ExperimentEngine`
-run, so cells are content-cached and dispatched exactly like any study,
+run, so cells are content-cached and parallelized exactly like any study,
 and generated programs (``gen_<seed>``) ride through the registry like
 the bundled benchmarks.  Results emit as a ``%.6g`` CSV artifact and a
 full-precision versioned JSON document, mirroring
@@ -55,7 +55,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.analysis.report import format_table
 from repro.engine.core import ConfigOverride, ExperimentEngine, build_matrix
-from repro.engine.dispatch import Dispatcher
 from repro.engine.jobs import MachineSpec
 from repro.errors import ExperimentError
 from repro.experiments_registry import COMPOSITION_KEYS
@@ -165,9 +164,6 @@ def run_composition(
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
-    cache_backend: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    dispatcher: Union[Dispatcher, str, None] = None,
     telemetry: Union[str, Path, None] = None,
 ) -> CompositionResult:
     """Run the composition study over a benchmark x machine-variant grid.
@@ -180,8 +176,8 @@ def run_composition(
     kernels; any registry name works, including ``gen_<seed>``.
 
     Every (program, key, variant) cell runs TIMING mode through one
-    engine run — cached, dispatchable, bit-identical across dispatchers
-    like any study.
+    engine run — cached, and bit-identical at any ``jobs`` count like
+    any study.
     """
     if benchmarks is None:
         benchmarks = BENCHMARKS + KERNELS
@@ -227,14 +223,7 @@ def run_composition(
                 )
             )
 
-        engine = ExperimentEngine(
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            cache_backend=cache_backend,
-            cache_url=cache_url,
-            dispatcher=dispatcher,
-        )
+        engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
         outcomes = engine.run(matrix)
 
     # (variant, benchmark) -> key -> time

@@ -8,29 +8,22 @@ cacheable.  This package runs it that way:
   value objects and SHA-256 content fingerprints;
 * :mod:`repro.engine.worker` — job execution with a two-level compile
   cache (front end once per benchmark, optimizer once per opt level);
-* :mod:`repro.engine.cache` — the :class:`CacheBackend` protocol and
-  its implementations: :class:`DirCache` (the ``.repro-cache/``
-  layout), :class:`~repro.engine.cache_sqlite.SqliteCache` (one shared
-  WAL-mode store), :class:`~repro.engine.cache_http.HttpCache` (a JSON
-  client for a remote store, with :class:`CacheServer` as its server
-  mode), and :class:`NullCache`;
-* :mod:`repro.engine.dispatch` — the :class:`Dispatcher` protocol:
-  :class:`LocalDispatcher` (inline / process pool) and
-  :class:`ShardedDispatcher` (work-stealing shards, per-job retry with
-  backoff, deterministic fault injection);
+* :mod:`repro.engine.cache` — the result cache: :class:`DirCache`
+  (the ``.repro-cache/`` layout) and :class:`NullCache` (``--no-cache``);
+* :mod:`repro.engine.dispatch` — :class:`LocalDispatcher`, which runs
+  cache misses inline or over a process pool;
 * :mod:`repro.engine.core` — :class:`ExperimentEngine` (cache
   partition + dispatch) and the :func:`run_study` facade;
 * :mod:`repro.engine.batch` — cost-only variant matrices through one
   :func:`repro.runtime.simulate_many` call per cell, records
   interchangeable with the scalar worker's.
 
-See ``docs/ENGINE.md`` for the job-matrix model, cache backends,
-dispatchers, and the telemetry schema.
+See ``docs/ENGINE.md`` for the job-matrix model, the result cache,
+and the telemetry schema.
 """
 
 from repro.engine.batch import execute_cell_batched, run_jobs_batched
 from repro.engine.cache import (
-    BACKEND_KINDS,
     RECORD_SCHEMA,
     CacheBackend,
     CacheStats,
@@ -38,11 +31,8 @@ from repro.engine.cache import (
     NullCache,
     ResultCache,
     default_cache_root,
-    default_cache_url,
     make_cache,
 )
-from repro.engine.cache_http import CacheServer, HttpCache
-from repro.engine.cache_sqlite import SqliteCache
 from repro.engine.core import (
     ExperimentEngine,
     JobOutcome,
@@ -52,29 +42,16 @@ from repro.engine.core import (
     partition_jobs,
     run_study,
 )
-from repro.engine.dispatch import (
-    DISPATCHER_KINDS,
-    Dispatcher,
-    FaultSpec,
-    LocalDispatcher,
-    ShardedDispatcher,
-    make_dispatcher,
-)
+from repro.engine.dispatch import LocalDispatcher
 from repro.engine.jobs import ENGINE_VERSION, Job, MachineSpec, source_sha
 from repro.engine.worker import clear_compile_cache, execute_job
 
 __all__ = [
-    "BACKEND_KINDS",
     "CacheBackend",
-    "CacheServer",
     "CacheStats",
-    "DISPATCHER_KINDS",
     "DirCache",
-    "Dispatcher",
     "ENGINE_VERSION",
     "ExperimentEngine",
-    "FaultSpec",
-    "HttpCache",
     "Job",
     "JobOutcome",
     "LocalDispatcher",
@@ -82,18 +59,14 @@ __all__ = [
     "NullCache",
     "RECORD_SCHEMA",
     "ResultCache",
-    "ShardedDispatcher",
-    "SqliteCache",
     "StudyResult",
     "build_matrix",
     "clear_compile_cache",
     "default_cache_root",
-    "default_cache_url",
     "execute_cell_batched",
     "execute_job",
     "load_telemetry",
     "make_cache",
-    "make_dispatcher",
     "partition_jobs",
     "run_jobs_batched",
     "run_study",

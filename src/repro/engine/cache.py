@@ -1,54 +1,39 @@
-"""Result-cache backends: content-addressed job records behind one protocol.
+"""The result cache: content-addressed job records on disk.
 
-Every backend stores finished job records keyed by their SHA-256 content
-fingerprint and honors the same contract (the **backend contract**,
-executable as ``tests/engine/test_backends.py``):
-
-* ``get`` returns the stored record or ``None`` on *any* miss — absent,
-  torn, corrupt, or written under another ``RECORD_SCHEMA``;
-* ``put`` is atomic (a concurrent reader sees the old record, the new
-  record, or a clean miss — never a partial document) and best-effort
-  (storage failures never fail the run that produced the result);
-* ``stats`` and ``prune`` make a stale multi-gigabyte store inspectable
-  and reclaimable without deleting it by hand.
-
-Four implementations:
+Finished job records are stored keyed by their SHA-256 content
+fingerprint.  Two implementations share one small surface — ``get``,
+``put``, ``stats``, ``prune``, ``describe`` — whose contract is
+executable as ``tests/engine/test_backends.py``:
 
 ``DirCache``
-    Today's on-disk layout, ``<root>/<aa>/<fingerprint>.json`` (first
-    two hex digits shard the directory); unchanged format, so existing
-    ``.repro-cache/`` directories stay valid.  Atomicity is tmp-file +
-    ``os.replace``.
-``SqliteCache``
-    One shared SQLite file in WAL mode — safe for many concurrent
-    writer *processes* on one host (:mod:`repro.engine.cache_sqlite`).
-``HttpCache``
-    A thin JSON GET/PUT client so many hosts can share one store; pair
-    with the ``repro cache serve`` server mode
-    (:mod:`repro.engine.cache_http`).
+    The ``.repro-cache/`` layout, ``<root>/<aa>/<fingerprint>.json``
+    (the first two hex digits shard the directory).  ``get`` returns
+    the stored record or ``None`` on *any* miss — absent, torn,
+    corrupt, or written under another ``RECORD_SCHEMA``.  ``put`` is
+    atomic (tmp file + ``os.replace``: a concurrent reader sees the old
+    record, the new record, or a clean miss — never a partial document)
+    and best-effort (a storage failure never fails the run that produced
+    the result, and never leaves its temp file behind).  ``stats`` and
+    ``prune`` make a stale multi-gigabyte store inspectable and
+    reclaimable without deleting it by hand.
 ``NullCache``
-    The ``--no-cache`` backend: everything misses, nothing is stored.
+    The ``--no-cache`` cache: everything misses, nothing is stored.
 
-Selection goes through :func:`make_cache` — explicitly via
-``cache_backend=`` / ``--cache-backend dir|sqlite|http``, or implicitly:
-a set ``REPRO_CACHE_URL`` selects the HTTP backend, otherwise the
-directory backend under ``.repro-cache/`` (or ``REPRO_CACHE_DIR``).
-
-Backends count their traffic into the metrics registry under
-``cache.backend.*`` (hits / misses / stores / store_errors / invalid);
-the engine-level ``engine.result_cache.hit|miss`` counters stay where
-they always were, in the dispatch partition.
+:func:`make_cache` picks one from the engine knobs.  Cache traffic is
+counted under ``engine.result_cache.*``: ``hit``/``miss`` in the
+engine's cache partition, ``invalid``/``store``/``store_error``/
+``pruned`` here.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Protocol, Tuple, Union, runtime_checkable
+from typing import Dict, Iterator, Optional, Tuple, Union
 
-from repro.errors import ExperimentError
 from repro.obs import core as obs
 
 #: Schema version of the stored record; bump together with record shape.
@@ -62,21 +47,14 @@ RECORD_SCHEMA = 3
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 
-#: Backend kinds `make_cache` / ``--cache-backend`` accept.
-BACKEND_KINDS = ("dir", "sqlite", "http", "null")
-
 
 def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR))
 
 
-def default_cache_url() -> Optional[str]:
-    return os.environ.get("REPRO_CACHE_URL") or None
-
-
 @dataclass
 class CacheStats:
-    """What a backend holds: entry/byte totals and a per-schema census."""
+    """What a cache holds: entry/byte totals and a per-schema census."""
 
     backend: str
     location: Optional[str]
@@ -102,57 +80,6 @@ class CacheStats:
             f"{self.backend} backend{where}: {self.entries} entries, "
             f"{self.bytes} bytes ({schemas})"
         )
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """The storage contract every result-cache backend satisfies."""
-
-    kind: str
-
-    def get(self, fingerprint: str) -> Optional[dict]:
-        """The stored record, or ``None`` on any miss."""
-        ...
-
-    def put(self, fingerprint: str, record: dict) -> None:
-        """Store a record atomically, best-effort."""
-        ...
-
-    def stats(self) -> CacheStats:
-        """Entry/byte totals and the per-schema census."""
-        ...
-
-    def prune(
-        self,
-        *,
-        older_than: Optional[float] = None,
-        schema: Optional[int] = None,
-    ) -> int:
-        """Remove entries matching every given filter (age in seconds,
-        stored schema version); no filters removes everything.  Returns
-        the number of entries removed."""
-        ...
-
-    def describe(self) -> dict:
-        """``{"backend": kind, "location": root-or-url}`` — the
-        telemetry-envelope attribution of where records went."""
-        ...
-
-
-def validate_record(record: object, fingerprint: str) -> Optional[dict]:
-    """The shared schema-miss gate: a stored document counts only when it
-    is a dict carrying the current ``RECORD_SCHEMA`` *and* filed under
-    its own fingerprint; anything else is an invalid entry (counted) and
-    reads as a miss."""
-    if (
-        isinstance(record, dict)
-        and record.get("schema") == RECORD_SCHEMA
-        and record.get("fingerprint") == fingerprint
-    ):
-        return record
-    obs.add("engine.result_cache.invalid")
-    obs.add("cache.backend.invalid")
-    return None
 
 
 class NullCache:
@@ -182,6 +109,23 @@ class NullCache:
         return {"backend": self.kind, "location": None}
 
 
+def _stored_schema(path: Path) -> Optional[int]:
+    """The ``schema`` field of a stored document; None when unreadable."""
+    try:
+        schema = json.loads(path.read_text()).get("schema")
+    except (OSError, ValueError, AttributeError):
+        return None
+    return schema if isinstance(schema, int) else None
+
+
+def _unlink(path: Path) -> bool:
+    try:
+        path.unlink()
+    except OSError:
+        return False
+    return True
+
+
 class DirCache:
     """A directory of fingerprint-addressed job records (the historical
     ``.repro-cache/`` layout, byte-for-byte)."""
@@ -196,41 +140,45 @@ class DirCache:
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The stored record for a fingerprint, or None on any miss
-        (absent, unreadable, corrupt, or written by another schema)."""
+        (absent, unreadable, corrupt, or written by another schema).  A
+        document that is present but unusable counts as ``invalid``."""
         path = self._path(fingerprint)
         try:
             record = json.loads(path.read_text())
         except OSError:
-            obs.add("cache.backend.misses")
             return None
         except ValueError:
-            obs.add("engine.result_cache.invalid")
-            obs.add("cache.backend.invalid")
-            obs.add("cache.backend.misses")
-            return None
-        record = validate_record(record, fingerprint)
-        obs.add("cache.backend.hits" if record is not None else "cache.backend.misses")
-        return record
+            record = None
+        if (
+            isinstance(record, dict)
+            and record.get("schema") == RECORD_SCHEMA
+            and record.get("fingerprint") == fingerprint
+        ):
+            return record
+        obs.add("engine.result_cache.invalid")
+        return None
 
     def put(self, fingerprint: str, record: dict) -> None:
         """Store a record atomically (best-effort: cache write failures
         never fail the run that produced the result)."""
         path = self._path(fingerprint)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
             tmp.write_text(json.dumps(record, sort_keys=True, indent=1))
             os.replace(tmp, path)
-            obs.add("engine.result_cache.store")
-            obs.add("cache.backend.stores")
         except OSError:
             obs.add("engine.result_cache.store_error")
-            obs.add("cache.backend.store_errors")
+            _unlink(tmp)
+            return
+        obs.add("engine.result_cache.store")
 
-    def _entries(self) -> Iterator[Tuple[Path, os.stat_result]]:
+    def _entries(
+        self, pattern: str = "*.json"
+    ) -> Iterator[Tuple[Path, os.stat_result]]:
         if not self.root.is_dir():
             return
-        for path in self.root.rglob("*.json"):
+        for path in self.root.rglob(pattern):
             try:
                 yield path, path.stat()
             except OSError:
@@ -241,11 +189,8 @@ class DirCache:
         for path, st in self._entries():
             stats.entries += 1
             stats.bytes += st.st_size
-            try:
-                schema = json.loads(path.read_text()).get("schema")
-            except (OSError, ValueError, AttributeError):
-                schema = None
-            key = schema if isinstance(schema, int) else -1
+            schema = _stored_schema(path)
+            key = -1 if schema is None else schema
             stats.schemas[key] = stats.schemas.get(key, 0) + 1
         return stats
 
@@ -255,73 +200,39 @@ class DirCache:
         older_than: Optional[float] = None,
         schema: Optional[int] = None,
     ) -> int:
-        import time
-
+        """Remove records matching every given filter (age in seconds,
+        stored schema version); no filters removes everything.  Temp
+        files orphaned by an interrupted ``put`` go too, under the same
+        age filter.  Returns the number of records removed."""
         cutoff = time.time() - older_than if older_than is not None else None
         removed = 0
         for path, st in list(self._entries()):
             if cutoff is not None and st.st_mtime > cutoff:
                 continue
-            if schema is not None:
-                try:
-                    stored = json.loads(path.read_text()).get("schema")
-                except (OSError, ValueError, AttributeError):
-                    stored = None
-                if stored != schema:
-                    continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
+            if schema is not None and _stored_schema(path) != schema:
                 continue
-        obs.add("cache.backend.pruned", removed)
+            removed += _unlink(path)
+        for path, st in list(self._entries("*.tmp.*")):
+            if cutoff is None or st.st_mtime <= cutoff:
+                _unlink(path)
+        obs.add("engine.result_cache.pruned", removed)
         return removed
 
     def describe(self) -> dict:
         return {"backend": self.kind, "location": str(self.root)}
 
 
-#: Historical name (pre-backend-protocol); same class, same layout.
+#: Historical name for the directory cache; same class, same layout.
 ResultCache = DirCache
+
+#: Either cache the engine can run against.
+CacheBackend = Union[DirCache, NullCache]
 
 
 def make_cache(
-    enabled: bool = True,
-    root: Union[str, Path, None] = None,
-    *,
-    backend: Optional[str] = None,
-    url: Optional[str] = None,
+    enabled: bool = True, root: Union[str, Path, None] = None
 ) -> CacheBackend:
-    """Resolve a cache backend from the engine knobs.
-
-    ``backend`` picks explicitly (``dir`` / ``sqlite`` / ``http`` /
-    ``null``); when it is ``None``, a cache URL (argument or
-    ``REPRO_CACHE_URL``) selects the HTTP backend and anything else
-    falls back to the directory backend.  ``enabled=False`` always wins
-    with a :class:`NullCache`.
-    """
-    if not enabled:
-        return NullCache()
-    url = url or default_cache_url()
-    if backend is None:
-        backend = "http" if url else "dir"
-    if backend == "dir":
-        return DirCache(root)
-    if backend == "sqlite":
-        from repro.engine.cache_sqlite import SqliteCache
-
-        return SqliteCache(root)
-    if backend == "http":
-        from repro.engine.cache_http import HttpCache
-
-        if not url:
-            raise ExperimentError(
-                "http cache backend needs a URL (cache_url= / --cache-url "
-                "or $REPRO_CACHE_URL)"
-            )
-        return HttpCache(url)
-    if backend == "null":
-        return NullCache()
-    raise ExperimentError(
-        f"unknown cache backend {backend!r} (choose from {', '.join(BACKEND_KINDS)})"
-    )
+    """The engine's result cache: a :class:`DirCache` under ``root``
+    (default ``.repro-cache/``, or ``$REPRO_CACHE_DIR``), or a
+    :class:`NullCache` when caching is off."""
+    return DirCache(root) if enabled else NullCache()

@@ -41,7 +41,7 @@ from repro.programs import BENCHMARKS
 from repro.runtime import ExecutionMode
 
 from repro.engine.cache import RECORD_SCHEMA, CacheBackend, make_cache
-from repro.engine.dispatch import Dispatcher, make_dispatcher
+from repro.engine.dispatch import LocalDispatcher
 from repro.engine.jobs import ConfigValue, Job, MachineSpec
 
 ConfigOverride = Union[Mapping[str, ConfigValue], Iterable[str], None]
@@ -76,7 +76,7 @@ def partition_jobs(
     with the hits filled in, plus the ``(index, job, fingerprint)``
     misses still to dispatch.  This is the one place the engine-level
     ``engine.result_cache.hit|miss`` counters are emitted — every
-    execution path (per-job, batched, sharded) goes through it."""
+    execution path (per-job, batched) goes through it."""
     outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
     misses: List[Tuple[int, Job, str]] = []
     trace = obs.active_trace()
@@ -102,7 +102,7 @@ def partition_jobs(
 
 
 class ExperimentEngine:
-    """Runs jobs through a result-cache backend and a dispatcher.
+    """Runs jobs through the result cache and a :class:`LocalDispatcher`.
 
     Parameters
     ----------
@@ -114,15 +114,6 @@ class ExperimentEngine:
         Consult/populate the result cache (default on).
     cache_dir:
         Cache root; defaults to ``.repro-cache/`` (or ``REPRO_CACHE_DIR``).
-    cache_backend:
-        Storage backend kind — ``dir`` (default), ``sqlite``, ``http``;
-        see :func:`repro.engine.cache.make_cache`.
-    cache_url:
-        Base URL for the ``http`` backend (or ``$REPRO_CACHE_URL``).
-    dispatcher:
-        Execution strategy for cache misses — ``"local"`` (default),
-        ``"sharded"``, or a ready :class:`~repro.engine.dispatch.Dispatcher`;
-        results are bit-identical across dispatchers.
     """
 
     def __init__(
@@ -131,17 +122,12 @@ class ExperimentEngine:
         jobs: Optional[int] = None,
         cache: bool = True,
         cache_dir: Union[str, Path, None] = None,
-        cache_backend: Optional[str] = None,
-        cache_url: Optional[str] = None,
-        dispatcher: Union[Dispatcher, str, None] = None,
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.cache: CacheBackend = make_cache(
-            cache, cache_dir, backend=cache_backend, url=cache_url
-        )
-        self.dispatcher: Dispatcher = make_dispatcher(dispatcher, jobs)
+        self.cache: CacheBackend = make_cache(cache, cache_dir)
+        self.dispatcher = LocalDispatcher(workers=jobs)
 
     def run(self, jobs: Sequence[Job]) -> List[JobOutcome]:
         """Run every job, returning outcomes in submission order."""
@@ -149,8 +135,7 @@ class ExperimentEngine:
             "engine:run",
             jobs=len(jobs),
             workers=self.jobs or 1,
-            dispatcher=self.dispatcher.kind,
-            cache_backend=self.cache.kind,
+            cache=self.cache.kind,
         ):
             outcomes, misses = partition_jobs(self.cache, jobs)
             if misses:
@@ -241,10 +226,10 @@ class StudyResult(MappingABC):
 
     results: Dict[str, List[ExperimentResult]]
     outcomes: List[JobOutcome] = field(default_factory=list, repr=False)
-    #: Where the records went: the cache backend's ``describe()`` —
-    #: ``{"backend": kind, "location": resolved root or URL}`` — so a
-    #: telemetry document is attributable to its store (the resolved
-    #: ``REPRO_CACHE_DIR``/``REPRO_CACHE_URL`` used to be invisible).
+    #: Where the records went: the cache's ``describe()`` —
+    #: ``{"backend": kind, "location": resolved root}`` — so a telemetry
+    #: document is attributable to its store (the resolved
+    #: ``REPRO_CACHE_DIR`` used to be invisible).
     cache_info: Optional[dict] = None
 
     def __getitem__(self, benchmark: str) -> List[ExperimentResult]:
@@ -271,9 +256,9 @@ class StudyResult(MappingABC):
         The envelope is versioned by the same ``RECORD_SCHEMA`` constant
         the per-job records carry, so the document version can never
         drift from the records inside it; read it back with
-        :func:`load_telemetry`.  When the study ran through a cache
-        backend, the envelope also carries its ``cache`` attribution
-        (backend kind + resolved root/URL).
+        :func:`load_telemetry`.  When the study ran through the engine,
+        the envelope also carries its ``cache`` attribution (cache kind
+        + resolved root).
         """
         path = Path(path)
         doc = {"schema": RECORD_SCHEMA, "records": self.telemetry}
@@ -328,9 +313,6 @@ def run_study(
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
-    cache_backend: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    dispatcher: Union[Dispatcher, str, None] = None,
     telemetry: Union[str, Path, None] = None,
 ) -> StudyResult:
     """Run the whole-program study through the experiment engine.
@@ -357,10 +339,8 @@ def run_study(
         Compiled fast-path selection, forwarded to
         :func:`repro.runtime.simulate` (None = auto, ``False`` forces
         the interpreted walk; results are bit-identical either way).
-    jobs, cache, cache_dir, cache_backend, cache_url, dispatcher:
-        Engine knobs — see :class:`ExperimentEngine`; ``cache_backend``
-        selects the storage backend (``dir``/``sqlite``/``http``) and
-        ``dispatcher`` the execution strategy (``local``/``sharded``).
+    jobs, cache, cache_dir:
+        Engine knobs — see :class:`ExperimentEngine`.
     telemetry:
         Optional path; when given, the telemetry records are written
         there as JSON.
@@ -388,14 +368,7 @@ def run_study(
         mode=mode,
         fast=fast,
     )
-    engine = ExperimentEngine(
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        cache_backend=cache_backend,
-        cache_url=cache_url,
-        dispatcher=dispatcher,
-    )
+    engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
     outcomes = engine.run(matrix)
 
     results: Dict[str, List[ExperimentResult]] = {b: [] for b in benchmarks}

@@ -1,47 +1,22 @@
 """The dispatch layer: how a list of cache-missing jobs gets executed.
 
-:class:`~repro.engine.core.ExperimentEngine` used to weld the job loop
-— inline vs ``ProcessPoolExecutor`` — into its ``run`` method.  That
-loop now lives behind the :class:`Dispatcher` protocol, so storage
-(:mod:`repro.engine.cache`) and execution vary independently:
+:class:`LocalDispatcher` runs them inline when serial, or ``pool.map``
+over a ``ProcessPoolExecutor`` with an amortizing chunksize when
+``workers > 1``.  Records come back in submission order, which is what
+keeps ``--jobs 4`` byte-identical to a serial run; the same
+:func:`~repro.engine.worker.execute_job` produces every record, so
+fingerprints and record bytes do not depend on the worker count.
 
-``LocalDispatcher``
-    Today's behavior, exactly: inline when serial, ``pool.map`` with an
-    amortizing chunksize when ``workers > 1``.  Records come back in
-    submission order, which is what keeps ``--jobs 4`` byte-identical
-    to a serial run.
-
-``ShardedDispatcher``
-    Splits the job list into contiguous shards and hands them to a
-    worker pool through a work-stealing queue: a worker that finishes
-    its shard immediately pulls the next un-started one
-    (``engine.dispatch.handoffs``), so uneven shard costs never strand
-    an idle worker.  Failures are retried per *job* with exponential
-    backoff (``engine.dispatch.retries``), and a shard whose worker
-    dies outright (``engine.dispatch.dead_shards``) falls back to
-    inline re-execution in the coordinator — the matrix always
-    completes or fails loudly naming the poisoned cell.  Because the
-    simulator is deterministic, a retried record is byte-identical to a
-    first-try one, so sharded results and cache records are
-    interchangeable with ``LocalDispatcher``'s.
-
-Both dispatchers return one record per job in submission order;
-fingerprints and record schemas are untouched by construction (the same
-:func:`~repro.engine.worker.execute_job` produces every record).
-
-Fault injection (:class:`FaultSpec`) makes the recovery paths
-deterministic under test: a spec matching a job makes its first
-``times`` attempts fail — by raising, or by killing the worker process
-(``action="exit"``) to simulate a dead host.
+When the coordinator is tracing, every pool worker starts with the
+run's trace context (:func:`repro.obs.distributed.worker_init`), and the
+spans and metrics each job captured in its worker are stitched back
+(:func:`repro.obs.distributed.absorb`) before the record reaches the
+result cache or the caller.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
+from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.obs import core as obs
@@ -50,63 +25,7 @@ from repro.obs import distributed
 from repro.engine.jobs import Job
 from repro.engine.worker import execute_job
 
-__all__ = [
-    "Dispatcher",
-    "FaultSpec",
-    "LocalDispatcher",
-    "ShardedDispatcher",
-    "make_dispatcher",
-]
-
-#: Dispatcher kinds ``make_dispatcher`` / ``--dispatch`` accept.
-DISPATCHER_KINDS = ("local", "sharded")
-
-
-@runtime_checkable
-class Dispatcher(Protocol):
-    """Executes cache-missing jobs, one record per job, in order."""
-
-    kind: str
-
-    def dispatch(self, jobs: Sequence[Job]) -> List[dict]:
-        ...
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic fault injection for dispatch testing.
-
-    Matches jobs by benchmark/experiment (``"*"`` wildcards) and fails
-    their first ``times`` attempts: ``action="raise"`` raises an
-    :class:`ExperimentError` from inside the attempt,
-    ``action="exit"`` kills the worker process outright (simulating a
-    dead host; outside a pool worker it degrades to a raise so a serial
-    run is never killed).
-    """
-
-    benchmark: str = "*"
-    experiment: str = "*"
-    times: int = 1
-    action: str = "raise"
-
-    def matches(self, job: Job) -> bool:
-        return self.benchmark in ("*", job.benchmark) and self.experiment in (
-            "*",
-            job.experiment,
-        )
-
-
-def _inject(
-    job: Job, attempt: int, faults: Tuple[FaultSpec, ...], in_worker: bool
-) -> None:
-    for fault in faults:
-        if fault.matches(job) and attempt < fault.times:
-            if fault.action == "exit" and in_worker:
-                os._exit(17)
-            raise ExperimentError(
-                f"injected fault for ({job.benchmark}, {job.experiment}, "
-                f"{job.effective_library()}) on attempt {attempt}"
-            )
+__all__ = ["LocalDispatcher"]
 
 
 def _job_failure(job: Job, exc: BaseException) -> ExperimentError:
@@ -120,23 +39,19 @@ def _job_failure(job: Job, exc: BaseException) -> ExperimentError:
 
 def _pool_kwargs() -> dict:
     """Extra ``ProcessPoolExecutor`` kwargs: when the coordinator is
-    tracing, initialize every pool worker with the run's trace context
-    so per-job captures stitch under it (no-op kwargs otherwise — the
-    disabled path constructs the pool exactly as before)."""
-    context = distributed.propagation_context()
-    if context is None:
+    tracing, initialize every pool worker with the run's trace id and
+    the enclosing span id so per-job captures stitch under it (no-op
+    kwargs otherwise — the disabled path constructs the pool exactly as
+    before)."""
+    parent = obs.trace_parent()
+    if parent is None:
         return {}
-    return {
-        "initializer": distributed.worker_init,
-        "initargs": (context.trace_id, context.span_id),
-    }
+    return {"initializer": distributed.worker_init, "initargs": parent}
 
 
-def _job_event(job: Job, status: str, **extra) -> None:
-    """One ``engine.job`` lifecycle event per job completion — what the
-    serve progress streams (and `repro top`) are fed from.  Terminal
-    completions only: exactly one per job per dispatch (retries emit
-    ``engine.job.retry`` instead)."""
+def _job_event(job: Job, status: str) -> None:
+    """One ``engine.job`` lifecycle event per job completion (cache hits
+    emit theirs with ``status="cached"`` in the engine's partition)."""
     if not obs.enabled():
         return
     obs.event(
@@ -144,14 +59,11 @@ def _job_event(job: Job, status: str, **extra) -> None:
         benchmark=job.benchmark,
         experiment=job.experiment,
         status=status,
-        **extra,
     )
 
 
 class LocalDispatcher:
-    """The classic engine loop: inline, or ``pool.map`` over workers."""
-
-    kind = "local"
+    """The engine loop: inline, or ``pool.map`` over ``workers``."""
 
     def __init__(self, *, workers: Optional[int] = None) -> None:
         if workers is not None and workers < 1:
@@ -208,245 +120,3 @@ def _drain(results: Iterable[dict], todo: Sequence[Job]) -> List[dict]:
         distributed.absorb(record)
         _job_event(todo[len(records)], "done")
         records.append(record)
-
-
-def _run_shard(
-    jobs: Sequence[Job], faults: Tuple[FaultSpec, ...]
-) -> List[tuple]:
-    """One shard's jobs inside a pool worker.  Per-job failures are
-    *contained* — ``("err", message)`` instead of a raise — so one
-    poisoned cell never takes its shard-mates' finished work with it."""
-    out: List[tuple] = []
-    for job in jobs:
-        try:
-            _inject(job, 0, faults, in_worker=True)
-            out.append(("ok", execute_job(job)))
-        except ExperimentError as exc:
-            out.append(("err", str(exc)))
-        except Exception as exc:
-            out.append(("err", str(_job_failure(job, exc))))
-    return out
-
-
-class ShardedDispatcher:
-    """Shard the matrix, steal work, retry failures with backoff.
-
-    Parameters
-    ----------
-    workers:
-        Pool width; ``None``/1 runs the shards inline (the retry and
-        fault machinery still applies — useful for deterministic tests).
-    shards:
-        Shard count; defaults to ``4 x workers`` (enough hand-off
-        opportunities that uneven shard costs balance out), capped at
-        the job count.
-    max_retries:
-        Per-job retry budget beyond the first attempt (default 2).  A
-        job that fails every attempt raises the last
-        :class:`ExperimentError`, naming the cell.
-    backoff:
-        Base sleep before retry ``n`` (seconds, doubled each retry);
-        0 disables sleeping (tests).
-    faults:
-        :class:`FaultSpec` injection hooks (tests).
-    """
-
-    kind = "sharded"
-
-    def __init__(
-        self,
-        *,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        max_retries: int = 2,
-        backoff: float = 0.05,
-        faults: Sequence[FaultSpec] = (),
-    ) -> None:
-        if workers is not None and workers < 1:
-            raise ExperimentError(f"workers must be >= 1, got {workers}")
-        if shards is not None and shards < 1:
-            raise ExperimentError(f"shards must be >= 1, got {shards}")
-        if max_retries < 0:
-            raise ExperimentError(f"max_retries must be >= 0, got {max_retries}")
-        self.workers = workers
-        self.shards = shards
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.faults = tuple(faults)
-
-    def _split(self, jobs: Sequence[Job]) -> List[List[Tuple[int, Job]]]:
-        """Contiguous shards: submission order is preserved within each
-        shard, so a worker sees one benchmark's cells together and its
-        compile cache stays warm."""
-        nshards = self.shards or max(1, (self.workers or 1) * 4)
-        nshards = min(nshards, len(jobs))
-        base, extra = divmod(len(jobs), nshards)
-        shards: List[List[Tuple[int, Job]]] = []
-        start = 0
-        for s in range(nshards):
-            size = base + (1 if s < extra else 0)
-            shards.append([(i, jobs[i]) for i in range(start, start + size)])
-            start += size
-        return shards
-
-    def dispatch(self, jobs: Sequence[Job]) -> List[dict]:
-        if not jobs:
-            return []
-        shards = self._split(jobs)
-        obs.add("engine.dispatch.jobs", len(jobs))
-        obs.add("engine.dispatch.shards", len(shards))
-        records: List[Optional[dict]] = [None] * len(jobs)
-        # (index, job, next attempt, last error) — anything the pool
-        # phase could not finish, re-run inline in the coordinator
-        retries: List[Tuple[int, Job, int, Optional[str]]] = []
-
-        pooled = bool(
-            self.workers and self.workers > 1 and len(shards) > 1
-        )
-        if pooled:
-            self._dispatch_pooled(shards, records, retries)
-        else:
-            for shard in shards:
-                retries.extend((i, job, 0, None) for i, job in shard)
-
-        for index, job, attempt, last_error in retries:
-            records[index] = self._run_with_retry(job, attempt, last_error)
-        return records  # type: ignore[return-value]
-
-    def _dispatch_pooled(self, shards, records, retries) -> None:
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
-
-        pending = deque(shards)
-        with ProcessPoolExecutor(
-            max_workers=self.workers, **_pool_kwargs()
-        ) as pool:
-            running: dict = {}
-
-            def submit_next(stolen: bool) -> None:
-                shard = pending.popleft()
-                if stolen:
-                    obs.add("engine.dispatch.handoffs")
-                try:
-                    future = pool.submit(
-                        _run_shard, [job for _, job in shard], self.faults
-                    )
-                except Exception:
-                    # the pool is broken (a worker died and poisoned
-                    # it); the coordinator owns this shard now
-                    obs.add("engine.dispatch.dead_shards")
-                    retries.extend((i, job, 1, None) for i, job in shard)
-                    return
-                running[future] = shard
-
-            while pending and len(running) < (self.workers or 1):
-                submit_next(stolen=False)
-            while running:
-                done, _ = wait(list(running), return_when=FIRST_COMPLETED)
-                for future in done:
-                    shard = running.pop(future)
-                    # work-stealing hand-off: the freed worker takes the
-                    # next un-started shard immediately
-                    while pending and len(running) < (self.workers or 1):
-                        submit_next(stolen=True)
-                    try:
-                        results = future.result()
-                    except Exception:
-                        # dead worker: every job of the shard is retried
-                        obs.add("engine.dispatch.dead_shards")
-                        obs.add("engine.dispatch.retries", len(shard))
-                        for index, job in shard:
-                            retries.append((index, job, 1, None))
-                            if obs.enabled():
-                                obs.event(
-                                    "engine.job.retry",
-                                    benchmark=job.benchmark,
-                                    experiment=job.experiment,
-                                    reason="dead_shard",
-                                )
-                        continue
-                    for (index, job), outcome in zip(shard, results):
-                        if outcome[0] == "ok":
-                            distributed.absorb(outcome[1])
-                            records[index] = outcome[1]
-                            _job_event(job, "done")
-                        else:
-                            obs.add("engine.dispatch.retries")
-                            if obs.enabled():
-                                obs.event(
-                                    "engine.job.retry",
-                                    benchmark=job.benchmark,
-                                    experiment=job.experiment,
-                                    reason="error",
-                                )
-                            retries.append((index, job, 1, outcome[1]))
-
-    def _run_with_retry(
-        self, job: Job, attempt: int, last_error: Optional[str]
-    ) -> dict:
-        while True:
-            if attempt > self.max_retries:
-                obs.add("engine.dispatch.failures")
-                raise ExperimentError(
-                    last_error
-                    or f"job failed for ({job.benchmark}, {job.experiment}, "
-                    f"{job.effective_library()}): retries exhausted"
-                )
-            if attempt > 0 and self.backoff:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
-            try:
-                _inject(job, attempt, self.faults, in_worker=False)
-                record = execute_job(job)
-            except ExperimentError as exc:
-                last_error = str(exc)
-                attempt += 1
-                if attempt <= self.max_retries:
-                    obs.add("engine.dispatch.retries")
-                    if obs.enabled():
-                        obs.event(
-                            "engine.job.retry",
-                            benchmark=job.benchmark,
-                            experiment=job.experiment,
-                            reason="error",
-                        )
-            except Exception as exc:
-                last_error = str(_job_failure(job, exc))
-                attempt += 1
-                if attempt <= self.max_retries:
-                    obs.add("engine.dispatch.retries")
-                    if obs.enabled():
-                        obs.event(
-                            "engine.job.retry",
-                            benchmark=job.benchmark,
-                            experiment=job.experiment,
-                            reason="error",
-                        )
-            else:
-                distributed.absorb(record)
-                _job_event(job, "done", attempt=attempt)
-                return record
-
-
-def make_dispatcher(
-    dispatcher: Union[Dispatcher, str, None], workers: Optional[int]
-) -> Dispatcher:
-    """Coerce the engine's ``dispatcher`` knob: ``None``/``"local"`` is
-    the classic pool, ``"sharded"`` the fault-tolerant sharded loop, and
-    a ready :class:`Dispatcher` object passes through."""
-    if dispatcher is None or dispatcher == "local":
-        return LocalDispatcher(workers=workers)
-    if dispatcher == "sharded":
-        return ShardedDispatcher(workers=workers)
-    if isinstance(dispatcher, str):
-        raise ExperimentError(
-            f"unknown dispatcher {dispatcher!r} "
-            f"(choose from {', '.join(DISPATCHER_KINDS)})"
-        )
-    if hasattr(dispatcher, "dispatch"):
-        return dispatcher
-    raise ExperimentError(
-        f"dispatcher must be a kind name or Dispatcher, not {dispatcher!r}"
-    )

@@ -126,7 +126,8 @@ def execute_job(job: Job) -> dict:
     :func:`repro.obs.distributed.worker_init`), the job runs under a
     per-job capture recorder and the record carries the captured
     spans/metrics home under the ``"obs"`` key — popped by the
-    dispatcher before the record reaches the cache or the caller.
+    dispatcher before the record reaches the cache or the caller
+    (:func:`repro.obs.distributed.absorb`).
     """
     capture = distributed.begin_job_capture()
     try:

@@ -41,7 +41,6 @@ from repro.obs.core import (
     Span,
     active_trace,
     add,
-    bind_trace,
     bridge_rank_trace,
     configure,
     counters,
@@ -54,14 +53,8 @@ from repro.obs.core import (
     shutdown,
     span,
     trace_parent,
-    warn_once,
 )
-from repro.obs.distributed import (
-    TRACE_HEADER,
-    TraceContext,
-    render_prometheus,
-)
-from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, QueueSink, Sink
+from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, Sink
 
 __all__ = [
     # core
@@ -70,7 +63,6 @@ __all__ = [
     "Span",
     "active_trace",
     "add",
-    "bind_trace",
     "bridge_rank_trace",
     "configure",
     "counters",
@@ -83,16 +75,10 @@ __all__ = [
     "shutdown",
     "span",
     "trace_parent",
-    "warn_once",
-    # distributed
-    "TRACE_HEADER",
-    "TraceContext",
-    "render_prometheus",
     # sinks
     "ChromeTraceSink",
     "JsonlSink",
     "MemorySink",
-    "QueueSink",
     "Sink",
     # baselines
     "BASELINE_SCHEMA",

@@ -28,10 +28,7 @@ construction) and stamps it on every record it emits, and every span
 gets a process-unique **span id** plus the id of its parent (the
 enclosing span on this thread, or the recorder's ``parent_span`` for
 top-level spans — how a shipped worker trace parents under its
-coordinator; see :mod:`repro.obs.distributed`).  :func:`bind_trace`
-overrides both per *thread of execution* (a contextvar), which is how
-``repro serve`` attributes records from concurrently running studies
-to the right run.
+coordinator; see :mod:`repro.obs.distributed`).
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -51,7 +47,6 @@ __all__ = [
     "Span",
     "active_trace",
     "add",
-    "bind_trace",
     "bridge_rank_trace",
     "configure",
     "current",
@@ -64,15 +59,7 @@ __all__ = [
     "shutdown",
     "span",
     "trace_parent",
-    "warn_once",
 ]
-
-# Per-thread-of-execution (trace_id, parent_span_id) override installed
-# by bind_trace(); lets one process attribute records from concurrent
-# runs (e.g. repro serve work threads) to the right trace.
-_RUN_TRACE: ContextVar[Optional[Tuple[str, Optional[str]]]] = ContextVar(
-    "repro_obs_run_trace", default=None
-)
 
 
 class Metrics:
@@ -126,7 +113,7 @@ class Metrics:
 
         Counters add, gauges keep the incoming value (last write wins),
         histograms combine count/sum/min/max.  This is how worker-side
-        registries shipped back by the dispatchers land in the
+        registries shipped back by pool workers land in the
         coordinator (see :mod:`repro.obs.distributed`).
         """
         for name, value in (snapshot.get("counters") or {}).items():
@@ -175,11 +162,7 @@ class Span:
         self._depth = len(stack)
         self.id = rec.next_span_id()
         if self.parent is None:
-            if stack:
-                self.parent = stack[-1][1]
-            else:
-                bound = _RUN_TRACE.get()
-                self.parent = bound[1] if bound is not None else rec.parent_span
+            self.parent = stack[-1][1] if stack else rec.parent_span
         stack.append((self.name, self.id))
         self._t0 = rec.now()
         return self
@@ -256,9 +239,10 @@ class Recorder:
         self.wall_epoch = time.time()
         self._closed = False
         # Sinks are not thread-safe (a TextIOWrapper written from two
-        # threads can scramble its buffer); background emitters — the
-        # HTTP cache server, progress streams — share this recorder
-        # with the host thread, so fan-out and close serialize here.
+        # threads can scramble its buffer).  A library caller may trace
+        # from several threads at once, and the before-fork flush runs
+        # on whichever thread forks a pool worker, so fan-out, flush
+        # and close serialize here.
         self._emit_lock = threading.Lock()
 
     # -- time ----------------------------------------------------------
@@ -285,28 +269,8 @@ class Recorder:
         return None
 
     # -- emission ------------------------------------------------------
-    def add_sink(self, sink: Any) -> None:
-        """Attach ``sink`` atomically with respect to concurrent emits.
-
-        Mutating :attr:`sinks` directly from another thread can make an
-        in-flight :meth:`emit` iteration skip a sink entirely — use
-        this and :meth:`remove_sink` for run-scoped sinks.
-        """
-        with self._emit_lock:
-            self.sinks.append(sink)
-
-    def remove_sink(self, sink: Any) -> None:
-        """Detach ``sink``; a no-op if it is not attached."""
-        with self._emit_lock:
-            try:
-                self.sinks.remove(sink)
-            except ValueError:
-                pass
-
     def emit(self, record: dict) -> None:
-        if "trace" not in record:
-            bound = _RUN_TRACE.get()
-            record["trace"] = bound[0] if bound is not None else self.trace_id
+        record.setdefault("trace", self.trace_id)
         with self._emit_lock:
             for sink in self.sinks:
                 sink.emit(record)
@@ -551,66 +515,21 @@ def counters() -> Dict[str, int]:
 
 
 def active_trace() -> Optional[str]:
-    """The trace id records emitted *here, now* would be stamped with:
-    the :func:`bind_trace` override if one is in effect, else the
-    active recorder's id; None when tracing is off."""
+    """The active recorder's trace id; None when tracing is off."""
     r = _ACTIVE
-    if r is None:
-        return None
-    bound = _RUN_TRACE.get()
-    return bound[0] if bound is not None else r.trace_id
+    return r.trace_id if r is not None else None
 
 
 def trace_parent() -> Optional[Tuple[str, Optional[str]]]:
     """The ``(trace_id, span_id)`` context a child of the current
     execution point should parent under — the innermost open span on
-    this thread, falling back to the bound/recorder parent.  None when
-    tracing is off.  This is what the dispatchers and :class:`HttpCache`
-    propagate outward."""
+    this thread, falling back to the recorder's parent.  None when
+    tracing is off.  This is what the dispatcher hands its pool
+    workers."""
     r = _ACTIVE
     if r is None:
         return None
-    bound = _RUN_TRACE.get()
-    trace = bound[0] if bound is not None else r.trace_id
     span_id = r.current_span_id()
     if span_id is None:
-        span_id = bound[1] if bound is not None else r.parent_span
-    return trace, span_id
-
-
-@contextmanager
-def bind_trace(trace_id: str, parent_span: Optional[str] = None):
-    """Attribute records emitted in this context (and tasks it spawns
-    on the same thread of execution) to ``trace_id``, parenting
-    top-level spans under ``parent_span``.  Nests; restores on exit."""
-    token = _RUN_TRACE.set((trace_id, parent_span))
-    try:
-        yield
-    finally:
-        _RUN_TRACE.reset(token)
-
-
-# -- once-per-process warnings --------------------------------------------
-
-_WARNED_ONCE: set = set()
-
-
-def warn_once(message: str, **attrs: Any) -> bool:
-    """Emit a ``warning`` event exactly once per process per message
-    (set-backed dedup, mirroring ``Instrumentation.warn``).  Returns
-    True when the event was emitted.  Safe to call with tracing off —
-    the dedup set still records the message so enabling tracing later
-    does not replay old warnings."""
-    if message in _WARNED_ONCE:
-        return False
-    _WARNED_ONCE.add(message)
-    r = _ACTIVE
-    if r is not None:
-        r.event("warning", message=message, **attrs)
-        return True
-    return False
-
-
-def reset_warnings() -> None:
-    """Clear the once-per-process warning dedup set — test helper."""
-    _WARNED_ONCE.clear()
+        span_id = r.parent_span
+    return r.trace_id, span_id

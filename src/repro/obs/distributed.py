@@ -1,30 +1,22 @@
-"""Distributed tracing: one trace across coordinator, pool/shard
-workers, and the HTTP cache server.
+"""Cross-process tracing: one trace across the coordinator and its pool
+workers.
 
 The coordinator's recorder owns the run's **trace context** — its trace
-id plus the span id of whatever span encloses the dispatch.  This
-module moves that context across the three process boundaries the
-engine has and brings the evidence back:
+id plus the span id of whatever span encloses the dispatch
+(:func:`repro.obs.core.trace_parent`).  ``--jobs N`` runs cache misses
+in a ``ProcessPoolExecutor``; this module moves the context into those
+workers and brings the evidence back:
 
-* **Pool workers** — the dispatchers pass :func:`worker_init` as the
-  ``ProcessPoolExecutor`` initializer (only when tracing is on, so the
-  disabled path stays untouched).  Inside the worker,
-  :func:`begin_job_capture` starts a throwaway recorder per job, seeded
-  with the coordinator's trace id and parented under its dispatch span;
-  the capture payload rides home on the job record under the ``"obs"``
-  key, and the dispatcher calls :func:`absorb` to pop it and stitch it
-  into the coordinator's recorder (timestamps rebased via the worker's
-  wall-clock epoch, records tagged ``worker_pid``, worker metrics
-  merged into the registry).
-* **HTTP cache** — :class:`~repro.engine.cache_http.HttpCache` sends
-  the context as the ``X-Repro-Trace: <trace_id>/<span_id>`` header;
-  the ``CacheServer`` handler wraps each request in
-  :func:`server_span`, which adopts the caller's context so
-  server-side spans land in the caller's trace (when the server
-  process records at all).
-* **Prometheus** — :func:`render_prometheus` renders a metrics
-  snapshot in the text exposition format for ``GET /metrics`` on
-  ``repro serve``.
+* the dispatcher passes :func:`worker_init` as the pool initializer
+  (only when tracing is on, so the disabled path stays untouched);
+* inside the worker, :func:`begin_job_capture` starts a throwaway
+  recorder per job, seeded with the coordinator's trace id and
+  parented under its dispatch span; the capture payload rides home on
+  the job record under the ``"obs"`` key;
+* the dispatcher calls :func:`absorb` on every record to pop that
+  payload and stitch it into the coordinator's recorder (timestamps
+  rebased via the worker's wall-clock epoch, records tagged
+  ``worker_pid``, worker metrics merged into the registry).
 
 Span ids are globally unique strings (random prefix per recorder), so
 stitching is pure concatenation — no id remapping.
@@ -33,68 +25,16 @@ stitching is pure concatenation — no id remapping.
 from __future__ import annotations
 
 import os
-import re
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional, Tuple
 
 from repro.obs import core
 from repro.obs.sinks import MemorySink
 
-__all__ = [
-    "TRACE_HEADER",
-    "TraceContext",
-    "absorb",
-    "begin_job_capture",
-    "propagation_context",
-    "render_prometheus",
-    "server_span",
-    "worker_init",
-]
+__all__ = ["absorb", "begin_job_capture", "worker_init"]
 
-#: HTTP header carrying "<trace_id>/<parent_span_id>".
-TRACE_HEADER = "X-Repro-Trace"
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """A propagatable (trace id, parent span id) pair."""
-
-    trace_id: str
-    span_id: Optional[str] = None
-
-    def header(self) -> str:
-        return f"{self.trace_id}/{self.span_id or ''}"
-
-    @classmethod
-    def from_header(cls, value: Optional[str]) -> Optional["TraceContext"]:
-        """Parse a ``TRACE_HEADER`` value; None when absent/malformed."""
-        if not value or "/" not in value:
-            return None
-        trace_id, _, span_id = value.partition("/")
-        trace_id = trace_id.strip()
-        span_id = span_id.strip()
-        if not trace_id:
-            return None
-        return cls(trace_id=trace_id, span_id=span_id or None)
-
-
-def propagation_context() -> Optional[TraceContext]:
-    """The context to hand a child process/request from the current
-    execution point; None when tracing is off (children then run with
-    tracing off too — the zero-cost default)."""
-    parent = core.trace_parent()
-    if parent is None:
-        return None
-    return TraceContext(trace_id=parent[0], span_id=parent[1])
-
-
-# ---------------------------------------------------------------------------
-# worker side
-# ---------------------------------------------------------------------------
-
-#: Set once per worker process by worker_init (pool initializer).
-_WORKER_CONTEXT: Optional[TraceContext] = None
+#: ``(trace_id, parent_span_id)``, set once per worker process by
+#: worker_init (the pool initializer).
+_WORKER_CONTEXT: Optional[Tuple[str, Optional[str]]] = None
 
 
 def worker_init(trace_id: str, span_id: Optional[str]) -> None:
@@ -106,7 +46,7 @@ def worker_init(trace_id: str, span_id: Optional[str]) -> None:
     flushing its sinks, which belong to the parent — so per-job
     captures start clean instead of recording into a dead copy."""
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = TraceContext(trace_id=trace_id, span_id=span_id)
+    _WORKER_CONTEXT = (trace_id, span_id)
     if core.enabled():
         core.discard()
 
@@ -119,10 +59,10 @@ class JobCapture:
     "metrics"}``).
     """
 
-    def __init__(self, context: TraceContext) -> None:
+    def __init__(self, trace_id: str, span_id: Optional[str]) -> None:
         self.sink = MemorySink()
         self.recorder = core.configure(
-            self.sink, trace_id=context.trace_id, parent_span=context.span_id
+            self.sink, trace_id=trace_id, parent_span=span_id
         )
 
     def finish(self) -> dict:
@@ -150,13 +90,13 @@ def begin_job_capture() -> Optional[JobCapture]:
     """
     if _WORKER_CONTEXT is None or core.enabled():
         return None
-    return JobCapture(_WORKER_CONTEXT)
+    return JobCapture(*_WORKER_CONTEXT)
 
 
 def absorb(record: Optional[dict]) -> int:
     """Pop a job record's ``"obs"`` payload (if any) and stitch it into
-    the active recorder.  Dispatchers call this on every record as it
-    arrives, *before* the record reaches the result cache or the
+    the active recorder.  The dispatcher calls this on every record as
+    it arrives, *before* the record reaches the result cache or the
     caller, so records stay byte-identical to an untraced run.  Returns
     the number of stitched records."""
     if not record:
@@ -168,74 +108,3 @@ def absorb(record: Optional[dict]) -> int:
     if recorder is None:
         return 0
     return recorder.merge_worker(payload)
-
-
-# ---------------------------------------------------------------------------
-# server side (HTTP cache)
-# ---------------------------------------------------------------------------
-
-
-@contextmanager
-def server_span(name: str, header: Optional[str], **attrs: Any):
-    """Wrap one server-side request in a span parented under the
-    caller's trace context (parsed from the ``TRACE_HEADER`` value).
-
-    No-op when the server process isn't recording; plain local span
-    when the caller sent no (or a malformed) header.
-    """
-    recorder = core.current()
-    if recorder is None:
-        yield
-        return
-    context = TraceContext.from_header(header)
-    if context is None:
-        with recorder.span(name, **attrs):
-            yield
-        return
-    with core.bind_trace(context.trace_id, context.span_id):
-        with recorder.span(name, **attrs):
-            yield
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-def _metric_name(name: str) -> str:
-    """Sanitize a dotted metric name into a legal Prometheus name."""
-    clean = _NAME_RE.sub("_", name)
-    if clean and clean[0].isdigit():
-        clean = "_" + clean
-    return clean
-
-
-def render_prometheus(snapshot: Dict[str, Any]) -> str:
-    """Render a :meth:`~repro.obs.core.Metrics.snapshot` in Prometheus
-    text exposition format (version 0.0.4).
-
-    Counters get a ``_total`` suffix (``engine.dispatch.jobs`` →
-    ``engine_dispatch_jobs_total``); gauges render as-is; histograms
-    render as a summary (``_count``/``_sum``) plus ``_min``/``_max``
-    gauges.
-    """
-    lines = []
-    for name, value in sorted((snapshot.get("counters") or {}).items()):
-        metric = _metric_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    for name, value in sorted((snapshot.get("gauges") or {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value}")
-    for name, hist in sorted((snapshot.get("histograms") or {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {hist['count']}")
-        lines.append(f"{metric}_sum {hist['sum']}")
-        for bound in ("min", "max"):
-            lines.append(f"# TYPE {metric}_{bound} gauge")
-            lines.append(f"{metric}_{bound} {hist[bound]}")
-    return "\n".join(lines) + "\n" if lines else ""

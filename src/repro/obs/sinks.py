@@ -16,7 +16,7 @@ Recorder` emits:
 ``metrics``
     The final registry snapshot, emitted once at close.
 
-Four sinks ship:
+Three sinks ship:
 
 * :class:`MemorySink` — a list, for tests and in-process inspection;
 * :class:`JsonlSink` — one JSON object per line, the machine-readable
@@ -25,22 +25,19 @@ Four sinks ship:
 * :class:`ChromeTraceSink` — a Chrome trace-event JSON document that
   Perfetto (https://ui.perfetto.dev) loads directly.  Host spans and
   counters land under the "host" process; records stitched back from
-  pool/shard workers (tagged ``worker_pid``) each get their own
-  process; bridged rank timelines land under the "simulated ranks"
-  process with one thread per rank, so one file shows compiler phases,
-  engine cache traffic, shard workers, and the simulated machine side
-  by side;
-* :class:`QueueSink` — pushes (optionally filtered) records onto any
-  object with ``put(record)``; feeds ``repro serve`` progress streams.
+  pool workers (tagged ``worker_pid``) each get their own process;
+  bridged rank timelines land under the "simulated ranks" process with
+  one thread per rank, so one file shows compiler phases, engine cache
+  traffic, pool workers, and the simulated machine side by side.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
-__all__ = ["ChromeTraceSink", "JsonlSink", "MemorySink", "QueueSink", "Sink"]
+__all__ = ["ChromeTraceSink", "JsonlSink", "MemorySink", "Sink"]
 
 
 class Sink:
@@ -136,37 +133,8 @@ class JsonlSink(Sink):
             self._fh.close()
 
 
-class QueueSink(Sink):
-    """Push records onto any object with a ``put(record)`` method
-    (``queue.Queue``, a progress log, ...).
-
-    ``types`` keeps only the listed record types; ``trace`` keeps only
-    records stamped with that trace id.  Both default to no filtering.
-    Feeds the ``repro serve`` progress streams: one QueueSink per
-    in-flight run, filtered to that run's trace id.
-    """
-
-    def __init__(
-        self,
-        queue,
-        *,
-        types: Optional[Tuple[str, ...]] = None,
-        trace: Optional[str] = None,
-    ) -> None:
-        self.queue = queue
-        self.types = tuple(types) if types is not None else None
-        self.trace = trace
-
-    def emit(self, record: dict) -> None:
-        if self.types is not None and record.get("type") not in self.types:
-            return
-        if self.trace is not None and record.get("trace") != self.trace:
-            return
-        self.queue.put(record)
-
-
 #: Chrome-trace process ids: host-side records vs. bridged model time.
-#: Records stitched back from pool/shard workers get pids counted up
+#: Records stitched back from pool workers get pids counted up
 #: from WORKER_PID_BASE, one per distinct worker_pid.
 HOST_PID = 1
 SIM_PID = 2
@@ -178,8 +146,8 @@ class ChromeTraceSink(Sink):
 
     Coordinator records go to pid ``HOST_PID`` / tid 0 (complete events
     nest by containment, which the recorder's span stack guarantees);
-    records carrying a ``worker_pid`` tag (stitched back from
-    pool/shard workers) each get a dedicated chrome process named after
+    records carrying a ``worker_pid`` tag (stitched back from pool
+    workers) each get a dedicated chrome process named after
     the worker; each bridged simulation rank becomes a thread of pid
     ``SIM_PID`` with timestamps in model microseconds.  Counters become
     ``"C"`` events so Perfetto renders them as tracks.

@@ -38,7 +38,7 @@ its communication shape adds coverage the paper's programs lack) and
 *generated* synthetic programs: any ``gen_<seed>`` name resolves
 through :mod:`repro.programs.generate`, the seeded ZL program
 generator.  All three families flow through every surface (studies,
-sweeps, frontier, composition, serve) identically.
+sweeps, frontier, composition) identically.
 
 Each module exposes ``SOURCE`` (the ZL text), ``DEFAULT_CONFIG``, and a
 ``build(config=..., opt=...)`` helper returning an optimized

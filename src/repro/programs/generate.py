@@ -27,9 +27,9 @@ from a fixed pool of literal *strings* (never formatted floats).  The
 program is named ``gen_<seed>``, and the registry resolves that name
 back through :func:`generated_seed`, which makes generated programs
 first-class benchmarks: ``run_study(benchmarks=("gen_7",))`` works, as
-do sweeps, the frontier tools, composition, and ``repro serve`` —
-engine fingerprints key on the generated *source text*, so cached
-results stay correct even if the generator evolves.
+do sweeps, the frontier tools, and composition — engine fingerprints
+key on the generated *source text*, so cached results stay correct even
+if the generator evolves.
 
 **Numeric boundedness.**  Stencil updates are damped convex-ish
 combinations with coefficients well below 1 over initial data of

@@ -3,8 +3,7 @@
 Three name families resolve here, and everything downstream — the
 engine's job fingerprints (:meth:`repro.engine.Job.fingerprint` hashes
 ``benchmark_source``), the worker's compile cache, sweeps, frontier
-refinement, composition, ``repro serve`` — accepts all of them
-uniformly:
+refinement, composition — accepts all of them uniformly:
 
 * the paper's four whole-program benchmarks (:data:`BENCHMARKS`);
 * the classic-kernel corpus (:data:`KERNELS` — Jacobi, red-black

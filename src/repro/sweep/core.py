@@ -126,7 +126,8 @@ class SweepResult:
     benchmarks: Tuple[str, ...]
     keys: Tuple[str, ...]
     outcomes: List[JobOutcome] = field(repr=False)
-    #: which cache backend served the run (``CacheBackend.describe()``)
+    #: which cache served the run (``DirCache.describe()`` or
+    #: ``NullCache.describe()``)
     cache_info: Optional[dict] = None
 
     @property
@@ -190,9 +191,6 @@ def run_sweep(
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
-    cache_backend: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    dispatcher: Union[str, None, object] = None,
     telemetry: Union[str, Path, None] = None,
 ) -> SweepResult:
     """Run the benchmark x experiment matrix over every sweep point.
@@ -276,14 +274,7 @@ def run_sweep(
         obs.add("sweep.points", len(points))
         obs.add("sweep.cells", len(matrix))
 
-        engine = ExperimentEngine(
-            jobs=jobs,
-            cache=cache,
-            cache_dir=cache_dir,
-            cache_backend=cache_backend,
-            cache_url=cache_url,
-            dispatcher=dispatcher,
-        )
+        engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
         if use_batched:
             obs.add("sweep.batched_cells", len(matrix))
             outcomes = run_jobs_batched(engine, matrix)

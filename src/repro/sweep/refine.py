@@ -213,9 +213,6 @@ def run_refined_sweep(
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir=None,
-    cache_backend: Optional[str] = None,
-    cache_url: Optional[str] = None,
-    dispatcher=None,
 ) -> RefinedSweep:
     """Localize every crossover of ``axis`` on ``[lo, hi]`` to ``tol``.
 
@@ -292,9 +289,6 @@ def run_refined_sweep(
                 jobs=jobs,
                 cache=cache,
                 cache_dir=cache_dir,
-                cache_backend=cache_backend,
-                cache_url=cache_url,
-                dispatcher=dispatcher,
             )
             evaluated.update(new)
             rounds.append(sweep)

@@ -1,33 +1,22 @@
-"""The cache-backend contract, executed against every backend.
+"""The result-cache contract: :class:`DirCache` and :class:`NullCache`.
 
-Each backend (dir, sqlite, http, null) must honor the same semantics:
-fingerprint-addressed round trips, schema/fingerprint mismatches read
-as misses, atomic ``put`` under concurrent writers (a reader sees an
-old record, a new record, or a clean miss — never a torn document),
-and ``stats``/``prune`` maintenance.  The concurrency tests hammer one
-shared store from multiple *processes*, which is exactly how two engine
-runs share a backend.
+The directory cache must give fingerprint-addressed round trips, read
+schema/fingerprint mismatches as misses, keep ``put`` atomic under
+concurrent writers (a reader sees an old record, a new record, or a
+clean miss — never a torn document), never leave a temp file behind,
+and support ``stats``/``prune`` maintenance.  The concurrency test
+hammers one shared directory from multiple *processes*, which is
+exactly how two engine runs share a cache.
 """
 
 import json
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
-from repro.engine import (
-    RECORD_SCHEMA,
-    CacheBackend,
-    CacheServer,
-    DirCache,
-    HttpCache,
-    NullCache,
-    SqliteCache,
-    make_cache,
-)
-from repro.errors import ExperimentError
-
-#: every storing backend; null joins for the protocol-shape tests only
-STORES = ("dir", "sqlite", "http")
+from repro.engine import RECORD_SCHEMA, DirCache, NullCache, make_cache
+from repro.obs import MemorySink, recording
+from repro.obs import core as obs
 
 FP_A = "ab" * 32
 FP_B = "cd" * 32
@@ -41,58 +30,16 @@ def _record(fingerprint, payload="x", size=1):
     }
 
 
-@pytest.fixture(params=STORES)
-def backend(request, tmp_path):
-    """One of each storing backend over a fresh store; http serves a
-    sqlite store from a background thread."""
-    if request.param == "http":
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        yield HttpCache(server.url)
-        server.close()
-    else:
-        yield make_cache(True, tmp_path, backend=request.param)
-
-
-# ---------------------------------------------------------------------------
-# protocol shape and selection
-# ---------------------------------------------------------------------------
-
-
-def test_every_backend_satisfies_the_protocol(tmp_path):
-    server = CacheServer(DirCache(tmp_path / "served")).start()
-    try:
-        for impl in (
-            DirCache(tmp_path / "d"),
-            SqliteCache(tmp_path / "s"),
-            HttpCache(server.url),
-            NullCache(),
-        ):
-            assert isinstance(impl, CacheBackend)
-            assert impl.kind in ("dir", "sqlite", "http", "null")
-            desc = impl.describe()
-            assert set(desc) == {"backend", "location"}
-            assert desc["backend"] == impl.kind
-    finally:
-        server.close()
+def _temp_files(root):
+    return list(root.rglob("*.tmp.*"))
 
 
 def test_make_cache_selection(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
     assert make_cache(False, tmp_path).kind == "null"
-    assert make_cache(True, tmp_path).kind == "dir"
-    assert make_cache(True, tmp_path, backend="sqlite").kind == "sqlite"
-    assert make_cache(True, None, url="http://x:1").kind == "http"
-    monkeypatch.setenv("REPRO_CACHE_URL", "http://env:1")
-    implied = make_cache(True, tmp_path)
-    assert implied.kind == "http" and implied.url == "http://env:1"
-    with pytest.raises(ExperimentError, match="unknown cache backend"):
-        make_cache(True, tmp_path, backend="redis")
-
-
-def test_http_backend_requires_a_url(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE_URL", raising=False)
-    with pytest.raises(ExperimentError, match="URL"):
-        make_cache(True, tmp_path, backend="http")
+    chosen = make_cache(True, tmp_path)
+    assert chosen.kind == "dir" and chosen.root == tmp_path
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    assert make_cache(True).root == tmp_path / "env"
 
 
 def test_null_backend_stores_nothing():
@@ -101,101 +48,140 @@ def test_null_backend_stores_nothing():
     assert null.get(FP_A) is None
     assert null.stats().entries == 0
     assert null.prune() == 0
+    assert null.describe() == {"backend": "null", "location": None}
 
 
 # ---------------------------------------------------------------------------
-# the storage contract, per backend
+# the storage contract
 # ---------------------------------------------------------------------------
 
 
-def test_roundtrip_and_overwrite(backend):
-    assert backend.get(FP_A) is None
+def test_roundtrip_and_overwrite(tmp_path):
+    cache = DirCache(tmp_path)
+    assert cache.get(FP_A) is None
     record = _record(FP_A)
-    backend.put(FP_A, record)
-    assert backend.get(FP_A) == record
+    cache.put(FP_A, record)
+    assert cache.get(FP_A) == record
     replacement = _record(FP_A, payload="y")
-    backend.put(FP_A, replacement)
-    assert backend.get(FP_A) == replacement
+    cache.put(FP_A, replacement)
+    assert cache.get(FP_A) == replacement
+    assert cache.describe() == {"backend": "dir", "location": str(tmp_path)}
 
 
-def test_wrong_fingerprint_reads_as_miss(backend):
-    backend.put(FP_B, _record(FP_A))  # filed under the wrong key
-    assert backend.get(FP_B) is None
+def test_wrong_fingerprint_reads_as_miss(tmp_path):
+    cache = DirCache(tmp_path)
+    cache.put(FP_B, _record(FP_A))  # filed under the wrong key
+    assert cache.get(FP_B) is None
 
 
-def test_other_schema_reads_as_miss(backend):
-    backend.put(FP_A, dict(_record(FP_A), schema=RECORD_SCHEMA + 1))
-    assert backend.get(FP_A) is None
+def test_other_schema_reads_as_miss(tmp_path):
+    cache = DirCache(tmp_path)
+    cache.put(FP_A, dict(_record(FP_A), schema=RECORD_SCHEMA + 1))
+    with recording(MemorySink()):
+        assert cache.get(FP_A) is None
+        assert obs.counters()["engine.result_cache.invalid"] == 1
 
 
-def test_stats_census(backend):
-    assert backend.stats().entries == 0
-    backend.put(FP_A, _record(FP_A))
-    backend.put(FP_B, dict(_record(FP_B), schema=RECORD_SCHEMA - 1))
-    stats = backend.stats()
+def test_stats_census(tmp_path):
+    cache = DirCache(tmp_path)
+    assert cache.stats().entries == 0
+    cache.put(FP_A, _record(FP_A))
+    cache.put(FP_B, dict(_record(FP_B), schema=RECORD_SCHEMA - 1))
+    stats = cache.stats()
     assert stats.entries == 2
     assert stats.bytes > 0
     assert stats.schemas[RECORD_SCHEMA] == 1
     assert stats.schemas[RECORD_SCHEMA - 1] == 1
-    assert stats.backend == backend.kind
+    assert stats.backend == "dir"
     assert "2 entries" in stats.describe()
 
 
-def test_prune_by_schema(backend):
-    backend.put(FP_A, _record(FP_A))
-    backend.put(FP_B, dict(_record(FP_B), schema=RECORD_SCHEMA - 1))
-    assert backend.prune(schema=RECORD_SCHEMA - 1) == 1
-    assert backend.stats().entries == 1
-    assert backend.get(FP_A) is not None
+def test_prune_by_schema(tmp_path):
+    cache = DirCache(tmp_path)
+    cache.put(FP_A, _record(FP_A))
+    cache.put(FP_B, dict(_record(FP_B), schema=RECORD_SCHEMA - 1))
+    with recording(MemorySink()):
+        assert cache.prune(schema=RECORD_SCHEMA - 1) == 1
+        assert obs.counters()["engine.result_cache.pruned"] == 1
+    assert cache.stats().entries == 1
+    assert cache.get(FP_A) is not None
 
 
-def test_prune_by_age(backend):
-    backend.put(FP_A, _record(FP_A))
+def test_prune_by_age(tmp_path):
+    cache = DirCache(tmp_path)
+    cache.put(FP_A, _record(FP_A))
     # a just-written record is younger than a day
-    assert backend.prune(older_than=86400.0) == 0
+    assert cache.prune(older_than=86400.0) == 0
     # and everything matches the no-filter prune
-    assert backend.prune() == 1
-    assert backend.stats().entries == 0
-
-
-def test_http_unreachable_server_degrades_to_misses():
-    # no listener on a fresh ephemeral-range port: reads miss, writes
-    # are counted best-effort failures, stats come back empty
-    dead = HttpCache("http://127.0.0.1:9", timeout=0.2)
-    assert dead.get(FP_A) is None
-    dead.put(FP_A, _record(FP_A))  # must not raise
-    assert dead.stats().entries == 0
-    assert dead.prune() == 0
+    assert cache.prune() == 1
+    assert cache.stats().entries == 0
 
 
 # ---------------------------------------------------------------------------
-# concurrent writers: two engine runs sharing one backend
+# temp files: a failed put cleans up, prune sweeps orphans
 # ---------------------------------------------------------------------------
 
 
-def _open_backend(kind, location):
-    if kind == "http":
-        return HttpCache(location)
-    return make_cache(True, location, backend=kind)
+def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
+    import repro.engine.cache as cache_mod
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache_mod.os, "replace", refuse)
+    cache = DirCache(tmp_path)
+    with recording(MemorySink()):
+        cache.put(FP_A, _record(FP_A))  # best-effort: must not raise
+        counters = obs.counters()
+    assert counters["engine.result_cache.store_error"] == 1
+    assert "engine.result_cache.store" not in counters
+    assert _temp_files(tmp_path) == []
+    assert cache.get(FP_A) is None
 
 
-def _hammer_writer(kind, location, fingerprint, payload, rounds):
+def test_prune_removes_orphaned_temp_files(tmp_path):
+    cache = DirCache(tmp_path)
+    cache.put(FP_A, _record(FP_A))
+    shard = tmp_path / FP_B[:2]
+    shard.mkdir()
+    old = shard / f"{FP_B}.tmp.111"
+    young = shard / f"{FP_B}.tmp.222"
+    old.write_text('{"schema": 3, "payl')  # a write cut off mid-record
+    young.write_text('{"schema": 3, "payl')
+    an_hour_ago = time.time() - 3600
+    os.utime(old, (an_hour_ago, an_hour_ago))
+    # temp files are not entries
+    assert cache.stats().entries == 1
+    # the age filter applies to orphans too: the young one may be a
+    # write still in flight
+    assert cache.prune(older_than=60.0) == 0
+    assert _temp_files(tmp_path) == [young]
+    assert cache.prune() == 1
+    assert _temp_files(tmp_path) == []
+
+
+# ---------------------------------------------------------------------------
+# concurrent writers: two engine runs sharing one cache directory
+# ---------------------------------------------------------------------------
+
+
+def _hammer_writer(location, fingerprint, payload, rounds):
     """One writer process: repeatedly overwrite the shared fingerprint
     with a large single-payload record."""
-    store = _open_backend(kind, location)
+    cache = DirCache(location)
     record = _record(fingerprint, payload=payload, size=2000)
     for _ in range(rounds):
-        store.put(fingerprint, record)
+        cache.put(fingerprint, record)
     return payload
 
 
-def _hammer_reader(kind, location, fingerprint, rounds):
+def _hammer_reader(location, fingerprint, rounds):
     """One reader process: every observed record must be exactly one
     writer's document — never a mixture, never a partial parse."""
-    store = _open_backend(kind, location)
+    cache = DirCache(location)
     seen = set()
     for _ in range(rounds):
-        record = store.get(fingerprint)
+        record = cache.get(fingerprint)
         if record is None:
             continue  # a clean miss mid-write is within the contract
         payload = record["payload"]
@@ -205,90 +191,36 @@ def _hammer_reader(kind, location, fingerprint, rounds):
     return seen
 
 
-@pytest.mark.parametrize("kind", STORES)
-def test_concurrent_writers_never_tear_records(kind, tmp_path):
-    server = None
-    if kind == "http":
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        location = server.url
-    else:
-        location = str(tmp_path)
+def test_concurrent_writers_never_tear_records(tmp_path):
+    location = str(tmp_path)
     rounds = 150
-    try:
-        with ProcessPoolExecutor(max_workers=3) as pool:
-            writers = [
-                pool.submit(_hammer_writer, kind, location, FP_A, p, rounds)
-                for p in ("a", "b")
-            ]
-            reader = pool.submit(_hammer_reader, kind, location, FP_A, rounds)
-            for f in writers:
-                f.result(timeout=120)
-            reader.result(timeout=120)  # raises on any torn observation
-        final = _open_backend(kind, location).get(FP_A)
-        assert final is not None
-        assert final["payload"] in ("a" * 2000, "b" * 2000)
-    finally:
-        if server is not None:
-            server.close()
+    with ProcessPoolExecutor(max_workers=3) as pool:
+        writers = [
+            pool.submit(_hammer_writer, location, FP_A, p, rounds)
+            for p in ("a", "b")
+        ]
+        reader = pool.submit(_hammer_reader, location, FP_A, rounds)
+        for f in writers:
+            f.result(timeout=120)
+        reader.result(timeout=120)  # raises on any torn observation
+    final = DirCache(location).get(FP_A)
+    assert final is not None
+    assert final["payload"] in ("a" * 2000, "b" * 2000)
+    assert _temp_files(tmp_path) == []
 
 
-def _study_through(kind, location, cache_dir):
+def test_telemetry_envelope_carries_backend_attribution(tmp_path):
     from repro import run_study
     from repro.programs import small_config
 
-    return run_study(
+    out = tmp_path / "telemetry.json"
+    study = run_study(
         benchmarks=("swm",),
         keys=("baseline",),
         nprocs=16,
         config_overrides={"swm": small_config("swm")},
-        cache_dir=cache_dir,
-        cache_backend=kind,
-        cache_url=location if kind == "http" else None,
+        cache_dir=tmp_path / "store",
     )
-
-
-@pytest.mark.parametrize("kind", ("sqlite", "http"))
-def test_two_engine_runs_share_one_backend(kind, tmp_path):
-    """The second engine run over a shared store is served entirely from
-    the first run's records, for the multi-writer backends."""
-    server = None
-    if kind == "http":
-        server = CacheServer(SqliteCache(tmp_path / "store")).start()
-        location = server.url
-    else:
-        location = None
-    try:
-        cold = _study_through(kind, location, tmp_path / "store")
-        warm = _study_through(kind, location, tmp_path / "store")
-    finally:
-        if server is not None:
-            server.close()
-    assert cold.cache_hits == 0
-    assert warm.cache_hits == len(warm.outcomes) == 1
-    assert dict(warm.results) == dict(cold.results)
-    assert warm.cache_info["backend"] == kind
-
-
-def test_backend_parity_with_dircache(tmp_path):
-    """A study through sqlite produces records byte-identical to the
-    DirCache study (fingerprints and result payloads untouched by the
-    storage layer)."""
-    through_dir = _study_through("dir", None, tmp_path / "d")
-    through_sql = _study_through("sqlite", None, tmp_path / "s")
-    strip = lambda r: {  # noqa: E731 - the volatile, host-local fields
-        k: v
-        for k, v in r.items()
-        if k not in ("timings", "started_at", "worker_pid", "compile_cache")
-    }
-    assert [strip(r) for r in through_dir.telemetry] == [
-        strip(r) for r in through_sql.telemetry
-    ]
-
-
-def test_telemetry_envelope_carries_backend_attribution(tmp_path):
-    out = tmp_path / "telemetry.json"
-    study = _study_through("sqlite", None, tmp_path / "store")
     study.write_telemetry(out)
     doc = json.loads(out.read_text())
-    assert doc["cache"]["backend"] == "sqlite"
-    assert doc["cache"]["location"].endswith("cache.sqlite")
+    assert doc["cache"] == {"backend": "dir", "location": str(tmp_path / "store")}

@@ -1,12 +1,8 @@
-"""The dispatch layer: local/sharded parity, work stealing, fault
-tolerance.
+"""The dispatch layer: inline vs pool parity and worker observability.
 
-The sharded dispatcher must be invisible in the results — byte-identical
-records, same fingerprints, same cache — while surviving per-job
-failures (retry with backoff) and dead workers (the shard falls back to
-the coordinator).  :class:`FaultSpec` makes both recovery paths
-deterministic: ``action="raise"`` poisons a cell's first attempts,
-``action="exit"`` kills the pool worker outright.
+A pool of workers must be invisible in the results — byte-identical
+records, same fingerprints, same cache — while the coordinator's trace
+still sees every worker's spans and counters.
 """
 
 import pytest
@@ -14,12 +10,9 @@ import pytest
 from repro import run_study
 from repro.engine import (
     ExperimentEngine,
-    FaultSpec,
     LocalDispatcher,
     MachineSpec,
-    ShardedDispatcher,
     build_matrix,
-    make_dispatcher,
 )
 from repro.errors import ExperimentError
 from repro.obs import MemorySink, recording
@@ -40,7 +33,7 @@ def _matrix(keys=("baseline", "cc")):
 
 def _strip(record):
     """Drop the volatile host-local fields; everything else must be
-    byte-identical across dispatchers."""
+    byte-identical between inline and pooled execution."""
     return {
         k: v
         for k, v in record.items()
@@ -48,167 +41,26 @@ def _strip(record):
     }
 
 
-# ---------------------------------------------------------------------------
-# coercion
-# ---------------------------------------------------------------------------
-
-
-def test_make_dispatcher_coercion():
-    assert make_dispatcher(None, 2).kind == "local"
-    assert make_dispatcher("local", None).kind == "local"
-    assert make_dispatcher("sharded", 4).kind == "sharded"
-    ready = ShardedDispatcher(workers=2, shards=3)
-    assert make_dispatcher(ready, None) is ready
-    with pytest.raises(ExperimentError, match="unknown dispatcher"):
-        make_dispatcher("slurm", None)
-    with pytest.raises(ExperimentError, match="Dispatcher"):
-        make_dispatcher(42, None)
-
-
 def test_dispatcher_rejects_bad_shape():
-    with pytest.raises(ExperimentError, match="workers"):
-        ShardedDispatcher(workers=0)
-    with pytest.raises(ExperimentError, match="shards"):
-        ShardedDispatcher(shards=0)
-    with pytest.raises(ExperimentError, match="max_retries"):
-        ShardedDispatcher(max_retries=-1)
     with pytest.raises(ExperimentError, match="workers"):
         LocalDispatcher(workers=0)
 
 
-def test_shards_are_contiguous_and_capped():
-    jobs = _matrix(keys=("baseline", "cc", "pl"))
-    d = ShardedDispatcher(workers=2, shards=2)
-    shards = d._split(jobs)
-    assert [len(s) for s in shards] == [2, 1]
-    assert [i for shard in shards for i, _ in shard] == [0, 1, 2]
-    # shard count never exceeds the job count
-    assert len(ShardedDispatcher(shards=64)._split(jobs)) == 3
-
-
-# ---------------------------------------------------------------------------
-# parity: sharded results are indistinguishable from local ones
-# ---------------------------------------------------------------------------
-
-
-def test_sharded_matches_local_byte_for_byte():
-    jobs = _matrix()
-    local = LocalDispatcher().dispatch(jobs)
-    sharded = ShardedDispatcher(workers=1, shards=2, backoff=0).dispatch(jobs)
-    assert [_strip(r) for r in local] == [_strip(r) for r in sharded]
-    assert [r["fingerprint"] for r in sharded] == [
-        j.fingerprint() for j in jobs
-    ]
-
-
-def test_sharded_pool_matches_local_byte_for_byte():
-    jobs = _matrix(keys=("baseline", "cc", "pl"))
-    local = LocalDispatcher().dispatch(jobs)
-    sharded = ShardedDispatcher(workers=2, shards=3, backoff=0).dispatch(jobs)
-    assert [_strip(r) for r in local] == [_strip(r) for r in sharded]
-
-
-def test_study_through_sharded_dispatcher(tmp_path):
-    local = run_study(
-        benchmarks=("swm",), keys=("baseline", "cc"), nprocs=16,
-        config_overrides={"swm": SWM_SMALL}, cache_dir=tmp_path / "a",
-    )
-    sharded = run_study(
-        benchmarks=("swm",), keys=("baseline", "cc"), nprocs=16,
-        config_overrides={"swm": SWM_SMALL}, cache_dir=tmp_path / "b",
-        dispatcher="sharded",
-    )
-    assert dict(local.results) == dict(sharded.results)
-    # and a sharded run warms the cache for a local one
-    warm = run_study(
-        benchmarks=("swm",), keys=("baseline", "cc"), nprocs=16,
-        config_overrides={"swm": SWM_SMALL}, cache_dir=tmp_path / "b",
-    )
-    assert warm.cache_hits == 2
-
-
 def test_empty_dispatch():
     assert LocalDispatcher().dispatch([]) == []
-    assert ShardedDispatcher().dispatch([]) == []
+    assert LocalDispatcher(workers=2).dispatch([]) == []
+
+
+def test_pool_matches_inline_byte_for_byte():
+    jobs = _matrix(keys=("baseline", "cc", "pl"))
+    inline = LocalDispatcher().dispatch(jobs)
+    pooled = LocalDispatcher(workers=2).dispatch(jobs)
+    assert [_strip(r) for r in inline] == [_strip(r) for r in pooled]
+    assert [r["fingerprint"] for r in pooled] == [j.fingerprint() for j in jobs]
 
 
 # ---------------------------------------------------------------------------
-# fault tolerance
-# ---------------------------------------------------------------------------
-
-
-def test_injected_fault_is_retried_and_counted():
-    jobs = _matrix(keys=("baseline",))
-    d = ShardedDispatcher(
-        workers=1,
-        backoff=0,
-        faults=[FaultSpec(benchmark="swm", experiment="baseline", times=2)],
-    )
-    with recording(MemorySink()):
-        records = d.dispatch(jobs)
-        counters = obs.counters()
-    assert records[0]["fingerprint"] == jobs[0].fingerprint()
-    assert counters["engine.dispatch.retries"] == 2
-    assert "engine.dispatch.failures" not in counters
-
-
-def test_retries_exhausted_raises_naming_the_cell():
-    jobs = _matrix(keys=("baseline",))
-    d = ShardedDispatcher(
-        workers=1, backoff=0, max_retries=1, faults=[FaultSpec(times=99)]
-    )
-    with recording(MemorySink()):
-        with pytest.raises(
-            ExperimentError, match=r"injected fault for \(swm, baseline"
-        ):
-            d.dispatch(jobs)
-        counters = obs.counters()
-    assert counters["engine.dispatch.failures"] == 1
-
-
-def test_dead_worker_shard_is_retried_in_the_coordinator():
-    """``action="exit"`` kills a pool worker mid-shard (a dead host);
-    the coordinator must re-run that shard's jobs and still return a
-    complete, correct record list."""
-    jobs = _matrix()
-    d = ShardedDispatcher(
-        workers=2,
-        shards=2,
-        backoff=0,
-        faults=[
-            FaultSpec(benchmark="swm", experiment="cc", times=1, action="exit")
-        ],
-    )
-    with recording(MemorySink()):
-        records = d.dispatch(jobs)
-        counters = obs.counters()
-    assert counters["engine.dispatch.dead_shards"] >= 1
-    assert counters["engine.dispatch.retries"] >= 1
-    clean = LocalDispatcher().dispatch(jobs)
-    assert [_strip(r) for r in records] == [_strip(r) for r in clean]
-
-
-def test_exit_fault_degrades_to_raise_when_serial():
-    """Outside a pool worker the exit action must not kill the test
-    process — it raises instead, then the retry succeeds."""
-    jobs = _matrix(keys=("baseline",))
-    d = ShardedDispatcher(
-        workers=1, backoff=0, faults=[FaultSpec(times=1, action="exit")]
-    )
-    records = d.dispatch(jobs)
-    assert records[0]["benchmark"] == "swm"
-
-
-def test_fault_spec_matching():
-    job = _matrix(keys=("baseline",))[0]
-    assert FaultSpec().matches(job)
-    assert FaultSpec(benchmark="swm").matches(job)
-    assert not FaultSpec(benchmark="sp").matches(job)
-    assert not FaultSpec(experiment="cc").matches(job)
-
-
-# ---------------------------------------------------------------------------
-# distributed observability: worker capture, job events, counter parity
+# pool observability: worker capture, job events, counter parity
 # ---------------------------------------------------------------------------
 
 
@@ -216,9 +68,7 @@ def test_pool_worker_spans_are_stitched_into_the_coordinator_trace():
     jobs = _matrix(keys=("baseline", "cc", "pl"))
     sink = MemorySink()
     with recording(sink) as rec:
-        records = ShardedDispatcher(workers=2, shards=3, backoff=0).dispatch(
-            jobs
-        )
+        records = LocalDispatcher(workers=2).dispatch(jobs)
     # the worker capture payload is popped before records reach anyone
     assert all("obs" not in r for r in records)
     worker_spans = [
@@ -239,37 +89,16 @@ def test_pool_worker_spans_are_stitched_into_the_coordinator_trace():
 
 def test_dispatch_emits_one_job_event_per_job():
     jobs = _matrix(keys=("baseline", "cc", "pl"))
-    for dispatcher in (
-        LocalDispatcher(),
-        LocalDispatcher(workers=2),
-        ShardedDispatcher(workers=2, shards=3, backoff=0),
-    ):
+    for workers in (None, 2):
         sink = MemorySink()
         with recording(sink):
-            dispatcher.dispatch(jobs)
+            LocalDispatcher(workers=workers).dispatch(jobs)
         events = [r for r in sink.records if r.get("name") == "engine.job"]
-        assert len(events) == len(jobs), dispatcher.kind
+        assert len(events) == len(jobs), workers
         assert {e["attrs"]["status"] for e in events} == {"done"}
         assert {
             (e["attrs"]["benchmark"], e["attrs"]["experiment"]) for e in events
         } == {(j.benchmark, j.experiment) for j in jobs}
-
-
-def test_retry_emits_retry_events_and_still_one_done():
-    jobs = _matrix(keys=("baseline",))
-    d = ShardedDispatcher(
-        workers=1,
-        backoff=0,
-        faults=[FaultSpec(benchmark="swm", experiment="baseline", times=2)],
-    )
-    sink = MemorySink()
-    with recording(sink):
-        d.dispatch(jobs)
-    retries = [r for r in sink.records if r.get("name") == "engine.job.retry"]
-    done = [r for r in sink.records if r.get("name") == "engine.job"]
-    assert len(retries) == 2
-    assert {r["attrs"]["reason"] for r in retries} == {"error"}
-    assert len(done) == 1 and done[0]["attrs"]["status"] == "done"
 
 
 def test_worker_counters_merge_into_the_coordinator_registry():
@@ -278,48 +107,45 @@ def test_worker_counters_merge_into_the_coordinator_registry():
         LocalDispatcher().dispatch(jobs)
         inline = obs.counters()
     with recording(MemorySink()):
-        ShardedDispatcher(workers=2, shards=3, backoff=0).dispatch(jobs)
+        LocalDispatcher(workers=2).dispatch(jobs)
         pooled = obs.counters()
     sim_inline = {k: v for k, v in inline.items() if k.startswith("sim.")}
     sim_pooled = {k: v for k, v in pooled.items() if k.startswith("sim.")}
     assert sim_inline and sim_inline == sim_pooled
 
 
-def test_counter_parity_local_vs_sharded_on_the_paper_matrix():
+def test_counter_parity_serial_vs_pool_on_the_paper_matrix():
     """The regression gate: the same simulator work happens (and is
-    counted) no matter which dispatcher ran it, across the full paper
-    matrix.  Only ``sim.*`` counters are comparable — compile-cache
+    counted) whether one process or a pool ran it, across the full
+    paper matrix.  Only ``sim.*`` counters are comparable — compile-cache
     counters legitimately differ per worker process."""
     from repro.programs import BENCHMARKS
 
     cfg = {b: small_config(b) for b in BENCHMARKS}
 
-    def sim_counters(**kw):
+    def sim_counters(jobs):
         with recording(MemorySink()):
             run_study(
                 benchmarks=BENCHMARKS,
                 nprocs=16,
                 config_overrides=cfg,
                 cache=False,
-                **kw,
+                jobs=jobs,
             )
             return {
                 k: v for k, v in obs.counters().items() if k.startswith("sim.")
             }
 
-    local = sim_counters()
-    sharded = sim_counters(dispatcher="sharded", jobs=2)
-    assert local and local == sharded
+    serial = sim_counters(1)
+    pooled = sim_counters(2)
+    assert serial and serial == pooled
 
 
 def test_dispatch_counters_flow_through_the_engine(tmp_path):
-    engine = ExperimentEngine(
-        cache_dir=tmp_path, dispatcher=ShardedDispatcher(workers=1, backoff=0)
-    )
+    engine = ExperimentEngine(cache_dir=tmp_path, jobs=2)
     with recording(MemorySink()):
         engine.run(_matrix())
         counters = obs.counters()
     assert counters["engine.dispatch.jobs"] == 2
-    assert counters["engine.dispatch.shards"] >= 1
     assert counters["engine.result_cache.miss"] == 2
-    assert counters["cache.backend.stores"] == 2
+    assert counters["engine.result_cache.store"] == 2

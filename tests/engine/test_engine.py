@@ -1,12 +1,6 @@
-"""Tests for the parallel cached experiment engine.
-
-Setting ``REPRO_TEST_CACHE_BACKEND=sqlite`` (CI does) re-runs the suite
-with studies stored through that backend instead of the directory
-layout; dir-layout-specific tests skip themselves.
-"""
+"""Tests for the parallel cached experiment engine."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -29,14 +23,6 @@ from repro.programs import small_config
 
 SWM_SMALL = small_config("swm")
 
-#: the backend the study-running tests store through (CI sweeps this)
-TEST_BACKEND = os.environ.get("REPRO_TEST_CACHE_BACKEND") or None
-
-dir_backend_only = pytest.mark.skipif(
-    TEST_BACKEND not in (None, "dir"),
-    reason="exercises the dir backend's on-disk layout",
-)
-
 
 def _study(cache_dir, **kwargs):
     kwargs.setdefault("benchmarks", ("swm",))
@@ -44,7 +30,6 @@ def _study(cache_dir, **kwargs):
     kwargs.setdefault("nprocs", 16)
     kwargs.setdefault("config_overrides", {"swm": SWM_SMALL})
     kwargs.setdefault("cache_dir", cache_dir)
-    kwargs.setdefault("cache_backend", TEST_BACKEND)
     return run_study(**kwargs)
 
 
@@ -112,6 +97,18 @@ def test_engine_does_not_import_analysis():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_import_loads_no_network_or_database_modules():
+    """``import repro`` stays lean: the result cache is a directory, so
+    nothing on the import path may pull in a database or HTTP stack."""
+    code = (
+        "import sys; import repro; "
+        "bad = [m for m in ('sqlite3', 'http.server', 'urllib.request') "
+        "if m in sys.modules]; "
+        "assert not bad, bad"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_source_sha_tracks_source_content(monkeypatch):
     """Redefining a benchmark's source inside one process must yield a
     fresh hash (the old per-name lru_cache served stale fingerprints)."""
@@ -153,7 +150,6 @@ def test_no_cache_never_writes(tmp_path):
     assert again.cache_hits == 0
 
 
-@dir_backend_only
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     _study(tmp_path)
     entries = list(tmp_path.rglob("*.json"))

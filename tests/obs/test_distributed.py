@@ -1,5 +1,5 @@
-"""Tests for distributed tracing: context propagation, worker capture
-stitching, server-side span adoption, and the Prometheus renderer."""
+"""Tests for cross-process tracing: span identity, trace-context
+propagation, and pool-worker capture stitching."""
 
 import json
 
@@ -8,41 +8,13 @@ import pytest
 from repro.obs import MemorySink
 from repro.obs import core as obs
 from repro.obs import distributed
-from repro.obs.distributed import TraceContext, render_prometheus
 
 
 @pytest.fixture(autouse=True)
 def tracing_off():
     obs.shutdown()
-    obs.reset_warnings()
     yield
     obs.shutdown()
-    obs.reset_warnings()
-
-
-class TestTraceContext:
-    def test_header_round_trip(self):
-        ctx = TraceContext(trace_id="abc123", span_id="deadbeef:7")
-        assert TraceContext.from_header(ctx.header()) == ctx
-
-    def test_header_without_span(self):
-        ctx = TraceContext(trace_id="abc123")
-        assert ctx.header() == "abc123/"
-        assert TraceContext.from_header(ctx.header()) == ctx
-
-    @pytest.mark.parametrize("value", [None, "", "no-slash", "/onlyspan"])
-    def test_malformed_headers_parse_to_none(self, value):
-        assert TraceContext.from_header(value) is None
-
-    def test_propagation_context_tracks_open_span(self):
-        assert distributed.propagation_context() is None
-        rec = obs.configure(MemorySink())
-        ctx = distributed.propagation_context()
-        assert ctx == TraceContext(trace_id=rec.trace_id, span_id=None)
-        with rec.span("dispatch") as sp:
-            ctx = distributed.propagation_context()
-            assert ctx.trace_id == rec.trace_id
-            assert ctx.span_id == sp.id
 
 
 class TestSpanIdentity:
@@ -74,21 +46,12 @@ class TestSpanIdentity:
             obs.event("e")
         assert all(r["trace"] == rec.trace_id for r in sink.records)
 
-    def test_bind_trace_overrides_per_context(self):
-        sink = MemorySink()
-        with obs.recording(sink):
-            with obs.bind_trace("run42", "parent:9"):
-                obs.event("inside")
-                with obs.span("work"):
-                    pass
-            obs.event("outside")
-        by_name = {
-            r.get("name"): r for r in sink.records if r["type"] != "metrics"
-        }
-        assert by_name["inside"]["trace"] == "run42"
-        assert by_name["work"]["trace"] == "run42"
-        assert by_name["work"]["parent"] == "parent:9"
-        assert by_name["outside"]["trace"] != "run42"
+    def test_trace_parent_tracks_open_span(self):
+        assert obs.trace_parent() is None
+        rec = obs.configure(MemorySink(), parent_span="root:1")
+        assert obs.trace_parent() == (rec.trace_id, "root:1")
+        with rec.span("dispatch") as sp:
+            assert obs.trace_parent() == (rec.trace_id, sp.id)
 
 
 class TestMetricsMerge:
@@ -202,140 +165,28 @@ class TestWorkerCapture:
         assert stitched["worker_pid"] == 1234
 
 
-class TestWarnOnce:
-    def test_deduplicates_per_process(self):
-        sink = MemorySink()
-        with obs.recording(sink):
-            assert obs.warn_once("cache down", backend="http")
-            assert not obs.warn_once("cache down")
-            assert obs.warn_once("other thing")
-        warnings = [r for r in sink.records if r.get("name") == "warning"]
-        assert [w["attrs"]["message"] for w in warnings] == [
-            "cache down",
-            "other thing",
-        ]
-
-    def test_dedup_survives_tracing_off(self):
-        assert not obs.warn_once("early")  # off: not emitted, but recorded
-        with obs.recording(MemorySink()) as rec:
-            assert not obs.warn_once("early")
-        obs.reset_warnings()
-        with obs.recording(MemorySink()):
-            assert obs.warn_once("early")
-
-
-class TestServerSpan:
-    def test_noop_when_not_recording(self):
-        with distributed.server_span("cache.server.get", "t/abc:1"):
-            pass  # must not raise
-
-    def test_adopts_caller_context(self):
-        sink = MemorySink()
-        with obs.recording(sink):
-            with distributed.server_span(
-                "cache.server.get", "caller-trace/abc:1", path="/records/x"
-            ):
-                pass
-        span = next(r for r in sink.records if r["type"] == "span")
-        assert span["trace"] == "caller-trace"
-        assert span["parent"] == "abc:1"
-        assert span["attrs"]["path"] == "/records/x"
-
-    def test_plain_local_span_without_header(self):
-        sink = MemorySink()
-        with obs.recording(sink) as rec:
-            with distributed.server_span("cache.server.get", None):
-                pass
-        span = next(r for r in sink.records if r["type"] == "span")
-        assert span["trace"] == rec.trace_id
-
-
-class TestHttpCacheTracing:
-    def test_client_sends_trace_header_and_server_spans_adopt_it(self, tmp_path):
-        from repro.engine import CacheServer, HttpCache, SqliteCache
-
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        sink = MemorySink()
-        try:
-            with obs.recording(sink) as rec:
-                cache = HttpCache(server.url)
-                with rec.span("dispatch") as dispatch:
-                    cache.get("0" * 40)
-                server.close()  # joins handler threads: server spans land
-            spans = {r["name"]: r for r in sink.records if r["type"] == "span"}
-            # the in-process server handler recorded under the caller's
-            # trace, parented beneath the client's open span chain
-            assert spans["cache.server.get"]["trace"] == rec.trace_id
-            client = spans["cache.http.get"]
-            assert spans["cache.server.get"]["parent"] == client["id"]
-            assert client["parent"] == dispatch.id
-        finally:
-            server.close()
-
-    def test_unreachable_server_degrades_with_one_warning(self):
-        from repro.engine import HttpCache
-
-        sink = MemorySink()
-        with obs.recording(sink) as rec:
-            cache = HttpCache("http://127.0.0.1:9", timeout=0.2)
-            assert cache.get("0" * 40) is None
-            cache.put("0" * 40, {"schema": 1})
-            assert cache.get("1" * 40) is None
-            counters = rec.metrics.counters
-            assert counters["cache.backend.degraded"] == 3
-            assert counters["cache.backend.misses"] == 2
-        warnings = [r for r in sink.records if r.get("name") == "warning"]
-        assert len(warnings) == 1
-        assert "degrading to misses" in warnings[0]["attrs"]["message"]
-        assert warnings[0]["attrs"]["backend"] == "http"
-
-    def test_http_404_is_a_plain_miss_not_degraded(self, tmp_path):
-        from repro.engine import CacheServer, HttpCache, SqliteCache
-
-        server = CacheServer(SqliteCache(tmp_path)).start()
-        try:
-            with obs.recording(MemorySink()) as rec:
-                assert HttpCache(server.url).get("0" * 40) is None
-                server.close()
-                assert "cache.backend.degraded" not in rec.metrics.counters
-                # one client-side miss; the in-process server's sqlite
-                # backend shares the recorder and counts its own miss too
-                assert rec.metrics.counters["cache.backend.misses"] == 2
-        finally:
-            server.close()
-
-
 class TestEndToEndStitching:
-    def test_sharded_study_with_http_cache_is_one_trace(self, tmp_path):
-        """The tentpole acceptance path: coordinator, pool workers, and
-        the cache server all land in one trace under the root span."""
+    def test_pool_study_is_one_trace(self, tmp_path):
+        """Coordinator and pool workers land in one trace under the
+        root span."""
         from repro import run_study
-        from repro.engine import CacheServer, SqliteCache
         from repro.programs import small_config
 
-        server = CacheServer(SqliteCache(tmp_path)).start()
         sink = MemorySink()
-        try:
-            with obs.recording(sink) as rec:
-                with rec.span("trace") as root:
-                    run_study(
-                        benchmarks=("swm",),
-                        keys=("baseline", "cc"),
-                        nprocs=16,
-                        config_overrides={"swm": small_config("swm")},
-                        cache_url=server.url,
-                        cache_backend="http",
-                        dispatcher="sharded",
-                        jobs=2,
-                    )
-                    server.close()  # joins handler threads inside the root
-        finally:
-            server.close()
+        with obs.recording(sink) as rec:
+            with rec.span("trace") as root:
+                run_study(
+                    benchmarks=("swm",),
+                    keys=("baseline", "cc"),
+                    nprocs=16,
+                    config_overrides={"swm": small_config("swm")},
+                    cache_dir=tmp_path,
+                    jobs=2,
+                )
         spans = [r for r in sink.records if r["type"] == "span"]
         assert {r["trace"] for r in spans} == {rec.trace_id}
-        names = {r["name"] for r in spans}
-        assert "cache.server.get" in names and "cache.server.put" in names
-        assert any("worker_pid" in r for r in spans if r["name"] == "job")
+        jobs = [r for r in spans if r["name"] == "job"]
+        assert len(jobs) == 2 and all("worker_pid" in r for r in jobs)
         # every span reaches the root by walking parents
         by_id = {r["id"]: r for r in spans}
 
@@ -348,40 +199,9 @@ class TestEndToEndStitching:
                 span = by_id.get(span["parent"])
                 if span is None:
                     return False
-            return span["id"] == root.id or span["name"] == "trace"
+            return span["id"] == root.id
 
         assert all(climbs_to_root(r) for r in spans if r["id"] != root.id)
         # exactly one terminal engine.job event per job
         events = [r for r in sink.records if r.get("name") == "engine.job"]
         assert len(events) == 2
-
-
-class TestRenderPrometheus:
-    def test_counters_get_total_suffix(self):
-        text = render_prometheus({"counters": {"engine.dispatch.jobs": 6}})
-        assert "# TYPE engine_dispatch_jobs_total counter" in text
-        assert "engine_dispatch_jobs_total 6" in text
-        assert text.endswith("\n")
-
-    def test_gauges_and_histograms(self):
-        text = render_prometheus(
-            {
-                "gauges": {"queue.depth": 2.5},
-                "histograms": {
-                    "job.secs": {"count": 3, "sum": 1.5, "min": 0.1, "max": 1.0}
-                },
-            }
-        )
-        assert "queue_depth 2.5" in text
-        assert "# TYPE job_secs summary" in text
-        assert "job_secs_count 3" in text
-        assert "job_secs_sum 1.5" in text
-        assert "job_secs_min 0.1" in text
-        assert "job_secs_max 1.0" in text
-
-    def test_names_are_sanitized(self):
-        text = render_prometheus({"counters": {"9bad name-x": 1}})
-        assert "_9bad_name_x_total 1" in text
-
-    def test_empty_snapshot_renders_empty(self):
-        assert render_prometheus({}) == ""

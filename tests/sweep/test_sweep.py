@@ -1,7 +1,5 @@
 """Tests for the parameter-sweep subsystem (`repro.sweep`)."""
 
-import os
-
 import pytest
 
 from repro import MachineError, load_telemetry
@@ -156,10 +154,6 @@ def _sweep(tmp_path, **kwargs):
     kwargs.setdefault("machine", MachineSpec.coerce("t3d", nprocs=4))
     kwargs.setdefault("config_overrides", {"simple": SIMPLE_SMALL})
     kwargs.setdefault("cache_dir", tmp_path / "cache")
-    # CI re-runs the suite with REPRO_TEST_CACHE_BACKEND=sqlite
-    kwargs.setdefault(
-        "cache_backend", os.environ.get("REPRO_TEST_CACHE_BACKEND") or None
-    )
     kwargs.setdefault("jobs", 2)
     return run_sweep(**kwargs)
 

@@ -383,65 +383,30 @@ def test_trace_accepts_set_and_nprocs(tmp_path, capsys):
     assert "bridged timelines:  1 ranks" in capsys.readouterr().out
 
 
-def test_experiments_sqlite_backend_and_sharded_dispatch(tmp_path, capsys):
-    argv = [
-        "experiments",
-        "--bench", "swm",
-        "--procs", "16",
-        "--config", "n=16", "--config", "nsteps=3",
-        "--cache-dir", str(tmp_path / "cache"),
-        "--cache-backend", "sqlite",
-        "--dispatch", "sharded",
-    ]
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
-    assert "Figure 8" in cold
-    assert (tmp_path / "cache" / "cache.sqlite").exists()
-    # warm re-run over the sqlite store renders byte-identical tables
-    assert main(argv) == 0
-    assert capsys.readouterr().out == cold
-
-
-def test_shards_flag_requires_sharded_dispatch(tmp_path):
-    with pytest.raises(SystemExit, match="--dispatch sharded"):
-        main([
-            "experiments", "--bench", "swm", "--shards", "4",
-            "--cache-dir", str(tmp_path / "cache"),
-        ])
-
-
 def test_cache_stats_and_prune(tmp_path, capsys):
     cache_dir = str(tmp_path / "cache")
     assert main([
         "experiments", "--bench", "swm", "--procs", "16",
         "--config", "n=16", "--config", "nsteps=3",
-        "--cache-dir", cache_dir, "--cache-backend", "sqlite",
+        "--cache-dir", cache_dir,
     ]) == 0
     capsys.readouterr()
 
-    assert main([
-        "cache", "stats", "--cache-dir", cache_dir,
-        "--cache-backend", "sqlite",
-    ]) == 0
+    assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
-    assert "sqlite backend" in out and "6 entries" in out
+    assert f"dir backend at {cache_dir}: 6 entries" in out
 
     # prune refuses to empty the store without an explicit filter
     with pytest.raises(SystemExit, match="--older-than"):
-        main([
-            "cache", "prune", "--cache-dir", cache_dir,
-            "--cache-backend", "sqlite",
-        ])
+        main(["cache", "prune", "--cache-dir", cache_dir])
     assert main([
-        "cache", "prune", "--cache-dir", cache_dir,
-        "--cache-backend", "sqlite", "--older-than", "7d",
+        "cache", "prune", "--cache-dir", cache_dir, "--older-than", "7d",
     ]) == 0
     assert "pruned 0 records" in capsys.readouterr().out
-    assert main([
-        "cache", "prune", "--cache-dir", cache_dir,
-        "--cache-backend", "sqlite", "--all",
-    ]) == 0
-    assert "pruned 6 records" in capsys.readouterr().out
+    assert main(["cache", "prune", "--cache-dir", cache_dir, "--all"]) == 0
+    assert f"pruned 6 records from dir backend at {cache_dir}" in (
+        capsys.readouterr().out
+    )
 
 
 def test_cache_prune_rejects_bad_duration(tmp_path):
@@ -453,11 +418,11 @@ def test_cache_prune_rejects_bad_duration(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# distributed tracing and live progress (repro trace / repro top)
+# cross-process tracing (repro trace --jobs N)
 # ---------------------------------------------------------------------------
 
 
-def test_trace_sharded_dispatch_stitches_one_trace(tmp_path, capsys):
+def test_trace_pool_jobs_stitch_one_trace(tmp_path, capsys):
     import json
 
     trace = tmp_path / "trace.json"
@@ -466,11 +431,9 @@ def test_trace_sharded_dispatch_stitches_one_trace(tmp_path, capsys):
         "trace", "swm", "--out", str(trace), "--jsonl", str(jsonl),
         "--procs", "4", "--ranks", "1",
         "--config", "n=16", "--config", "nsteps=2",
-        "--dispatch", "sharded", "--shards", "2", "--jobs", "2",
+        "--jobs", "2",
     ]) == 0
-    out = capsys.readouterr().out
-    assert "trace id:" in out
-    assert "dispatch:           sharded (2 shards, 6 dispatched jobs)" in out
+    assert "trace id:" in capsys.readouterr().out
 
     records = [json.loads(line) for line in jsonl.read_text().splitlines()]
     spans = [r for r in records if r["type"] == "span"]
@@ -499,79 +462,6 @@ def test_trace_sharded_dispatch_stitches_one_trace(tmp_path, capsys):
     }
     assert "host" in names
     assert any(n.startswith("worker ") for n in names)
-
-
-def test_trace_with_http_cache_captures_server_spans(tmp_path, capsys):
-    import json
-
-    from repro.engine import CacheServer, SqliteCache
-
-    server = CacheServer(SqliteCache(tmp_path / "cache")).start()
-    jsonl = tmp_path / "events.jsonl"
-    try:
-        assert main([
-            "trace", "swm", "--out", str(tmp_path / "t.json"),
-            "--jsonl", str(jsonl),
-            "--procs", "4", "--ranks", "1",
-            "--config", "n=16", "--config", "nsteps=2",
-            "--cache-backend", "http", "--cache-url", server.url,
-        ]) == 0
-    finally:
-        server.close()
-    capsys.readouterr()
-    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
-    spans = [r for r in records if r["type"] == "span"]
-    names = {r["name"] for r in spans}
-    assert {"cache.http.get", "cache.http.put", "cache.server.get",
-            "cache.server.put"} <= names
-    assert len({r["trace"] for r in spans}) == 1
-
-
-def test_top_streams_a_finished_study(tmp_path, capsys):
-    import json
-    import urllib.request
-
-    from repro.programs import small_config
-    from repro.serve import ReproServer, ServeApp
-
-    app = ServeApp(cache_dir=tmp_path / "cache", cache_backend="sqlite")
-    server = ReproServer(app).start()
-    try:
-        payload = {
-            "benchmarks": ["swm"],
-            "keys": ["baseline", "cc"],
-            "nprocs": 16,
-            "config_overrides": {"swm": small_config("swm")},
-        }
-        req = urllib.request.Request(
-            server.url + "/v1/study",
-            data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        with urllib.request.urlopen(req, timeout=300) as resp:
-            doc = json.loads(resp.read())
-
-        # base-URL mode: finds the newest study and replays it
-        assert main(["top", server.url]) == 0
-        out = capsys.readouterr().out
-        assert "watching study" in out
-        assert out.count(" done\n") >= 1 or "baseline" in out
-        assert "done: 2 cells, 2 executed, 0 cache hits" in out
-
-        # direct stream-URL mode
-        assert main(["top", f"{server.url}/v1/progress/{doc['key']}"]) == 0
-        assert "done: 2 cells" in capsys.readouterr().out
-    finally:
-        from repro.obs import core as obs
-
-        server.close()
-        obs.shutdown()
-
-
-def test_top_fails_cleanly_when_unreachable(capsys):
-    assert main(["top", "http://127.0.0.1:9", "--timeout", "1"]) == 1
-    assert "cannot reach" in capsys.readouterr().err
 
 
 def test_frontier_refine_localizes_crossover(tmp_path, capsys):
