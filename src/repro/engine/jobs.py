@@ -42,7 +42,9 @@ from repro.programs import benchmark_source, default_config
 #: pass-pipeline signature and records carry its per-pass report.
 #: 3: TIMING clocks use the epoch + rebased-offset representation (times
 #: shift by ulps) and records carry the fast-path counters.
-ENGINE_VERSION = 3
+#: 4: loops whose state cycles extrapolate too, so records' fast-path
+#: counters changed (times did not).
+ENGINE_VERSION = 4
 
 ConfigValue = Union[int, float]
 

@@ -19,12 +19,14 @@ elementwise across the variant axis, so every row of the clock matrix is
 (``tests/runtime/test_batch.py`` enforces this differentially).
 
 Steady-state extrapolation folds per-variant: the epoch is kept as
-``(V,)`` run-length-encoded advance runs, the fast path's signature
-probe compares the whole clock matrix bitwise (a fixed point of the
-batch is a fixed point of every variant), and recorded advance patterns
-replay through the same coalescing fold — extrapolation may engage a few
-trips later than it would per-variant (it waits for the *slowest*
-variant to settle), but the final state is unchanged.
+``(V,)`` run-length-encoded advance runs, the fast path's cycle monitor
+(inherited through :class:`_BatchRunner`) compares the whole clock
+matrix bitwise, and recorded advance patterns replay through the same
+coalescing fold.  A cycle of the batch is a cycle of every variant, and
+the batch's period is the lcm of its variants' periods — extrapolation
+may engage a few trips later than it would per-variant (it waits for
+the *slowest* variant to enter its cycle), but the final state is
+unchanged.
 
 What the batch does **not** track, by design: per-primitive call counts
 (the SR count depends on which ranks paid a nonzero software cost — a

@@ -23,7 +23,7 @@ array payloads exist.
 TIMING mode additionally has a **compiled fast path**
 (:mod:`repro.runtime.schedule`): the IR body is lowered once into a flat
 schedule of primitive timing ops with all invariant data precomputed,
-and counted loops extrapolate their steady state in closed form.  It is
+and loops whose state cycles are extrapolated in closed form.  It is
 bit-exact versus the interpreted walk and is selected automatically for
 TIMING runs without a ``trace_rank`` (see :func:`simulate`'s ``fast``
 parameter for the escape hatch).

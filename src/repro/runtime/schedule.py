@@ -12,9 +12,9 @@ precomputed:
 ``REDUCE``
     the partial-combine vector and tree time of a collective;
 ``SR`` / ``DN`` / ``DR`` / ``SV``
-    the resolved :class:`~repro.runtime.transfers.TransferPlan`,
-    primitive, and warmed ``prim_vectors`` cost vectors of an IRONMAN
-    call;
+    the resolved :class:`~repro.runtime.transfers.TransferPlan` and
+    primitive of an IRONMAN call (for ``SR``, its ``prim_vectors`` cost
+    vectors and call count);
 loop / branch markers
     structured ops that re-evaluate only what is genuinely dynamic
     (bounds, conditions, scalar assignments — compiled to closures).
@@ -24,32 +24,41 @@ traversal, `isinstance` dispatch, or dict lookups per statement.
 
 Steady-state extrapolation
 --------------------------
-Counted loops whose bodies never read or write the loop variable are
-monitored: after each iteration the engine rebases the clock offsets
-(:meth:`~repro.runtime.timing.TimingEngine.loop_rebase`) and snapshots a
-bitwise signature of the dynamic state — clock offsets, in-flight
-arrival and DR-flag vectors, and the scalar environment minus the loop
-variable.  Because the per-iteration map is deterministic and (by the
-eligibility check) independent of the loop variable, two consecutive
-identical signatures prove the loop has entered an exact fixed point:
-every remaining trip would repeat the last one bitwise.  The remaining
-``k`` trips are then applied in closed form — integer counters advance
-by ``k * delta``, and the recorded epoch-advance pattern is replayed
-through the same run-length-coalescing fold the stepping path uses, so
-the materialized absolute clocks are *bit-identical* to stepping.
-``repeat`` loops get the dual treatment: if the full state repeats and
-the condition held false twice, the loop can never converge, so it jumps
-straight to its trip cap (with the same warning the walk records).
+Counted loops whose bodies never read or write the loop variable, and
+``repeat`` loops, run under one cycle monitor (:meth:`_Runner.run_loop`).
+After each trip the engine rebases the clock offsets
+(:meth:`~repro.runtime.timing.TimingEngine.loop_rebase`); the dynamic
+state is then the clock offsets, the in-flight arrival and DR-flag
+vectors, and the scalar environment (minus a counted loop's variable).
+The clock update ``max(clock, arrival) + sw`` is max-plus linear, and
+such recurrences settle into a cycle of some period ``p >= 1``, not
+necessarily a fixed point.  Because the per-trip map is deterministic
+(and, by the eligibility check, independent of the loop variable), a
+state equal to the one ``p`` trips earlier proves that every remaining
+trip repeats with period ``p``.  The monitor finds ``p`` with Brent's
+cycle detection: it holds one saved state (clock bytes plus the full
+signature), re-saved whenever the trips since the last save reach the
+next power of two, and builds the full signature between saves only
+when a trip's clock bytes equal the saved ones.  On a match, one
+*template* period runs under a snapshot, the remaining whole periods are
+applied in closed form — integer counters advance by ``k * delta``, and
+the template's epoch-advance pattern is replayed ``k`` times through the
+same run-length-coalescing fold the stepping path uses, so the
+materialized absolute clocks are *bit-identical* to stepping — and the
+last ``< p`` trips step.  A ``repeat`` loop monitors its full state,
+loop scalars included: a cycle whose trips all left the condition false
+can never converge, so the loop reaches its trip cap in closed form
+(with the same warning the walk records).
 
-When the invariants don't hold — the signature keeps changing, the body
-touches the loop variable, or the loop is too short to profit — the loop
-simply steps through the compiled ops (``fallbacks`` counts the loops
-that stepped).  Exactness contract: clocks, dynamic counts, message
-counts, volumes, warnings, and final scalars are identical to the
-interpreted walk.  The per-rank *time breakdown* vectors
-(compute/comm-sw/wait) are the one exception under extrapolation: they
-are scaled by ``k`` in one multiply, which may differ from repeated
-addition in the last ulps.
+When the invariants don't hold — the state never repeats, the body
+touches the loop variable, or too few trips remain to skip a whole
+period — the loop simply steps through the compiled ops (``fallbacks``
+counts the loops that stepped to their end).  Exactness contract:
+clocks, dynamic counts, message counts, volumes, warnings, and final
+scalars are identical to the interpreted walk.  The per-rank *time
+breakdown* vectors (compute/comm-sw/wait) are the one exception under
+extrapolation: they are scaled by ``k`` in one multiply, which may
+differ from repeated addition in the last ulps.
 """
 
 from __future__ import annotations
@@ -65,8 +74,8 @@ from repro.ir import nodes as ir
 from repro.ironman.calls import CallKind
 from repro.runtime.interp import _BIN_OPS, _INTRINSICS
 
-#: a counted loop needs two probe iterations plus at least one skippable
-#: trip before monitoring can pay off
+#: counted loops shorter than this step without the cycle monitor and do
+#: not count as fallbacks
 _MIN_MONITOR_TRIPS = 3
 
 
@@ -78,7 +87,8 @@ class FastPathStats:
     extrapolated_trips: int = 0
     #: loop executions that extrapolated
     extrapolated_loops: int = 0
-    #: eligible-length loop executions that stepped to completion
+    #: loop executions of monitorable length that stepped every trip (a
+    #: counted loop to its end, a repeat to its cap)
     fallbacks: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -256,6 +266,68 @@ class _Runner:
         )
         return (t.clock.tobytes(), inflight, dr, env)
 
+    def run_loop(
+        self, trip: Callable[[int], bool], n: int, exclude: Optional[str]
+    ) -> bool:
+        """Run trips ``0 .. n-1`` of a loop under the cycle monitor and
+        return whether a trip ended the loop early (``trip(i)`` runs the
+        body and the rebase, and returns True when a ``repeat``
+        condition held).
+
+        The trip map is deterministic in the rebased state, so once the
+        state after a trip equals the state ``p`` trips earlier, every
+        later trip repeats with period ``p``.  Brent's cycle detection
+        finds that ``p`` holding one saved state: it re-saves whenever
+        the trips since the last save reach the next power of two, and
+        compares each trip's clock bytes with the saved ones, building
+        the full signature only when those match.  On a match with at
+        least one whole period left to skip, one template period runs
+        under a snapshot, the remaining whole periods are applied in
+        closed form, and the last ``< p`` trips step.  A loop that ran
+        all ``n`` trips without extrapolating counts as a fallback."""
+        timing = self.timing
+        self.monitor_depth += 1
+        try:
+            i = 0
+            saved_clock = saved_sig = None
+            since, power = 0, 1
+            extrapolated = False
+            while i < n:
+                if trip(i):
+                    return True
+                i += 1
+                since += 1
+                clock = timing.clock.tobytes()
+                if clock == saved_clock and self.signature(exclude) == saved_sig:
+                    # a cycle of period `since`; skip only whole periods
+                    # past one template period
+                    extrapolated = n - i >= 2 * since
+                    if extrapolated:
+                        snap = _Snapshot(self)
+                        for _ in range(since):
+                            if trip(i):  # pragma: no cover - determinism
+                                return True
+                            i += 1
+                        k = (n - i) // since
+                        self.extrapolate(k, snap)
+                        self.stats.extrapolated_trips += k * since
+                        self.stats.extrapolated_loops += 1
+                        i += k * since
+                    break
+                # a save pays off only if a period of one fits after it
+                if since == power and n - i >= 3:
+                    saved_clock, saved_sig = clock, self.signature(exclude)
+                    since, power = 0, 2 * power
+            while i < n:
+                if trip(i):
+                    return True
+                i += 1
+            if not extrapolated:
+                self.stats.fallbacks += 1
+            return False
+        finally:
+            self.monitor_depth -= 1
+
     def _replay_pattern(self, pattern: List, k: int) -> None:
         """Replay ``k`` copies of a recorded epoch-advance pattern, one
         advance at a time (logs when the engine's log is active)."""
@@ -355,59 +427,23 @@ class _ForOp:
         scalars = runner.scalars
         body = self.body
         var = self.var
-        monitor = self.eligible and n >= _MIN_MONITOR_TRIPS
-        if not monitor:
-            for value in values:
-                scalars[var] = value
-                for op in body:
-                    op()
-                timing.loop_rebase()
-            if n >= _MIN_MONITOR_TRIPS:
-                runner.stats.fallbacks += 1
-            return
 
-        runner.monitor_depth += 1
-        try:
-            # two-tier detection: a cheap clock-bytes probe every
-            # iteration; the full signature only when the probe repeats.
-            # Once two consecutive full signatures match, one more
-            # *template* iteration runs under a snapshot and the rest is
-            # applied in closed form — so the snapshot cost is paid once
-            # per fired loop, not once per iteration.
-            prev_clock = None
-            pending_sig = None
-            i = 0
-            while i < n:
-                scalars[var] = values[i]
-                for op in body:
-                    op()
-                timing.loop_rebase()
-                i += 1
-                if n - i < 2:
-                    continue
-                clock_bytes = timing.clock.tobytes()
-                if clock_bytes == prev_clock:
-                    sig = runner.signature(exclude=var)
-                    if sig == pending_sig:
-                        snap = _Snapshot(runner)
-                        scalars[var] = values[i]
-                        for op in body:
-                            op()
-                        timing.loop_rebase()
-                        i += 1
-                        k = n - i
-                        runner.extrapolate(k, snap)
-                        runner.stats.extrapolated_trips += k
-                        runner.stats.extrapolated_loops += 1
-                        scalars[var] = values[-1]
-                        return
-                    pending_sig = sig
-                else:
-                    pending_sig = None
-                prev_clock = clock_bytes
+        def trip(i: int) -> bool:
+            scalars[var] = values[i]
+            for op in body:
+                op()
+            timing.loop_rebase()
+            return False
+
+        if self.eligible and n >= _MIN_MONITOR_TRIPS:
+            runner.run_loop(trip, n, exclude=var)
+            # skipped trips never set the variable
+            scalars[var] = values[-1]
+            return
+        for i in range(n):
+            trip(i)
+        if n >= _MIN_MONITOR_TRIPS:
             runner.stats.fallbacks += 1
-        finally:
-            runner.monitor_depth -= 1
 
 
 class _RepeatOp:
@@ -420,57 +456,23 @@ class _RepeatOp:
         self.cap = cap
 
     def __call__(self) -> None:
-        runner = self.runner
-        timing = runner.timing
-        cap = self.cap
-        cond = self.cond
+        timing = self.runner.timing
         body = self.body
-        capped_msg = f"repeat loop capped at {cap} trips without converging"
-        runner.monitor_depth += 1
-        try:
-            trips = 0
-            prev_clock = None
-            pending_sig = None
-            while True:
-                for op in body:
-                    op()
-                timing.loop_rebase()
-                trips += 1
-                if bool(cond()):
-                    break
-                if trips >= cap:
-                    runner.instrument.warn(capped_msg)
-                    break
-                clock_bytes = timing.clock.tobytes()
-                if clock_bytes == prev_clock:
-                    # full state (including every scalar) repeated and
-                    # the condition held false both times: the loop can
-                    # never converge — run one template iteration, then
-                    # jump to the cap in closed form
-                    sig = runner.signature(exclude=None)
-                    if sig == pending_sig:
-                        snap = _Snapshot(runner)
-                        for op in body:
-                            op()
-                        timing.loop_rebase()
-                        trips += 1
-                        if bool(cond()):  # pragma: no cover - determinism
-                            break
-                        if trips >= cap:
-                            runner.instrument.warn(capped_msg)
-                            break
-                        k = cap - trips
-                        runner.extrapolate(k, snap)
-                        runner.stats.extrapolated_trips += k
-                        runner.stats.extrapolated_loops += 1
-                        runner.instrument.warn(capped_msg)
-                        break
-                    pending_sig = sig
-                else:
-                    pending_sig = None
-                prev_clock = clock_bytes
-        finally:
-            runner.monitor_depth -= 1
+        cond = self.cond
+
+        def trip(_: int) -> bool:
+            for op in body:
+                op()
+            timing.loop_rebase()
+            return bool(cond())
+
+        # the whole state, every scalar included, is monitored: a cycle
+        # whose trips all left the condition false can never converge.
+        # Like the walk, a cap below one still runs one trip.
+        if not self.runner.run_loop(trip, max(self.cap, 1), exclude=None):
+            self.runner.instrument.warn(
+                f"repeat loop capped at {self.cap} trips without converging"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +553,13 @@ class _Lowerer:
             if plan.message_count == 0:
                 return  # nothing to move on this machine
             prim_name = self.machine.binding.primitive(stmt.kind)
-            prim = self.machine.primitive(prim_name)
+            costs = self.machine.primitive(prim_name)
             if stmt.kind is CallKind.SR:
-                # warm the per-plan primitive cost vectors
-                plan.prim_vectors(prim, self.machine.network)
+                # the send takes the plan's cost vectors and call count,
+                # resolved here once instead of on every dispatch
+                costs = plan.prim_vectors(costs, self.machine.network)
             ops.append(
-                partial(self._comm_dispatch[stmt.kind], plan, prim, prim_name)
+                partial(self._comm_dispatch[stmt.kind], plan, costs, prim_name)
             )
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot lower {stmt!r}")

@@ -36,10 +36,10 @@ identical advances), so that stepping a loop N times and replaying one
 recorded advance pattern N times fold the epoch through the *identical*
 float operations.  This is what makes the compiled fast path's
 steady-state extrapolation (:mod:`repro.runtime.schedule`) bit-exact:
-once an iteration's rebased state repeats bitwise, every later iteration
-advances the epoch by the same run-length-coalesced amounts, and
-absolute clocks are always materialized as ``epoch + offset`` in both
-paths.
+once the rebased state repeats bitwise with some period, every later
+period advances the epoch by the same sequence of run-length-coalesced
+amounts, and absolute clocks are always materialized as
+``epoch + offset`` in both paths.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ class TimingEngine:
             return  # nothing to move on this machine: calls find no work
 
         if kind is CallKind.SR:
-            self._do_send(plan, prim, prim_name)
+            vecs = plan.prim_vectors(prim, self.machine.network)
+            self._do_send(plan, vecs, prim_name)
         elif kind is CallKind.DN:
             self._do_complete(plan, prim, prim_name)
         elif kind is CallKind.DR:
@@ -235,7 +236,9 @@ class TimingEngine:
             self._do_volatile(plan, prim, prim_name)
 
     # -- SR -------------------------------------------------------------
-    def _do_send(self, plan: TransferPlan, prim, prim_name: str) -> None:
+    def _do_send(self, plan: TransferPlan, vecs, prim_name: str) -> None:
+        """``vecs`` is the plan's ``prim_vectors`` entry for the bound
+        primitive: the compiled path resolves it once at lowering."""
         if plan.desc.id in self._inflight:
             raise RuntimeFault(
                 f"transfer {plan.desc.describe()} initiated twice without "
@@ -265,7 +268,6 @@ class TimingEngine:
             self.clock[waiting] = np.maximum(
                 self.clock[waiting], flag_ready[waiting]
             )
-        vecs = plan.prim_vectors(prim, self.machine.network)
         arrivals = np.full(self.machine.nprocs, -np.inf)
         send_end = self.clock[plan.senders] + vecs.cum_sw
         np.maximum.at(arrivals, plan.receivers, send_end + vecs.wire)
@@ -277,9 +279,7 @@ class TimingEngine:
         self.instrument.comm_sw_time += vecs.total_sw_by_rank
         self._inflight[plan.desc.id] = arrivals
         self.instrument.record_transfer(plan)
-        self.instrument.record_calls(
-            prim_name, int((vecs.total_sw_by_rank > 0).sum())
-        )
+        self.instrument.record_calls(prim_name, vecs.callers)
 
     # -- DN -------------------------------------------------------------
     def _do_complete(self, plan: TransferPlan, prim, prim_name: str) -> None:

@@ -91,6 +91,7 @@ class _PrimCache:
     cum_sw: np.ndarray  # per message: cumulative send sw at its sender
     total_sw_by_rank: np.ndarray  # per rank: total send sw
     wire: np.ndarray  # per message: latency + bytes/bandwidth
+    callers: int  # ranks paying a nonzero send sw: the send's call count
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +179,8 @@ class TransferPlan:
         ]
 
     def prim_vectors(self, prim, network) -> _PrimCache:
-        """Cached per-primitive (cum_sw, total_by_rank, wire) vectors.
+        """Cached per-primitive (cum_sw, total_by_rank, wire) vectors
+        and call count.
 
         Keyed by the *full* cost model (the ``PrimitiveCost`` value, not
         just its name) plus the wire parameters: plans are shared
@@ -208,7 +210,12 @@ class TransferPlan:
             dtype=np.float64,
             count=len(self.nbytes),
         )
-        cached = _PrimCache(cum_sw=cum_sw, total_sw_by_rank=total, wire=wire)
+        cached = _PrimCache(
+            cum_sw=cum_sw,
+            total_sw_by_rank=total,
+            wire=wire,
+            callers=int((total > 0).sum()),
+        )
         self._prim_cache[key] = cached
         return cached
 

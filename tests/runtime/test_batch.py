@@ -28,6 +28,7 @@ from repro.errors import MachineError, RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides
 from repro.programs import BENCHMARKS, build_benchmark, small_config
+from tests.runtime.test_fastpath import TOGGLE_SRC
 
 NPROCS = 16
 
@@ -207,6 +208,20 @@ class TestDiverseVariantParity:
         assert fp is not None
         assert fp.extrapolated_loops >= 1
         assert fp.extrapolated_trips >= 20
+
+    def test_period_two_extrapolation_engages(self):
+        """The batch extrapolates once the whole clock matrix cycles,
+        and every row still equals its scalar run."""
+        program = compile_program(
+            TOGGLE_SRC, "toggle.zl", opt=experiment_spec("pl").opt
+        )
+        variants = _variants(machine_for("t3d")("pl"), DIVERSE_OVERRIDES)
+        run = simulate_many(program, variants).run(program.name)
+        assert run.fastpath.extrapolated_loops >= 1
+        assert run.fastpath.extrapolated_trips >= 20
+        assert len({float(t) for t in run.times}) > 2
+        for v, machine in enumerate(variants):
+            assert_row_parity(run, v, scalar_fast(program, machine))
 
     def test_repeat_cap_warning_parity(self):
         program = compile_program(

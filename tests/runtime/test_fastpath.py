@@ -148,6 +148,87 @@ end;
 """
 
 
+# Loops whose state cycles with period 2 instead of settling to a fixed
+# point.  The reduction opens each trip so the ranks resynchronize (it
+# bounds skew) while the rest of the trip still leaves per-rank clocks.
+TOGGLE_SRC = """
+program toggle;
+config n : integer = 16;
+config k : integer = 40;
+region R  = [1..n, 1..n];
+region In = [2..n-1, 2..n-1];
+direction east = [0, 1];
+direction west = [0, -1];
+var A, B : [R] double;
+var s, f : double;
+procedure main();
+begin
+  [R] A := index1 + index2;
+  f := 0.0;
+  for t := 1 to k do
+    [In] s := +<< A;
+    if f < 0.5 then
+      [In] B := A@east;
+    else
+      [In] B := A@west + A@east * 0.5;
+    end;
+    [In] A := A * 0.9 + B * 0.1;
+    f := 1.0 - f;
+  end;
+end;
+"""
+
+# the clocks repeat every trip; only g, which no cost reads, alternates
+FLIP_SRC = """
+program flip;
+config n : integer = 16;
+config k : integer = 40;
+region R  = [1..n, 1..n];
+region In = [2..n-1, 2..n-1];
+direction east = [0, 1];
+direction west = [0, -1];
+var A, B : [R] double;
+var s, g : double;
+procedure main();
+begin
+  [R] A := index1 + index2;
+  g := 0.0;
+  for t := 1 to k do
+    [In] s := +<< A;
+    [In] B := 0.5 * (A@east + A@west);
+    [In] A := A * 0.9 + B * 0.1;
+    g := 1.0 - g;
+  end;
+end;
+"""
+
+REPEAT_TOGGLE_SRC = """
+program reptoggle;
+config n : integer = 16;
+region R  = [1..n, 1..n];
+region In = [2..n-1, 2..n-1];
+direction east = [0, 1];
+direction west = [0, -1];
+var A, B : [R] double;
+var s, f : double;
+procedure main();
+begin
+  [R] A := 1.0;
+  f := 0.0;
+  repeat
+    [In] s := +<< A;
+    if f < 0.5 then
+      [In] B := A@east;
+    else
+      [In] B := A@west + A@east;
+    end;
+    [In] A := A + B * 0.1;
+    f := 1.0 - f;
+  until s > 0.5;
+end;
+"""
+
+
 class TestSteadyStateExtrapolation:
     def test_counted_loop_extrapolates_and_matches(self):
         program = compile_program(STEADY_SRC, "steady.zl")
@@ -178,6 +259,46 @@ class TestSteadyStateExtrapolation:
         assert_parity(interp, fast)
         assert any("capped" in w for w in fast.warnings)
         assert fast.fastpath.extrapolated_trips > 0
+
+
+class TestCycleExtrapolation:
+    """States that repeat with period 2 extrapolate whole periods."""
+
+    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
+    @pytest.mark.parametrize("key", ["baseline", "cc", "pl"])
+    def test_branch_on_toggled_scalar_extrapolates(self, key, machine_name):
+        program = compile_program(
+            TOGGLE_SRC, "toggle.zl", opt=experiment_spec(key).opt
+        )
+        interp, fast = run_both(program, machine_for(machine_name)(key))
+        assert_parity(interp, fast)
+        assert fast.dynamic_comm_count > 0
+        assert fast.fastpath.extrapolated_loops >= 1
+        assert fast.fastpath.extrapolated_trips >= 20
+        # whole periods only
+        assert fast.fastpath.extrapolated_trips % 2 == 0
+
+    def test_scalar_period_with_steady_clocks_extrapolates(self):
+        """Equal clocks on consecutive trips are not equal states: the
+        monitor must wait for the scalar's period too."""
+        program = compile_program(FLIP_SRC, "flip.zl", opt=experiment_spec("pl").opt)
+        interp, fast = run_both(program, machine_by_name("t3d", NPROCS, "pvm"))
+        assert_parity(interp, fast)
+        assert fast.fastpath.extrapolated_loops >= 1
+        assert fast.fastpath.extrapolated_trips >= 20
+        assert fast.fastpath.extrapolated_trips % 2 == 0
+
+    def test_capped_repeat_with_period_two_reaches_cap(self):
+        program = compile_program(
+            REPEAT_TOGGLE_SRC, "reptoggle.zl", opt=experiment_spec("pl").opt
+        )
+        machine = machine_by_name("t3d", NPROCS, "pvm")
+        # the cap leaves one trip past the skipped periods to step
+        interp, fast = run_both(program, machine, repeat_cap=50)
+        assert_parity(interp, fast)
+        assert "repeat loop capped at 50 trips without converging" in fast.warnings
+        assert fast.fastpath.extrapolated_loops == 1
+        assert fast.fastpath.extrapolated_trips >= 20
 
 
 class TestFastArgumentValidation:
