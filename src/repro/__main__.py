@@ -21,8 +21,8 @@ Commands
     attribution tables built from the pipeline telemetry).
 
 ``experiments``, ``trace``, and ``sweep`` share one flag vocabulary:
-``--nprocs`` (``--procs`` stays as an alias), ``--set PATH=VALUE`` for
-machine-parameter overrides, and ``--no-fast-path``.
+``--nprocs`` (``--procs`` stays as an alias) and ``--set PATH=VALUE`` for
+machine-parameter overrides.
 
 ``passes``
     List the registered optimizer passes and their legality constraints;
@@ -195,11 +195,6 @@ def _sim_parent(nprocs_default):
         help="machine-parameter override (e.g. prim.*.per_byte_beyond=1e-6; "
         "repeatable)",
     )
-    parent.add_argument(
-        "--no-fast-path", action="store_true",
-        help="force the interpreted simulator walk (results are "
-        "bit-identical; for debugging and speedup measurement)",
-    )
     return parent
 
 
@@ -286,7 +281,6 @@ def cmd_experiments(args) -> int:
             machine=MachineSpec.coerce(None, overrides=pinned or None),
             nprocs=args.nprocs,
             config_overrides={b: overrides for b in benches} if overrides else None,
-            fast=False if args.no_fast_path else None,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )
@@ -374,7 +368,6 @@ def cmd_trace(args) -> int:
                 nprocs=args.nprocs,
                 machine=mspec,
                 config_overrides={args.bench: overrides} if overrides else None,
-                fast=False if args.no_fast_path else None,
                 telemetry=args.telemetry,
                 **engine_kwargs,
             )
@@ -495,7 +488,6 @@ def cmd_sweep(args) -> int:
             library=args.library,
             overrides=pinned or None,
             config_overrides={b: config for b in benches} if config else None,
-            fast=False if args.no_fast_path else None,
             batched=args.batched,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
@@ -726,7 +718,6 @@ def cmd_compose(args) -> int:
             library=args.library,
             variants=variants,
             config_overrides=config_overrides or None,
-            fast=False if args.no_fast_path else None,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )

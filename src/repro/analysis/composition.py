@@ -160,7 +160,6 @@ def run_composition(
     library: Optional[str] = None,
     variants: Optional[Sequence[Mapping[str, OverrideValue]]] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
-    fast: Optional[bool] = None,
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
@@ -219,7 +218,6 @@ def run_composition(
                     machine=spec,
                     config_overrides=config_overrides,
                     mode=ExecutionMode.TIMING,
-                    fast=fast,
                 )
             )
 

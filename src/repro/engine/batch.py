@@ -17,7 +17,6 @@ serves scalar re-runs from cache, and vice versa.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -27,10 +26,9 @@ from repro.machine import pack_variant_specs
 from repro.obs import core as obs
 from repro.runtime import ExecutionMode, SimOptions, simulate_many
 
-from repro.engine.cache import RECORD_SCHEMA
 from repro.engine.core import ExperimentEngine, JobOutcome, partition_jobs
 from repro.engine.jobs import Job
-from repro.engine.worker import compile_cached
+from repro.engine.worker import compile_cached, job_record
 
 __all__ = ["execute_cell_batched", "run_jobs_batched"]
 
@@ -136,9 +134,7 @@ def _execute_cell(cell_jobs: Sequence[Job]) -> List[dict]:
         batch = simulate_many(
             program,
             matrix,
-            options=SimOptions(
-                mode=ExecutionMode(job0.mode), fast=job0.fast
-            ),
+            options=SimOptions(mode=ExecutionMode(job0.mode)),
         )
         simulate_s = time.perf_counter() - t0
 
@@ -151,46 +147,25 @@ def _execute_cell(cell_jobs: Sequence[Job]) -> List[dict]:
     records: List[dict] = []
     for v, job in enumerate(cell_jobs):
         records.append(
-            {
-                "schema": RECORD_SCHEMA,
-                "fingerprint": job.fingerprint(),
-                "benchmark": job.benchmark,
-                "experiment": job.experiment,
-                "machine": job.machine.name,
-                "nprocs": job.machine.nprocs,
-                "machine_variant": job.machine.variant,
-                "machine_overrides": {k: val for k, val in job.machine.overrides},
-                "library": matrix.base.library,
-                "mode": job.mode,
-                "config": {str(k): val for k, val in merged.items()},
-                "result": {
-                    "static_count": int(run.static_comm_count),
-                    "dynamic_count": int(run.dynamic_comm_count),
-                    "execution_time": float(run.times[v]),
-                    "total_messages": int(run.instrument.total_messages),
-                    "total_bytes": int(run.instrument.total_bytes),
-                    "warnings": list(run.warnings),
-                    "fastpath": (
-                        run.fastpath.as_dict()
-                        if run.fastpath is not None
-                        else None
-                    ),
-                },
-                "pipeline": pipeline,
-                "timings": {
+            job_record(
+                job,
+                run,
+                run.times[v],
+                library=matrix.base.library,
+                config=merged,
+                pipeline=pipeline,
+                timings={
                     "compile_s": compile_s if v == 0 else 0.0,
                     "optimize_s": optimize_s if v == 0 else 0.0,
                     "simulate_s": per_simulate,
                     "total_s": total_s / len(cell_jobs),
                 },
-                "compile_cache": {
+                compile_cache={
                     "lowered_hit": lowered_hit if v == 0 else True,
                     "optimized_hit": optimized_hit if v == 0 else True,
                 },
-                "cache_hit": False,
-                "batched": True,
-                "worker_pid": os.getpid(),
-                "started_at": started,
-            }
+                started=started,
+                batched=True,
+            )
         )
     return records

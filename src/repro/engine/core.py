@@ -182,7 +182,6 @@ def build_matrix(
     machine: Union[MachineSpec, str, None] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
     mode: Union[ExecutionMode, str] = ExecutionMode.TIMING,
-    fast: Optional[bool] = None,
 ) -> List[Job]:
     """The study's job matrix: every benchmark under every key, in the
     paper's presentation order."""
@@ -196,7 +195,6 @@ def build_matrix(
             machine=spec,
             config=_coerce_config((config_overrides or {}).get(bench)),
             mode=mode_str,
-            fast=fast,
         )
         for bench in benchmarks
         for key in keys
@@ -309,7 +307,6 @@ def run_study(
     library: Optional[str] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
     mode: Union[ExecutionMode, str] = ExecutionMode.TIMING,
-    fast: Optional[bool] = None,
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
@@ -335,10 +332,6 @@ def run_study(
         :func:`repro.frontend.parse_config_assignments`).
     mode:
         ``ExecutionMode`` or its value string; TIMING by default.
-    fast:
-        Compiled fast-path selection, forwarded to
-        :func:`repro.runtime.simulate` (None = auto, ``False`` forces
-        the interpreted walk; results are bit-identical either way).
     jobs, cache, cache_dir:
         Engine knobs — see :class:`ExperimentEngine`.
     telemetry:
@@ -366,7 +359,6 @@ def run_study(
         machine=spec,
         config_overrides=config_overrides,
         mode=mode,
-        fast=fast,
     )
     engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
     outcomes = engine.run(matrix)

@@ -157,10 +157,6 @@ class Job:
     machine: MachineSpec = MachineSpec()
     config: Tuple[Tuple[str, ConfigValue], ...] = ()
     mode: str = "timing"
-    #: Fast-path selection forwarded to ``simulate`` (None = auto).  Not
-    #: part of the fingerprint: the compiled path is bit-identical to the
-    #: interpreted walk, so both produce (and may share) one cache entry.
-    fast: Optional[bool] = None
 
     @classmethod
     def make(
@@ -170,7 +166,6 @@ class Job:
         machine: Union[MachineSpec, str, None] = None,
         config: Optional[Mapping[str, ConfigValue]] = None,
         mode: str = "timing",
-        fast: Optional[bool] = None,
     ) -> "Job":
         return cls(
             benchmark=benchmark,
@@ -178,7 +173,6 @@ class Job:
             machine=MachineSpec.coerce(machine),
             config=tuple(sorted((config or {}).items())),
             mode=mode,
-            fast=fast,
         )
 
     def merged_config(self) -> Dict[str, ConfigValue]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Tuple
+from typing import Dict, Tuple, Union
 
 from repro.comm import OptimizationConfig, optimize_with_report
 from repro.errors import ExperimentError
@@ -42,7 +42,7 @@ from repro.obs import core as obs
 from repro.obs import distributed
 from repro.programs import benchmark_source
 from repro.programs.common import compile_source
-from repro.runtime import ExecutionMode, SimOptions, simulate
+from repro.runtime import BatchRun, ExecutionMode, RunResult, SimOptions, simulate
 
 from repro.engine.cache import RECORD_SCHEMA
 from repro.engine.jobs import ConfigValue, Job, source_sha
@@ -172,11 +172,51 @@ def _execute_job(job: Job) -> dict:
         result = simulate(
             program,
             machine,
-            options=SimOptions(mode=ExecutionMode(job.mode), fast=job.fast),
+            options=SimOptions(mode=ExecutionMode(job.mode)),
         )
         simulate_s = time.perf_counter() - t0
 
-    return {
+    return job_record(
+        job,
+        result,
+        result.time,
+        library=machine.library,
+        config=merged,
+        pipeline=pipeline,
+        timings={
+            "compile_s": compile_s,
+            "optimize_s": optimize_s,
+            "simulate_s": simulate_s,
+            "total_s": time.perf_counter() - t_total,
+        },
+        compile_cache={
+            "lowered_hit": lowered_hit,
+            "optimized_hit": optimized_hit,
+        },
+        started=started,
+    )
+
+
+def job_record(
+    job: Job,
+    run: Union[RunResult, BatchRun],
+    execution_time: float,
+    *,
+    library: str,
+    config: Dict,
+    pipeline: dict,
+    timings: Dict[str, float],
+    compile_cache: Dict[str, bool],
+    started: float,
+    batched: bool = False,
+) -> dict:
+    """The cached record of one finished job, scalar or batched.
+
+    ``run`` is the job's own run or its cell's batched run (both carry
+    the counts, instrumentation, warnings and fast-path stats read
+    here), and ``execution_time`` the job's simulated time.  A batched
+    record differs only by ``"batched": True``."""
+    record = {
         "schema": RECORD_SCHEMA,
         "fingerprint": job.fingerprint(),
         "benchmark": job.benchmark,
@@ -187,32 +227,27 @@ def _execute_job(job: Job) -> dict:
         # machines (readers of pre-sweep records must .get these)
         "machine_variant": job.machine.variant,
         "machine_overrides": {k: v for k, v in job.machine.overrides},
-        "library": machine.library,
+        "library": library,
         "mode": job.mode,
-        "config": {str(k): v for k, v in merged.items()},
+        "config": {str(k): v for k, v in config.items()},
         "result": {
-            "static_count": int(result.static_comm_count),
-            "dynamic_count": int(result.dynamic_comm_count),
-            "execution_time": float(result.time),
-            "total_messages": int(result.instrument.total_messages),
-            "total_bytes": int(result.instrument.total_bytes),
-            "warnings": list(result.warnings),
+            "static_count": int(run.static_comm_count),
+            "dynamic_count": int(run.dynamic_comm_count),
+            "execution_time": float(execution_time),
+            "total_messages": int(run.instrument.total_messages),
+            "total_bytes": int(run.instrument.total_bytes),
+            "warnings": list(run.warnings),
             "fastpath": (
-                result.fastpath.as_dict() if result.fastpath is not None else None
+                run.fastpath.as_dict() if run.fastpath is not None else None
             ),
         },
         "pipeline": pipeline,
-        "timings": {
-            "compile_s": compile_s,
-            "optimize_s": optimize_s,
-            "simulate_s": simulate_s,
-            "total_s": time.perf_counter() - t_total,
-        },
-        "compile_cache": {
-            "lowered_hit": lowered_hit,
-            "optimized_hit": optimized_hit,
-        },
+        "timings": timings,
+        "compile_cache": compile_cache,
         "cache_hit": False,
         "worker_pid": os.getpid(),
         "started_at": started,
     }
+    if batched:
+        record["batched"] = True
+    return record

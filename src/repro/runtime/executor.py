@@ -25,14 +25,23 @@ TIMING mode additionally has a **compiled fast path**
 schedule of primitive timing ops with all invariant data precomputed,
 and loops whose state cycles are extrapolated in closed form.  It is
 bit-exact versus the interpreted walk and is selected automatically for
-TIMING runs without a ``trace_rank`` (see :func:`simulate`'s ``fast``
-parameter for the escape hatch).
+TIMING runs without a ``trace_rank``; ``SimOptions.fast=False`` runs the
+walk as the differential oracle.
+
+:class:`_Simulation` is the one driver.  Given a machine it runs the
+scalar core (:class:`~repro.runtime.timing.TimingEngine`); given a
+:class:`~repro.machine.variants.VariantMatrix` it runs the batched core
+(:class:`~repro.runtime.timing.BatchTimingEngine`) for
+:func:`repro.simulate_many`.  Either way it lowers through
+:func:`~repro.runtime.schedule.compile_schedule` and builds each call's
+cost arrays once per run (:meth:`_Simulation.comm_costs`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from functools import partial
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +50,9 @@ from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
 from repro.ironman.calls import CallKind
 from repro.machine.params import Machine
+from repro.machine.variants import VariantMatrix, pack_variants
 from repro.obs import core as obs
+from repro.runtime.costs import CallCosts
 from repro.runtime.distarray import DistArray
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.instrument import Instrumentation
@@ -49,7 +60,7 @@ from repro.runtime.interp import ParallelEvaluator, ScalarEvaluator
 from repro.runtime.layout import ProblemLayout
 from repro.runtime.options import ExecutionMode, SimOptions
 from repro.runtime.schedule import FastPathStats, compile_schedule
-from repro.runtime.timing import TimingEngine
+from repro.runtime.timing import BatchTimingEngine, TimingEngine
 from repro.runtime.transfers import PlanCache, TransferPlan
 
 
@@ -91,31 +102,78 @@ class RunResult:
         return self.instrument.warnings
 
 
+@dataclass
+class Geometry:
+    """The cost-free state of one program on one machine shape: the
+    processor grid, the problem layout (fluff feasibility checked), the
+    transfer-plan cache and the static communication count."""
+
+    grid: ProcessorGrid
+    layout: ProblemLayout
+    plans: PlanCache
+    static_count: int
+
+    @classmethod
+    def build(cls, program: ir.IRProgram, machine: Machine) -> "Geometry":
+        rows, cols = machine.grid_shape
+        grid = ProcessorGrid(rows, cols)
+        domains = {name: dom for name, (dom, _) in program.arrays.items()}
+        layout = ProblemLayout(grid, domains)
+        fluff = {name: f for name, (_, f) in program.arrays.items()}
+        layout.check_fluff_feasible(fluff)
+        return cls(
+            grid,
+            layout,
+            PlanCache(layout, machine.nprocs),
+            static_comm_count(program),
+        )
+
+
+def _timing_reduce(instrument: Instrumentation, expr: ir.IRReduce) -> float:
+    instrument.warn(
+        "TIMING mode evaluates reductions as 0.0; control flow "
+        "depending on reduced values is unreliable — run NUMERIC"
+    )
+    return 0.0
+
+
 class _Simulation:
+    """One run of ``program`` on ``target``: a machine (the scalar core)
+    or a variant matrix (the batched core, compiled TIMING only).
+    ``geometry`` lends state built for an earlier run of the same
+    program on the same machine shape."""
+
     def __init__(
         self,
         program: ir.IRProgram,
-        machine: Machine,
+        target: Union[Machine, VariantMatrix],
         mode: ExecutionMode,
         repeat_cap: Optional[int],
         trace_rank: Optional[int] = None,
         fast: bool = False,
+        geometry: Optional[Geometry] = None,
     ) -> None:
+        batched = isinstance(target, VariantMatrix)
         self.program = program
-        self.machine = machine
+        self.machine = target.base if batched else target
         self.mode = mode
         self.repeat_cap = repeat_cap
         self.fast = fast
         self._alias_cache: Dict[int, bool] = {}
-        rows, cols = machine.grid_shape
-        self.grid = ProcessorGrid(rows, cols)
-        domains = {name: dom for name, (dom, _) in program.arrays.items()}
-        self.layout = ProblemLayout(self.grid, domains)
-        fluff = {name: f for name, (_, f) in program.arrays.items()}
-        self.layout.check_fluff_feasible(fluff)
-        self.instrument = Instrumentation(machine.nprocs)
-        self.timing = TimingEngine(machine, self.instrument, trace_rank=trace_rank)
-        self.plans = PlanCache(self.layout, machine.nprocs)
+        if geometry is None:
+            geometry = Geometry.build(program, self.machine)
+        self.grid = geometry.grid
+        self.layout = geometry.layout
+        self.plans = geometry.plans
+        self.static_count = geometry.static_count
+        self.instrument = Instrumentation(self.machine.nprocs)
+        if batched:
+            self.timing = BatchTimingEngine(target, self.instrument)
+        else:
+            self.timing = TimingEngine(
+                pack_variants([target]), self.instrument, trace_rank
+            )
+        self._costs: Dict[Tuple[Tuple, CallKind], CallCosts] = {}
         self._payloads: Dict[int, List[List[np.ndarray]]] = {}
 
         # replicated scalar environment: configs + scalars (zeroed) +
@@ -140,29 +198,41 @@ class _Simulation:
             )
         else:
             self.parallel = None
-            self.scalar_eval = ScalarEvaluator(self.scalars, self._timing_reduce)
+            # bound to the instrument, not to self: a run's state is
+            # freed by reference counting as soon as the run is dropped
+            self.scalar_eval = ScalarEvaluator(
+                self.scalars, partial(_timing_reduce, self.instrument)
+            )
+
+    def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
+        """The cost arrays of ``kind`` calls on ``plan``, built once per
+        run and plan signature for the lowering and the walk alike (the
+        engines only read them, so equal signatures share one build)."""
+        key = (plan.signature, kind)
+        costs = self._costs.get(key)
+        if costs is None:
+            costs = self._costs[key] = self.timing.comm_costs(plan, kind)
+        return costs
 
     # ------------------------------------------------------------------
-    def _timing_reduce(self, expr: ir.IRReduce) -> float:
-        self.instrument.warn(
-            "TIMING mode evaluates reductions as 0.0; control flow "
-            "depending on reduced values is unreliable — run NUMERIC"
-        )
-        return 0.0
-
-    # ------------------------------------------------------------------
-    def run(self) -> RunResult:
-        fast_stats: Optional[FastPathStats] = None
+    def execute(self) -> Optional[FastPathStats]:
+        """Run the program body: the compiled schedule's stats, or None
+        when the interpreted walk ran."""
+        stats: Optional[FastPathStats] = None
         if self.fast:
-            fast_stats = compile_schedule(self).execute()
+            stats = compile_schedule(self).execute()
         else:
             self._exec_body(self.program.body)
         self.timing.assert_quiescent()
-        scalars_out = {
-            k: v
-            for k, v in self.scalars.items()
-            if k in self.program.scalars
+        return stats
+
+    def final_scalars(self) -> Dict[str, float]:
+        return {
+            k: v for k, v in self.scalars.items() if k in self.program.scalars
         }
+
+    def run(self) -> RunResult:
+        fast_stats = self.execute()
         return RunResult(
             program_name=self.program.name,
             machine_name=self.machine.name,
@@ -173,9 +243,9 @@ class _Simulation:
             clocks=self.timing.absolute_clocks(),
             dynamic_comm_count=self.instrument.dynamic_comm_count,
             dynamic_comms=self.instrument.dynamic_comms.copy(),
-            static_comm_count=static_comm_count(self.program),
+            static_comm_count=self.static_count,
             instrument=self.instrument,
-            scalars=scalars_out,
+            scalars=self.final_scalars(),
             arrays=self.arrays,
             trace=self.timing.trace if self.timing.trace_rank is not None else None,
             trace_rank=self.timing.trace_rank,
@@ -283,16 +353,16 @@ class _Simulation:
 
     def _exec_comm(self, stmt: ir.CommCall) -> None:
         plan = self.plans.plan(stmt.desc)
+        if plan.message_count == 0:
+            return  # nothing to move on this machine: calls find no work
         if self.arrays is not None:
             if stmt.kind is CallKind.SR:
                 self._snapshot(plan)
             elif stmt.kind is CallKind.DN:
                 self._deliver(plan)
-        self.timing.comm_call(stmt.kind, plan)
+        self.timing.call_op(stmt.kind)(plan, self.comm_costs(plan, stmt.kind))
 
     def _snapshot(self, plan: TransferPlan) -> None:
-        if plan.message_count == 0:
-            return
         payloads = [
             [
                 self.arrays[copy.array]
@@ -306,8 +376,6 @@ class _Simulation:
         self._payloads[plan.desc.id] = payloads
 
     def _deliver(self, plan: TransferPlan) -> None:
-        if plan.message_count == 0:
-            return
         payloads = self._payloads.pop(plan.desc.id, None)
         if payloads is None:  # pragma: no cover - timing engine raises first
             raise RuntimeFault(
@@ -318,6 +386,19 @@ class _Simulation:
                 self.arrays[copy.array].block(msg.receiver).view(copy.box)[
                     ...
                 ] = payload
+
+
+def _check_trace_rank(trace_rank: object, nprocs: int) -> None:
+    if trace_rank is None:
+        return
+    if (
+        isinstance(trace_rank, bool)
+        or not isinstance(trace_rank, int)
+        or not 0 <= trace_rank < nprocs
+    ):
+        raise RuntimeFault(
+            f"trace_rank must be an int in [0, {nprocs}), got {trace_rank!r}"
+        )
 
 
 def _resolve_fast(
@@ -389,17 +470,17 @@ def simulate(
             Override for every ``repeat`` loop's trip cap.
         ``trace_rank``
             Record the full event timeline (compute/send/recv/wait/...)
-            of one processor; retrieve it as ``result.trace`` and render
-            it with :mod:`repro.analysis.timeline` or bridge it into a
-            Perfetto trace with :func:`repro.obs.bridge_rank_trace`.
+            of one processor, an ``int`` in ``[0, nprocs)``; retrieve it
+            as ``result.trace`` and render it with
+            :mod:`repro.analysis.timeline` or bridge it into a Perfetto
+            trace with :func:`repro.obs.bridge_rank_trace`.
         ``fast``
             Select the compiled TIMING fast path
             (:mod:`repro.runtime.schedule`).  ``None`` (default) chooses
             it automatically for TIMING runs without a ``trace_rank``;
-            ``False`` forces the interpreted walk (the CLI's
-            ``--no-fast-path``); ``True`` demands it and raises if the
-            mode can't support it.  Results are bit-identical either
-            way.
+            ``False`` forces the interpreted walk, the differential
+            oracle; ``True`` demands it and raises if the mode can't
+            support it.  Results are bit-identical either way.
 
     ``mode`` may also be passed positionally — ``simulate(program,
     machine, ExecutionMode.TIMING)`` is the stable short form — but
@@ -412,6 +493,7 @@ def simulate(
     mode = opts.mode
     repeat_cap = opts.repeat_cap
     trace_rank = opts.trace_rank
+    _check_trace_rank(trace_rank, machine.nprocs)
     use_fast = _resolve_fast(opts.fast, mode, trace_rank)
     with obs.span(
         "simulate",

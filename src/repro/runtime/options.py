@@ -1,10 +1,9 @@
 """Simulation options: the execution mode and the run-shaping knobs.
 
 :class:`SimOptions` is the single options surface shared by
-:func:`repro.simulate` and :func:`repro.simulate_many`.  ``simulate``
-still accepts the historical bare keyword arguments (``repeat_cap``,
-``trace_rank``, ``fast``) behind a one-release deprecation shim;
-``simulate_many`` accepts *only* an options object.
+:func:`repro.simulate` and :func:`repro.simulate_many`.  Neither takes
+``repeat_cap``, ``trace_rank`` or ``fast`` as bare keywords (a
+``TypeError``); ``simulate`` also accepts the mode positionally.
 """
 
 from __future__ import annotations
@@ -33,12 +32,13 @@ class SimOptions:
     repeat_cap:
         Override for every ``repeat`` loop's trip cap.
     trace_rank:
-        Record the full event timeline of one processor (interpreted
-        walk only; see :func:`repro.simulate`).
+        Record the full event timeline of one processor, an ``int`` in
+        ``[0, nprocs)`` (interpreted walk only; see
+        :func:`repro.simulate`).
     fast:
         Compiled TIMING fast-path selection: ``None`` auto-selects,
-        ``False`` forces the interpreted walk, ``True`` demands the
-        compiled schedule.
+        ``False`` runs the interpreted walk (the differential oracle),
+        ``True`` demands the compiled schedule.
     """
 
     mode: ExecutionMode = ExecutionMode.NUMERIC

@@ -12,15 +12,18 @@ precomputed:
 ``REDUCE``
     the partial-combine vector and tree time of a collective;
 ``SR`` / ``DN`` / ``DR`` / ``SV``
-    the resolved :class:`~repro.runtime.transfers.TransferPlan` and
-    primitive of an IRONMAN call (for ``SR``, its ``prim_vectors`` cost
-    vectors and call count);
+    the resolved :class:`~repro.runtime.transfers.TransferPlan` of an
+    IRONMAN call and its :class:`~repro.runtime.costs.CallCosts`;
 loop / branch markers
     structured ops that re-evaluate only what is genuinely dynamic
     (bounds, conditions, scalar assignments — compiled to closures).
 
 The dispatch loop then mutates the clock vector with NumPy ops and no IR
-traversal, `isinstance` dispatch, or dict lookups per statement.
+traversal, `isinstance` dispatch, or dict lookups per statement.  The
+same lowering, runner and cycle monitor drive either timing core
+(:mod:`repro.runtime.timing`): the engine supplies the charge arrays,
+the reduction tree time and the call costs, and folds replayed epoch
+advances.
 
 Steady-state extrapolation
 --------------------------
@@ -71,7 +74,6 @@ import numpy as np
 
 from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
-from repro.ironman.calls import CallKind
 from repro.runtime.interp import _BIN_OPS, _INTRINSICS
 
 #: counted loops shorter than this step without the cycle monitor and do
@@ -328,24 +330,6 @@ class _Runner:
         finally:
             self.monitor_depth -= 1
 
-    def _replay_pattern(self, pattern: List, k: int) -> None:
-        """Replay ``k`` copies of a recorded epoch-advance pattern, one
-        advance at a time (logs when the engine's log is active)."""
-        timing = self.timing
-        for _ in range(k):
-            for c in pattern:
-                timing.advance_epoch(c)
-
-    def _replay_pattern_bulk(self, pattern: List, k: int) -> None:
-        """Replay ``k`` copies with the log off; a uniform pattern
-        collapses into one coalesced advance (bit-identical to stepping
-        thanks to the engine's run-length epoch fold)."""
-        first = pattern[0]
-        if all(c == first for c in pattern):
-            self.timing.advance_epoch(first, k * len(pattern))
-        else:
-            self._replay_pattern(pattern, k)
-
     def extrapolate(self, k: int, snap: _Snapshot) -> None:
         """Apply ``k`` more copies of the iteration that ran since
         ``snap`` in closed form."""
@@ -355,11 +339,11 @@ class _Runner:
         if pattern:
             if self.monitor_depth >= 2:
                 # an enclosing monitor is recording: log every advance
-                self._replay_pattern(pattern, k)
+                timing.replay_pattern(pattern, k)
             else:
                 saved = timing._epoch_log
                 timing._epoch_log = None
-                self._replay_pattern_bulk(pattern, k)
+                timing.replay_pattern_bulk(pattern, k)
                 timing._epoch_log = saved
         for current, ref in (
             (inst.dynamic_comms, snap.dynamic),
@@ -485,27 +469,15 @@ class _Lowerer:
 
     ``sim`` is the owning :class:`repro.runtime.executor._Simulation`
     (duck-typed: needs ``timing``, ``instrument``, ``scalars``,
-    ``machine``, ``plans``, ``layout``, ``scalar_eval``,
-    ``repeat_cap``)."""
+    ``plans``, ``layout``, ``scalar_eval``, ``repeat_cap`` and
+    ``comm_costs``)."""
 
     def __init__(self, sim) -> None:
         self.sim = sim
         self.timing = sim.timing
-        self.machine = sim.machine
         self.scalars = sim.scalars
         self.reduce_hook = sim.scalar_eval.reduce_hook
-        self.runner = self._make_runner(sim)
-        self._comm_dispatch = {
-            CallKind.SR: self.timing._do_send,
-            CallKind.DN: self.timing._do_complete,
-            CallKind.DR: self.timing._do_pre,
-            CallKind.SV: self.timing._do_volatile,
-        }
-
-    def _make_runner(self, sim) -> _Runner:
-        """Hook for subclasses that pair the lowerer with a different
-        runner (the batched evaluator's `_BatchRunner`)."""
-        return _Runner(sim.timing, sim.instrument, sim.scalars, sim.repeat_cap)
+        self.runner = _Runner(sim.timing, sim.instrument, sim.scalars, sim.repeat_cap)
 
     def lower_body(self, body: List[ir.IRStmt]) -> List[Callable[[], None]]:
         ops: List[Callable[[], None]] = []
@@ -530,7 +502,6 @@ class _Lowerer:
             cost = timing.array_cost(stmt.flops, self.sim.layout.element_counts(stmt.region))
             ops.append(partial(timing.charge_array_vec, cost, stmt.target))
         elif isinstance(stmt, ir.ScalarAssign):
-            tree_time = self.machine.reduction.time(self.machine.nprocs)
             for node in ir.walk_expr(stmt.expr):
                 if isinstance(node, ir.IRReduce):
                     part = timing.reduction_cost(
@@ -538,7 +509,7 @@ class _Lowerer:
                         self.sim.layout.element_counts(node.region),
                     )
                     ops.append(
-                        partial(timing.charge_reduction_vec, part, tree_time)
+                        partial(timing.charge_reduction_vec, part, timing.tree_time)
                     )
             ops.append(
                 partial(
@@ -552,15 +523,9 @@ class _Lowerer:
             plan = self.sim.plans.plan(stmt.desc)
             if plan.message_count == 0:
                 return  # nothing to move on this machine
-            prim_name = self.machine.binding.primitive(stmt.kind)
-            costs = self.machine.primitive(prim_name)
-            if stmt.kind is CallKind.SR:
-                # the send takes the plan's cost vectors and call count,
-                # resolved here once instead of on every dispatch
-                costs = plan.prim_vectors(costs, self.machine.network)
-            ops.append(
-                partial(self._comm_dispatch[stmt.kind], plan, costs, prim_name)
-            )
+            # the call's costs are resolved here once, not on every dispatch
+            costs = self.sim.comm_costs(plan, stmt.kind)
+            ops.append(partial(timing.call_op(stmt.kind), plan, costs))
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot lower {stmt!r}")
 

@@ -1,4 +1,4 @@
-"""The per-rank timing engine.
+"""The two timing cores.
 
 SPMD control flow is identical on every rank (scalar state is
 replicated), so the simulator advances all ranks through the same
@@ -25,9 +25,29 @@ interesting dynamics live entirely in the communication calls:
 
 Reductions synchronize all ranks (combine + broadcast tree).
 
+Every call executes as ``op(plan, costs)``: the
+:class:`~repro.runtime.costs.CallCosts` of the call are built once per
+run by :func:`~repro.runtime.costs.call_costs` and bound at lowering.
+
+Two cores, one arithmetic
+-------------------------
+:class:`TimingEngine` keeps 1-D clocks and serves :func:`repro.simulate`:
+the compiled path and the interpreted walk, NUMERIC mode, the per-rank
+account (compute / comm-sw / wait and per-primitive call counts) and
+``trace_rank``.  :class:`BatchTimingEngine` keeps a ``(V, P)`` clock
+matrix, V cost-only machine variants, and serves
+:func:`repro.simulate_many`.  It performs the scalar core's float
+operations in the same order, elementwise along the variant axis, so
+each row is bit-identical to a scalar run of that variant; it keeps no
+per-rank account.  Which core runs depends on the call (one machine or a
+variant matrix).  They stay two because numpy indexes a 1-D array
+several times faster than a row of a 2-D one, which is most of the
+scalar dispatch, and the account costs the batch more than it saves
+(``docs/SIMULATOR.md`` has the measurements).
+
 Clock representation
 --------------------
-The engine keeps per-rank clocks as **offsets from a shared epoch**.  At
+The engines keep per-rank clocks as **offsets from a shared epoch**.  At
 the end of every loop iteration the executor calls :meth:`loop_rebase`,
 which subtracts the minimum offset from the clock vector (and every
 stored arrival/flag vector) and folds it into the epoch.  The epoch is
@@ -39,19 +59,22 @@ steady-state extrapolation (:mod:`repro.runtime.schedule`) bit-exact:
 once the rebased state repeats bitwise with some period, every later
 period advances the epoch by the same sequence of run-length-coalesced
 amounts, and absolute clocks are always materialized as
-``epoch + offset`` in both paths.
+``epoch + offset`` in both paths.  The batched epoch is run-length
+encoded per variant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import RuntimeFault
 from repro.ironman.calls import CallKind
-from repro.machine.params import Machine, SyncKind
+from repro.machine.params import SyncKind
+from repro.machine.variants import VariantMatrix
+from repro.runtime.costs import CallCosts, call_costs
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.transfers import TransferPlan
 
@@ -74,29 +97,90 @@ class TraceEvent:
         return self.end - self.start
 
 
-@dataclass
-class TimingEngine:
-    machine: Machine
-    instrument: Instrumentation
-    #: rank whose timeline is recorded (None: tracing off)
-    trace_rank: Optional[int] = None
-    trace: List["TraceEvent"] = field(default_factory=list)
-    #: per-rank clock *offsets* from the epoch (absolute = epoch + offset)
-    clock: np.ndarray = field(init=False)
-    #: desc id -> per-rank arrival times of the in-flight execution
-    _inflight: Dict[int, np.ndarray] = field(init=False, default_factory=dict)
-    #: desc id -> per-rank destination-ready (DR flag) times
-    _dr_times: Dict[int, np.ndarray] = field(init=False, default_factory=dict)
-    #: run-length-encoded epoch: value = prefix + epoch_c * epoch_n
-    _epoch_prefix: float = field(init=False, default=0.0)
-    _epoch_c: float = field(init=False, default=0.0)
-    _epoch_n: int = field(init=False, default=0)
-    _epoch_val: float = field(init=False, default=0.0)
-    #: advance log for the fast path's steady-state monitor (None: off)
-    _epoch_log: Optional[List[float]] = field(init=False, default=None)
+#: the method executing each call kind, ``op(plan, costs)``
+_CALL_OPS = {
+    CallKind.SR: "_do_send",
+    CallKind.DN: "_do_complete",
+    CallKind.DR: "_do_pre",
+    CallKind.SV: "_do_volatile",
+}
 
-    def __post_init__(self) -> None:
+
+class _Core:
+    """What the two cores share: the in-flight tables and the op table."""
+
+    matrix: VariantMatrix
+    _inflight: Dict[int, np.ndarray]
+    _dr_times: Dict[int, np.ndarray]
+
+    def call_op(self, kind: CallKind) -> Callable[[TransferPlan, CallCosts], None]:
+        """The bound method executing ``kind`` calls."""
+        return getattr(self, _CALL_OPS[kind])
+
+    def assert_quiescent(self) -> None:
+        if self._inflight:
+            raise RuntimeFault(
+                f"{len(self._inflight)} transfer(s) initiated but never "
+                "completed — optimizer produced an illegal schedule"
+            )
+        if self._dr_times:
+            raise RuntimeFault(
+                f"{len(self._dr_times)} destination-ready flag(s) posted "
+                "but never consumed — optimizer produced an illegal schedule"
+            )
+
+    def _check_send(self, plan: TransferPlan) -> None:
+        if plan.desc.id in self._inflight:
+            raise RuntimeFault(
+                f"transfer {plan.desc.describe()} initiated twice without "
+                "completion — optimizer produced an illegal schedule"
+            )
+
+    def _pop_arrivals(self, plan: TransferPlan) -> np.ndarray:
+        arrivals = self._inflight.pop(plan.desc.id, None)
+        if arrivals is None:
+            raise RuntimeFault(
+                f"completion of {plan.desc.describe()} before initiation — "
+                "optimizer produced an illegal schedule"
+            )
+        return arrivals
+
+
+class TimingEngine(_Core):
+    """The scalar core: 1-D clocks over the one machine of ``matrix``
+    (a one-variant pack), with the per-rank account and the optional
+    timeline of ``trace_rank``."""
+
+    def __init__(
+        self,
+        matrix: VariantMatrix,
+        instrument: Instrumentation,
+        trace_rank: Optional[int] = None,
+    ) -> None:
+        self.matrix = matrix
+        self.machine = matrix.base
+        self.instrument = instrument
+        #: rank whose timeline is recorded (None: tracing off)
+        self.trace_rank = trace_rank
+        self.trace: List[TraceEvent] = []
+        #: reduction combine + broadcast tree time
+        self.tree_time = self.machine.reduction.time(self.machine.nprocs)
+        #: per-rank clock *offsets* from the epoch (absolute = epoch + offset)
         self.clock = np.zeros(self.machine.nprocs, dtype=np.float64)
+        #: desc id -> per-rank arrival times of the in-flight execution
+        self._inflight: Dict[int, np.ndarray] = {}
+        #: desc id -> per-rank destination-ready (DR flag) times
+        self._dr_times: Dict[int, np.ndarray] = {}
+        #: run-length-encoded epoch: value = prefix + epoch_c * epoch_n
+        self._epoch_prefix = 0.0
+        self._epoch_c = 0.0
+        self._epoch_n = 0
+        self._epoch_val = 0.0
+        #: advance log for the fast path's cycle monitor (None: off)
+        self._epoch_log: Optional[List[float]] = None
+
+    def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
+        return call_costs(plan, kind, self.matrix).row(0)
 
     def _record(self, kind: str, start: float, end: float, label: str = "") -> None:
         if end > start:
@@ -120,6 +204,23 @@ class TimingEngine:
         self._epoch_val = self._epoch_prefix + self._epoch_c * self._epoch_n
         if self._epoch_log is not None:
             self._epoch_log.extend([c] * n)
+
+    def replay_pattern(self, pattern: List[float], k: int) -> None:
+        """Replay ``k`` copies of a recorded epoch-advance pattern, one
+        advance at a time (logs when the log is active)."""
+        for _ in range(k):
+            for c in pattern:
+                self.advance_epoch(c)
+
+    def replay_pattern_bulk(self, pattern: List[float], k: int) -> None:
+        """Replay ``k`` copies with the log off; a uniform pattern
+        collapses into one coalesced advance (bit-identical to stepping
+        thanks to the run-length epoch fold)."""
+        first = pattern[0]
+        if all(c == first for c in pattern):
+            self.advance_epoch(first, k * len(pattern))
+        else:
+            self.replay_pattern(pattern, k)
 
     def loop_rebase(self) -> None:
         """Rebase offsets at a loop-iteration boundary: subtract the
@@ -194,8 +295,7 @@ class TimingEngine:
 
     def charge_reduction(self, flops: int, elements: np.ndarray) -> None:
         self.charge_reduction_vec(
-            self.reduction_cost(flops, elements),
-            self.machine.reduction.time(self.machine.nprocs),
+            self.reduction_cost(flops, elements), self.tree_time
         )
 
     def charge_reduction_vec(self, partial: np.ndarray, tree_time: float) -> None:
@@ -218,32 +318,8 @@ class TimingEngine:
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
-    def comm_call(self, kind: CallKind, plan: TransferPlan) -> None:
-        """Execute one IRONMAN call of one transfer on all ranks."""
-        prim_name = self.machine.binding.primitive(kind)
-        prim = self.machine.primitive(prim_name)
-        if plan.message_count == 0:
-            return  # nothing to move on this machine: calls find no work
-
-        if kind is CallKind.SR:
-            vecs = plan.prim_vectors(prim, self.machine.network)
-            self._do_send(plan, vecs, prim_name)
-        elif kind is CallKind.DN:
-            self._do_complete(plan, prim, prim_name)
-        elif kind is CallKind.DR:
-            self._do_pre(plan, prim, prim_name)
-        elif kind is CallKind.SV:
-            self._do_volatile(plan, prim, prim_name)
-
-    # -- SR -------------------------------------------------------------
-    def _do_send(self, plan: TransferPlan, vecs, prim_name: str) -> None:
-        """``vecs`` is the plan's ``prim_vectors`` entry for the bound
-        primitive: the compiled path resolves it once at lowering."""
-        if plan.desc.id in self._inflight:
-            raise RuntimeFault(
-                f"transfer {plan.desc.describe()} initiated twice without "
-                "completion — optimizer produced an illegal schedule"
-            )
+    def _do_send(self, plan: TransferPlan, costs: CallCosts) -> None:
+        self._check_send(plan)
         # One-way communication: a put may not start until the destination
         # signalled buffer readiness (its DR `synch` posted a flag); the
         # source blocks until the flag has crossed the wire.
@@ -269,28 +345,22 @@ class TimingEngine:
                 self.clock[waiting], flag_ready[waiting]
             )
         arrivals = np.full(self.machine.nprocs, -np.inf)
-        send_end = self.clock[plan.senders] + vecs.cum_sw
-        np.maximum.at(arrivals, plan.receivers, send_end + vecs.wire)
+        send_end = self.clock[plan.senders] + costs.cum_sw
+        np.maximum.at(arrivals, plan.receivers, send_end + costs.wire)
         if self.trace_rank is not None:
             t0 = self._epoch_val + float(self.clock[self.trace_rank])
-            t1 = t0 + float(vecs.total_sw_by_rank[self.trace_rank])
+            t1 = t0 + float(costs.rank_sw[self.trace_rank])
             self._record("send", t0, t1, plan.desc.describe())
-        self.clock += vecs.total_sw_by_rank
-        self.instrument.comm_sw_time += vecs.total_sw_by_rank
+        self.clock += costs.rank_sw
+        self.instrument.comm_sw_time += costs.rank_sw
         self._inflight[plan.desc.id] = arrivals
         self.instrument.record_transfer(plan)
-        self.instrument.record_calls(prim_name, vecs.callers)
+        self.instrument.record_calls(costs.name, costs.calls)
 
-    # -- DN -------------------------------------------------------------
-    def _do_complete(self, plan: TransferPlan, prim, prim_name: str) -> None:
-        arrivals = self._inflight.pop(plan.desc.id, None)
-        if arrivals is None:
-            raise RuntimeFault(
-                f"completion of {plan.desc.describe()} before initiation — "
-                "optimizer produced an illegal schedule"
-            )
+    def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
+        arrivals = self._pop_arrivals(plan)
         receivers = plan.receivers_unique
-        if prim.sync is SyncKind.RENDEZVOUS:
+        if costs.sync is SyncKind.RENDEZVOUS:
             # one-way completion: the destination polls its local
             # data-complete flag.  The prototype's heavyweight
             # synchronization makes long polls expensive: a bounded
@@ -299,11 +369,11 @@ class TimingEngine:
             waited = np.maximum(
                 0.0, arrivals[receivers] - self.clock[receivers]
             )
-            surcharge = prim.spread_penalty * np.minimum(
-                waited, prim.spread_cap
+            surcharge = costs.spread_penalty * np.minimum(
+                waited, costs.spread_cap
             )
             self.instrument.wait_time[receivers] += waited
-            self.instrument.comm_sw_time[receivers] += prim.fixed + surcharge
+            self.instrument.comm_sw_time[receivers] += costs.fixed + surcharge
             if self.trace_rank is not None and self.trace_rank in receivers:
                 i = int(np.searchsorted(receivers, self.trace_rank))
                 e = self._epoch_val
@@ -313,16 +383,16 @@ class TimingEngine:
                 self._record(
                     "synch",
                     t_arr,
-                    t_arr + prim.fixed + float(surcharge[i]),
+                    t_arr + costs.fixed + float(surcharge[i]),
                     plan.desc.describe(),
                 )
             self.clock[receivers] = (
                 np.maximum(self.clock[receivers], arrivals[receivers])
-                + prim.fixed
+                + costs.fixed
                 + surcharge
             )
         else:
-            sw = plan.recv_sw_by_rank(prim)
+            sw = costs.rank_sw
             stall = np.maximum(
                 0.0, arrivals[receivers] - self.clock[receivers]
             )
@@ -341,54 +411,46 @@ class TimingEngine:
                 )
             waited = np.maximum(self.clock[receivers], arrivals[receivers])
             self.clock[receivers] = waited + sw[receivers]
-        self.instrument.record_calls(prim_name, len(receivers))
+        self.instrument.record_calls(costs.name, costs.calls)
 
-    # -- DR -------------------------------------------------------------
-    def _do_pre(self, plan: TransferPlan, prim, prim_name: str) -> None:
-        receivers = plan.receivers_unique
-        if prim.sync is SyncKind.RENDEZVOUS:
+    def _do_pre(self, plan: TransferPlan, costs: CallCosts) -> None:
+        if costs.sync is SyncKind.RENDEZVOUS:
             # the destination readies its fluff buffer and posts a flag to
             # each source; the put may not start before the flag lands
             # (enforced at SR)
+            receivers = plan.receivers_unique
             if self.trace_rank is not None and self.trace_rank in receivers:
                 t0 = self._epoch_val + float(self.clock[self.trace_rank])
                 self._record(
-                    "synch", t0, t0 + prim.fixed, f"DR {plan.desc.describe()}"
+                    "synch", t0, t0 + costs.fixed, f"DR {plan.desc.describe()}"
                 )
-            self.clock[receivers] += prim.fixed
-            self.instrument.comm_sw_time[receivers] += prim.fixed
+            self.clock[receivers] += costs.fixed
+            self.instrument.comm_sw_time[receivers] += costs.fixed
             self._dr_times[plan.desc.id] = self.clock.copy()
         else:
             # posting receives (irecv/hprobe): fixed cost per incoming
             # message at each receiver
-            per_recv = plan.fixed_by_rank("recv", prim.fixed)
-            if self.trace_rank is not None:
-                t0 = self._epoch_val + float(self.clock[self.trace_rank])
-                self._record(
-                    "recv",
-                    t0,
-                    t0 + float(per_recv[self.trace_rank]),
-                    f"DR {plan.desc.describe()}",
-                )
-            self.clock += per_recv
-            self.instrument.comm_sw_time += per_recv
-        self.instrument.record_calls(prim_name, len(receivers))
+            self._charge_fixed(plan, costs, "recv", "DR")
+        self.instrument.record_calls(costs.name, costs.calls)
 
-    # -- SV -------------------------------------------------------------
-    def _do_volatile(self, plan: TransferPlan, prim, prim_name: str) -> None:
-        senders = plan.senders_unique
-        per_send = plan.fixed_by_rank("send", prim.fixed)
+    def _do_volatile(self, plan: TransferPlan, costs: CallCosts) -> None:
+        self._charge_fixed(plan, costs, "send", "SV")
+        self.instrument.record_calls(costs.name, costs.calls)
+
+    def _charge_fixed(
+        self, plan: TransferPlan, costs: CallCosts, kind: str, call: str
+    ) -> None:
+        per_rank = costs.rank_sw
         if self.trace_rank is not None:
             t0 = self._epoch_val + float(self.clock[self.trace_rank])
             self._record(
-                "send",
+                kind,
                 t0,
-                t0 + float(per_send[self.trace_rank]),
-                f"SV {plan.desc.describe()}",
+                t0 + float(per_rank[self.trace_rank]),
+                f"{call} {plan.desc.describe()}",
             )
-        self.clock += per_send
-        self.instrument.comm_sw_time += per_send
-        self.instrument.record_calls(prim_name, len(senders))
+        self.clock += per_rank
+        self.instrument.comm_sw_time += per_rank
 
     # ------------------------------------------------------------------
     @property
@@ -396,14 +458,195 @@ class TimingEngine:
         """The run's execution time: the last rank to finish."""
         return self._epoch_val + float(self.clock.max())
 
-    def assert_quiescent(self) -> None:
-        if self._inflight:
-            raise RuntimeFault(
-                f"{len(self._inflight)} transfer(s) initiated but never "
-                "completed — optimizer produced an illegal schedule"
+
+class BatchTimingEngine(_Core):
+    """The batched core: :class:`TimingEngine`'s arithmetic lifted to a
+    ``(V, P)`` clock matrix — V variants, P ranks.
+
+    Every method performs the scalar core's float operations in the same
+    order, elementwise along the variant axis.  The epoch is per-variant
+    run-length-encoded, and the advance log entries are ``(c, mask, n)``
+    tuples — ``c`` the ``(V,)`` advance, ``mask`` which variants
+    advanced, ``n`` the run length.
+    """
+
+    def __init__(self, matrix: VariantMatrix, instrument: Instrumentation) -> None:
+        self.matrix = matrix
+        self.machine = matrix.base
+        self.nprocs = matrix.base.nprocs
+        self.nvariants = matrix.nvariants
+        self.instrument = instrument
+        self.tree_time = matrix.reduction_time
+        V, P = self.nvariants, self.nprocs
+        self.clock = np.zeros((V, P), dtype=np.float64)
+        self._inflight: Dict[int, np.ndarray] = {}
+        self._dr_times: Dict[int, np.ndarray] = {}
+        self._vrows = np.arange(V)[:, None]
+        self._epoch_prefix = np.zeros(V, dtype=np.float64)
+        self._epoch_c = np.zeros(V, dtype=np.float64)
+        self._epoch_n = np.zeros(V, dtype=np.int64)
+        self._epoch_val = np.zeros(V, dtype=np.float64)
+        self._epoch_log: Optional[List[Tuple]] = None
+
+    def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
+        return call_costs(plan, kind, self.matrix)
+
+    # -- epoch ----------------------------------------------------------
+    def advance_epoch(
+        self, c: np.ndarray, mask: np.ndarray, n: int = 1
+    ) -> None:
+        """Per-variant run-length epoch fold: variants where ``mask`` is
+        set fold ``n`` advances of ``c[v]``; the rest are untouched.
+        Elementwise mirror of the scalar core's ``advance_epoch``."""
+        coalesce = mask & (c == self._epoch_c) & (self._epoch_n > 0)
+        start = mask & ~coalesce
+        if coalesce.any():
+            self._epoch_n[coalesce] += n
+        if start.any():
+            self._epoch_prefix[start] = (
+                self._epoch_prefix[start]
+                + self._epoch_c[start] * self._epoch_n[start]
             )
-        if self._dr_times:
-            raise RuntimeFault(
-                f"{len(self._dr_times)} destination-ready flag(s) posted "
-                "but never consumed — optimizer produced an illegal schedule"
+            self._epoch_c[start] = c[start]
+            self._epoch_n[start] = n
+        np.copyto(
+            self._epoch_val,
+            self._epoch_prefix + self._epoch_c * self._epoch_n,
+            where=mask,
+        )
+        if self._epoch_log is not None:
+            self._epoch_log.extend([(c, mask, 1)] * n)
+
+    def replay_pattern(self, pattern: List[Tuple], k: int) -> None:
+        for _ in range(k):
+            for c, mask, n in pattern:
+                self.advance_epoch(c, mask, n)
+
+    def replay_pattern_bulk(self, pattern: List[Tuple], k: int) -> None:
+        c0, m0, n0 = pattern[0]
+        uniform = all(
+            n == n0 and np.array_equal(c, c0) and np.array_equal(mask, m0)
+            for c, mask, n in pattern[1:]
+        )
+        if uniform:
+            # the run-length fold makes one coalesced advance of
+            # k * len * n identical to stepping them one at a time
+            self.advance_epoch(c0, m0, k * len(pattern) * n0)
+        else:
+            self.replay_pattern(pattern, k)
+
+    def loop_rebase(self) -> None:
+        """Rebase each variant's offsets independently (``x - 0.0`` is a
+        bitwise identity, so variants still at the epoch are genuinely
+        untouched, matching the scalar core's early return)."""
+        c = self.clock.min(axis=1)
+        mask = c > 0.0
+        if not mask.any():
+            return
+        sub = np.where(mask, c, 0.0)[:, None]
+        self.clock -= sub
+        for arr in self._inflight.values():
+            arr -= sub
+        for arr in self._dr_times.values():
+            arr -= sub
+        self.advance_epoch(c, mask)
+
+    def absolute_clocks(self) -> np.ndarray:
+        return self._epoch_val[:, None] + self.clock
+
+    def elapsed(self) -> np.ndarray:
+        """Per-variant execution time: the last rank to finish."""
+        return self._epoch_val + self.clock.max(axis=1)
+
+    # -- compute ---------------------------------------------------------
+    def array_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
+        m = self.matrix
+        return np.where(
+            elements[None, :] > 0,
+            m.loop_overhead[:, None]
+            + (flops * elements)[None, :] * m.flop_time[:, None],
+            0.0,
+        )
+
+    def charge_array_vec(self, cost: np.ndarray, label: str = "") -> None:
+        self.clock += cost
+
+    def scalar_cost(self, flops: int) -> np.ndarray:
+        return max(flops, 1) * self.matrix.flop_time
+
+    def charge_scalar_cost(self, cost: np.ndarray) -> None:
+        self.clock += cost[:, None]
+
+    def reduction_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
+        m = self.matrix
+        return np.where(
+            elements[None, :] > 0,
+            m.loop_overhead[:, None]
+            + (max(flops, 1) * elements)[None, :] * m.flop_time[:, None],
+            0.0,
+        )
+
+    def charge_reduction_vec(
+        self, partial: np.ndarray, tree_time: np.ndarray
+    ) -> None:
+        t = (self.clock + partial).max(axis=1)
+        t = t + tree_time
+        self.clock[:] = t[:, None]
+        self.instrument.record_reduction()
+
+    # -- communication ---------------------------------------------------
+    def _do_send(self, plan: TransferPlan, costs: CallCosts) -> None:
+        self._check_send(plan)
+        dr = self._dr_times.pop(plan.desc.id, None)
+        if dr is not None:
+            # the put blocks until the destination's DR flag crossed the
+            # wire; the flag matrix is -inf except at senders, and
+            # max(x, -inf) == x bitwise, so a full-matrix maximum equals
+            # the scalar core's masked update
+            flag_ready = np.full(
+                (self.nvariants, self.nprocs), -np.inf, dtype=np.float64
             )
+            np.maximum.at(
+                flag_ready,
+                (self._vrows, plan.senders[None, :]),
+                dr[:, plan.receivers] + self.matrix.net_raw[:, None],
+            )
+            np.maximum(self.clock, flag_ready, out=self.clock)
+        arrivals = np.full(
+            (self.nvariants, self.nprocs), -np.inf, dtype=np.float64
+        )
+        send_end = self.clock[:, plan.senders] + costs.cum_sw
+        np.maximum.at(
+            arrivals,
+            (self._vrows, plan.receivers[None, :]),
+            send_end + costs.wire,
+        )
+        self.clock += costs.rank_sw
+        self._inflight[plan.desc.id] = arrivals
+        self.instrument.record_transfer(plan)
+
+    def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
+        arrivals = self._pop_arrivals(plan)
+        receivers = plan.receivers_unique
+        a = arrivals[:, receivers]
+        c = self.clock[:, receivers]
+        if costs.sync is SyncKind.RENDEZVOUS:
+            waited = np.maximum(0.0, a - c)
+            surcharge = costs.spread_penalty * np.minimum(
+                waited, costs.spread_cap
+            )
+            self.clock[:, receivers] = np.maximum(c, a) + costs.fixed + surcharge
+        else:
+            self.clock[:, receivers] = np.maximum(c, a) + costs.rank_sw[
+                :, receivers
+            ]
+
+    def _do_pre(self, plan: TransferPlan, costs: CallCosts) -> None:
+        if costs.sync is SyncKind.RENDEZVOUS:
+            self.clock[:, plan.receivers_unique] += costs.fixed
+            self._dr_times[plan.desc.id] = self.clock.copy()
+        else:
+            self.clock += costs.rank_sw
+
+    def _do_volatile(self, plan: TransferPlan, costs: CallCosts) -> None:
+        self.clock += costs.rank_sw

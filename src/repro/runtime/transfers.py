@@ -30,6 +30,10 @@ in sorted order, give the vectors the timing engines read; the
 :class:`Message` list with real strip boxes, which only the numeric
 engine walks to snapshot and deliver data, is built from the same strip
 arrays on first access.
+
+A plan holds geometry only.  What its messages cost on a machine is
+computed per run by :func:`repro.runtime.costs.call_costs`, so one plan
+serves every machine and variant of the same layout.
 """
 
 from __future__ import annotations
@@ -82,16 +86,6 @@ class Message:
     def __post_init__(self) -> None:
         for c in self.copies:
             assert c.source.size == c.box.size, "wrap strip size mismatch"
-
-
-@dataclass
-class _PrimCache:
-    """Per-primitive precomputed timing vectors for a plan."""
-
-    cum_sw: np.ndarray  # per message: cumulative send sw at its sender
-    total_sw_by_rank: np.ndarray  # per rank: total send sw
-    wire: np.ndarray  # per message: latency + bytes/bandwidth
-    callers: int  # ranks paying a nonzero send sw: the send's call count
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,13 +150,22 @@ class TransferPlan:
         self.participant_count = int(np.count_nonzero(self.participants))
         self.receivers_unique = np.flatnonzero(receiving)
         self.senders_unique = np.flatnonzero(sending)
-        self._prim_cache: Dict[Tuple, _PrimCache] = {}
-        self._recv_sw_cache: Dict[Tuple, np.ndarray] = {}
-        self._fixed_cache: Dict[Tuple[str, float], np.ndarray] = {}
 
     @property
     def message_count(self) -> int:
         return len(self.senders)
+
+    @cached_property
+    def signature(self) -> Tuple[int, bytes, bytes, bytes]:
+        """Everything a call's cost depends on: the processor count and
+        each message's sender, receiver and size.  Plans of different
+        descriptors with equal signatures cost the same on any machine."""
+        return (
+            self.nprocs,
+            self.senders.tobytes(),
+            self.receivers.tobytes(),
+            self.nbytes.tobytes(),
+        )
 
     @cached_property
     def messages(self) -> List[Message]:
@@ -177,72 +180,6 @@ class TransferPlan:
             Message(sender=s, receiver=r, copies=copies)
             for (s, r), copies in sorted(pairs.items())
         ]
-
-    def prim_vectors(self, prim, network) -> _PrimCache:
-        """Cached per-primitive (cum_sw, total_by_rank, wire) vectors
-        and call count.
-
-        Keyed by the *full* cost model (the ``PrimitiveCost`` value, not
-        just its name) plus the wire parameters: plans are shared
-        process-wide across machines by geometry, so two machine variants
-        that differ only in a primitive-cost field (a parameter sweep)
-        must not reuse each other's vectors.
-        """
-        key = (prim, network.latency, network.raw, network.bandwidth)
-        cached = self._prim_cache.get(key)
-        if cached is not None:
-            return cached
-        sw = np.fromiter(
-            (prim.sw(int(b)) for b in self.nbytes),
-            dtype=np.float64,
-            count=len(self.nbytes),
-        )
-        cum_sw = np.zeros_like(sw)
-        total = np.zeros(self.nprocs, dtype=np.float64)
-        for i, s in enumerate(self.senders):
-            total[s] += sw[i]
-            cum_sw[i] = total[s]
-        wire = np.fromiter(
-            (
-                network.transfer_time(int(b), raw_wire=prim.raw_wire)
-                for b in self.nbytes
-            ),
-            dtype=np.float64,
-            count=len(self.nbytes),
-        )
-        cached = _PrimCache(
-            cum_sw=cum_sw,
-            total_sw_by_rank=total,
-            wire=wire,
-            callers=int((total > 0).sum()),
-        )
-        self._prim_cache[key] = cached
-        return cached
-
-    def recv_sw_by_rank(self, prim) -> np.ndarray:
-        """Per-rank total receive software cost under ``prim``
-        (invariant per cost model — cached by the full ``PrimitiveCost``
-        value, treat as read-only)."""
-        out = self._recv_sw_cache.get(prim)
-        if out is None:
-            out = np.zeros(self.nprocs, dtype=np.float64)
-            for i, r in enumerate(self.receivers):
-                out[r] += prim.sw(int(self.nbytes[i]))
-            self._recv_sw_cache[prim] = out
-        return out
-
-    def fixed_by_rank(self, role: str, fixed: float) -> np.ndarray:
-        """Per-rank total of a fixed per-message cost over this plan's
-        ``"recv"`` or ``"send"`` endpoints (cached, treat as read-only)."""
-        key = (role, fixed)
-        out = self._fixed_cache.get(key)
-        if out is None:
-            out = np.zeros(self.nprocs, dtype=np.float64)
-            np.add.at(
-                out, self.receivers if role == "recv" else self.senders, fixed
-            )
-            self._fixed_cache[key] = out
-        return out
 
 
 def _pair_totals(

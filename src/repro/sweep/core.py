@@ -186,7 +186,6 @@ def run_sweep(
     overrides: Optional[Mapping[str, OverrideValue]] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
     mode: Union[ExecutionMode, str] = ExecutionMode.TIMING,
-    fast: Optional[bool] = None,
     batched: Optional[bool] = None,
     jobs: Optional[int] = None,
     cache: bool = True,
@@ -210,8 +209,7 @@ def run_sweep(
         Route each cell's variant jobs through the batched evaluator
         (:func:`repro.simulate_many`) instead of N engine jobs.
         ``None`` (default) auto-selects it whenever it applies: TIMING
-        mode, no ``nprocs`` axis, no ``fast=False``, and more than one
-        point.  ``True`` forces it (raising
+        mode, no ``nprocs`` axis, and more than one point.  ``True`` forces it (raising
         :class:`~repro.errors.MachineError` naming any blocker);
         ``False`` keeps the per-job path.  Results and cache records
         are bit-identical either way — the batched evaluator matches
@@ -239,8 +237,6 @@ def run_sweep(
         blockers.append(
             f"mode is {mode_value!r} (batched evaluation is TIMING-only)"
         )
-    if fast is False:
-        blockers.append("fast=False forces the interpreted walk")
     if any(axis.name == NPROCS_AXIS for axis in axes):
         blockers.append(
             "an nprocs axis changes the machine shape between points"
@@ -268,7 +264,6 @@ def run_sweep(
                     machine=point.machine,
                     config_overrides=config_overrides,
                     mode=mode,
-                    fast=fast,
                 )
             )
         obs.add("sweep.points", len(points))

@@ -5,6 +5,7 @@ import pytest
 
 from repro import ExecutionMode, OptimizationConfig, simulate, t3d
 from repro.analysis.profile import breakdown_of, breakdown_table
+from repro.programs import BENCHMARKS, build_benchmark, small_config
 from tests.conftest import compile_demo
 
 
@@ -15,10 +16,28 @@ def run():
     )
 
 
-def test_buckets_sum_to_clock_on_every_rank(run):
+def _assert_buckets_sum_to_clock(run):
     inst = run.instrument
     total = inst.compute_time + inst.comm_sw_time + inst.wait_time
     assert np.allclose(total, run.clocks, rtol=1e-12, atol=1e-12)
+
+
+def test_buckets_sum_to_clock_on_every_rank(run):
+    _assert_buckets_sum_to_clock(run)
+
+
+@pytest.mark.parametrize("library", ["pvm", "shmem"])
+@pytest.mark.parametrize("bench", BENCHMARKS)
+def test_buckets_sum_to_clock_on_paper_benchmarks(bench, library):
+    """The account reads the same cost arrays as the clocks, on every
+    paper program under message passing and under SHMEM's rendezvous
+    calls, extrapolated loops included."""
+    program = build_benchmark(
+        bench, config=small_config(bench), opt=OptimizationConfig.full()
+    )
+    run = simulate(program, t3d(16, library), ExecutionMode.TIMING)
+    assert run.fastpath is not None
+    _assert_buckets_sum_to_clock(run)
 
 
 def test_breakdown_defaults_to_critical_rank(run):

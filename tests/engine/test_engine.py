@@ -320,14 +320,15 @@ def test_config_overrides_accept_assignment_strings(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_fingerprint_ignores_fast_selection():
-    # the compiled path is bit-identical to the interpreted walk, so
-    # both must share one cache entry
-    fps = {
-        Job.make("swm", "cc", fast=fast).fingerprint()
-        for fast in (None, True, False)
-    }
-    assert len(fps) == 1
+def test_jobs_have_no_walk_knob(tmp_path):
+    # a job that forced the interpreted walk shared its cache entry with
+    # compiled runs but wrote no fast-path counters into it; jobs always
+    # run the compiled path, and the walk stays an in-process oracle
+    # (SimOptions.fast)
+    with pytest.raises(TypeError, match="fast"):
+        Job.make("swm", "cc", fast=False)
+    with pytest.raises(TypeError, match="fast"):
+        _study(tmp_path, cache=False, fast=False)
 
 
 def test_records_carry_fastpath_counters(tmp_path):
@@ -338,16 +339,6 @@ def test_records_carry_fastpath_counters(tmp_path):
         assert set(fastpath) == {
             "extrapolated_trips", "extrapolated_loops", "fallbacks"
         }
-
-
-def test_fast_false_runs_interpreted_with_identical_results(tmp_path):
-    fast = _study(tmp_path / "a", cache=False)
-    interp = _study(tmp_path / "b", cache=False, fast=False)
-    for f_rec, i_rec in zip(fast.telemetry, interp.telemetry):
-        assert i_rec["result"]["fastpath"] is None
-        for field in ("execution_time", "dynamic_count", "static_count",
-                      "total_messages", "total_bytes"):
-            assert f_rec["result"][field] == i_rec["result"][field]
 
 
 def test_worker_failure_names_the_job(tmp_path):

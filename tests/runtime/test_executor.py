@@ -97,6 +97,28 @@ class TestTimingMode:
         res = run(OptimizationConfig.full(), mode=ExecutionMode.TIMING)
         assert any("reductions" in w for w in res.warnings)
 
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_finished_run_is_freed_without_the_cycle_collector(self, fast):
+        """A run's clocks, in-flight arrivals and cost arrays go as soon
+        as the run is dropped: nothing the driver holds points back at
+        it (a cycle kept every batched evaluation's arrays alive until a
+        collection, raising a sweep's peak memory)."""
+        import gc
+        import weakref
+
+        from repro.runtime.executor import _Simulation
+
+        prog = compile_program(SRC, "exec.zl", opt=OptimizationConfig.full())
+        gc.disable()
+        try:
+            sim = _Simulation(prog, t3d(4), ExecutionMode.TIMING, None, fast=fast)
+            sim.run()
+            freed = weakref.ref(sim)
+            del sim
+            assert freed() is None
+        finally:
+            gc.enable()
+
 
 class TestDynamics:
     def test_dynamic_count_scales_with_iterations(self):

@@ -146,3 +146,30 @@ class TestOptionsOnlyAPI:
         assert positional.time == modern.time
         assert positional.warnings == modern.warnings
         assert positional.dynamic_comm_count == modern.dynamic_comm_count
+
+
+class TestTraceRankBoundary:
+    """``trace_rank`` is checked where it enters: a rank outside the
+    machine, or a non-int, used to run silently with a partial timeline
+    (-1 dropped every receive and wait) or fail deep in the engine."""
+
+    @pytest.mark.parametrize("rank", [-1, 4, True, 1.0, "0"])
+    @pytest.mark.parametrize("mode", ["timing", "numeric"])
+    def test_rejected_naming_value_and_range(self, program, machine, rank, mode):
+        with pytest.raises(RuntimeFault) as err:
+            simulate(
+                program,
+                machine,
+                options=SimOptions(mode=mode, trace_rank=rank, repeat_cap=3),
+            )
+        assert repr(rank) in str(err.value)
+        assert "[0, 4)" in str(err.value)
+
+    def test_every_rank_in_range_traces(self, program, machine):
+        for rank in range(machine.nprocs):
+            res = simulate(
+                program,
+                machine,
+                options=SimOptions.timing(trace_rank=rank, repeat_cap=3),
+            )
+            assert res.trace_rank == rank and res.trace

@@ -120,65 +120,31 @@ class TestParticipants:
 
 class TestPrimVectors:
     def test_cumulative_send_costs(self):
-        from repro.machine.params import NetworkParams, PrimitiveCost
+        from repro.ironman.calls import CallKind
+        from repro.machine import apply_overrides, pack_variants, t3d
+        from repro.runtime.costs import call_costs
 
         plan, _ = make_plan(Direction("se", (1, 1)), rows=3, cols=3, n=9)
-        prim = PrimitiveCost("send", fixed=10e-6)
-        net = NetworkParams(latency=1e-6, bandwidth=1e9)
-        vecs = plan.prim_vectors(prim, net)
+        # a flat 10us send on a 9-rank machine (plan geometry is the mesh)
+        machine = apply_overrides(
+            t3d(9, "pvm"),
+            {"prim.*.fixed": 10e-6, "prim.*.per_byte": 0, "prim.*.per_byte_beyond": 0},
+        )
+        costs = call_costs(plan, CallKind.SR, pack_variants([machine])).row(0)
         # rank 4 (center) sends 3 messages: cumulative 10, 20, 30us
         cums = sorted(
-            vecs.cum_sw[i]
+            costs.cum_sw[i]
             for i in range(plan.message_count)
             if plan.senders[i] == 4
         )
         assert np.allclose(cums, [10e-6, 20e-6, 30e-6])
-        assert vecs.total_sw_by_rank[4] == pytest.approx(30e-6)
+        assert costs.rank_sw[4] == pytest.approx(30e-6)
 
 
 class TestCostModelCacheKeys:
-    """Plans are shared process-wide across machines by geometry, so the
-    per-plan cost caches must key on the full cost model — two variants
-    differing only in a primitive-cost field must not reuse vectors
-    (regression: these used to key on the primitive *name*)."""
-
-    def test_prim_vectors_distinguish_cost_fields(self):
-        from repro.machine.params import NetworkParams, PrimitiveCost
-
-        plan, _ = make_plan(Direction("east", (0, 1)), n=16)
-        net = NetworkParams(latency=1e-6, bandwidth=1e9)
-        cheap = PrimitiveCost("send", fixed=10e-6)
-        # same name and network, different knee/beyond
-        steep = PrimitiveCost(
-            "send", fixed=10e-6, knee_bytes=8, per_byte_beyond=1e-6
-        )
-        a = plan.prim_vectors(cheap, net)
-        b = plan.prim_vectors(steep, net)
-        assert a is not b
-        assert (b.cum_sw > a.cum_sw).all()
-
-    def test_prim_vectors_distinguish_network_params(self):
-        from repro.machine.params import NetworkParams, PrimitiveCost
-
-        plan, _ = make_plan(Direction("east", (0, 1)), n=16)
-        prim = PrimitiveCost("send", fixed=10e-6)
-        slow = plan.prim_vectors(prim, NetworkParams(latency=1e-4, bandwidth=1e6))
-        fast = plan.prim_vectors(prim, NetworkParams(latency=1e-6, bandwidth=1e9))
-        assert (slow.wire > fast.wire).all()
-
-    def test_recv_sw_distinguishes_cost_fields(self):
-        from repro.machine.params import PrimitiveCost
-
-        plan, _ = make_plan(Direction("east", (0, 1)), n=16)
-        cheap = PrimitiveCost("recv", fixed=10e-6)
-        steep = PrimitiveCost(
-            "recv", fixed=10e-6, knee_bytes=8, per_byte_beyond=1e-6
-        )
-        a = plan.recv_sw_by_rank(cheap)
-        b = plan.recv_sw_by_rank(steep)
-        receiving = a > 0
-        assert receiving.any()
-        assert (b[receiving] > a[receiving]).all()
+    """Plans are shared process-wide across machines by geometry and
+    hold no cost state; two machines differing only in cost fields must
+    still get their own times."""
 
     def test_variant_times_differ_through_shared_plans(self):
         """End to end: two simulations in one process, same geometry,

@@ -244,10 +244,6 @@ class TestBatchedRouting:
         with pytest.raises(MachineError, match="TIMING"):
             _sweep(tmp_path, mode="numeric", batched=True)
 
-    def test_forced_batched_with_fast_false_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="fast"):
-            _sweep(tmp_path, fast=False, batched=True)
-
     def test_numeric_mode_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, mode="numeric")
         assert not any(o.record.get("batched") for o in sweep.outcomes)
