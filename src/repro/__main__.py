@@ -108,6 +108,7 @@ machine-parameter overrides.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -515,17 +516,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_refine(text: str):
-    """``PATH=LO:HI`` -> (path, lo, hi)."""
+def _parse_range(text: str, flag: str):
+    """``PATH=LO:HI`` -> (path, lo, hi), both ends finite."""
     try:
         path, _, span = text.partition("=")
         lo, _, hi = span.partition(":")
-        return path, float(lo), float(hi)
+        lo, hi = float(lo), float(hi)
     except ValueError:
         raise SystemExit(
-            f"--refine: {text!r} is not PATH=LO:HI (e.g. "
+            f"{flag}: {text!r} is not PATH=LO:HI (e.g. "
             "net.latency=1e-6:1e-3)"
         ) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SystemExit(
+            f"{flag}: {text!r} needs finite LO and HI, got {lo!r}:{hi!r}"
+        )
+    return path, lo, hi
 
 
 def cmd_frontier(args) -> int:
@@ -545,7 +551,7 @@ def cmd_frontier(args) -> int:
         if args.refine is not None:
             if args.tol is None:
                 raise SystemExit("frontier: --refine requires --tol")
-            path, lo, hi = _parse_refine(args.refine)
+            path, lo, hi = _parse_range(args.refine, "--refine")
             refined = run_refined_sweep(
                 axis=path,
                 lo=lo,
@@ -613,6 +619,10 @@ def cmd_fit(args) -> int:
             "PATH=VALUE ground truth to generate one"
         )
     config = _parse_config(args.config)
+    bounds = {}
+    for spec in args.bound or []:
+        path, lo, hi = _parse_range(spec, "--bound")
+        bounds[path] = (lo, hi)
     try:
         if args.synthetic:
             truth = _parse_set(args.synthetic)
@@ -631,10 +641,6 @@ def cmd_fit(args) -> int:
         else:
             target = fitmod.load_target(args.target)
             truth = None
-        bounds = {}
-        for spec in args.bound or []:
-            path, lo, hi = _parse_refine(spec)
-            bounds[path] = (lo, hi)
         paths = args.fit or (sorted(truth) if truth else None)
         if not paths:
             raise SystemExit("fit: pass --fit PATH for each free parameter")

@@ -9,7 +9,9 @@ executable as ``tests/engine/test_backends.py``:
     The ``.repro-cache/`` layout, ``<root>/<aa>/<fingerprint>.json``
     (the first two hex digits shard the directory).  ``get`` returns
     the stored record or ``None`` on *any* miss — absent, torn,
-    corrupt, or written under another ``RECORD_SCHEMA``.  ``put`` is
+    corrupt, written under another ``RECORD_SCHEMA``, or with a
+    ``result`` block missing a field readers index or holding it with
+    the wrong type.  ``put`` is
     atomic (tmp file + ``os.replace``: a concurrent reader sees the old
     record, the new record, or a clean miss — never a partial document)
     and best-effort (a storage failure never fails the run that produced
@@ -126,6 +128,40 @@ def _unlink(path: Path) -> bool:
     return True
 
 
+#: the ``result`` fields every reader indexes, and their JSON types
+_RESULT_FIELDS = (
+    ("static_count", int),
+    ("dynamic_count", int),
+    ("total_messages", int),
+    ("total_bytes", int),
+    ("execution_time", (int, float)),
+)
+
+
+def _usable_result(result: object) -> bool:
+    """Whether a stored ``result`` block has every field a reader
+    indexes, with the type it needs (bools are not counts)."""
+    if not isinstance(result, dict):
+        return False
+    for name, kind in _RESULT_FIELDS:
+        value = result.get(name)
+        if isinstance(value, bool) or not isinstance(value, kind):
+            return False
+    warnings = result.get("warnings", [])
+    if not isinstance(warnings, list) or not all(
+        isinstance(w, str) for w in warnings
+    ):
+        return False
+    fastpath = result.get("fastpath")
+    return fastpath is None or (
+        isinstance(fastpath, dict)
+        and all(
+            isinstance(v, int) and not isinstance(v, bool)
+            for v in fastpath.values()
+        )
+    )
+
+
 class DirCache:
     """A directory of fingerprint-addressed job records (the historical
     ``.repro-cache/`` layout, byte-for-byte)."""
@@ -140,8 +176,10 @@ class DirCache:
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The stored record for a fingerprint, or None on any miss
-        (absent, unreadable, corrupt, or written by another schema).  A
-        document that is present but unusable counts as ``invalid``."""
+        (absent, unreadable, corrupt, written by another schema, or with
+        a ``result`` block readers cannot use).  A document that is
+        present but unusable counts as ``invalid``; its job reruns and
+        overwrites it."""
         path = self._path(fingerprint)
         try:
             record = json.loads(path.read_text())
@@ -153,6 +191,7 @@ class DirCache:
             isinstance(record, dict)
             and record.get("schema") == RECORD_SCHEMA
             and record.get("fingerprint") == fingerprint
+            and _usable_result(record.get("result"))
         ):
             return record
         obs.add("engine.result_cache.invalid")

@@ -25,16 +25,13 @@ here; :mod:`repro.analysis.experiments` re-exports every name so the
 historical import paths keep working.
 
 An experiment key resolves to an :class:`ExperimentSpec` (key, opt,
-library, description).  ``experiment_spec`` historically returned a bare
-``(opt, library, description)`` tuple; the spec still unpacks that way
-through a deprecation shim, but new code should use the named fields.
+library, description), read by field.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 from repro.comm import OptimizationConfig
 from repro.errors import ExperimentError
@@ -91,30 +88,6 @@ class ExperimentSpec:
         """The resolved :class:`~repro.comm.passes.PassPipeline` this key
         compiles to (what the engine fingerprints)."""
         return self.opt.pipeline(verify=verify)
-
-    # -- deprecation shim: the pre-engine API returned a bare
-    # (opt, library, description) 3-tuple; keep unpacking working.
-    def __iter__(self) -> Iterator:
-        warnings.warn(
-            "unpacking an ExperimentSpec as an (opt, library, description) "
-            "tuple is deprecated; use the .opt/.library/.description fields "
-            "(and .key) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter((self.opt, self.library, self.description))
-
-    def __len__(self) -> int:
-        return 3
-
-    def __getitem__(self, index):
-        warnings.warn(
-            "indexing an ExperimentSpec like a tuple is deprecated; use "
-            "the .opt/.library/.description fields instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return (self.opt, self.library, self.description)[index]
 
 
 _SPECS: Dict[str, ExperimentSpec] = {

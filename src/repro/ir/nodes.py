@@ -335,6 +335,12 @@ class IRProgram:
         All scalar variable names (loop variables excluded).
     config_values:
         The config bindings the program was compiled with.
+    templates:
+        The runtime's schedule templates of this program, one per
+        machine shape (:func:`repro.runtime.schedule.schedule_template`),
+        so they live exactly as long as the program.  Not compared.  A
+        program must not change once it has been simulated: its
+        templates would go stale.
     """
 
     name: str
@@ -342,6 +348,9 @@ class IRProgram:
     arrays: Dict[str, Tuple[Region, Tuple[int, ...]]]
     scalars: List[str]
     config_values: Dict[str, float]
+    templates: Dict[Tuple[int, int], object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def walk_blocks(self) -> Iterator[Block]:
         """Yield every Block in the program, in textual order."""

@@ -17,8 +17,8 @@ The run goes through the one simulation driver
 with the batched core
 (:class:`~repro.runtime.timing.BatchTimingEngine`), which performs the
 scalar core's floating-point operations in the same order, elementwise
-across the variant axis, and reads the same per-call cost arrays
-(:func:`~repro.runtime.costs.call_costs`).  So every row of the clock
+across the variant axis, and reads the same price tables
+(:func:`~repro.runtime.costs.price`).  So every row of the clock
 matrix is **bit-identical** to the scalar fast path run of that variant
 (``tests/runtime/test_batch.py`` enforces this differentially).
 
@@ -39,11 +39,12 @@ clocks, times, static/dynamic counts, message counts, volumes,
 reductions, warnings, scalars — is recorded once (it is
 variant-independent) and matches the scalar path exactly.
 
-Memory model: the evaluator holds ``O(V x P)`` floats for the clock
-matrix plus one ``(V, P)`` arrival matrix per in-flight transfer and
-``(V, M)`` cost matrices per (plan, call) — for a 1000-variant sweep on
-64 ranks this is a few MB, not a concern; for 10^6-variant grids, chunk
-the variant list.
+Memory model: a batch holds ``O(V x P)`` floats for the clock matrix
+plus one ``(V, P)`` arrival matrix per in-flight transfer, the
+``(V, M)`` price table of each call kind over the program's ``M``
+messages and the ``(S, V, P)`` charge rows — for a 1000-variant sweep
+on 64 ranks this is a few MB, not a concern; for 10^6-variant grids,
+chunk the variant list.
 """
 
 from __future__ import annotations
@@ -62,10 +63,10 @@ from repro.ir import nodes as ir
 from repro.machine.params import Machine
 from repro.machine.variants import VariantMatrix, pack_variants
 from repro.obs import core as obs
-from repro.runtime.executor import Geometry, _Simulation
+from repro.runtime.executor import _Simulation
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.options import ExecutionMode, SimOptions
-from repro.runtime.schedule import FastPathStats
+from repro.runtime.schedule import FastPathStats, schedule_template
 
 __all__ = [
     "BatchEvaluator",
@@ -85,15 +86,16 @@ __all__ = [
 class BatchEvaluator:
     """Incremental-append front-end over the batched TIMING simulator.
 
-    Builds the variant-independent state of one ``(program, base
-    machine)`` pair once — processor grid, problem layout (with fluff
-    feasibility checked), plan cache, per-region element vectors, static
-    comm count — then evaluates any number of variant batches against
-    it.  Refinement drivers and calibration loops call
-    :meth:`evaluate` once per round; only the per-variant cost matrices
-    and the timing engine are rebuilt, so appending a handful of new
-    variants costs a fraction of a cold :func:`simulate_many` call
-    while every returned row stays bit-identical to one.
+    Holds the variant-independent state of one ``(program, base
+    machine)`` pair — the program's schedule template for the machine's
+    shape (:func:`~repro.runtime.schedule.schedule_template`), which
+    scalar runs on that shape share — then evaluates any number of
+    variant batches against it.  Refinement drivers and calibration
+    loops call :meth:`evaluate` once per round; only the price tables,
+    the bound ops and the timing engine are rebuilt per batch, so
+    appending a handful of new variants costs a fraction of a cold
+    :func:`simulate_many` call while every returned row stays
+    bit-identical to one.
     """
 
     def __init__(
@@ -106,7 +108,7 @@ class BatchEvaluator:
         self.program = program
         self.base = base
         self.repeat_cap = repeat_cap
-        self.geometry = Geometry.build(program, base)
+        self.template = schedule_template(program, base)
         self.calls = 0
         self.variants_evaluated = 0
 
@@ -137,7 +139,6 @@ class BatchEvaluator:
             ExecutionMode.TIMING,
             self.repeat_cap,
             fast=True,
-            geometry=self.geometry,
         )
         stats = sim.execute()
         run = BatchRun(

@@ -1,14 +1,21 @@
-"""Per-call cost arrays: where the IRONMAN cost model meets a transfer plan.
+"""Per-call cost arrays: where the IRONMAN cost model meets transfer plans.
 
 Each IRONMAN call charges its bound primitive's software cost per
 message, ``sw(n) = fixed + per_byte*n + per_byte_beyond*max(0, n - knee)``,
 and a send's message then spends ``latency + n / bandwidth`` on the wire.
-:func:`call_costs` evaluates that model for one plan and one call across
-every variant of a :class:`~repro.machine.variants.VariantMatrix`.  Plans
-hold geometry only, so the arrays are built per run and bound into the
-ops at lowering.  The simulation driver memoizes them per plan
-:attr:`~repro.runtime.transfers.TransferPlan.signature` and call, so
-descriptors whose messages coincide share one build.
+Pricing splits in two halves:
+
+* a :class:`PlanTable` is the machine-independent half: distinct
+  plans, their messages concatenated, and the index arrays that lay
+  every plan's messages out for one vectorized pass per call kind.  A
+  program's schedule template builds one over all its calls' plans,
+  once per machine shape (:mod:`repro.runtime.schedule`); the
+  interpreted walk builds a one-plan table per plan it reaches;
+* :func:`price` is the per-run half: it evaluates the cost model of
+  one call kind for every plan of a table across every variant of a
+  :class:`~repro.machine.variants.VariantMatrix` in one pass and
+  returns one :class:`CallCosts` per plan, the *price table* of that
+  call kind.
 
 Both timing cores read the result: the batched core the ``(V, ...)``
 arrays, the scalar core :meth:`CallCosts.row` ``0`` of a one-variant
@@ -16,17 +23,20 @@ pack, whose arrays are 1-D views.
 
 Exactness: every per-rank total accumulates from 0.0 in message order,
 which is the float sequence of the per-message loop
-(``tests/runtime/test_costs.py`` keeps those loops as the oracle).
-Messages are in (sender, receiver) order, so a sender's messages are
-contiguous and their running sums are one sequential ``cumsum`` per
-sender; receive and fixed-cost totals use ``np.add.at``, which adds in
-index order.
+(``tests/runtime/test_costs.py`` keeps those loops, and the per-plan
+builder this replaced, as the oracle).  Messages are in (sender,
+receiver) order within a plan, so each (plan, sender) run of messages is
+contiguous; each run is a zero-padded row that starts at 0.0, and one
+sequential ``cumsum`` over the rows gives every running send sum.
+Receive and fixed-cost totals use ``np.add.at`` over (plan, rank) slots,
+which adds in index order, so in message order.  Plans never share a
+row or a slot, so concatenating them changes no sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from repro.machine.params import SyncKind
 from repro.machine.variants import VariantMatrix
 from repro.runtime.transfers import TransferPlan
 
-__all__ = ["CallCosts", "call_costs"]
+__all__ = ["CallCosts", "PlanTable", "price"]
 
 
 @dataclass(eq=False)
@@ -83,71 +93,92 @@ class CallCosts:
         )
 
 
-def call_costs(
-    plan: TransferPlan, kind: CallKind, matrix: VariantMatrix
-) -> CallCosts:
-    """The ``(V, ...)`` cost arrays of ``kind`` calls on ``plan`` under
-    every variant of ``matrix``."""
+class PlanTable:
+    """Distinct plans with their messages concatenated: everything
+    pricing needs that no machine changes, for every call kind.
+
+    ``plans`` must share one processor count.  SR lays each (plan,
+    sender) run of messages out as a row (``run``, ``place``, 1-based so
+    that every row starts at 0.0) ending in its total's slot
+    (``run_slot``); DN and DR add each message into the (plan, rank)
+    slot of its receiver (``recv_slots``), SV into its sender's
+    (``send_slots``)."""
+
+    def __init__(self, plans: Sequence[TransferPlan]) -> None:
+        self.plans = tuple(plans)
+        self.nprocs = nprocs = self.plans[0].nprocs
+        counts = [plan.message_count for plan in self.plans]
+        #: message offsets: plan ``i`` owns messages ``bounds[i]:bounds[i+1]``
+        self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.nbytes = np.concatenate([plan.nbytes for plan in self.plans])
+        plan_base = np.repeat(np.arange(len(self.plans)) * nprocs, counts)
+        self.send_slots = plan_base + np.concatenate([p.senders for p in self.plans])
+        self.recv_slots = plan_base + np.concatenate([p.receivers for p in self.plans])
+        slots = self.send_slots
+        first = np.empty(len(slots), dtype=bool)
+        first[:1] = True
+        np.not_equal(slots[1:], slots[:-1], out=first[1:])
+        firsts = np.flatnonzero(first)
+        self.run = np.cumsum(first) - 1
+        self.place = np.arange(1, len(slots) + 1) - firsts[self.run]
+        self.width = int(self.place.max(initial=0)) + 1
+        self.run_slot = slots[firsts]
+        self.send_callers = [len(p.senders_unique) for p in self.plans]
+        self.recv_callers = [len(p.receivers_unique) for p in self.plans]
+
+
+def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallCosts]:
+    """The ``(V, ...)`` cost arrays of ``kind`` calls on every plan of
+    ``table`` under every variant of ``matrix``, in table order: one
+    vectorized pass."""
     pc = matrix.prims[matrix.base.binding.primitive(kind)]
-    P = plan.nprocs
-    rank_sw = cum_sw = wire = None
-    if kind is CallKind.SR:
-        cum_sw, rank_sw = _running_sums(pc.sw_matrix(plan.nbytes), plan)
-        lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
-        wire = lat[:, None] + plan.nbytes[None, :] / matrix.net_bandwidth[:, None]
-        calls = np.count_nonzero(rank_sw > 0, axis=1)
-    else:
-        # SV runs on the senders, DR and DN on the receivers; rendezvous
-        # DR and DN charge their parameters directly
-        sv = kind is CallKind.SV
-        if sv or pc.sync is not SyncKind.RENDEZVOUS:
-            per_message = (
-                pc.sw_matrix(plan.nbytes)
-                if kind is CallKind.DN
-                else pc.fixed[:, None]
-            )
-            rank_sw = _totals(
-                per_message, plan.senders if sv else plan.receivers, P
-            )
-        unique = plan.senders_unique if sv else plan.receivers_unique
-        calls = np.full(matrix.nvariants, len(unique))
-    return CallCosts(
+    V, n, P = matrix.nvariants, len(table.plans), table.nprocs
+    common = dict(
         name=pc.name,
         sync=pc.sync,
-        calls=calls,
-        rank_sw=rank_sw,
-        cum_sw=cum_sw,
-        wire=wire,
         fixed=pc.fixed[:, None],
         spread_penalty=pc.spread_penalty[:, None],
         spread_cap=pc.spread_cap[:, None],
     )
-
-
-def _totals(sw: np.ndarray, ranks: np.ndarray, nprocs: int) -> np.ndarray:
-    """``(V, P)`` per-rank sums of ``sw`` (``(V, M)``, or ``(V, 1)`` for
-    one cost per message) over the messages' ``ranks``."""
-    out = np.zeros((sw.shape[0], nprocs), dtype=np.float64)
-    np.add.at(out, (slice(None), ranks), sw)
-    return out
-
-
-def _running_sums(sw: np.ndarray, plan: TransferPlan):
-    """``(cum, totals)``: each message's running sum of ``sw`` over its
-    sender's messages so far, and each sender's total.  Each sender's
-    run is laid out as a row that starts with 0.0 and is padded with
-    zeros, so one sequential ``cumsum`` per row adds exactly what the
-    per-message loop adds."""
-    senders = plan.senders
-    first = np.empty(len(senders), dtype=bool)
-    first[:1] = True
-    np.not_equal(senders[1:], senders[:-1], out=first[1:])
-    firsts = np.flatnonzero(first)
-    run = np.cumsum(first) - 1  # each message's sender run
-    place = np.arange(1, len(senders) + 1) - firsts[run]  # 1-based in it
-    rows = np.zeros((sw.shape[0], len(firsts), int(place.max(initial=0)) + 1))
-    rows[:, run, place] = sw
-    rows = np.cumsum(rows, axis=2)
-    totals = np.zeros((sw.shape[0], plan.nprocs), dtype=np.float64)
-    totals[:, senders[firsts]] = rows[:, :, -1]
-    return rows[:, run, place], totals
+    if kind is CallKind.SR:
+        rows = np.zeros((V, len(table.run_slot), table.width))
+        rows[:, table.run, table.place] = pc.sw_matrix(table.nbytes)
+        np.cumsum(rows, axis=2, out=rows)
+        cum_sw = rows[:, table.run, table.place]
+        totals = np.zeros((V, n * P))
+        totals[:, table.run_slot] = rows[:, :, -1]
+        totals = totals.reshape(V, n, P)
+        lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
+        wire = lat[:, None] + table.nbytes[None, :] / matrix.net_bandwidth[:, None]
+        calls = np.count_nonzero(totals > 0, axis=2)
+        bounds = table.bounds
+        return [
+            CallCosts(
+                calls=calls[:, i],
+                rank_sw=totals[:, i],
+                cum_sw=cum_sw[:, bounds[i] : bounds[i + 1]],
+                wire=wire[:, bounds[i] : bounds[i + 1]],
+                **common,
+            )
+            for i in range(n)
+        ]
+    # SV runs on the senders, DR and DN on the receivers; rendezvous DR
+    # and DN charge their parameters directly
+    sv = kind is CallKind.SV
+    totals = None
+    if sv or pc.sync is not SyncKind.RENDEZVOUS:
+        per_message = (
+            pc.sw_matrix(table.nbytes) if kind is CallKind.DN else pc.fixed[:, None]
+        )
+        totals = np.zeros((V, n * P))
+        slots = table.send_slots if sv else table.recv_slots
+        np.add.at(totals, (slice(None), slots), per_message)
+        totals = totals.reshape(V, n, P)
+    return [
+        CallCosts(
+            calls=np.full(V, callers),
+            rank_sw=None if totals is None else totals[:, i],
+            **common,
+        )
+        for i, callers in enumerate(table.send_callers if sv else table.recv_callers)
+    ]

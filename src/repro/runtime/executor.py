@@ -32,9 +32,11 @@ walk as the differential oracle.
 scalar core (:class:`~repro.runtime.timing.TimingEngine`); given a
 :class:`~repro.machine.variants.VariantMatrix` it runs the batched core
 (:class:`~repro.runtime.timing.BatchTimingEngine`) for
-:func:`repro.simulate_many`.  Either way it lowers through
-:func:`~repro.runtime.schedule.compile_schedule` and builds each call's
-cost arrays once per run (:meth:`_Simulation.comm_costs`).
+:func:`repro.simulate_many`.  Either way it reads the program's schedule
+template for the machine's shape, built once and kept on the program
+(:func:`~repro.runtime.schedule.schedule_template`), lowers through
+:func:`~repro.runtime.schedule.compile_schedule`, and the walk prices
+each call it reaches once per run (:meth:`_Simulation.comm_costs`).
 """
 
 from __future__ import annotations
@@ -45,23 +47,20 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.comm.counts import static_comm_count
 from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
 from repro.ironman.calls import CallKind
 from repro.machine.params import Machine
 from repro.machine.variants import VariantMatrix, pack_variants
 from repro.obs import core as obs
-from repro.runtime.costs import CallCosts
+from repro.runtime.costs import CallCosts, PlanTable, price
 from repro.runtime.distarray import DistArray
-from repro.runtime.grid import ProcessorGrid
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.interp import ParallelEvaluator, ScalarEvaluator
-from repro.runtime.layout import ProblemLayout
 from repro.runtime.options import ExecutionMode, SimOptions
-from repro.runtime.schedule import FastPathStats, compile_schedule
+from repro.runtime.schedule import FastPathStats, compile_schedule, schedule_template
 from repro.runtime.timing import BatchTimingEngine, TimingEngine
-from repro.runtime.transfers import PlanCache, TransferPlan
+from repro.runtime.transfers import TransferPlan
 
 
 @dataclass
@@ -102,33 +101,6 @@ class RunResult:
         return self.instrument.warnings
 
 
-@dataclass
-class Geometry:
-    """The cost-free state of one program on one machine shape: the
-    processor grid, the problem layout (fluff feasibility checked), the
-    transfer-plan cache and the static communication count."""
-
-    grid: ProcessorGrid
-    layout: ProblemLayout
-    plans: PlanCache
-    static_count: int
-
-    @classmethod
-    def build(cls, program: ir.IRProgram, machine: Machine) -> "Geometry":
-        rows, cols = machine.grid_shape
-        grid = ProcessorGrid(rows, cols)
-        domains = {name: dom for name, (dom, _) in program.arrays.items()}
-        layout = ProblemLayout(grid, domains)
-        fluff = {name: f for name, (_, f) in program.arrays.items()}
-        layout.check_fluff_feasible(fluff)
-        return cls(
-            grid,
-            layout,
-            PlanCache(layout, machine.nprocs),
-            static_comm_count(program),
-        )
-
-
 def _timing_reduce(instrument: Instrumentation, expr: ir.IRReduce) -> float:
     instrument.warn(
         "TIMING mode evaluates reductions as 0.0; control flow "
@@ -139,9 +111,8 @@ def _timing_reduce(instrument: Instrumentation, expr: ir.IRReduce) -> float:
 
 class _Simulation:
     """One run of ``program`` on ``target``: a machine (the scalar core)
-    or a variant matrix (the batched core, compiled TIMING only).
-    ``geometry`` lends state built for an earlier run of the same
-    program on the same machine shape."""
+    or a variant matrix (the batched core, compiled TIMING only), over
+    the program's template for the machine's shape."""
 
     def __init__(
         self,
@@ -151,7 +122,6 @@ class _Simulation:
         repeat_cap: Optional[int],
         trace_rank: Optional[int] = None,
         fast: bool = False,
-        geometry: Optional[Geometry] = None,
     ) -> None:
         batched = isinstance(target, VariantMatrix)
         self.program = program
@@ -160,8 +130,8 @@ class _Simulation:
         self.repeat_cap = repeat_cap
         self.fast = fast
         self._alias_cache: Dict[int, bool] = {}
-        if geometry is None:
-            geometry = Geometry.build(program, self.machine)
+        self.template = schedule_template(program, self.machine)
+        geometry = self.template.geometry
         self.grid = geometry.grid
         self.layout = geometry.layout
         self.plans = geometry.plans
@@ -205,13 +175,15 @@ class _Simulation:
             )
 
     def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
-        """The cost arrays of ``kind`` calls on ``plan``, built once per
-        run and plan signature for the lowering and the walk alike (the
-        engines only read them, so equal signatures share one build)."""
+        """The walk's cost arrays of ``kind`` calls on ``plan``: a
+        one-plan table through the one pricer, once per run and plan
+        signature (the engines only read them, so equal signatures
+        share one)."""
         key = (plan.signature, kind)
         costs = self._costs.get(key)
         if costs is None:
-            costs = self._costs[key] = self.timing.comm_costs(plan, kind)
+            (costs,) = price(PlanTable([plan]), kind, self.timing.matrix)
+            costs = self._costs[key] = self.timing.bind_costs(costs)
         return costs
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The compiled TIMING fast path.
 
-:func:`compile_schedule` lowers an ``IRProgram`` body *once* into a flat
+:func:`compile_schedule` turns an ``IRProgram`` body into a flat
 **timing program** — a sequence of primitive ops with every invariant
 precomputed:
 
@@ -22,8 +22,32 @@ The dispatch loop then mutates the clock vector with NumPy ops and no IR
 traversal, `isinstance` dispatch, or dict lookups per statement.  The
 same lowering, runner and cycle monitor drive either timing core
 (:mod:`repro.runtime.timing`): the engine supplies the charge arrays,
-the reduction tree time and the call costs, and folds replayed epoch
-advances.
+the reduction tree time and its view of the call costs, and folds
+replayed epoch advances.
+
+Template, price table, binding
+------------------------------
+Lowering splits at the machine.  Everything no cost parameter changes
+is a :class:`ScheduleTemplate`, built once per program and machine shape
+(processor mesh) and kept on the program
+(:func:`schedule_template`), so it lives exactly as long as the program
+and holds no reference back to it: the :class:`Geometry` (grid, layout,
+plan cache, static count), and, from the first compiled run on, the one
+walk over the IR (:class:`_TemplateLowerer`) — a tree of nodes with the
+plans resolved and loop eligibility decided, the array-charge rows
+stacked (statements with equal flops and bounds share a row) and the
+distinct plan signatures of its calls in one
+:class:`~repro.runtime.costs.PlanTable`.  Scalar ``simulate`` runs and
+``BatchEvaluator`` batches of any machine on that mesh — another
+library, another machine, a sweep variant — share it.
+
+Each run then prices (:class:`_Binder`): one vectorized
+:func:`~repro.runtime.costs.price` pass per call kind gives that kind's
+price table, and one expression prices every charge row; the binder
+walks the node tree into ops over the run's engine and scalar
+environment.  A DR or SV call bound to ``noop`` emits no op: it would
+add 0.0 to every clock and record nothing.  Float sums stay bit-exact
+with the per-plan builds they replace (see :mod:`repro.runtime.costs`).
 
 Steady-state extrapolation
 --------------------------
@@ -67,14 +91,22 @@ differ from repeated addition in the last ulps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import cached_property, partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.comm.counts import static_comm_count
 from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
+from repro.ironman.bindings import NOOP
+from repro.ironman.calls import CallKind
+from repro.machine.params import Machine
+from repro.runtime.costs import PlanTable, price
+from repro.runtime.grid import ProcessorGrid
 from repro.runtime.interp import _BIN_OPS, _INTRINSICS
+from repro.runtime.layout import ProblemLayout
+from repro.runtime.transfers import PlanCache, TransferPlan
 
 #: counted loops shorter than this step without the cycle monitor and do
 #: not count as fallbacks
@@ -460,115 +492,316 @@ class _RepeatOp:
 
 
 # ---------------------------------------------------------------------------
-# lowering
+# the template: lowering without a machine
 # ---------------------------------------------------------------------------
 
 
-class _Lowerer:
-    """One-time translation of an IR body into flat op lists.
+@dataclass
+class Geometry:
+    """The cost-free state of one program on one machine shape: the
+    processor grid, the problem layout (fluff feasibility checked), the
+    transfer-plan cache and the static communication count."""
 
-    ``sim`` is the owning :class:`repro.runtime.executor._Simulation`
-    (duck-typed: needs ``timing``, ``instrument``, ``scalars``,
-    ``plans``, ``layout``, ``scalar_eval``, ``repeat_cap`` and
-    ``comm_costs``)."""
+    grid: ProcessorGrid
+    layout: ProblemLayout
+    plans: PlanCache
+    static_count: int
 
-    def __init__(self, sim) -> None:
-        self.sim = sim
-        self.timing = sim.timing
-        self.scalars = sim.scalars
-        self.reduce_hook = sim.scalar_eval.reduce_hook
-        self.runner = _Runner(sim.timing, sim.instrument, sim.scalars, sim.repeat_cap)
+    @classmethod
+    def build(cls, program: ir.IRProgram, machine: Machine) -> "Geometry":
+        rows, cols = machine.grid_shape
+        grid = ProcessorGrid(rows, cols)
+        domains = {name: dom for name, (dom, _) in program.arrays.items()}
+        layout = ProblemLayout(grid, domains)
+        fluff = {name: f for name, (_, f) in program.arrays.items()}
+        layout.check_fluff_feasible(fluff)
+        return cls(
+            grid,
+            layout,
+            PlanCache(layout, machine.nprocs),
+            static_comm_count(program),
+        )
 
-    def lower_body(self, body: List[ir.IRStmt]) -> List[Callable[[], None]]:
-        ops: List[Callable[[], None]] = []
+
+class _Charge(NamedTuple):
+    """An array statement: a row of the stacked charges."""
+
+    row: int
+    label: str
+
+
+class _Reduce(NamedTuple):
+    """A reduction: its partial combine's row, then the tree."""
+
+    row: int
+
+
+class _Assign(NamedTuple):
+    """A scalar statement: its charge, then the assignment."""
+
+    target: str
+    expr: ir.IRExpr
+    flops: int
+
+
+class _Call(NamedTuple):
+    """An IRONMAN call: its plan's index in the plan table."""
+
+    kind: CallKind
+    plan: TransferPlan
+    index: int
+
+
+class _For(NamedTuple):
+    var: str
+    low: ir.IRExpr
+    high: ir.IRExpr
+    step: Optional[ir.IRExpr]
+    body: list
+    #: the body never reads or writes ``var``: the cycle monitor may run
+    eligible: bool
+
+
+class _Repeat(NamedTuple):
+    body: list
+    cond: ir.IRExpr
+    max_trips: int
+
+
+class _If(NamedTuple):
+    arms: list
+    orelse: list
+
+
+class _Lowered(NamedTuple):
+    """What the walk over the IR leaves: the node tree, the charge rows
+    stacked (an ``(S, 1)`` flops column against ``(S, P)`` element
+    counts), the distinct plans of its calls in one
+    :class:`~repro.runtime.costs.PlanTable` (None without calls) and
+    the call kinds that run on them, in :class:`CallKind` order."""
+
+    body: list
+    flops: np.ndarray
+    elements: np.ndarray
+    table: Optional[PlanTable]
+    kinds: Tuple[CallKind, ...]
+
+
+class _TemplateLowerer:
+    """The one walk over an IR body: resolves plans, element vectors
+    and loop eligibility, and numbers the distinct charge rows and plan
+    signatures."""
+
+    def __init__(self, geometry: Geometry) -> None:
+        self.layout = geometry.layout
+        self.plans = geometry.plans
+        self.nprocs = geometry.grid.nprocs
+        self.rows: Dict[Tuple, int] = {}
+        self.flops: List[int] = []
+        self.elements: List[np.ndarray] = []
+        self.plan_index: Dict[Tuple, int] = {}
+        self.table_plans: List[TransferPlan] = []
+        self.kinds: set = set()
+
+    def lower(self, body: List[ir.IRStmt]) -> _Lowered:
+        nodes = self.lower_body(body)
+        flops = np.array(self.flops, dtype=np.int64).reshape(-1, 1)
+        elements = (
+            np.stack(self.elements)
+            if self.elements
+            else np.zeros((0, self.nprocs), dtype=np.float64)
+        )
+        table = PlanTable(self.table_plans) if self.table_plans else None
+        kinds = tuple(kind for kind in CallKind if kind in self.kinds)
+        return _Lowered(nodes, flops, elements, table, kinds)
+
+    def lower_body(self, body: List[ir.IRStmt]) -> list:
+        nodes: list = []
         for stmt in body:
             if isinstance(stmt, ir.Block):
                 for s in stmt.stmts:
-                    self._lower_simple(s, ops)
+                    self._lower_simple(s, nodes)
             elif isinstance(stmt, ir.ForLoop):
-                ops.append(self._lower_for(stmt))
+                nodes.append(
+                    _For(
+                        stmt.var,
+                        stmt.low,
+                        stmt.high,
+                        stmt.step,
+                        self.lower_body(stmt.body),
+                        eligible=not _body_touches(stmt.body, stmt.var),
+                    )
+                )
             elif isinstance(stmt, ir.RepeatLoop):
-                ops.append(self._lower_repeat(stmt))
+                nodes.append(
+                    _Repeat(self.lower_body(stmt.body), stmt.cond, stmt.max_trips)
+                )
             elif isinstance(stmt, ir.IfStmt):
-                ops.append(self._lower_if(stmt))
+                arms = [(cond, self.lower_body(arm)) for cond, arm in stmt.arms]
+                nodes.append(_If(arms, self.lower_body(stmt.orelse)))
             else:  # pragma: no cover - defensive
                 raise RuntimeFault(f"cannot lower {stmt!r}")
-        return ops
+        return nodes
 
-    # -- simple statements ----------------------------------------------
-    def _lower_simple(self, stmt: ir.SimpleStmt, ops: List) -> None:
-        timing = self.timing
+    def _row(self, flops: int, region) -> int:
+        """The charge row of ``flops`` per element over ``region``
+        (statements with equal flops and bounds share one)."""
+        key = (flops, region.lows, region.highs)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = len(self.flops)
+            self.flops.append(flops)
+            self.elements.append(self.layout.element_counts(region))
+        return row
+
+    def _lower_simple(self, stmt: ir.SimpleStmt, nodes: list) -> None:
         if isinstance(stmt, ir.ArrayAssign):
-            cost = timing.array_cost(stmt.flops, self.sim.layout.element_counts(stmt.region))
-            ops.append(partial(timing.charge_array_vec, cost, stmt.target))
+            nodes.append(_Charge(self._row(stmt.flops, stmt.region), stmt.target))
         elif isinstance(stmt, ir.ScalarAssign):
             for node in ir.walk_expr(stmt.expr):
                 if isinstance(node, ir.IRReduce):
-                    part = timing.reduction_cost(
-                        ir.expr_flops(node.operand),
-                        self.sim.layout.element_counts(node.region),
-                    )
-                    ops.append(
-                        partial(timing.charge_reduction_vec, part, timing.tree_time)
-                    )
-            ops.append(
-                partial(
-                    timing.charge_scalar_cost,
-                    timing.scalar_cost(ir.expr_flops(stmt.expr)),
-                )
-            )
-            value = _compile_scalar(stmt.expr, self.scalars, self.reduce_hook)
-            ops.append(partial(self._assign, stmt.target, value))
+                    # a partial combine charges like an array statement
+                    # of at least one flop
+                    flops = max(ir.expr_flops(node.operand), 1)
+                    nodes.append(_Reduce(self._row(flops, node.region)))
+            nodes.append(_Assign(stmt.target, stmt.expr, ir.expr_flops(stmt.expr)))
         elif isinstance(stmt, ir.CommCall):
-            plan = self.sim.plans.plan(stmt.desc)
+            plan = self.plans.plan(stmt.desc)
             if plan.message_count == 0:
-                return  # nothing to move on this machine
-            # the call's costs are resolved here once, not on every dispatch
-            costs = self.sim.comm_costs(plan, stmt.kind)
-            ops.append(partial(timing.call_op(stmt.kind), plan, costs))
+                return  # nothing to move on this machine shape
+            index = self.plan_index.get(plan.signature)
+            if index is None:
+                index = self.plan_index[plan.signature] = len(self.table_plans)
+                self.table_plans.append(plan)
+            self.kinds.add(stmt.kind)
+            nodes.append(_Call(stmt.kind, plan, index))
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot lower {stmt!r}")
 
-    def _assign(self, target: str, value: Callable[[], object]) -> None:
-        self.scalars[target] = value()
 
-    # -- structured statements ------------------------------------------
-    def _lower_for(self, stmt: ir.ForLoop) -> _ForOp:
-        compile_bound = partial(
-            _compile_scalar, scalars=self.scalars, reduce_hook=self.reduce_hook
-        )
-        return _ForOp(
-            self.runner,
-            stmt.var,
-            compile_bound(stmt.low),
-            compile_bound(stmt.high),
-            compile_bound(stmt.step) if stmt.step is not None else None,
-            self.lower_body(stmt.body),
-            eligible=not _body_touches(stmt.body, stmt.var),
-        )
+class ScheduleTemplate:
+    """Everything of a compiled schedule that no cost parameter changes,
+    for one program on one machine shape.
 
-    def _lower_repeat(self, stmt: ir.RepeatLoop) -> _RepeatOp:
-        cap = (
-            self.sim.repeat_cap
-            if self.sim.repeat_cap is not None
-            else stmt.max_trips
-        )
-        return _RepeatOp(
-            self.runner,
-            self.lower_body(stmt.body),
-            _compile_scalar(stmt.cond, self.scalars, self.reduce_hook),
-            cap,
-        )
+    :attr:`geometry` is built with the template and serves every run,
+    the interpreted walk's included.  :attr:`lowered` walks the IR on
+    the first compiled run.  The template holds no reference to its
+    program, so it is freed with the program by reference counting."""
 
-    def _lower_if(self, stmt: ir.IfStmt) -> _IfOp:
-        arms = [
-            (
-                _compile_scalar(cond, self.scalars, self.reduce_hook),
-                self.lower_body(body),
-            )
-            for cond, body in stmt.arms
-        ]
-        return _IfOp(arms, self.lower_body(stmt.orelse))
+    def __init__(self, program: ir.IRProgram, machine: Machine) -> None:
+        self.geometry = Geometry.build(program, machine)
+        self._ir_body = program.body
+
+    @cached_property
+    def lowered(self) -> _Lowered:
+        return _TemplateLowerer(self.geometry).lower(self._ir_body)
+
+
+def schedule_template(program: ir.IRProgram, machine: Machine) -> ScheduleTemplate:
+    """The one template of ``program`` on ``machine``'s processor mesh,
+    built on first use and kept on the program for as long as it
+    lives."""
+    template = program.templates.get(machine.grid_shape)
+    if template is None:
+        template = ScheduleTemplate(program, machine)
+        program.templates[machine.grid_shape] = template
+    return template
+
+
+# ---------------------------------------------------------------------------
+# binding: one run's ops
+# ---------------------------------------------------------------------------
+
+#: calls whose whole effect is their software charge: bound to ``noop``
+#: they add 0.0 to every clock and record nothing, so they bind no op
+_CHARGE_ONLY = (CallKind.DR, CallKind.SV)
+
+
+def _assign(scalars: Dict[str, object], target: str, value: Callable[[], object]) -> None:
+    scalars[target] = value()
+
+
+class _Binder:
+    """Prices one run's calls and charges and binds the template's
+    nodes into ops over the run's engine and scalar environment.
+
+    ``sim`` is the owning :class:`repro.runtime.executor._Simulation`
+    (duck-typed: needs ``template``, ``timing``, ``instrument``,
+    ``scalars``, ``scalar_eval`` and ``repeat_cap``)."""
+
+    def __init__(self, sim) -> None:
+        lowered = sim.template.lowered
+        timing = self.timing = sim.timing
+        self.scalars = sim.scalars
+        self.reduce_hook = sim.scalar_eval.reduce_hook
+        self.repeat_cap = sim.repeat_cap
+        self.runner = _Runner(timing, sim.instrument, sim.scalars, sim.repeat_cap)
+        self.charges = timing.array_cost(lowered.flops, lowered.elements)
+        binding = timing.machine.binding
+        self.costs = {
+            kind: [
+                timing.bind_costs(c)
+                for c in price(lowered.table, kind, timing.matrix)
+            ]
+            for kind in lowered.kinds
+            if not (kind in _CHARGE_ONLY and binding.primitive(kind) == NOOP)
+        }
+
+    def _compile(self, expr: ir.IRExpr) -> Callable[[], object]:
+        return _compile_scalar(expr, self.scalars, self.reduce_hook)
+
+    def bind(self, nodes: list) -> List[Callable[[], None]]:
+        timing = self.timing
+        ops: List[Callable[[], None]] = []
+        for node in nodes:
+            if isinstance(node, _Charge):
+                ops.append(
+                    partial(timing.charge_array_vec, self.charges[node.row], node.label)
+                )
+            elif isinstance(node, _Call):
+                costs = self.costs.get(node.kind)
+                if costs is not None:
+                    ops.append(
+                        partial(timing.call_op(node.kind), node.plan, costs[node.index])
+                    )
+            elif isinstance(node, _Assign):
+                ops.append(
+                    partial(timing.charge_scalar_cost, timing.scalar_cost(node.flops))
+                )
+                ops.append(
+                    partial(_assign, self.scalars, node.target, self._compile(node.expr))
+                )
+            elif isinstance(node, _Reduce):
+                ops.append(
+                    partial(
+                        timing.charge_reduction_vec,
+                        self.charges[node.row],
+                        timing.tree_time,
+                    )
+                )
+            elif isinstance(node, _For):
+                ops.append(
+                    _ForOp(
+                        self.runner,
+                        node.var,
+                        self._compile(node.low),
+                        self._compile(node.high),
+                        self._compile(node.step) if node.step is not None else None,
+                        self.bind(node.body),
+                        node.eligible,
+                    )
+                )
+            elif isinstance(node, _Repeat):
+                cap = self.repeat_cap if self.repeat_cap is not None else node.max_trips
+                ops.append(
+                    _RepeatOp(
+                        self.runner, self.bind(node.body), self._compile(node.cond), cap
+                    )
+                )
+            else:
+                arms = [(self._compile(c), self.bind(arm)) for c, arm in node.arms]
+                ops.append(_IfOp(arms, self.bind(node.orelse)))
+        return ops
 
 
 @dataclass
@@ -589,6 +822,8 @@ class CompiledSchedule:
 
 
 def compile_schedule(sim) -> CompiledSchedule:
-    """Lower ``sim``'s program body into a flat timing program."""
-    lowerer = _Lowerer(sim)
-    return CompiledSchedule(lowerer.lower_body(sim.program.body), lowerer.runner)
+    """Lower ``sim``'s program into a flat timing program for its run:
+    the program's template (lowered on its first compiled run per
+    machine shape), priced and bound to the run."""
+    binder = _Binder(sim)
+    return CompiledSchedule(binder.bind(sim.template.lowered.body), binder.runner)

@@ -26,8 +26,9 @@ interesting dynamics live entirely in the communication calls:
 Reductions synchronize all ranks (combine + broadcast tree).
 
 Every call executes as ``op(plan, costs)``: the
-:class:`~repro.runtime.costs.CallCosts` of the call are built once per
-run by :func:`~repro.runtime.costs.call_costs` and bound at lowering.
+:class:`~repro.runtime.costs.CallCosts` of the call are priced once per
+run by :func:`~repro.runtime.costs.price` and bound at lowering, each
+core taking its view of them (:meth:`TimingEngine.bind_costs`).
 
 Two cores, one arithmetic
 -------------------------
@@ -74,7 +75,7 @@ from repro.errors import RuntimeFault
 from repro.ironman.calls import CallKind
 from repro.machine.params import SyncKind
 from repro.machine.variants import VariantMatrix
-from repro.runtime.costs import CallCosts, call_costs
+from repro.runtime.costs import CallCosts
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.transfers import TransferPlan
 
@@ -179,8 +180,9 @@ class TimingEngine(_Core):
         #: advance log for the fast path's cycle monitor (None: off)
         self._epoch_log: Optional[List[float]] = None
 
-    def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
-        return call_costs(plan, kind, self.matrix).row(0)
+    def bind_costs(self, costs: CallCosts) -> CallCosts:
+        """This core's view of priced costs: the one variant's row."""
+        return costs.row(0)
 
     def _record(self, kind: str, start: float, end: float, label: str = "") -> None:
         if end > start:
@@ -248,10 +250,12 @@ class TimingEngine(_Core):
     # ------------------------------------------------------------------
     # compute
     # ------------------------------------------------------------------
-    def array_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
+    def array_cost(self, flops, elements: np.ndarray) -> np.ndarray:
         """Per-rank cost vector of a whole-array statement (idle ranks
-        pay nothing).  Pure function of invariants — the fast path
-        precomputes it once per statement."""
+        pay nothing), or of a reduction's local partial combine when
+        ``flops`` is at least one.  Stacked rows price at once: an
+        ``(S, 1)`` flops column against ``(S, P)`` elements gives
+        ``(S, P)`` costs, each row what its statement alone gives."""
         comp = self.machine.compute
         return np.where(
             elements > 0,
@@ -284,18 +288,9 @@ class TimingEngine(_Core):
         self.clock += cost
         self.instrument.compute_time += cost
 
-    def reduction_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
-        """Per-rank local partial-combine cost of a reduction."""
-        comp = self.machine.compute
-        return np.where(
-            elements > 0,
-            comp.loop_overhead + max(flops, 1) * elements * comp.flop_time,
-            0.0,
-        )
-
     def charge_reduction(self, flops: int, elements: np.ndarray) -> None:
         self.charge_reduction_vec(
-            self.reduction_cost(flops, elements), self.tree_time
+            self.array_cost(max(flops, 1), elements), self.tree_time
         )
 
     def charge_reduction_vec(self, partial: np.ndarray, tree_time: float) -> None:
@@ -488,8 +483,9 @@ class BatchTimingEngine(_Core):
         self._epoch_val = np.zeros(V, dtype=np.float64)
         self._epoch_log: Optional[List[Tuple]] = None
 
-    def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
-        return call_costs(plan, kind, self.matrix)
+    def bind_costs(self, costs: CallCosts) -> CallCosts:
+        """This core's view of priced costs: every variant."""
+        return costs
 
     # -- epoch ----------------------------------------------------------
     def advance_epoch(
@@ -559,12 +555,13 @@ class BatchTimingEngine(_Core):
         return self._epoch_val + self.clock.max(axis=1)
 
     # -- compute ---------------------------------------------------------
-    def array_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
+    def array_cost(self, flops, elements: np.ndarray) -> np.ndarray:
+        """``(V, P)`` costs, or ``(S, V, P)`` for stacked rows."""
         m = self.matrix
         return np.where(
-            elements[None, :] > 0,
+            elements[..., None, :] > 0,
             m.loop_overhead[:, None]
-            + (flops * elements)[None, :] * m.flop_time[:, None],
+            + (flops * elements)[..., None, :] * m.flop_time[:, None],
             0.0,
         )
 
@@ -576,15 +573,6 @@ class BatchTimingEngine(_Core):
 
     def charge_scalar_cost(self, cost: np.ndarray) -> None:
         self.clock += cost[:, None]
-
-    def reduction_cost(self, flops: int, elements: np.ndarray) -> np.ndarray:
-        m = self.matrix
-        return np.where(
-            elements[None, :] > 0,
-            m.loop_overhead[:, None]
-            + (max(flops, 1) * elements)[None, :] * m.flop_time[:, None],
-            0.0,
-        )
 
     def charge_reduction_vec(
         self, partial: np.ndarray, tree_time: np.ndarray

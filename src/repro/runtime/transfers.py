@@ -32,8 +32,8 @@ engine walks to snapshot and deliver data, is built from the same strip
 arrays on first access.
 
 A plan holds geometry only.  What its messages cost on a machine is
-computed per run by :func:`repro.runtime.costs.call_costs`, so one plan
-serves every machine and variant of the same layout.
+priced per run by :func:`repro.runtime.costs.price`, so one plan serves
+every machine and variant of the same layout.
 """
 
 from __future__ import annotations

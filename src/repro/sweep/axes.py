@@ -10,6 +10,7 @@ before any job is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
@@ -95,6 +96,10 @@ def parse_axis(text: str) -> SweepAxis:
                 raise MachineError(
                     f"sweep axis {name!r}: {piece!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise MachineError(
+                    f"sweep axis {name!r}: {piece!r} is not a finite number"
+                )
             if value == int(value) and abs(value) < 2**53:
                 value = int(value)
         values.append(value)

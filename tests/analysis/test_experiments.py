@@ -28,10 +28,10 @@ def test_keys_match_paper_figure9():
 
 
 def test_specs_are_cumulative():
-    base, _, _ = experiment_spec("baseline")
-    rr, _, _ = experiment_spec("rr")
-    cc, _, _ = experiment_spec("cc")
-    pl, _, _ = experiment_spec("pl")
+    base = experiment_spec("baseline").opt
+    rr = experiment_spec("rr").opt
+    cc = experiment_spec("cc").opt
+    pl = experiment_spec("pl").opt
     assert not base.rr and rr.rr and not rr.cc
     assert cc.rr and cc.cc and not cc.pl
     assert pl.rr and pl.cc and pl.pl
@@ -39,8 +39,7 @@ def test_specs_are_cumulative():
 
 def test_shmem_keys_use_shmem_library():
     for key in ("pl_shmem", "pl_maxlat"):
-        _, lib, _ = experiment_spec(key)
-        assert lib == "shmem"
+        assert experiment_spec(key).library == "shmem"
 
 
 def test_unknown_key_rejected():
@@ -57,25 +56,9 @@ def test_spec_is_a_named_dataclass():
     assert "latency" in spec.description
 
 
-def test_spec_tuple_shim_unpacks_with_deprecation():
-    spec = experiment_spec("cc")
-    with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-        opt, library, description = spec
-    assert (opt, library, description) == (
-        spec.opt,
-        spec.library,
-        spec.description,
-    )
-    assert len(spec) == 3
-    with pytest.warns(DeprecationWarning):
-        assert spec[1] == "pvm"
-    with pytest.warns(DeprecationWarning):
-        assert tuple(spec) == (spec.opt, spec.library, spec.description)
-
-
 def test_named_field_access_is_warning_free():
-    """Only the tuple shim warns: the ExperimentSpec named-field path —
-    including the pipeline factory — raises no DeprecationWarning."""
+    """The ExperimentSpec named-field path — including the pipeline
+    factory — raises no DeprecationWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         spec = experiment_spec("pl")

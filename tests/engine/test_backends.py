@@ -14,6 +14,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+import pytest
+
 from repro.engine import RECORD_SCHEMA, DirCache, NullCache, make_cache
 from repro.obs import MemorySink, recording
 from repro.obs import core as obs
@@ -22,10 +24,23 @@ FP_A = "ab" * 32
 FP_B = "cd" * 32
 
 
+#: a well-formed result block: every field readers index, typed
+RESULT = {
+    "static_count": 4,
+    "dynamic_count": 6,
+    "execution_time": 1.25e-3,
+    "total_messages": 48,
+    "total_bytes": 3072,
+    "warnings": [],
+    "fastpath": {"extrapolated_trips": 0, "extrapolated_loops": 0, "fallbacks": 1},
+}
+
+
 def _record(fingerprint, payload="x", size=1):
     return {
         "schema": RECORD_SCHEMA,
         "fingerprint": fingerprint,
+        "result": dict(RESULT),
         "payload": payload * size,
     }
 
@@ -80,6 +95,46 @@ def test_other_schema_reads_as_miss(tmp_path):
     with recording(MemorySink()):
         assert cache.get(FP_A) is None
         assert obs.counters()["engine.result_cache.invalid"] == 1
+
+
+def _without(field):
+    return {k: v for k, v in RESULT.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        pytest.param(None, id="no-result-block"),
+        pytest.param([1, 2], id="result-not-a-mapping"),
+        pytest.param(dict(RESULT, execution_time="0.00125"), id="string-time"),
+        pytest.param(_without("execution_time"), id="no-time"),
+        pytest.param(_without("static_count"), id="no-static-count"),
+        pytest.param(dict(RESULT, dynamic_count=6.0), id="float-count"),
+        pytest.param(dict(RESULT, total_bytes=True), id="bool-count"),
+        pytest.param(dict(RESULT, total_messages="48"), id="string-messages"),
+        pytest.param(dict(RESULT, warnings="careful"), id="warnings-not-a-list"),
+        pytest.param(dict(RESULT, fastpath={"fallbacks": "1"}), id="string-fastpath"),
+    ],
+)
+def test_unusable_result_block_reads_as_invalid_miss(tmp_path, result):
+    cache = DirCache(tmp_path)
+    record = _record(FP_A)
+    if result is None:
+        del record["result"]
+    else:
+        record["result"] = result
+    cache.put(FP_A, record)
+    with recording(MemorySink()):
+        assert cache.get(FP_A) is None
+        assert obs.counters()["engine.result_cache.invalid"] == 1
+
+
+def test_optional_result_fields_may_be_absent(tmp_path):
+    cache = DirCache(tmp_path)
+    record = dict(_record(FP_A), result=_without("warnings"))
+    record["result"]["fastpath"] = None
+    cache.put(FP_A, record)
+    assert cache.get(FP_A) == record
 
 
 def test_stats_census(tmp_path):

@@ -161,12 +161,52 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
     assert len(study.outcomes) == 2
 
 
+@pytest.mark.parametrize("corrupt", ["drop-result", "string-time"])
+def test_unusable_cached_result_reruns_and_is_overwritten(tmp_path, corrupt):
+    """A record whose result block readers cannot use is a miss: its job
+    reruns, the record is rewritten whole, and the study renders as if
+    the cache were cold."""
+    from repro.analysis import figures
+    from repro.analysis.report import format_table
+    from repro.experiments_registry import EXPERIMENT_KEYS
+    from repro.obs import MemorySink, recording
+    from repro.obs import core as obs
+
+    cold = _study(tmp_path, keys=EXPERIMENT_KEYS)
+    entry = sorted(tmp_path.rglob("*.json"))[0]
+    doc = json.loads(entry.read_text())
+    result = doc["result"]
+    if corrupt == "drop-result":
+        del doc["result"]
+    else:
+        doc["result"] = dict(result, execution_time=str(result["execution_time"]))
+    entry.write_text(json.dumps(doc))
+    with recording(MemorySink()):
+        again = _study(tmp_path, keys=EXPERIMENT_KEYS)
+        assert obs.counters()["engine.result_cache.invalid"] == 1
+    assert again.cache_hits == len(EXPERIMENT_KEYS) - 1
+    assert json.loads(entry.read_text())["result"] == result
+
+    def rendered(study):
+        return format_table(*figures.table_full("swm", study))
+
+    assert rendered(again) == rendered(cold)
+    assert _study(tmp_path, keys=EXPERIMENT_KEYS).cache_hits == len(EXPERIMENT_KEYS)
+
+
 def test_cache_record_roundtrip(tmp_path):
     from repro.engine.cache import RECORD_SCHEMA
 
     cache = ResultCache(tmp_path)
     assert cache.get("ab" * 32) is None
-    record = {"schema": RECORD_SCHEMA, "fingerprint": "ab" * 32, "x": 1.5}
+    result = {
+        "static_count": 1,
+        "dynamic_count": 2,
+        "execution_time": 1.5,
+        "total_messages": 3,
+        "total_bytes": 24,
+    }
+    record = {"schema": RECORD_SCHEMA, "fingerprint": "ab" * 32, "result": result}
     cache.put("ab" * 32, record)
     assert cache.get("ab" * 32) == record
     # a record filed under the wrong fingerprint is rejected

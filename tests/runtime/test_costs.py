@@ -1,13 +1,16 @@
-"""The one cost builder against the per-message loops it replaced.
+"""The price table against the per-plan builder and per-message loops
+it replaced.
 
-:func:`repro.runtime.costs.call_costs` builds every IRONMAN call's cost
-arrays for both timing cores.  The loops below are the builders it
-replaced, kept verbatim as the oracle: the scalar per-plan caches
-(``prim_vectors``'s running sum, ``recv_sw_by_rank``, ``fixed_by_rank``)
-and the batched ``cumsum`` builders (``_send_vectors``,
-``_recv_vectors``, ``_fixed_table``).  The builder must equal them bit
-for bit on every plan of the corpus, at one variant and at sixteen, and
-on random cost models.
+:func:`repro.runtime.costs.price` prices every plan of a call kind's
+:class:`~repro.runtime.costs.PlanTable` in one vectorized pass, for both
+timing cores.  The builders below are the ones it replaced, kept
+verbatim as the oracle: the per-plan ``call_costs`` builder, the scalar
+per-plan caches (``prim_vectors``'s running sum, ``recv_sw_by_rank``,
+``fixed_by_rank``) and the batched ``cumsum`` builders
+(``_send_vectors``, ``_recv_vectors``, ``_fixed_table``).  The price
+table of a program's plans, concatenated as a schedule template
+concatenates them, must equal them bit for bit on every plan of the
+corpus, at one variant and at sixteen, and on random cost models.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.ironman.calls import CallKind
 from repro.machine import apply_overrides, pack_variants, paragon, t3d
 from repro.machine.params import SyncKind
 from repro.programs import BENCHMARKS, KERNELS, build_benchmark, small_config
-from repro.runtime.costs import call_costs
+from repro.runtime.costs import CallCosts, PlanTable, price
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
 from repro.runtime.transfers import PlanCache
@@ -33,6 +36,65 @@ from repro.runtime.transfers import PlanCache
 # ---------------------------------------------------------------------------
 # the oracle: the replaced builders, verbatim
 # ---------------------------------------------------------------------------
+
+
+def call_costs(plan, kind, matrix):
+    pc = matrix.prims[matrix.base.binding.primitive(kind)]
+    P = plan.nprocs
+    rank_sw = cum_sw = wire = None
+    if kind is CallKind.SR:
+        cum_sw, rank_sw = _running_sums(pc.sw_matrix(plan.nbytes), plan)
+        lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
+        wire = lat[:, None] + plan.nbytes[None, :] / matrix.net_bandwidth[:, None]
+        calls = np.count_nonzero(rank_sw > 0, axis=1)
+    else:
+        # SV runs on the senders, DR and DN on the receivers; rendezvous
+        # DR and DN charge their parameters directly
+        sv = kind is CallKind.SV
+        if sv or pc.sync is not SyncKind.RENDEZVOUS:
+            per_message = (
+                pc.sw_matrix(plan.nbytes)
+                if kind is CallKind.DN
+                else pc.fixed[:, None]
+            )
+            rank_sw = _totals(
+                per_message, plan.senders if sv else plan.receivers, P
+            )
+        unique = plan.senders_unique if sv else plan.receivers_unique
+        calls = np.full(matrix.nvariants, len(unique))
+    return CallCosts(
+        name=pc.name,
+        sync=pc.sync,
+        calls=calls,
+        rank_sw=rank_sw,
+        cum_sw=cum_sw,
+        wire=wire,
+        fixed=pc.fixed[:, None],
+        spread_penalty=pc.spread_penalty[:, None],
+        spread_cap=pc.spread_cap[:, None],
+    )
+
+
+def _totals(sw, ranks, nprocs):
+    out = np.zeros((sw.shape[0], nprocs), dtype=np.float64)
+    np.add.at(out, (slice(None), ranks), sw)
+    return out
+
+
+def _running_sums(sw, plan):
+    senders = plan.senders
+    first = np.empty(len(senders), dtype=bool)
+    first[:1] = True
+    np.not_equal(senders[1:], senders[:-1], out=first[1:])
+    firsts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1  # each message's sender run
+    place = np.arange(1, len(senders) + 1) - firsts[run]  # 1-based in it
+    rows = np.zeros((sw.shape[0], len(firsts), int(place.max(initial=0)) + 1))
+    rows[:, run, place] = sw
+    rows = np.cumsum(rows, axis=2)
+    totals = np.zeros((sw.shape[0], plan.nprocs), dtype=np.float64)
+    totals[:, senders[firsts]] = rows[:, :, -1]
+    return rows[:, run, place], totals
 
 
 def prim_vectors(plan, prim, network):
@@ -169,16 +231,32 @@ def assert_matches_batched_oracle(plan, kind, costs, matrix):
         assert same(costs.rank_sw, _fixed_table(plan, "recv", pc.fixed))
 
 
-def assert_builder_matches(plan, machines, matrix=None, rows=None):
-    """The builder against the batched oracle on every variant, and
+def assert_same_costs(costs, expected):
+    """Every field of two :class:`CallCosts` bitwise equal."""
+    assert (costs.name, costs.sync) == (expected.name, expected.sync)
+    for field in ("calls", "rank_sw", "cum_sw", "wire", "fixed", "spread_penalty", "spread_cap"):
+        mine, theirs = getattr(costs, field), getattr(expected, field)
+        assert (mine is None) == (theirs is None), field
+        if mine is not None:
+            assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field
+            assert np.shape(mine) == np.shape(theirs), field
+
+
+def assert_price_table_matches(plans, machines, matrix=None, rows=None):
+    """Each kind's price table over one table of all ``plans`` against the
+    per-plan builder and the batched oracle on every variant, and
     against the scalar oracle on ``rows`` (default: every variant)."""
     matrix = matrix if matrix is not None else pack_variants(machines)
     rows = range(len(machines)) if rows is None else rows
+    table = PlanTable(plans)
     for kind in CallKind:
-        costs = call_costs(plan, kind, matrix)
-        assert_matches_batched_oracle(plan, kind, costs, matrix)
-        for v in rows:
-            assert_matches_scalar_oracle(plan, kind, costs.row(v), machines[v])
+        priced = price(table, kind, matrix)
+        assert len(priced) == len(plans)
+        for plan, costs in zip(plans, priced):
+            assert_same_costs(costs, call_costs(plan, kind, matrix))
+            assert_matches_batched_oracle(plan, kind, costs, matrix)
+            for v in rows:
+                assert_matches_scalar_oracle(plan, kind, costs.row(v), machines[v])
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +298,44 @@ VARIANTS = [
 
 
 @lru_cache(maxsize=None)
-def _corpus_plans(name):
-    """The plans of ``name`` under the six keys on the 4x4 and 8x8
-    meshes, one per distinct signature: the builder reads nothing else
-    of a plan."""
-    plans = {}
-    for key in EXPERIMENT_KEYS:
-        program = build_benchmark(
-            name, config=small_config(name), opt=experiment_spec(key).opt
-        )
-        domains = {array: dom for array, (dom, _) in program.arrays.items()}
-        for rows, cols in ((4, 4), (8, 8)):
+def _mesh_plans(name):
+    """The plans of ``name`` under the six keys, one tuple per mesh (4x4
+    and 8x8), one plan per distinct signature: pricing reads nothing
+    else of a plan."""
+    meshes = []
+    for rows, cols in ((4, 4), (8, 8)):
+        plans = {}
+        for key in EXPERIMENT_KEYS:
+            program = build_benchmark(
+                name, config=small_config(name), opt=experiment_spec(key).opt
+            )
+            domains = {array: dom for array, (dom, _) in program.arrays.items()}
             layout = ProblemLayout(ProcessorGrid(rows, cols), domains)
             cache = PlanCache(layout, rows * cols)
             for desc in program.all_descriptors():
                 plan = cache.plan(desc)
                 plans.setdefault(plan.signature, plan)
-    return tuple(plans.values())
+        meshes.append(tuple(plans.values()))
+    return tuple(meshes)
+
+
+def _corpus_plans(name):
+    return tuple(plan for plans in _mesh_plans(name) for plan in plans)
 
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_corpus_costs_match_oracle(name):
-    plans = _corpus_plans(name)
-    assert any(plan.message_count for plan in plans)
-    for base in BASES:
-        matrix = pack_variants([base])
-        for plan in plans:
-            assert_builder_matches(plan, [base], matrix)
-    # sixteen variants: every row against the batched oracle, a row per
-    # kind of variant against the scalar one
-    for base in BASES[:3]:
-        machines = [apply_overrides(base, o) for o in VARIANTS]
-        matrix = pack_variants(machines)
-        for plan in plans:
-            assert_builder_matches(plan, machines, matrix, rows=(1, 6, 7, 11, 15))
+    """Each mesh's plans of one program priced as one table per call
+    kind, the way a schedule template prices them."""
+    for plans in _mesh_plans(name):
+        assert any(plan.message_count for plan in plans)
+        for base in BASES:
+            assert_price_table_matches(plans, [base])
+        # sixteen variants: every row against the batched oracle, a row
+        # per kind of variant against the scalar one
+        for base in BASES[:3]:
+            machines = [apply_overrides(base, o) for o in VARIANTS]
+            assert_price_table_matches(plans, machines, rows=(1, 6, 7, 11, 15))
 
 
 def test_corpus_reaches_multi_message_senders_and_receivers():
@@ -314,5 +396,6 @@ def cost_models(draw):
 
 @given(cost_models())
 def test_random_cost_models_match_oracle(machines):
-    for plan in _PLANS:
-        assert_builder_matches(plan, machines)
+    for nprocs in sorted({p.nprocs for p in _PLANS}):
+        plans = [p for p in _PLANS if p.nprocs == nprocs]
+        assert_price_table_matches(plans, machines)

@@ -122,7 +122,7 @@ class TestPrimVectors:
     def test_cumulative_send_costs(self):
         from repro.ironman.calls import CallKind
         from repro.machine import apply_overrides, pack_variants, t3d
-        from repro.runtime.costs import call_costs
+        from repro.runtime.costs import PlanTable, price
 
         plan, _ = make_plan(Direction("se", (1, 1)), rows=3, cols=3, n=9)
         # a flat 10us send on a 9-rank machine (plan geometry is the mesh)
@@ -130,7 +130,8 @@ class TestPrimVectors:
             t3d(9, "pvm"),
             {"prim.*.fixed": 10e-6, "prim.*.per_byte": 0, "prim.*.per_byte_beyond": 0},
         )
-        costs = call_costs(plan, CallKind.SR, pack_variants([machine])).row(0)
+        (costs,) = price(PlanTable([plan]), CallKind.SR, pack_variants([machine]))
+        costs = costs.row(0)
         # rank 4 (center) sends 3 messages: cumulative 10, 20, 30us
         cums = sorted(
             costs.cum_sw[i]

@@ -306,6 +306,19 @@ def test_sweep_bad_axis_exits_cleanly(tmp_path):
         main(["sweep", "--axis", "nprocs=0,4"] + SWEEP_SCALE)
 
 
+@pytest.mark.parametrize(
+    "axis, named",
+    [
+        ("nprocs=nan,4", "'nprocs': 'nan'"),
+        ("nprocs=4,inf", "'nprocs': 'inf'"),
+        ("net.latency=-inf", "'net.latency': '-inf'"),
+    ],
+)
+def test_sweep_non_finite_axis_value_is_named(axis, named):
+    with pytest.raises(SystemExit, match=f"sweep: sweep axis {named} is not a finite number"):
+        main(["sweep", "--axis", axis] + SWEEP_SCALE)
+
+
 def test_sweep_nprocs_zero_exits_cleanly(tmp_path):
     with pytest.raises(SystemExit, match="positive"):
         main([
@@ -512,6 +525,26 @@ def test_frontier_requires_exactly_one_mode(tmp_path):
             "--tol", "1e-3",
             "--axis", "net.latency=1,2",
             "--axis", "net.bandwidth=1e8,2e8",
+        ])
+
+
+@pytest.mark.parametrize("span", ["0:nan", "0:inf", "-inf:1e-6", "nan:nan"])
+def test_frontier_refine_non_finite_range_is_named(span):
+    with pytest.raises(SystemExit, match="--refine: .* needs finite LO and HI"):
+        main([
+            "frontier", "--bench", "simple", "--keys", "rr", "cc",
+            "--refine", f"prim.*.per_byte_beyond={span}", "--tol", "1e-8",
+            "--no-cache",
+        ])
+
+
+@pytest.mark.parametrize("span", ["0:nan", "0:inf", "nan:1e-4"])
+def test_fit_non_finite_bound_is_named(span):
+    with pytest.raises(SystemExit, match="--bound: .* needs finite LO and HI"):
+        main([
+            "fit", "--synthetic", "net.latency=3.2e-5", "--nprocs", "4",
+            "--config", "n=8", "--config", "niters=1", "--config", "ncond=1",
+            "--bound", f"net.latency={span}",
         ])
 
 
