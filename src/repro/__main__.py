@@ -132,7 +132,7 @@ from repro.analysis import figures as fig
 from repro.analysis import scaling
 from repro.comm import registered_passes
 from repro.engine import DirCache, Job, MachineSpec
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ReproError
 from repro.experiments_registry import COMPOSITION_KEYS
 from repro.frontend import parse_config_assignments
 from repro.programs import BENCHMARKS, KERNELS, benchmark_source, validate_benchmark
@@ -170,6 +170,16 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """Argparse ``type=`` for an output file: its directory must exist
+    when the arguments are parsed, before any work starts (it is never
+    created)."""
+    parent = Path(text).parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(parent)!r} does not exist")
+    return text
 
 
 def _parse_set(pairs):
@@ -222,7 +232,7 @@ def _engine_parent():
         help="bypass the result cache entirely",
     )
     parent.add_argument(
-        "--telemetry", default=None, metavar="PATH",
+        "--telemetry", type=_output_path, default=None, metavar="PATH",
         help="write per-job telemetry records as JSON",
     )
     return parent
@@ -238,11 +248,30 @@ def _engine_kwargs(args) -> dict:
     }
 
 
-def cmd_compile(args) -> int:
-    source = Path(args.file).read_text()
-    program = compile_program(
+#: what bad input to ``compile`` and ``run`` raises: a file that cannot be
+#: read, bytes that are not UTF-8, and every error of the package itself
+_BAD_INPUT = (OSError, UnicodeDecodeError, ReproError)
+
+
+def _bad_input(command: str, path: str, exc: Exception) -> SystemExit:
+    """The clean exit for bad input to a command that reads ``path``."""
+    if isinstance(exc, UnicodeDecodeError):
+        return SystemExit(f"{command}: {path}: not UTF-8 text ({exc})")
+    return SystemExit(f"{command}: {exc}")
+
+
+def _compile_file(args):
+    source = Path(args.file).read_text(encoding="utf-8")
+    return compile_program(
         source, args.file, config=_parse_config(args.config), opt=_opt_for(args.opt)
     )
+
+
+def cmd_compile(args) -> int:
+    try:
+        program = _compile_file(args)
+    except _BAD_INPUT as exc:
+        raise _bad_input("compile", args.file, exc) from None
     emitted = emit_c(program)
     print(emitted.text)
     print(
@@ -253,13 +282,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_run(args) -> int:
-    source = Path(args.file).read_text()
-    program = compile_program(
-        source, args.file, config=_parse_config(args.config), opt=_opt_for(args.opt)
-    )
-    machine = machine_by_name(args.machine, args.procs, args.library)
     mode = ExecutionMode.NUMERIC if args.numeric else ExecutionMode.TIMING
-    result = simulate(program, machine, mode)
+    try:
+        program = _compile_file(args)
+        machine = machine_by_name(args.machine, args.procs, args.library)
+        result = simulate(program, machine, mode)
+    except _BAD_INPUT as exc:
+        raise _bad_input("run", args.file, exc) from None
     print(f"machine:            {machine.describe()}")
     print(f"experiment:         {args.opt}")
     print(f"execution time:     {result.time:.6f} model seconds")
@@ -961,9 +990,9 @@ def main(argv=None) -> int:
         parents=[_sim_parent(64), _engine_parent()],
     )
     p.add_argument("bench", type=_benchmark, metavar="BENCH")
-    p.add_argument("--out", required=True, metavar="PATH",
+    p.add_argument("--out", required=True, type=_output_path, metavar="PATH",
                    help="Chrome trace-event output file (open in Perfetto)")
-    p.add_argument("--jsonl", default=None, metavar="PATH",
+    p.add_argument("--jsonl", type=_output_path, default=None, metavar="PATH",
                    help="also write the raw structured event log")
     p.add_argument("--opt", default="pl", choices=ALL_KEYS,
                    help="experiment key for the bridged per-rank timelines")
@@ -1021,9 +1050,9 @@ def main(argv=None) -> int:
                    "cost-only; --no-batched keeps the per-job path)")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="program config override applied to every benchmark")
-    p.add_argument("--csv", default=None, metavar="PATH",
+    p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the per-cell scaling table as CSV")
-    p.add_argument("--json", default=None, metavar="PATH",
+    p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
                    help="write the full scaling document (axes, rows, "
                    "crossovers) as JSON")
     p.set_defaults(func=cmd_sweep)
@@ -1052,10 +1081,10 @@ def main(argv=None) -> int:
     p.add_argument("--library", default=None)
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="program config override applied to every benchmark")
-    p.add_argument("--csv", default=None, metavar="PATH",
+    p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the contour table (dense mode) or per-cell "
                    "scaling table (refine mode) as CSV")
-    p.add_argument("--json", default=None, metavar="PATH",
+    p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
                    help="write the full frontier document as JSON")
     p.set_defaults(func=cmd_frontier)
 
@@ -1091,9 +1120,10 @@ def main(argv=None) -> int:
     p.add_argument("--machine", default="t3d")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="program config override for the fit cells")
-    p.add_argument("--write-target", default=None, metavar="PATH",
+    p.add_argument("--write-target", type=_output_path, default=None,
+                   metavar="PATH",
                    help="also write the (synthetic) target document")
-    p.add_argument("--json", default=None, metavar="PATH",
+    p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
                    help="write the fit result document as JSON")
     p.set_defaults(func=cmd_fit)
 
@@ -1124,9 +1154,9 @@ def main(argv=None) -> int:
                    help="run every program at its test-sized config")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="config override applied to every program")
-    p.add_argument("--csv", default=None, metavar="PATH",
+    p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the per-cell composition table as CSV")
-    p.add_argument("--json", default=None, metavar="PATH",
+    p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
                    help="write the full composition document as JSON")
     p.set_defaults(func=cmd_compose)
 
@@ -1150,6 +1180,7 @@ def main(argv=None) -> int:
                    "sequential reference); exit 1 with a repro line per "
                    "failing seed")
     p.set_defaults(func=cmd_generate)
+    generate_parser = p
 
     p = sub.add_parser(
         "cache", help="inspect and maintain the result cache"
@@ -1176,10 +1207,17 @@ def main(argv=None) -> int:
     pc.set_defaults(func=cmd_cache_prune)
 
     p = sub.add_parser("figure6", help="run the synthetic overhead benchmark")
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_figure6)
 
     args = parser.parse_args(argv)
+    if args.command == "generate" and args.out and args.count == 1:
+        # one program is written to a file, whose directory must exist;
+        # a batch creates its directory
+        try:
+            _output_path(args.out)
+        except argparse.ArgumentTypeError as exc:
+            generate_parser.error(f"argument --out: {exc}")
     return args.func(args)
 
 

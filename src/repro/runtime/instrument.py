@@ -61,6 +61,16 @@ class Instrumentation:
         np.add.at(self.messages, plan.senders, 1)
         np.add.at(self.bytes_moved, plan.senders, plan.nbytes)
 
+    def record_message(self, sender: int, receiver: int, nbytes: int) -> None:
+        """One execution of a one-message transfer (:meth:`record_transfer`
+        on ranks as ints)."""
+        dynamic = self.dynamic_comms
+        dynamic[sender] = dynamic.item(sender) + 1
+        if receiver != sender:
+            dynamic[receiver] = dynamic.item(receiver) + 1
+        self.messages[sender] = self.messages.item(sender) + 1
+        self.bytes_moved[sender] = self.bytes_moved.item(sender) + nbytes
+
     def record_calls(self, primitive: str, count: int) -> None:
         """``count`` executions of ``primitive`` across all ranks."""
         if primitive == "noop" or count == 0:

@@ -45,8 +45,11 @@ Each run then prices (:class:`_Binder`): one vectorized
 :func:`~repro.runtime.costs.price` pass per call kind gives that kind's
 price table, and one expression prices every charge row; the binder
 walks the node tree into ops over the run's engine and scalar
-environment.  A DR or SV call bound to ``noop`` emits no op: it would
-add 0.0 to every clock and record nothing.  Float sums stay bit-exact
+environment, asking the engine for each charge and call op: the scalar
+core binds a charge row with one paying rank (recorded per row in the
+template) and a one-message call to their single-rank scalar forms
+(:mod:`repro.runtime.timing`).  A DR or SV call bound to ``noop``
+emits no op: it would add 0.0 to every clock and record nothing.  Float sums stay bit-exact
 with the per-plan builds they replace (see :mod:`repro.runtime.costs`).
 
 Steady-state extrapolation
@@ -576,13 +579,15 @@ class _If(NamedTuple):
 class _Lowered(NamedTuple):
     """What the walk over the IR leaves: the node tree, the charge rows
     stacked (an ``(S, 1)`` flops column against ``(S, P)`` element
-    counts), the distinct plans of its calls in one
+    counts) with each row's one rank with elements (None when none or
+    several have them), the distinct plans of its calls in one
     :class:`~repro.runtime.costs.PlanTable` (None without calls) and
     the call kinds that run on them, in :class:`CallKind` order."""
 
     body: list
     flops: np.ndarray
     elements: np.ndarray
+    one_rank: Tuple[Optional[int], ...]
     table: Optional[PlanTable]
     kinds: Tuple[CallKind, ...]
 
@@ -611,9 +616,14 @@ class _TemplateLowerer:
             if self.elements
             else np.zeros((0, self.nprocs), dtype=np.float64)
         )
+        paying = elements > 0
+        one_rank = tuple(
+            int(rank) if count == 1 else None
+            for rank, count in zip(paying.argmax(axis=1), paying.sum(axis=1))
+        )
         table = PlanTable(self.table_plans) if self.table_plans else None
         kinds = tuple(kind for kind in CallKind if kind in self.kinds)
-        return _Lowered(nodes, flops, elements, table, kinds)
+        return _Lowered(nodes, flops, elements, one_rank, table, kinds)
 
     def lower_body(self, body: List[ir.IRStmt]) -> list:
         nodes: list = []
@@ -731,6 +741,7 @@ class _Binder:
 
     def __init__(self, sim) -> None:
         lowered = sim.template.lowered
+        self.one_rank = lowered.one_rank
         timing = self.timing = sim.timing
         self.scalars = sim.scalars
         self.reduce_hook = sim.scalar_eval.reduce_hook
@@ -756,14 +767,14 @@ class _Binder:
         for node in nodes:
             if isinstance(node, _Charge):
                 ops.append(
-                    partial(timing.charge_array_vec, self.charges[node.row], node.label)
+                    timing.bind_charge(
+                        self.charges[node.row], self.one_rank[node.row], node.label
+                    )
                 )
             elif isinstance(node, _Call):
                 costs = self.costs.get(node.kind)
                 if costs is not None:
-                    ops.append(
-                        partial(timing.call_op(node.kind), node.plan, costs[node.index])
-                    )
+                    ops.append(timing.bind_call(node.kind, node.plan, costs[node.index]))
             elif isinstance(node, _Assign):
                 ops.append(
                     partial(timing.charge_scalar_cost, timing.scalar_cost(node.flops))

@@ -28,7 +28,24 @@ Reductions synchronize all ranks (combine + broadcast tree).
 Every call executes as ``op(plan, costs)``: the
 :class:`~repro.runtime.costs.CallCosts` of the call are priced once per
 run by :func:`~repro.runtime.costs.price` and bound at lowering, each
-core taking its view of them (:meth:`TimingEngine.bind_costs`).
+core taking its view of them (:meth:`TimingEngine.bind_costs`) and
+binding the compiled op itself (``bind_call``, ``bind_charge``).
+
+Single-rank ops
+---------------
+On the compiled path the scalar core binds a call whose plan has one
+message, and an array charge whose row has one rank with elements, to a
+*scalar form*: a closure that reads and writes only those ranks' clocks,
+in-flight arrival, DR flag and per-rank account as Python floats, with
+the vector op's IEEE operations in the vector op's order.  The vector
+op's other ranks would only add 0.0, a bitwise identity for clocks and
+accounts, which are finite and never ``-0.0``.  In-flight arrivals and
+DR flags stay full-length vectors, so rebasing, the cycle monitor and
+extrapolation see the state they always did.  The choice is made once
+per run at binding, from plan geometry; the interpreted walk, NUMERIC
+mode and ``trace_rank`` keep the vector ops, so the walk is the scalar
+forms' oracle.  The batched core has no scalar forms: each of its ops
+moves ``V`` variants at once.
 
 Two cores, one arithmetic
 -------------------------
@@ -67,6 +84,7 @@ encoded per variant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -106,6 +124,29 @@ _CALL_OPS = {
     CallKind.SV: "_do_volatile",
 }
 
+#: the scalar core's method binding a one-message call of each kind to
+#: its scalar form
+_ONE_MESSAGE_OPS = {
+    CallKind.SR: "_send_one",
+    CallKind.DN: "_complete_one",
+    CallKind.DR: "_pre_one",
+    CallKind.SV: "_volatile_one",
+}
+
+
+def _sent_twice(plan: TransferPlan) -> RuntimeFault:
+    return RuntimeFault(
+        f"transfer {plan.desc.describe()} initiated twice without "
+        "completion — optimizer produced an illegal schedule"
+    )
+
+
+def _never_sent(plan: TransferPlan) -> RuntimeFault:
+    return RuntimeFault(
+        f"completion of {plan.desc.describe()} before initiation — "
+        "optimizer produced an illegal schedule"
+    )
+
 
 class _Core:
     """What the two cores share: the in-flight tables and the op table."""
@@ -117,6 +158,19 @@ class _Core:
     def call_op(self, kind: CallKind) -> Callable[[TransferPlan, CallCosts], None]:
         """The bound method executing ``kind`` calls."""
         return getattr(self, _CALL_OPS[kind])
+
+    def bind_call(
+        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        """The compiled op executing a ``kind`` call on ``plan``."""
+        return partial(self.call_op(kind), plan, costs)
+
+    def bind_charge(
+        self, cost: np.ndarray, rank: Optional[int], label: str
+    ) -> Callable[[], None]:
+        """The compiled op charging one stacked row ``cost``; ``rank`` is
+        the row's one rank with elements (None: none or several)."""
+        return partial(self.charge_array_vec, cost, label)
 
     def assert_quiescent(self) -> None:
         if self._inflight:
@@ -132,18 +186,12 @@ class _Core:
 
     def _check_send(self, plan: TransferPlan) -> None:
         if plan.desc.id in self._inflight:
-            raise RuntimeFault(
-                f"transfer {plan.desc.describe()} initiated twice without "
-                "completion — optimizer produced an illegal schedule"
-            )
+            raise _sent_twice(plan)
 
     def _pop_arrivals(self, plan: TransferPlan) -> np.ndarray:
         arrivals = self._inflight.pop(plan.desc.id, None)
         if arrivals is None:
-            raise RuntimeFault(
-                f"completion of {plan.desc.describe()} before initiation — "
-                "optimizer produced an illegal schedule"
-            )
+            raise _never_sent(plan)
         return arrivals
 
 
@@ -172,6 +220,9 @@ class TimingEngine(_Core):
         self._inflight: Dict[int, np.ndarray] = {}
         #: desc id -> per-rank destination-ready (DR flag) times
         self._dr_times: Dict[int, np.ndarray] = {}
+        #: the arrivals of a transfer none of whose messages has landed,
+        #: copied by each one-message send
+        self._no_arrivals = np.full(self.machine.nprocs, -np.inf)
         #: run-length-encoded epoch: value = prefix + epoch_c * epoch_n
         self._epoch_prefix = 0.0
         self._epoch_c = 0.0
@@ -446,6 +497,137 @@ class TimingEngine(_Core):
             )
         self.clock += per_rank
         self.instrument.comm_sw_time += per_rank
+
+    # ------------------------------------------------------------------
+    # single-rank ops: the vector ops above on one rank, as floats, in
+    # the same order.  ``a if a >= b else b`` is ``np.maximum(a, b)`` and
+    # ``a if a <= b else b`` is ``np.minimum(a, b)``: both keep ``a`` on
+    # a tie.
+    # ------------------------------------------------------------------
+    def bind_charge(
+        self, cost: np.ndarray, rank: Optional[int], label: str
+    ) -> Callable[[], None]:
+        """A row with one paying rank binds :meth:`charge_array_vec`'s
+        scalar form: the other ranks would only add 0.0."""
+        if rank is None or self.trace_rank is not None:
+            return partial(self.charge_array_vec, cost, label)
+        clock, compute, c = self.clock, self.instrument.compute_time, cost.item(rank)
+
+        def charge_one() -> None:
+            clock[rank] = clock.item(rank) + c
+            compute[rank] = compute.item(rank) + c
+
+        return charge_one
+
+    def bind_call(
+        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        """A one-message plan binds the call's scalar form, which reads
+        and writes only the message's sender and receiver."""
+        if plan.message_count != 1 or self.trace_rank is not None:
+            return partial(getattr(self, _CALL_OPS[kind]), plan, costs)
+        return getattr(self, _ONE_MESSAGE_OPS[kind])(plan, costs)
+
+    def _send_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        s, d, key = plan.senders.item(0), plan.receivers.item(0), plan.desc.id
+        nbytes = plan.nbytes.item(0)
+        cum, wire, sw = costs.cum_sw.item(0), costs.wire.item(0), costs.rank_sw.item(s)
+        raw, no_arrivals = self.machine.network.raw, self._no_arrivals
+        clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
+        inst = self.instrument
+        wait, comm_sw = inst.wait_time, inst.comm_sw_time
+        record, name, calls = inst.record_calls, costs.name, costs.calls
+
+        def send_one() -> None:
+            if key in inflight:
+                raise _sent_twice(plan)
+            t = clock.item(s)
+            dr = dr_times.pop(key, None)
+            if dr is not None:
+                # the put waits for the destination's DR flag to cross
+                flag = dr.item(d) + raw
+                gap = flag - t
+                wait[s] = wait.item(s) + (0.0 if 0.0 >= gap else gap)
+                t = t if t >= flag else flag
+            arrivals = no_arrivals.copy()
+            arrivals[d] = t + cum + wire
+            clock[s] = t + sw
+            comm_sw[s] = comm_sw.item(s) + sw
+            inflight[key] = arrivals
+            inst.record_message(s, d, nbytes)
+            record(name, calls)
+
+        return send_one
+
+    def _complete_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        d, key = plan.receivers.item(0), plan.desc.id
+        clock, inflight = self.clock, self._inflight
+        inst = self.instrument
+        wait, comm_sw = inst.wait_time, inst.comm_sw_time
+        record, name, calls = inst.record_calls, costs.name, costs.calls
+        if costs.sync is SyncKind.RENDEZVOUS:
+            fixed, penalty, cap = costs.fixed, costs.spread_penalty, costs.spread_cap
+
+            def complete_one() -> None:
+                arrivals = inflight.pop(key, None)
+                if arrivals is None:
+                    raise _never_sent(plan)
+                a, t = arrivals.item(d), clock.item(d)
+                waited = a - t
+                waited = 0.0 if 0.0 >= waited else waited
+                surcharge = penalty * (waited if waited <= cap else cap)
+                wait[d] = wait.item(d) + waited
+                comm_sw[d] = comm_sw.item(d) + (fixed + surcharge)
+                clock[d] = (t if t >= a else a) + fixed + surcharge
+                record(name, calls)
+
+            return complete_one
+        sw = costs.rank_sw.item(d)
+
+        def complete_one() -> None:
+            arrivals = inflight.pop(key, None)
+            if arrivals is None:
+                raise _never_sent(plan)
+            a, t = arrivals.item(d), clock.item(d)
+            stall = a - t
+            wait[d] = wait.item(d) + (0.0 if 0.0 >= stall else stall)
+            comm_sw[d] = comm_sw.item(d) + sw
+            clock[d] = (t if t >= a else a) + sw
+            record(name, calls)
+
+        return complete_one
+
+    def _pre_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        d = plan.receivers.item(0)
+        if costs.sync is not SyncKind.RENDEZVOUS:
+            return self._fixed_one(d, costs)
+        key, fixed = plan.desc.id, costs.fixed
+        clock, dr_times = self.clock, self._dr_times
+        comm_sw = self.instrument.comm_sw_time
+        record, name, calls = self.instrument.record_calls, costs.name, costs.calls
+
+        def pre_one() -> None:
+            clock[d] = clock.item(d) + fixed
+            comm_sw[d] = comm_sw.item(d) + fixed
+            dr_times[key] = clock.copy()
+            record(name, calls)
+
+        return pre_one
+
+    def _volatile_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        return self._fixed_one(plan.senders.item(0), costs)
+
+    def _fixed_one(self, r: int, costs: CallCosts) -> Callable[[], None]:
+        """:meth:`_charge_fixed` on its one paying rank ``r``."""
+        clock, comm_sw, sw = self.clock, self.instrument.comm_sw_time, costs.rank_sw.item(r)
+        record, name, calls = self.instrument.record_calls, costs.name, costs.calls
+
+        def fixed_one() -> None:
+            clock[r] = clock.item(r) + sw
+            comm_sw[r] = comm_sw.item(r) + sw
+            record(name, calls)
+
+        return fixed_one
 
     # ------------------------------------------------------------------
     @property

@@ -708,3 +708,114 @@ def test_experiments_renders_measured_only_table_for_corpus_names(
     assert "Table 1 — gen_1" in out
     assert "scaled" in out
     assert "paper static" not in out
+
+
+# ---------------------------------------------------------------------------
+# bad input to compile / run exits with the command's name, no traceback
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def swm_file(tmp_path):
+    from repro.programs import benchmark_source
+
+    path = tmp_path / "swm.zl"
+    path.write_text(benchmark_source("swm"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_missing_file_exits_cleanly(command, tmp_path):
+    with pytest.raises(SystemExit, match=f"^{command}: .*No such file"):
+        main([command, str(tmp_path / "nosuch.zl")])
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_directory_exits_cleanly(command, tmp_path):
+    with pytest.raises(SystemExit, match=f"^{command}: .*Is a directory"):
+        main([command, str(tmp_path)])
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_non_utf8_file_exits_cleanly(command, tmp_path):
+    path = tmp_path / "binary.zl"
+    path.write_bytes(b"\xff\xfeprogram x;")
+    with pytest.raises(SystemExit, match=f"^{command}: .*binary.zl: not UTF-8"):
+        main([command, str(path)])
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_syntax_error_exits_cleanly(command, tmp_path):
+    path = tmp_path / "bad.zl"
+    path.write_text("program x;\nbegin\n")
+    with pytest.raises(SystemExit, match=f"^{command}: .*bad.zl:2:1: expected"):
+        main([command, str(path)])
+
+
+@pytest.mark.parametrize("command", ["compile", "run"])
+def test_empty_region_exits_cleanly(command, swm_file):
+    with pytest.raises(SystemExit, match=f"^{command}: .*region 'R' is empty"):
+        main([command, swm_file, "--config", "n=0"])
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--procs", "0"], "processor count must be positive, got 0"),
+        (["--machine", "nosuch"], "unknown machine 'nosuch'"),
+        (["--library", "nx"], "the T3D model supports pvm / shmem, not 'nx'"),
+    ],
+)
+def test_run_bad_machine_exits_cleanly(flags, message, swm_file):
+    with pytest.raises(SystemExit, match=f"^run: {message}"):
+        main(["run", swm_file, "--config", "n=16"] + flags)
+
+
+@pytest.mark.parametrize("reps", ["0", "-2"])
+def test_figure6_rejects_non_positive_reps(reps, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure6", "--reps", reps])
+    assert exc.value.code == 2
+    assert f"argument --reps: must be >= 1, got {reps}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# output files in a missing directory fail at parse time, before any work
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, flag, command",
+    [
+        (["experiments", "--telemetry", "{out}"], "--telemetry", "cmd_experiments"),
+        (["trace", "simple", "--out", "{out}"], "--out", "cmd_trace"),
+        (["sweep", "--axis", "net.latency=1e-6", "--csv", "{out}"], "--csv", "cmd_sweep"),
+        (
+            ["frontier", "--refine", "net.latency=0:1e-4", "--tol", "1e-6",
+             "--json", "{out}"],
+            "--json",
+            "cmd_frontier",
+        ),
+        (["fit", "--synthetic", "net.latency=3e-5", "--json", "{out}"], "--json", "cmd_fit"),
+        (["compose", "--small", "--csv", "{out}"], "--csv", "cmd_compose"),
+        (["generate", "3", "--out", "{out}"], "--out", "cmd_generate"),
+    ],
+    ids=lambda x: x[0] if isinstance(x, list) else None,
+)
+def test_output_file_in_missing_directory_fails_before_work(
+    argv, flag, command, tmp_path, capsys, monkeypatch
+):
+    import repro.__main__ as cli
+
+    def started(args):
+        raise AssertionError(f"{command} ran")
+
+    monkeypatch.setattr(cli, command, started)
+    missing = tmp_path / "missing"
+    out = str(missing / "out.file")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(out=out) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: directory {str(missing)!r} does not exist" in err
+    assert not missing.exists()

@@ -1,32 +1,33 @@
-"""The cold paper study on t3d/64 against the benchmark's pinned cells.
+"""The cold paper study on t3d/64 against ``baselines/paper.json``, exactly.
 
-``benchmarks/perf/goldens/paper_t3d64.json`` pins every cell of the
-paper study: static and dynamic counts, model time, messages and bytes.
-Transfer plans feed each of those numbers, so this is the end-to-end
-check that a change to plan construction moved no message and no byte.
-The file is only read here; ``benchmarks/perf/run.py --write-goldens``
-regenerates it.
+The baseline pins every cell of the paper study: static and dynamic
+counts, messages, bytes, model time and the three ``sim.fastpath.*``
+counters.  ``repro compare`` reads the same file with 5% of slack on
+times; this test allows none.  Transfer plans feed the counts and the
+cost model the times, so a change that moves a message, a byte or one
+ulp of a time fails here, and so does one that stops a loop
+extrapolating.  An intended output change re-pins the file with ``repro
+compare --baseline baselines/paper.json --update``.
 """
 
 import json
 from pathlib import Path
 
-from repro import run_study
+from repro import obs, run_study
 from repro.experiments_registry import EXPERIMENT_KEYS
 from repro.programs import BENCHMARKS
 
-GOLDEN = (
-    Path(__file__).resolve().parents[1]
-    / "benchmarks"
-    / "perf"
-    / "goldens"
-    / "paper_t3d64.json"
-)
+BASELINE = Path(__file__).resolve().parents[1] / "baselines" / "paper.json"
+
+
+def _exact(cell):
+    """``cell`` with its time as ``repr``: equal floats, equal digits."""
+    return {**cell, "execution_time": repr(cell["execution_time"])}
 
 
 def test_cold_paper_study_matches_goldens():
-    doc = json.loads(GOLDEN.read_text())
-    assert (doc["machine"], doc["nprocs"]) == ("t3d", 64)
+    doc = json.loads(BASELINE.read_text())
+    assert (doc["machine"], doc["nprocs"], doc["mode"]) == ("t3d", 64, "timing")
     study = run_study(
         benchmarks=BENCHMARKS,
         keys=EXPERIMENT_KEYS,
@@ -35,18 +36,15 @@ def test_cold_paper_study_matches_goldens():
         jobs=1,
         cache=False,
     )
-    cells = set()
-    for outcome in study.outcomes:
-        job, result = outcome.job, outcome.record["result"]
-        actual = {
-            "static_count": result["static_count"],
-            "dynamic_count": result["dynamic_count"],
-            "execution_time": repr(result["execution_time"]),
-            "total_messages": result["total_messages"],
-            "total_bytes": result["total_bytes"],
-        }
-        expected = doc["cells"][job.benchmark][job.experiment]
-        assert actual == expected, f"{job.benchmark}/{job.experiment}"
-        cells.add((job.benchmark, job.experiment))
-    assert len(cells) == len(BENCHMARKS) * len(EXPERIMENT_KEYS) == 24
-    assert cells == {(b, k) for b, cs in doc["cells"].items() for k in cs}
+    actual = obs.snapshot_study(study)
+    assert (actual["machine"], actual["nprocs"], actual["mode"]) == (
+        doc["machine"],
+        doc["nprocs"],
+        doc["mode"],
+    )
+    cells, pinned = actual["benchmarks"], doc["benchmarks"]
+    assert set(cells) == set(pinned) == set(BENCHMARKS)
+    for bench, keys in cells.items():
+        assert set(keys) == set(pinned[bench]) == set(EXPERIMENT_KEYS)
+        for key, cell in keys.items():
+            assert _exact(cell) == _exact(pinned[bench][key]), f"{bench}/{key}"
