@@ -40,11 +40,11 @@ reductions, warnings, scalars — is recorded once (it is
 variant-independent) and matches the scalar path exactly.
 
 Memory model: a batch holds ``O(V x P)`` floats for the clock matrix
-plus one ``(V, P)`` arrival matrix per in-flight transfer, the
-``(V, M)`` price table of each call kind over the program's ``M``
-messages and the ``(S, V, P)`` charge rows — for a 1000-variant sweep
-on 64 ranks this is a few MB, not a concern; for 10^6-variant grids,
-chunk the variant list.
+plus one ``(V, R)`` block per in-flight transfer and per posted DR flag
+(``R`` the transfer's receivers), the ``(V, M)`` price table of each
+call kind over the program's ``M`` messages and the ``(S, V, P)``
+charge rows — for a 1000-variant sweep on 64 ranks this is a few MB,
+not a concern; for 10^6-variant grids, chunk the variant list.
 """
 
 from __future__ import annotations

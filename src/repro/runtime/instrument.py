@@ -29,6 +29,9 @@ class Instrumentation:
     """Mutable counters for one simulation run."""
 
     nprocs: int
+    #: the per-rank counters as rows of one ``(3, P)`` matrix: transfers
+    #: taken part in, messages sent and bytes sent
+    counts: np.ndarray = field(init=False, repr=False)
     dynamic_comms: np.ndarray = field(init=False)
     messages: np.ndarray = field(init=False)
     bytes_moved: np.ndarray = field(init=False)
@@ -45,9 +48,8 @@ class Instrumentation:
     wait_time: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.dynamic_comms = np.zeros(self.nprocs, dtype=np.int64)
-        self.messages = np.zeros(self.nprocs, dtype=np.int64)
-        self.bytes_moved = np.zeros(self.nprocs, dtype=np.int64)
+        self.counts = np.zeros((3, self.nprocs), dtype=np.int64)
+        self.dynamic_comms, self.messages, self.bytes_moved = self.counts
         self.compute_time = np.zeros(self.nprocs, dtype=np.float64)
         self.comm_sw_time = np.zeros(self.nprocs, dtype=np.float64)
         self.wait_time = np.zeros(self.nprocs, dtype=np.float64)
@@ -55,11 +57,9 @@ class Instrumentation:
     # ------------------------------------------------------------------
     def record_transfer(self, plan) -> None:
         """One execution of a transfer described by ``plan``."""
-        if plan.message_count == 0:
-            return
-        self.dynamic_comms[plan.participants] += 1
-        np.add.at(self.messages, plan.senders, 1)
-        np.add.at(self.bytes_moved, plan.senders, plan.nbytes)
+        block = plan.count_block
+        if block is not None:
+            self.counts += block
 
     def record_message(self, sender: int, receiver: int, nbytes: int) -> None:
         """One execution of a one-message transfer (:meth:`record_transfer`

@@ -59,7 +59,7 @@ Counted loops whose bodies never read or write the loop variable, and
 After each trip the engine rebases the clock offsets
 (:meth:`~repro.runtime.timing.TimingEngine.loop_rebase`); the dynamic
 state is then the clock offsets, the in-flight arrival and DR-flag
-vectors, and the scalar environment (minus a counted loop's variable).
+blocks, and the scalar environment (minus a counted loop's variable).
 The clock update ``max(clock, arrival) + sw`` is max-plus linear, and
 such recurrences settle into a cycle of some period ``p >= 1``, not
 necessarily a fixed point.  Because the per-trip map is deterministic
@@ -246,9 +246,7 @@ def _body_touches(body: List[ir.IRStmt], var: str) -> bool:
 class _Snapshot:
     __slots__ = (
         "mark",
-        "dynamic",
-        "messages",
-        "nbytes",
+        "counts",
         "calls",
         "reductions",
         "compute",
@@ -259,9 +257,7 @@ class _Snapshot:
     def __init__(self, runner: "_Runner") -> None:
         inst = runner.instrument
         self.mark = len(runner.timing._epoch_log)
-        self.dynamic = inst.dynamic_comms.copy()
-        self.messages = inst.messages.copy()
-        self.nbytes = inst.bytes_moved.copy()
+        self.counts = inst.counts.copy()
         self.calls = dict(inst.call_counts)
         self.reductions = inst.reductions
         self.compute = inst.compute_time.copy()
@@ -381,9 +377,7 @@ class _Runner:
                 timing.replay_pattern_bulk(pattern, k)
                 timing._epoch_log = saved
         for current, ref in (
-            (inst.dynamic_comms, snap.dynamic),
-            (inst.messages, snap.messages),
-            (inst.bytes_moved, snap.nbytes),
+            (inst.counts, snap.counts),
             (inst.compute_time, snap.compute),
             (inst.comm_sw_time, snap.comm_sw),
             (inst.wait_time, snap.wait),

@@ -9,7 +9,7 @@ interesting dynamics live entirely in the communication calls:
     Each sender is charged the send primitive's software cost per
     outgoing message (sequentially); each message's arrival time at its
     receiver is ``sender-clock-after-injection + latency + bytes/BW``.
-    Arrivals are stored until DN.
+    The latest arrival at each receiver is stored until DN.
 
 ``DN``
     Each receiver is charged the receive cost per incoming message and
@@ -31,6 +31,22 @@ run by :func:`~repro.runtime.costs.price` and bound at lowering, each
 core taking its view of them (:meth:`TimingEngine.bind_costs`) and
 binding the compiled op itself (``bind_call``, ``bind_charge``).
 
+In-flight state per receiver
+----------------------------
+An in-flight transfer is stored as a block over its plan's
+``receivers_unique``: each receiver's latest arrival, shape ``(R,)`` on
+the scalar core and ``(V, R)`` on the batched one.  A posted DR flag is
+the same block of the receivers' clocks.  SR gathers the senders'
+clocks, adds ``cum_sw`` and then ``wire`` per message, permutes the
+result to receiver order and, where some receiver gets more than one
+message, takes each receiver's maximum with ``np.maximum.reduceat``
+(:attr:`~repro.runtime.transfers.TransferPlan.grouping`).  A rendezvous
+SR reads the flag block through each message's receiver slot and takes
+each sender's maximum over its run of messages.  The result equals a
+scatter into a full-length vector padded with ``-inf``: a maximum is
+exact and ignores operand order for values that are never NaN or
+``-0.0``, and ``max(x, -inf)`` is ``x``.
+
 Single-rank ops
 ---------------
 On the compiled path the scalar core binds a call whose plan has one
@@ -39,13 +55,13 @@ message, and an array charge whose row has one rank with elements, to a
 in-flight arrival, DR flag and per-rank account as Python floats, with
 the vector op's IEEE operations in the vector op's order.  The vector
 op's other ranks would only add 0.0, a bitwise identity for clocks and
-accounts, which are finite and never ``-0.0``.  In-flight arrivals and
-DR flags stay full-length vectors, so rebasing, the cycle monitor and
-extrapolation see the state they always did.  The choice is made once
-per run at binding, from plan geometry; the interpreted walk, NUMERIC
-mode and ``trace_rank`` keep the vector ops, so the walk is the scalar
-forms' oracle.  The batched core has no scalar forms: each of its ops
-moves ``V`` variants at once.
+accounts, which are finite and never ``-0.0``.  The scalar form's
+arrival and flag are the vector op's one-receiver blocks, so rebasing,
+the cycle monitor and extrapolation see the same state.  The choice is
+made once per run at binding, from plan geometry; the interpreted walk,
+NUMERIC mode and ``trace_rank`` keep the vector ops, so the walk is the
+scalar forms' oracle.  The batched core has no scalar forms: each of
+its ops moves ``V`` variants at once.
 
 Two cores, one arithmetic
 -------------------------
@@ -68,7 +84,7 @@ Clock representation
 The engines keep per-rank clocks as **offsets from a shared epoch**.  At
 the end of every loop iteration the executor calls :meth:`loop_rebase`,
 which subtracts the minimum offset from the clock vector (and every
-stored arrival/flag vector) and folds it into the epoch.  The epoch is
+stored arrival and flag block) and folds it into the epoch.  The epoch is
 stored run-length-encoded (``prefix + c * n`` for the current run of
 identical advances), so that stepping a loop N times and replaying one
 recorded advance pattern N times fold the epoch through the *identical*
@@ -132,6 +148,30 @@ _ONE_MESSAGE_OPS = {
     CallKind.DR: "_pre_one",
     CallKind.SV: "_volatile_one",
 }
+
+
+def _per_receiver(times: np.ndarray, plan: TransferPlan) -> np.ndarray:
+    """Per-message arrivals ``(..., M)`` as each receiver's latest
+    ``(..., R)``, in ``receivers_unique`` order."""
+    groups = plan.grouping
+    if groups.order is not None:
+        times = times.take(groups.order, axis=-1)
+    if groups.fan_in is not None:
+        times = np.maximum.reduceat(times, groups.fan_in, axis=-1)
+    return times
+
+
+def _per_sender(flags: np.ndarray, plan: TransferPlan, raw) -> np.ndarray:
+    """A DR flag block ``(..., R)`` as the latest flag each sender waits
+    for once it crossed the wire in ``raw`` seconds, ``(..., S)`` in
+    ``senders_unique`` order."""
+    groups = plan.grouping
+    if groups.slots is not None:
+        flags = flags.take(groups.slots, axis=-1)
+    flags = flags + raw
+    if groups.sender_runs is not None:
+        flags = np.maximum.reduceat(flags, groups.sender_runs, axis=-1)
+    return flags
 
 
 def _sent_twice(plan: TransferPlan) -> RuntimeFault:
@@ -216,13 +256,11 @@ class TimingEngine(_Core):
         self.tree_time = self.machine.reduction.time(self.machine.nprocs)
         #: per-rank clock *offsets* from the epoch (absolute = epoch + offset)
         self.clock = np.zeros(self.machine.nprocs, dtype=np.float64)
-        #: desc id -> per-rank arrival times of the in-flight execution
+        #: desc id -> each receiver's latest arrival of the in-flight
+        #: execution, over the plan's ``receivers_unique``
         self._inflight: Dict[int, np.ndarray] = {}
-        #: desc id -> per-rank destination-ready (DR flag) times
+        #: desc id -> each receiver's destination-ready (DR flag) time
         self._dr_times: Dict[int, np.ndarray] = {}
-        #: the arrivals of a transfer none of whose messages has landed,
-        #: copied by each one-message send
-        self._no_arrivals = np.full(self.machine.nprocs, -np.inf)
         #: run-length-encoded epoch: value = prefix + epoch_c * epoch_n
         self._epoch_prefix = 0.0
         self._epoch_c = 0.0
@@ -371,28 +409,19 @@ class TimingEngine(_Core):
         # source blocks until the flag has crossed the wire.
         dr = self._dr_times.pop(plan.desc.id, None)
         if dr is not None:
-            flag_ready = np.full(self.machine.nprocs, -np.inf)
-            np.maximum.at(
-                flag_ready,
-                plan.senders,
-                dr[plan.receivers] + self.machine.network.raw,
-            )
-            waiting = plan.participants & np.isfinite(flag_ready)
-            flag_wait = np.maximum(
-                0.0, flag_ready[waiting] - self.clock[waiting]
-            )
-            self.instrument.wait_time[waiting] += flag_wait
-            if self.trace_rank is not None and waiting[self.trace_rank]:
+            senders = plan.senders_unique
+            flags = _per_sender(dr, plan, self.machine.network.raw)
+            clock = self.clock[senders]
+            self.instrument.wait_time[senders] += np.maximum(0.0, flags - clock)
+            if self.trace_rank is not None and self.trace_rank in senders:
+                i = int(np.searchsorted(senders, self.trace_rank))
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
-                t1 = max(t0, e + float(flag_ready[self.trace_rank]))
+                t1 = max(t0, e + float(flags[i]))
                 self._record("wait", t0, t1, f"DR flag {plan.desc.describe()}")
-            self.clock[waiting] = np.maximum(
-                self.clock[waiting], flag_ready[waiting]
-            )
-        arrivals = np.full(self.machine.nprocs, -np.inf)
+            self.clock[senders] = np.maximum(clock, flags)
         send_end = self.clock[plan.senders] + costs.cum_sw
-        np.maximum.at(arrivals, plan.receivers, send_end + costs.wire)
+        arrivals = _per_receiver(send_end + costs.wire, plan)
         if self.trace_rank is not None:
             t0 = self._epoch_val + float(self.clock[self.trace_rank])
             t1 = t0 + float(costs.rank_sw[self.trace_rank])
@@ -406,25 +435,25 @@ class TimingEngine(_Core):
     def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
         arrivals = self._pop_arrivals(plan)
         receivers = plan.receivers_unique
+        traced = self.trace_rank is not None and self.trace_rank in receivers
+        if traced:
+            i = int(np.searchsorted(receivers, self.trace_rank))
         if costs.sync is SyncKind.RENDEZVOUS:
             # one-way completion: the destination polls its local
             # data-complete flag.  The prototype's heavyweight
             # synchronization makes long polls expensive: a bounded
             # surcharge proportional to the wait (the paper's stated
             # penalty on inherently sequential computations).
-            waited = np.maximum(
-                0.0, arrivals[receivers] - self.clock[receivers]
-            )
+            waited = np.maximum(0.0, arrivals - self.clock[receivers])
             surcharge = costs.spread_penalty * np.minimum(
                 waited, costs.spread_cap
             )
             self.instrument.wait_time[receivers] += waited
             self.instrument.comm_sw_time[receivers] += costs.fixed + surcharge
-            if self.trace_rank is not None and self.trace_rank in receivers:
-                i = int(np.searchsorted(receivers, self.trace_rank))
+            if traced:
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
-                t_arr = max(t0, e + float(arrivals[self.trace_rank]))
+                t_arr = max(t0, e + float(arrivals[i]))
                 self._record("wait", t0, t_arr, f"DN {plan.desc.describe()}")
                 self._record(
                     "synch",
@@ -433,21 +462,19 @@ class TimingEngine(_Core):
                     plan.desc.describe(),
                 )
             self.clock[receivers] = (
-                np.maximum(self.clock[receivers], arrivals[receivers])
+                np.maximum(self.clock[receivers], arrivals)
                 + costs.fixed
                 + surcharge
             )
         else:
             sw = costs.rank_sw
-            stall = np.maximum(
-                0.0, arrivals[receivers] - self.clock[receivers]
-            )
+            stall = np.maximum(0.0, arrivals - self.clock[receivers])
             self.instrument.wait_time[receivers] += stall
             self.instrument.comm_sw_time[receivers] += sw[receivers]
-            if self.trace_rank is not None and self.trace_rank in receivers:
+            if traced:
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
-                t_arr = max(t0, e + float(arrivals[self.trace_rank]))
+                t_arr = max(t0, e + float(arrivals[i]))
                 self._record("wait", t0, t_arr, f"DN {plan.desc.describe()}")
                 self._record(
                     "recv",
@@ -455,7 +482,7 @@ class TimingEngine(_Core):
                     t_arr + float(sw[self.trace_rank]),
                     plan.desc.describe(),
                 )
-            waited = np.maximum(self.clock[receivers], arrivals[receivers])
+            waited = np.maximum(self.clock[receivers], arrivals)
             self.clock[receivers] = waited + sw[receivers]
         self.instrument.record_calls(costs.name, costs.calls)
 
@@ -470,9 +497,10 @@ class TimingEngine(_Core):
                 self._record(
                     "synch", t0, t0 + costs.fixed, f"DR {plan.desc.describe()}"
                 )
-            self.clock[receivers] += costs.fixed
+            flags = self.clock[receivers] + costs.fixed
+            self.clock[receivers] = flags
             self.instrument.comm_sw_time[receivers] += costs.fixed
-            self._dr_times[plan.desc.id] = self.clock.copy()
+            self._dr_times[plan.desc.id] = flags
         else:
             # posting receives (irecv/hprobe): fixed cost per incoming
             # message at each receiver
@@ -532,7 +560,7 @@ class TimingEngine(_Core):
         s, d, key = plan.senders.item(0), plan.receivers.item(0), plan.desc.id
         nbytes = plan.nbytes.item(0)
         cum, wire, sw = costs.cum_sw.item(0), costs.wire.item(0), costs.rank_sw.item(s)
-        raw, no_arrivals = self.machine.network.raw, self._no_arrivals
+        raw = self.machine.network.raw
         clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
         inst = self.instrument
         wait, comm_sw = inst.wait_time, inst.comm_sw_time
@@ -545,15 +573,13 @@ class TimingEngine(_Core):
             dr = dr_times.pop(key, None)
             if dr is not None:
                 # the put waits for the destination's DR flag to cross
-                flag = dr.item(d) + raw
+                flag = dr.item(0) + raw
                 gap = flag - t
                 wait[s] = wait.item(s) + (0.0 if 0.0 >= gap else gap)
                 t = t if t >= flag else flag
-            arrivals = no_arrivals.copy()
-            arrivals[d] = t + cum + wire
+            inflight[key] = np.array([t + cum + wire])
             clock[s] = t + sw
             comm_sw[s] = comm_sw.item(s) + sw
-            inflight[key] = arrivals
             inst.record_message(s, d, nbytes)
             record(name, calls)
 
@@ -572,7 +598,7 @@ class TimingEngine(_Core):
                 arrivals = inflight.pop(key, None)
                 if arrivals is None:
                     raise _never_sent(plan)
-                a, t = arrivals.item(d), clock.item(d)
+                a, t = arrivals.item(0), clock.item(d)
                 waited = a - t
                 waited = 0.0 if 0.0 >= waited else waited
                 surcharge = penalty * (waited if waited <= cap else cap)
@@ -588,7 +614,7 @@ class TimingEngine(_Core):
             arrivals = inflight.pop(key, None)
             if arrivals is None:
                 raise _never_sent(plan)
-            a, t = arrivals.item(d), clock.item(d)
+            a, t = arrivals.item(0), clock.item(d)
             stall = a - t
             wait[d] = wait.item(d) + (0.0 if 0.0 >= stall else stall)
             comm_sw[d] = comm_sw.item(d) + sw
@@ -607,9 +633,10 @@ class TimingEngine(_Core):
         record, name, calls = self.instrument.record_calls, costs.name, costs.calls
 
         def pre_one() -> None:
-            clock[d] = clock.item(d) + fixed
+            flag = clock.item(d) + fixed
+            clock[d] = flag
             comm_sw[d] = comm_sw.item(d) + fixed
-            dr_times[key] = clock.copy()
+            dr_times[key] = np.array([flag])
             record(name, calls)
 
         return pre_one
@@ -658,7 +685,6 @@ class BatchTimingEngine(_Core):
         self.clock = np.zeros((V, P), dtype=np.float64)
         self._inflight: Dict[int, np.ndarray] = {}
         self._dr_times: Dict[int, np.ndarray] = {}
-        self._vrows = np.arange(V)[:, None]
         self._epoch_prefix = np.zeros(V, dtype=np.float64)
         self._epoch_c = np.zeros(V, dtype=np.float64)
         self._epoch_n = np.zeros(V, dtype=np.int64)
@@ -769,36 +795,18 @@ class BatchTimingEngine(_Core):
         self._check_send(plan)
         dr = self._dr_times.pop(plan.desc.id, None)
         if dr is not None:
-            # the put blocks until the destination's DR flag crossed the
-            # wire; the flag matrix is -inf except at senders, and
-            # max(x, -inf) == x bitwise, so a full-matrix maximum equals
-            # the scalar core's masked update
-            flag_ready = np.full(
-                (self.nvariants, self.nprocs), -np.inf, dtype=np.float64
-            )
-            np.maximum.at(
-                flag_ready,
-                (self._vrows, plan.senders[None, :]),
-                dr[:, plan.receivers] + self.matrix.net_raw[:, None],
-            )
-            np.maximum(self.clock, flag_ready, out=self.clock)
-        arrivals = np.full(
-            (self.nvariants, self.nprocs), -np.inf, dtype=np.float64
-        )
+            # the put blocks until the destination's DR flag crossed the wire
+            senders = plan.senders_unique
+            flags = _per_sender(dr, plan, self.matrix.net_raw[:, None])
+            self.clock[:, senders] = np.maximum(self.clock[:, senders], flags)
         send_end = self.clock[:, plan.senders] + costs.cum_sw
-        np.maximum.at(
-            arrivals,
-            (self._vrows, plan.receivers[None, :]),
-            send_end + costs.wire,
-        )
+        self._inflight[plan.desc.id] = _per_receiver(send_end + costs.wire, plan)
         self.clock += costs.rank_sw
-        self._inflight[plan.desc.id] = arrivals
         self.instrument.record_transfer(plan)
 
     def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
-        arrivals = self._pop_arrivals(plan)
+        a = self._pop_arrivals(plan)
         receivers = plan.receivers_unique
-        a = arrivals[:, receivers]
         c = self.clock[:, receivers]
         if costs.sync is SyncKind.RENDEZVOUS:
             waited = np.maximum(0.0, a - c)
@@ -813,8 +821,10 @@ class BatchTimingEngine(_Core):
 
     def _do_pre(self, plan: TransferPlan, costs: CallCosts) -> None:
         if costs.sync is SyncKind.RENDEZVOUS:
-            self.clock[:, plan.receivers_unique] += costs.fixed
-            self._dr_times[plan.desc.id] = self.clock.copy()
+            receivers = plan.receivers_unique
+            flags = self.clock[:, receivers] + costs.fixed
+            self.clock[:, receivers] = flags
+            self._dr_times[plan.desc.id] = flags
         else:
             self.clock += costs.rank_sw
 

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -122,12 +122,32 @@ class _StripSet:
             yield sender, receiver, StripCopy(self.array, box, src)
 
 
+class Grouping(NamedTuple):
+    """How the timing cores merge a plan's messages per rank: arrivals
+    by receiver and DR flags by sender.  Every field is None where it is
+    trivial (the identity, or one message per rank)."""
+
+    #: the messages in receiver order (None: they already are)
+    order: Optional[np.ndarray]
+    #: where each receiver's run starts in receiver order (None: every
+    #: receiver gets one message)
+    fan_in: Optional[np.ndarray]
+    #: each message's receiver as an index into ``receivers_unique``
+    #: (None: message ``m`` goes to the ``m``-th receiver)
+    slots: Optional[np.ndarray]
+    #: where each sender's run of messages starts (None: every sender
+    #: sends one message)
+    sender_runs: Optional[np.ndarray]
+
+
 class TransferPlan:
     """All messages of one descriptor on one machine layout.
 
     ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
     in (sender, receiver) order; :attr:`messages` materializes the
-    messages themselves on first access."""
+    messages themselves on first access, and :attr:`grouping` and
+    :attr:`count_block`, which the timing cores and counters read, are
+    built on first use too."""
 
     def __init__(
         self, desc: CommDescriptor, layout: ProblemLayout, nprocs: int
@@ -168,6 +188,38 @@ class TransferPlan:
         )
 
     @cached_property
+    def grouping(self) -> Grouping:
+        """The plan's per-receiver and per-sender message runs, built on
+        first use."""
+        m, receivers = self.message_count, self.receivers
+        order = fan_in = slots = sender_runs = None
+        if (receivers[1:] < receivers[:-1]).any():
+            order = np.argsort(receivers, kind="stable")
+            receivers = receivers[order]
+        if len(self.receivers_unique) != m:
+            fan_in = _run_starts(receivers)
+        if order is not None or fan_in is not None:
+            slots = np.searchsorted(self.receivers_unique, self.receivers)
+        if len(self.senders_unique) != m:
+            sender_runs = _run_starts(self.senders)
+        return Grouping(
+            *(None if a is None else _narrow(a) for a in (order, fan_in, slots, sender_runs))
+        )
+
+    @cached_property
+    def count_block(self) -> Optional[np.ndarray]:
+        """What one execution adds to the per-rank counters, one row each:
+        participation, messages sent and bytes sent (None: no messages)."""
+        if not self.message_count:
+            return None
+        runs = _run_starts(self.senders)
+        block = np.zeros((3, self.nprocs), dtype=np.int64)
+        block[0] = self.participants
+        block[1, self.senders_unique] = np.diff(runs, append=self.message_count)
+        block[2, self.senders_unique] = np.add.reduceat(self.nbytes, runs)
+        return _narrow(block)
+
+    @cached_property
     def messages(self) -> List[Message]:
         """The messages in (sender, receiver) order, each carrying its
         strips in (entry, strip class) order.  Built on first access:
@@ -193,11 +245,21 @@ def _pair_totals(
     sizes = np.concatenate([(s.highs - s.lows + 1).prod(axis=1) for s in strips])
     order = np.argsort(keys, kind="stable")
     keys, sizes = keys[order], sizes[order]
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = np.flatnonzero(first)
+    first = _run_starts(keys)
     senders, receivers = np.divmod(keys[first], nprocs)
     return senders, receivers, np.add.reduceat(sizes, first) * _DOUBLE
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """Nonnegative integers ``a`` in the narrowest dtype that holds them."""
+    return a.astype(np.min_scalar_type(int(a.max())))
 
 
 def _entry_strips(
