@@ -94,6 +94,9 @@ machine-parameter overrides.
     interpreted oracle on both machines under baseline and full
     optimization, then optimized numerics vs the sequential reference),
     exiting nonzero with a copy-pasteable repro line per failing seed.
+    A fault raised while checking a seed (a ``RuntimeFault``, say) is
+    printed as that seed's failure and the later seeds are still
+    checked.
 
 ``cache``
     Inspect and maintain the result cache (``--cache-dir``): ``cache
@@ -802,16 +805,23 @@ def _check_generated(seed, profile):
     """The differential harness behind ``generate --check``: compiled
     fast path vs interpreted oracle (TIMING, both machines, baseline and
     full optimization), then full-optimization NUMERIC vs the sequential
-    reference.  Returns human-readable mismatch descriptions."""
+    reference.  Returns human-readable mismatch descriptions.
+
+    The source is generated, parsed, analyzed and lowered once.  That one
+    communication-free program is optimized at both levels
+    (:func:`~repro.comm.optimize` never changes its input) and is what
+    the reference runs.  All of it stays local to the call, so a long
+    ``--count`` run keeps no earlier seed's programs alive."""
     import numpy as np
 
-    from repro import reference_run, t3d
+    from repro import optimize, reference_run, t3d
     from repro.machine import paragon
     from repro.programs import generate as gen
 
     problems = []
+    lowered = gen.generate_program(seed, profile)
     programs = {
-        key: gen.generate_program(seed, profile, opt=opt)
+        key: optimize(lowered, opt)
         for key, opt in (
             ("baseline", OptimizationConfig.baseline()),
             ("full", OptimizationConfig.full()),
@@ -832,7 +842,7 @@ def _check_generated(seed, profile):
                     f"fast path diverges from oracle ({opt_name} on "
                     f"{machine_name}: {fast.time!r} vs {slow.time!r})"
                 )
-    ref = reference_run(programs["baseline"])
+    ref = reference_run(lowered)
     num = simulate(programs["full"], t3d(4), ExecutionMode.NUMERIC)
     for name in sorted(ref.arrays):
         if not np.allclose(
@@ -867,7 +877,11 @@ def cmd_generate(args) -> int:
         elif not args.check:
             print(source, end="" if source.endswith("\n") else "\n")
         if args.check:
-            problems = _check_generated(seed, profile)
+            try:
+                problems = _check_generated(seed, profile)
+            except ReproError as exc:
+                # a fault is this seed's failure; the later seeds still run
+                problems = [f"{type(exc).__name__}: {exc}"]
             if problems:
                 failures.append(seed)
                 for problem in problems:

@@ -10,7 +10,10 @@ Pricing splits in two halves:
   every plan's messages out for one vectorized pass per call kind.  A
   program's schedule template builds one over all its calls' plans,
   once per machine shape (:mod:`repro.runtime.schedule`); the
-  interpreted walk builds a one-plan table per plan it reaches;
+  interpreted walk prices each plan it reaches through the plan's own
+  one-plan table (:attr:`~repro.runtime.transfers.TransferPlan.table`),
+  built once per plan.  A table holds arrays only, no plan, so a plan
+  that keeps its own table is freed by reference counting;
 * :func:`price` is the per-run half: it evaluates the cost model of
   one call kind for every plan of a table across every variant of a
   :class:`~repro.machine.variants.VariantMatrix` in one pass and
@@ -36,14 +39,16 @@ row or a slot, so concatenating them changes no sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.ironman.calls import CallKind
 from repro.machine.params import SyncKind
 from repro.machine.variants import VariantMatrix
-from repro.runtime.transfers import TransferPlan
+
+if TYPE_CHECKING:
+    from repro.runtime.transfers import TransferPlan
 
 __all__ = ["CallCosts", "PlanTable", "price"]
 
@@ -105,15 +110,14 @@ class PlanTable:
     (``send_slots``)."""
 
     def __init__(self, plans: Sequence[TransferPlan]) -> None:
-        self.plans = tuple(plans)
-        self.nprocs = nprocs = self.plans[0].nprocs
-        counts = [plan.message_count for plan in self.plans]
+        self.nprocs = nprocs = plans[0].nprocs
+        counts = [plan.message_count for plan in plans]
         #: message offsets: plan ``i`` owns messages ``bounds[i]:bounds[i+1]``
         self.bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        self.nbytes = np.concatenate([plan.nbytes for plan in self.plans])
-        plan_base = np.repeat(np.arange(len(self.plans)) * nprocs, counts)
-        self.send_slots = plan_base + np.concatenate([p.senders for p in self.plans])
-        self.recv_slots = plan_base + np.concatenate([p.receivers for p in self.plans])
+        self.nbytes = np.concatenate([plan.nbytes for plan in plans])
+        plan_base = np.repeat(np.arange(len(plans)) * nprocs, counts)
+        self.send_slots = plan_base + np.concatenate([p.senders for p in plans])
+        self.recv_slots = plan_base + np.concatenate([p.receivers for p in plans])
         slots = self.send_slots
         first = np.empty(len(slots), dtype=bool)
         first[:1] = True
@@ -123,8 +127,8 @@ class PlanTable:
         self.place = np.arange(1, len(slots) + 1) - firsts[self.run]
         self.width = int(self.place.max(initial=0)) + 1
         self.run_slot = slots[firsts]
-        self.send_callers = [len(p.senders_unique) for p in self.plans]
-        self.recv_callers = [len(p.receivers_unique) for p in self.plans]
+        self.send_callers = [len(p.senders_unique) for p in plans]
+        self.recv_callers = [len(p.receivers_unique) for p in plans]
 
 
 def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallCosts]:
@@ -132,7 +136,7 @@ def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallC
     ``table`` under every variant of ``matrix``, in table order: one
     vectorized pass."""
     pc = matrix.prims[matrix.base.binding.primitive(kind)]
-    V, n, P = matrix.nvariants, len(table.plans), table.nprocs
+    V, n, P = matrix.nvariants, len(table.bounds) - 1, table.nprocs
     common = dict(
         name=pc.name,
         sync=pc.sync,

@@ -18,7 +18,11 @@ in one of two modes:
     precisely so TIMING is exact for them).
 
 Both modes execute the same statement walk; they differ only in whether
-array payloads exist.
+array payloads exist.  NUMERIC data work goes through the
+:class:`~repro.runtime.interp.ParallelEvaluator`, which binds each array
+statement, reduction and transfer's copies once per run, at its first
+execution, and afterwards only runs the bound closures over the same
+block views.
 
 TIMING mode additionally has a **compiled fast path**
 (:mod:`repro.runtime.schedule`): the IR body is lowered once into a flat
@@ -36,7 +40,10 @@ scalar core (:class:`~repro.runtime.timing.TimingEngine`); given a
 template for the machine's shape, built once and kept on the program
 (:func:`~repro.runtime.schedule.schedule_template`), lowers through
 :func:`~repro.runtime.schedule.compile_schedule`, and the walk prices
-each call it reaches once per run (:meth:`_Simulation.comm_costs`).
+each call it reaches once per run (:meth:`_Simulation.comm_costs`),
+through the one-plan table each plan keeps
+(:attr:`~repro.runtime.transfers.TransferPlan.table`), not through the
+template's table, so it stays the compiled path's oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from repro.ironman.calls import CallKind
 from repro.machine.params import Machine
 from repro.machine.variants import VariantMatrix, pack_variants
 from repro.obs import core as obs
-from repro.runtime.costs import CallCosts, PlanTable, price
+from repro.runtime.costs import CallCosts, price
 from repro.runtime.distarray import DistArray
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.interp import ParallelEvaluator, ScalarEvaluator
@@ -129,7 +136,6 @@ class _Simulation:
         self.mode = mode
         self.repeat_cap = repeat_cap
         self.fast = fast
-        self._alias_cache: Dict[int, bool] = {}
         self.template = schedule_template(program, self.machine)
         geometry = self.template.geometry
         self.grid = geometry.grid
@@ -144,7 +150,6 @@ class _Simulation:
                 pack_variants([target]), self.instrument, trace_rank
             )
         self._costs: Dict[Tuple[Tuple, CallKind], CallCosts] = {}
-        self._payloads: Dict[int, List[List[np.ndarray]]] = {}
 
         # replicated scalar environment: configs + scalars (zeroed) +
         # loop variables as they come into scope
@@ -175,14 +180,15 @@ class _Simulation:
             )
 
     def comm_costs(self, plan: TransferPlan, kind: CallKind) -> CallCosts:
-        """The walk's cost arrays of ``kind`` calls on ``plan``: a
-        one-plan table through the one pricer, once per run and plan
+        """The walk's cost arrays of ``kind`` calls on ``plan``: the
+        plan's own one-plan table (:attr:`TransferPlan.table`, built once
+        per plan) through the one pricer, once per run and plan
         signature (the engines only read them, so equal signatures
         share one)."""
         key = (plan.signature, kind)
         costs = self._costs.get(key)
         if costs is None:
-            (costs,) = price(PlanTable([plan]), kind, self.timing.matrix)
+            (costs,) = price(plan.table, kind, self.timing.matrix)
             costs = self._costs[key] = self.timing.bind_costs(costs)
         return costs
 
@@ -279,39 +285,14 @@ class _Simulation:
             self.timing.charge_array_stmt(
                 stmt.flops, self.layout.element_counts(stmt.region), label=stmt.target
             )
-            if self.arrays is not None:
-                self._store_array_stmt(stmt)
+            if self.parallel is not None:
+                self.parallel.assign(stmt)
         elif isinstance(stmt, ir.ScalarAssign):
             self._exec_scalar_assign(stmt)
         elif isinstance(stmt, ir.CommCall):
             self._exec_comm(stmt)
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot execute {stmt!r}")
-
-    def _store_array_stmt(self, stmt: ir.ArrayAssign) -> None:
-        target = self.arrays[stmt.target]
-        # aliasing is only possible when the target appears in its own
-        # RHS; hoisted per statement so the common non-aliasing case
-        # skips the per-rank shares_memory probe entirely
-        may_alias = self._alias_cache.get(id(stmt))
-        if may_alias is None:
-            may_alias = stmt.target in ir.arrays_read(stmt.expr)
-            self._alias_cache[id(stmt)] = may_alias
-        for proc in self.grid.ranks():
-            owned = self.layout.owned(stmt.region.rank, proc)
-            box = stmt.region.intersect(owned)
-            if box.is_empty:
-                continue
-            value = self.parallel.eval(stmt.expr, proc, box)
-            dest = target.block(proc).view(box)
-            if isinstance(value, np.ndarray):
-                if may_alias and np.shares_memory(
-                    value, target.block(proc).data
-                ):
-                    value = value.copy()
-                dest[...] = value
-            else:
-                dest[...] = value
 
     def _exec_scalar_assign(self, stmt: ir.ScalarAssign) -> None:
         # collective cost for each embedded reduction
@@ -327,37 +308,12 @@ class _Simulation:
         plan = self.plans.plan(stmt.desc)
         if plan.message_count == 0:
             return  # nothing to move on this machine: calls find no work
-        if self.arrays is not None:
+        if self.parallel is not None:
             if stmt.kind is CallKind.SR:
-                self._snapshot(plan)
+                self.parallel.snapshot(plan)
             elif stmt.kind is CallKind.DN:
-                self._deliver(plan)
+                self.parallel.deliver(plan)
         self.timing.call_op(stmt.kind)(plan, self.comm_costs(plan, stmt.kind))
-
-    def _snapshot(self, plan: TransferPlan) -> None:
-        payloads = [
-            [
-                self.arrays[copy.array]
-                .block(msg.sender)
-                .view(copy.source)
-                .copy()
-                for copy in msg.copies
-            ]
-            for msg in plan.messages
-        ]
-        self._payloads[plan.desc.id] = payloads
-
-    def _deliver(self, plan: TransferPlan) -> None:
-        payloads = self._payloads.pop(plan.desc.id, None)
-        if payloads is None:  # pragma: no cover - timing engine raises first
-            raise RuntimeFault(
-                f"delivery of {plan.desc.describe()} before initiation"
-            )
-        for msg, msg_payloads in zip(plan.messages, payloads):
-            for copy, payload in zip(msg.copies, msg_payloads):
-                self.arrays[copy.array].block(msg.receiver).view(copy.box)[
-                    ...
-                ] = payload
 
 
 def _check_trace_rank(trace_rank: object, nprocs: int) -> None:

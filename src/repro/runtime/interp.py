@@ -1,11 +1,22 @@
 """Expression evaluation over distributed blocks.
 
-The evaluator computes an IR expression for one processor over one
-execution box (the intersection of the statement's region scope with the
-processor's owned block).  Array reads resolve to NumPy views of the
+The parallel evaluator computes an IR expression for one processor over
+one execution box (the intersection of the statement's region scope with
+the processor's owned block).  Array reads resolve to NumPy views of the
 local buffer; shifted reads resolve to views displaced into fluff.  A
 scalar evaluator handles replicated scalar expressions, delegating
 reductions back to the parallel evaluator.
+
+NUMERIC work is *bound* once per run.  The first time an array
+statement, a reduction or a transfer runs, the parallel evaluator
+resolves each processor's box, the target view, every operand view and
+every ``indexK`` array, and turns the expression into a closure tree
+over them (:meth:`ParallelEvaluator.bind`); every later execution only
+calls the closures.  The views stay valid because a
+:class:`~repro.runtime.distarray.DistArray` allocates each block buffer
+once and every write goes into a buffer in place.  Scalars are read when
+a closure runs, not when it is bound, so loop variables and assigned
+scalars are always current.
 
 Evaluation never consults remote blocks: if a shifted read touches fluff
 that no transfer filled (because the optimizer dropped a needed
@@ -16,7 +27,9 @@ diverges from the sequential reference — by design.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Union
+import operator
+from functools import partial
+from typing import Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -25,21 +38,22 @@ from repro.ir import nodes as ir
 from repro.lang.regions import Region
 
 Number = Union[int, float, bool]
+Value = Union[Number, np.ndarray]
 
 _BIN_OPS: Dict[str, Callable] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-    "^": lambda a, b: a**b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "and": lambda a, b: np.logical_and(a, b),
-    "or": lambda a, b: np.logical_or(a, b),
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "and": np.logical_and,
+    "or": np.logical_or,
 }
 
 _INTRINSICS: Dict[str, Callable] = {
@@ -68,8 +82,40 @@ _REDUCERS = {
 }
 
 
+def _read_scalar(scalars: Dict[str, Number], name: str) -> Number:
+    try:
+        return scalars[name]
+    except KeyError:
+        raise RuntimeFault(f"unbound scalar {name!r}") from None
+
+
+# A bound node is a partial over one of these (or over the operator
+# itself when every operand is fixed): the operator applied to its
+# operands, calling the ones that are closures.
+def _fixed(value: Value) -> Value:
+    return value
+
+
+def _both(op: Callable, lhs: Callable, rhs: Callable) -> Value:
+    return op(lhs(), rhs())
+
+
+def _left(op: Callable, lhs: Callable, *rhs: Value) -> Value:
+    return op(lhs(), *rhs)
+
+
+def _right(op: Callable, lhs: Value, rhs: Callable) -> Value:
+    return op(lhs, rhs())
+
+
+def _apply(func: Callable, args: tuple) -> Value:
+    return func(*[arg() if callable(arg) else arg for arg in args])
+
+
 class ParallelEvaluator:
-    """Evaluates parallel expressions per processor.
+    """Evaluates parallel expressions per processor and does a NUMERIC
+    run's data work: array statements, reductions and transfer copies,
+    each bound once per run at its first execution.
 
     ``arrays`` maps names to :class:`~repro.runtime.distarray.DistArray`;
     ``scalars`` is the replicated scalar environment (shared object,
@@ -79,50 +125,72 @@ class ParallelEvaluator:
         self.arrays = arrays
         self.scalars = scalars
         self.layout = layout
+        #: id(node) -> (node, its bound form); holding the node keeps
+        #: its id from being reused while the evaluator lives
+        self._bound: Dict[int, Tuple[object, list]] = {}
+        #: transfer descriptor id -> payloads snapshotted at SR
+        self._payloads: Dict[int, List[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
-    def eval(self, expr: ir.IRExpr, proc: int, box: Region):
-        """Evaluate ``expr`` for processor ``proc`` over ``box`` (global
-        coordinates, nonempty).  Returns an ndarray of ``box.shape`` or a
-        scalar (broadcast)."""
+    def bind(self, expr: ir.IRExpr, proc: int, box: Region) -> Callable[[], Value]:
+        """``expr`` for processor ``proc`` over ``box`` (global
+        coordinates, nonempty) as a closure: its views and ``indexK``
+        arrays are resolved now, its scalars are read when it runs.  The
+        closure returns an ndarray of ``box.shape`` or a scalar
+        (broadcast)."""
+        node = self._bind(expr, proc, box)
+        return node if callable(node) else partial(_fixed, node)
+
+    def _bind(self, expr: ir.IRExpr, proc: int, box: Region):
+        """A closure over ``expr``'s operands, or the operand itself
+        where it is fixed at binding (a view, a constant, an ``indexK``
+        array; none of them is callable).  Closures are partials, which
+        retain fewer collector-tracked objects than lambdas."""
+        if isinstance(expr, ir.IRBin):
+            op = _BIN_OPS[expr.op]
+            lhs, rhs = self._bind(expr.lhs, proc, box), self._bind(expr.rhs, proc, box)
+            if callable(lhs):
+                return partial(_both if callable(rhs) else _left, op, lhs, rhs)
+            return partial(_right, op, lhs, rhs) if callable(rhs) else partial(op, lhs, rhs)
+        if isinstance(expr, ir.IRArrayRead):
+            read_box = box if expr.direction is None else box.shifted(expr.direction)
+            return self.arrays[expr.array].block(proc).view(read_box)
         if isinstance(expr, ir.IRConst):
-            return float(expr.value) if not isinstance(expr.value, bool) else expr.value
+            return expr.value if isinstance(expr.value, bool) else float(expr.value)
         if isinstance(expr, ir.IRScalarRead):
-            try:
-                return self.scalars[expr.name]
-            except KeyError:
-                raise RuntimeFault(f"unbound scalar {expr.name!r}") from None
+            return partial(_read_scalar, self.scalars, expr.name)
         if isinstance(expr, ir.IRIndex):
             return _index_values(box, expr.dim)
-        if isinstance(expr, ir.IRArrayRead):
-            block = self.arrays[expr.array].block(proc)
-            read_box = (
-                box if expr.direction is None else box.shifted(expr.direction)
-            )
-            return block.view(read_box)
-        if isinstance(expr, ir.IRBin):
-            return _BIN_OPS[expr.op](
-                self.eval(expr.lhs, proc, box), self.eval(expr.rhs, proc, box)
-            )
         if isinstance(expr, ir.IRUn):
-            operand = self.eval(expr.operand, proc, box)
-            return np.logical_not(operand) if expr.op == "not" else -operand
+            operand = self._bind(expr.operand, proc, box)
+            negate = np.logical_not if expr.op == "not" else operator.neg
+            return partial(_left, negate, operand) if callable(operand) else partial(negate, operand)
         if isinstance(expr, ir.IRIntrinsic):
-            args = [self.eval(a, proc, box) for a in expr.args]
-            return _INTRINSICS[expr.func](*args)
+            func = _INTRINSICS[expr.func]
+            args = tuple(self._bind(a, proc, box) for a in expr.args)
+            return partial(_apply, func, args)
         raise RuntimeFault(f"cannot evaluate {expr!r} in parallel context")
 
+    def eval(self, expr: ir.IRExpr, proc: int, box: Region) -> Value:
+        """Evaluate ``expr`` for processor ``proc`` over ``box`` once."""
+        return self.bind(expr, proc, box)()
+
     # ------------------------------------------------------------------
+    def assign(self, stmt: ir.ArrayAssign) -> None:
+        """Store ``stmt``'s value into its target's owned cells."""
+        for dest, value_of, data in self._once(stmt, self._bind_assign):
+            value = value_of()
+            # a bare read of the target can alias the cells it writes
+            if data is not None and isinstance(value, np.ndarray) and np.shares_memory(value, data):
+                value = value.copy()
+            dest[...] = value
+
     def reduce(self, reduce_expr: ir.IRReduce) -> float:
         """Evaluate a full reduction across all processors."""
         reducer, combiner, identity = _REDUCERS[reduce_expr.op]
         acc = identity
-        for proc in self.layout.grid.ranks():
-            owned = self.layout.owned(reduce_expr.region.rank, proc)
-            box = reduce_expr.region.intersect(owned)
-            if box.is_empty:
-                continue
-            local = self.eval(reduce_expr.operand, proc, box)
+        for value_of, size in self._once(reduce_expr, self._bind_reduce):
+            local = value_of()
             if isinstance(local, np.ndarray):
                 if local.size == 0:
                     continue
@@ -130,13 +198,81 @@ class ParallelEvaluator:
             else:
                 # scalar operand broadcast over the box
                 if reduce_expr.op == "+":
-                    part = float(local) * box.size
+                    part = float(local) * size
                 elif reduce_expr.op == "*":
-                    part = float(local) ** box.size
+                    part = float(local) ** size
                 else:
                     part = float(local)
             acc = combiner(acc, part)
         return float(acc)
+
+    def snapshot(self, plan) -> None:
+        """Copy out what an SR on ``plan`` sends: each message's strips,
+        in message order."""
+        self._payloads[plan.desc.id] = [
+            source.copy() for source, _ in self._once(plan, self._bind_copies)
+        ]
+
+    def deliver(self, plan) -> None:
+        """Write the payloads of ``plan``'s SR into the receivers' fluff."""
+        payloads = self._payloads.pop(plan.desc.id, None)
+        if payloads is None:  # pragma: no cover - timing engine raises first
+            raise RuntimeFault(
+                f"delivery of {plan.desc.describe()} before initiation"
+            )
+        for (_, dest), payload in zip(self._once(plan, self._bind_copies), payloads):
+            dest[...] = payload
+
+    # ------------------------------------------------------------------
+    def _once(self, node, bind: Callable[[object], list]) -> list:
+        """``bind(node)``, computed on the first call for ``node``."""
+        entry = self._bound.get(id(node))
+        if entry is None:
+            entry = self._bound[id(node)] = (node, bind(node))
+        return entry[1]
+
+    def _boxes(self, region: Region) -> List[Tuple[int, Region]]:
+        """``(proc, box)`` for each processor that owns part of
+        ``region``, in rank order: the region clipped to every owned
+        block at once."""
+        lows, highs = self.layout.block_bounds(region.rank)
+        lows = np.maximum(lows, region.lows)
+        highs = np.minimum(highs, region.highs)
+        return [
+            (proc, Region(region.name, tuple(lows[proc].tolist()), tuple(highs[proc].tolist())))
+            for proc in np.flatnonzero((highs >= lows).all(axis=1)).tolist()
+        ]
+
+    def _bind_assign(self, stmt: ir.ArrayAssign) -> list:
+        """``(target view, value closure, target buffer or None)`` per
+        processor; the buffer is kept only where the target is read."""
+        target = self.arrays[stmt.target]
+        may_alias = stmt.target in ir.arrays_read(stmt.expr)
+        bound = []
+        for proc, box in self._boxes(stmt.region):
+            value_of = self.bind(stmt.expr, proc, box)
+            block = target.block(proc)
+            bound.append((block.view(box), value_of, block.data if may_alias else None))
+        return bound
+
+    def _bind_reduce(self, reduce_expr: ir.IRReduce) -> list:
+        """``(operand closure, box size)`` per processor."""
+        return [
+            (self.bind(reduce_expr.operand, proc, box), box.size)
+            for proc, box in self._boxes(reduce_expr.region)
+        ]
+
+    def _bind_copies(self, plan) -> list:
+        """``(source view, destination view)`` of every strip of
+        ``plan``'s messages, in message order."""
+        return [
+            (
+                self.arrays[copy.array].block(msg.sender).view(copy.source),
+                self.arrays[copy.array].block(msg.receiver).view(copy.box),
+            )
+            for msg in plan.messages
+            for copy in msg.copies
+        ]
 
 
 class ScalarEvaluator:
@@ -158,10 +294,7 @@ class ScalarEvaluator:
         if isinstance(expr, ir.IRConst):
             return expr.value
         if isinstance(expr, ir.IRScalarRead):
-            try:
-                return self.scalars[expr.name]
-            except KeyError:
-                raise RuntimeFault(f"unbound scalar {expr.name!r}") from None
+            return _read_scalar(self.scalars, expr.name)
         if isinstance(expr, ir.IRReduce):
             return self.reduce_hook(expr)
         if isinstance(expr, ir.IRBin):

@@ -33,7 +33,8 @@ arrays on first access.
 
 A plan holds geometry only.  What its messages cost on a machine is
 priced per run by :func:`repro.runtime.costs.price`, so one plan serves
-every machine and variant of the same layout.
+every machine and variant of the same layout; the interpreted walk
+prices through the plan's own one-plan :attr:`TransferPlan.table`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import numpy as np
 from repro.errors import RuntimeFault
 from repro.ir.nodes import CommDescriptor, CommEntry
 from repro.lang.regions import Region
+from repro.runtime.costs import PlanTable
 from repro.runtime.layout import ProblemLayout
 
 _DOUBLE = 8  # bytes per element; ZL arrays are doubles
@@ -146,8 +148,9 @@ class TransferPlan:
     ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
     in (sender, receiver) order; :attr:`messages` materializes the
     messages themselves on first access, and :attr:`grouping` and
-    :attr:`count_block`, which the timing cores and counters read, are
-    built on first use too."""
+    :attr:`count_block`, which the timing cores and counters read, and
+    :attr:`table`, which the interpreted walk prices, are built on first
+    use too."""
 
     def __init__(
         self, desc: CommDescriptor, layout: ProblemLayout, nprocs: int
@@ -218,6 +221,13 @@ class TransferPlan:
         block[1, self.senders_unique] = np.diff(runs, append=self.message_count)
         block[2, self.senders_unique] = np.add.reduceat(self.nbytes, runs)
         return _narrow(block)
+
+    @cached_property
+    def table(self) -> PlanTable:
+        """This plan alone as a :class:`~repro.runtime.costs.PlanTable`,
+        built on first use.  It holds no reference back to the plan, so
+        it is freed with the plan."""
+        return PlanTable([self])
 
     @cached_property
     def messages(self) -> List[Message]:

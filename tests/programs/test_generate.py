@@ -17,16 +17,20 @@ result.  Changing the generator is allowed — but must be deliberate
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.__main__ as cli
 from repro import (
     ExecutionMode,
     OptimizationConfig,
     SimOptions,
+    emit_c,
+    optimize,
     reference_run,
     simulate,
     simulate_many,
@@ -34,6 +38,7 @@ from repro import (
 )
 from repro.errors import ExperimentError
 from repro.machine import apply_overrides, paragon
+from repro.programs import BENCHMARKS, build_benchmark, small_config
 from repro.programs.generate import (
     DEFAULT_PROFILE,
     GeneratorProfile,
@@ -43,6 +48,9 @@ from repro.programs.generate import (
     generated_name,
     generated_seed,
 )
+from repro.runtime.interp import ParallelEvaluator
+
+LEVELS = (("baseline", OptimizationConfig.baseline()), ("full", OptimizationConfig.full()))
 
 #: Pinned content hash of ``generate_source(0)`` — see module docstring.
 GEN_0_SHA256 = "de13e118c93e91fc6a21c9d44d48bc182755d25b5b64a0fb6691f264a01aa95c"
@@ -265,3 +273,72 @@ def test_dense_differential_matrix(seed):
         assert np.allclose(
             res.array(array), ref.array(array), rtol=1e-12, atol=1e-12
         ), f"{array} diverged; {_repro_line(seed)}"
+
+
+# ---------------------------------------------------------------------------
+# the ``generate --check`` harness: lowering once, and the faults it catches
+# ---------------------------------------------------------------------------
+
+
+def _ir_text(program):
+    """The printed IR, descriptor ids counted from the program's first
+    (ids are process-wide)."""
+    base = min((d.id for d in program.all_descriptors()), default=1) - 1
+    text = emit_c(program).text
+    return re.sub(r"comm #(\d+)", lambda m: f"comm #{int(m[1]) - base}", text)
+
+
+def _timing_bytes(program):
+    result = simulate(program, t3d(4, "pvm"), options=SimOptions.timing())
+    return repr(result.time), result.clocks.tobytes(), result.dynamic_comm_count
+
+
+@pytest.mark.parametrize("name", [generated_name(s) for s in range(8)] + list(BENCHMARKS))
+def test_optimizing_one_lowered_program_twice_matches_fresh_compiles(name):
+    """``optimize`` leaves its input unchanged: a lowered program
+    optimized at baseline and then at full gives, at each level, the IR
+    and TIMING result of a fresh compile at that level."""
+    seed = generated_seed(name)
+    if seed is None:
+        config = small_config(name)
+        lowered = build_benchmark(name, config=config)
+        fresh = {level: build_benchmark(name, config=config, opt=opt) for level, opt in LEVELS}
+    else:
+        lowered = generate_program(seed)
+        fresh = {level: generate_program(seed, opt=opt) for level, opt in LEVELS}
+    reused = {level: optimize(lowered, opt) for level, opt in LEVELS}
+    for level, _ in LEVELS:
+        assert _ir_text(reused[level]) == _ir_text(fresh[level]), level
+        assert _timing_bytes(reused[level]) == _timing_bytes(fresh[level]), level
+
+
+def test_check_reports_a_walk_one_ulp_off(monkeypatch):
+    """The walk's time one ulp later on the Paragon only: both levels
+    are reported there, and nothing else."""
+
+    def skewed(program, machine, *args, options=None, **kwargs):
+        result = simulate(program, machine, *args, options=options, **kwargs)
+        if options is not None and options.fast is False and machine.name == "Intel Paragon":
+            result.time = float(np.nextafter(result.time, np.inf))
+        return result
+
+    monkeypatch.setattr(cli, "simulate", skewed)
+    problems = cli._check_generated(0, DEFAULT_PROFILE)
+    assert [p.split(":")[0] for p in problems] == [
+        "fast path diverges from oracle (baseline on paragon",
+        "fast path diverges from oracle (full on paragon",
+    ]
+
+
+def test_check_reports_numerics_without_delivery(monkeypatch):
+    """NUMERIC runs that never deliver leave the receivers' fluff at
+    zero, on a program that communicates."""
+    lowered = generate_program(0)
+    assert optimize(lowered, OptimizationConfig.full()).all_descriptors()
+    monkeypatch.setattr(ParallelEvaluator, "deliver", lambda self, plan: None)
+    problems = cli._check_generated(0, DEFAULT_PROFILE)
+    assert problems
+    assert all(
+        p.startswith("optimized numerics diverge from the reference (array ")
+        for p in problems
+    )

@@ -88,6 +88,47 @@ class TestParallel:
         assert ev.reduce(ir.IRReduce("min", ir.IRArrayRead("A"), R)) == 0.0
 
 
+class TestBound:
+    """A bound expression is resolved once and reads current data."""
+
+    def test_bound_expression_reads_current_block_fluff_and_scalars(self, env):
+        ev, scalars = env
+        bound = ev.bind(ir.IRBin("+", ir.IRArrayRead("A", EAST), ir.IRScalarRead("s")), 0, R)
+        block = ev.arrays["A"].block(0)
+        assert block.data.shape == (4, 6)  # one fluff column each side
+        first = bound()
+        assert first[0, 0] == 1.0 + 2.5  # A[1,2]
+        assert first[0, 3] == 0.0 + 2.5  # east fluff, never filled
+        # owned cells and fluff change in place, and so does the scalar
+        block.data[...] = np.arange(24.0).reshape(4, 6) * 10.0
+        scalars["s"] = -1.0
+        again = bound()
+        assert np.array_equal(again, np.arange(24.0).reshape(4, 6)[:, 2:6] * 10.0 - 1.0)
+        assert again[0, 3] == 50.0 - 1.0  # the fluff cell's new value
+
+    def test_unbound_scalar_raises_when_the_bound_callable_runs(self, env):
+        ev, scalars = env
+        expr = ir.IRBin("*", ir.IRArrayRead("A"), ir.IRScalarRead("ghost"))
+        bound = ev.bind(expr, 0, R)  # binding reads no scalar
+        with pytest.raises(RuntimeFault, match=r"^unbound scalar 'ghost'$"):
+            bound()
+        scalars["ghost"] = 3.0
+        assert bound()[3, 3] == 45.0
+
+    def test_self_aliasing_store_copies_before_it_writes(self, env):
+        ev, _ = env
+        sub = Region("sub", (1, 1), (4, 3))
+        stmt = ir.ArrayAssign(region=sub, target="A", expr=ir.IRArrayRead("A", EAST))
+        rows = np.arange(16.0).reshape(4, 4)
+        ev.assign(stmt)  # binds, then runs
+        expected = rows.copy()
+        expected[:, :3] = rows[:, 1:]
+        assert np.array_equal(ev.arrays["A"].gather(), expected)
+        ev.assign(stmt)  # runs the bound form
+        expected[:, :3] = expected[:, 1:].copy()
+        assert np.array_equal(ev.arrays["A"].gather(), expected)
+
+
 class TestScalarEvaluator:
     def test_arithmetic(self):
         ev = ScalarEvaluator({"x": 3}, lambda r: 0.0)

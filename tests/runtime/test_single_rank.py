@@ -77,7 +77,8 @@ def test_compiled_equals_walk_bit_for_bit(machine_name, library, key):
     walk = simulate(program, machine, options=SimOptions.timing(fast=False))
     fast = simulate(program, machine, options=SimOptions.timing(fast=True))
     assert fast.fastpath.extrapolated_trips == 0
-    plans = _sim(program, machine).template.lowered.table.plans
+    lowered = _sim(program, machine).template.lowered
+    plans = [node.plan for node in _nodes(lowered.body) if isinstance(node, _Call)]
     assert any(plan.message_count == 1 for plan in plans)
     assert fast.clocks.tobytes() == walk.clocks.tobytes()
     assert repr(fast.time) == repr(walk.time)

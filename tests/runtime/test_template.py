@@ -26,6 +26,7 @@ from repro import (
 from repro.ironman.calls import CallKind
 from repro.machine import apply_overrides, pack_variants
 from repro.runtime import BatchEvaluator
+from repro.runtime.costs import PlanTable
 from repro.runtime.executor import _Simulation
 from repro.runtime.schedule import _ForOp, _IfOp, _RepeatOp, compile_schedule
 from repro.runtime.transfers import PlanCache
@@ -120,6 +121,40 @@ def test_template_is_freed_with_its_program_without_the_cycle_collector():
         del program
         assert template() is None
         assert lowered() is None
+    finally:
+        gc.enable()
+
+
+def test_walk_prices_through_one_table_kept_on_each_plan(monkeypatch):
+    """The walk prices a plan through the plan's own one-plan table: a
+    walk on another machine of the same mesh builds none, and the plan
+    alone holds its table, so the table is freed with the plan."""
+    built = []
+    original = PlanTable.__init__
+
+    def counted(self, plans):
+        built.append(tuple(plans))
+        original(self, plans)
+
+    monkeypatch.setattr(PlanTable, "__init__", counted)
+    PlanCache.clear_global()
+    program = _program()
+    walk = SimOptions.timing(fast=False)
+    simulate(program, t3d(4), options=walk)
+    assert built and all(len(plans) == 1 for plans in built)
+    assert len({id(plans[0]) for plans in built}) == len(built)
+    count = len(built)
+    simulate(program, paragon(4), options=walk)
+    assert len(built) == count
+    gc.disable()
+    try:
+        plan = built[0][0]
+        table = weakref.ref(plan.table)
+        del program, built
+        PlanCache.clear_global()
+        assert table() is not None
+        del plan
+        assert table() is None
     finally:
         gc.enable()
 

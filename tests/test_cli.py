@@ -611,6 +611,30 @@ def test_generate_check_passes(capsys):
     assert "ok gen_1" in capsys.readouterr().out
 
 
+def test_generate_check_reports_a_fault_as_that_seeds_failure(monkeypatch, capsys):
+    import repro.__main__ as cli
+    from repro.errors import RuntimeFault
+
+    simulate = cli.simulate
+
+    def faulty(program, *args, **kwargs):
+        if program.name == "gen_1":
+            raise RuntimeFault("transfer comm#9 initiated twice without completion")
+        return simulate(program, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate", faulty)
+    assert main(["generate", "0", "--count", "3", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ok gen_0", "ok gen_2"]
+    err = captured.err.splitlines()
+    assert (
+        "FAIL gen_1: RuntimeFault: transfer comm#9 initiated twice without completion"
+        in err
+    )
+    assert "  python -m repro generate 1 --check" in err
+    assert not any("generate 0" in line or "generate 2" in line for line in err)
+
+
 def test_generate_batch_to_directory(tmp_path, capsys):
     out = tmp_path / "corpus"
     assert main(["generate", "4", "--count", "3", "--out", str(out)]) == 0
