@@ -71,7 +71,6 @@ Quickstart
 
 from repro.comm import (
     OptimizationConfig,
-    PassPipeline,
     PipelineReport,
     optimize,
     optimize_with_report,
@@ -149,7 +148,6 @@ __all__ = [
     "compile_program",
     "emit_c",
     "OptimizationConfig",
-    "PassPipeline",
     "PipelineReport",
     "optimize_with_report",
     "static_comm_count",

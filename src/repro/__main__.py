@@ -129,14 +129,16 @@ from repro import (
     run_sweep,
     simulate,
 )
-from repro.analysis import EXPERIMENT_KEYS, experiment_spec, format_table
 from repro.analysis import attribution as attr
 from repro.analysis import figures as fig
-from repro.analysis import scaling
-from repro.comm import registered_passes
+from repro.analysis import format_table, scaling
 from repro.engine import DirCache, Job, MachineSpec
 from repro.errors import ExperimentError, ReproError
-from repro.experiments_registry import COMPOSITION_KEYS
+from repro.experiments_registry import (
+    COMPOSITION_KEYS,
+    EXPERIMENT_KEYS,
+    experiment_spec,
+)
 from repro.frontend import parse_config_assignments
 from repro.programs import BENCHMARKS, KERNELS, benchmark_source, validate_benchmark
 from repro.sweep.axes import parse_axes
@@ -354,24 +356,29 @@ def cmd_experiments(args) -> int:
     return 0
 
 
+#: The optimizer's passes in the order they run, each with the
+#: OptimizationConfig field that turns it on.
+_PASSES = (
+    ("redundancy", "rr",
+     "Remove transfers whose data an earlier same-block transfer moved."),
+    ("interblock", "rr_interblock; needs rr",
+     "Remove transfers already available from preceding blocks (dataflow)."),
+    ("combining", "cc",
+     "Merge same-direction transfers of different arrays into one message."),
+    ("pipelining", "pl",
+     "Hoist transfer initiation (DR/SR) to the data's ready point."),
+)
+
+
 def cmd_passes(args) -> int:
     if args.key:
         spec = experiment_spec(args.key)
-        pipeline = spec.pipeline()
         print(f"{args.key}: {spec.description}")
         print(f"  opt:      {spec.opt.describe()}")
-        print(f"  pipeline: {pipeline.describe()}")
+        print(f"  pipeline: {' -> '.join(spec.opt.signature()) or '(empty)'}")
         return 0
-    for cls in registered_passes().values():
-        constraints = []
-        if cls.requires:
-            constraints.append(f"requires {', '.join(cls.requires)}")
-        if cls.after:
-            constraints.append(f"after {', '.join(cls.after)}")
-        if cls.terminal:
-            constraints.append("terminal")
-        suffix = f"  [{'; '.join(constraints)}]" if constraints else ""
-        print(f"{cls.name:12s} {cls().describe()}{suffix}")
+    for name, switch, description in _PASSES:
+        print(f"{name:12s} {description}  [{switch}]")
     return 0
 
 

@@ -1,9 +1,8 @@
 """The experiment harness: the paper's evaluation section as code.
 
-:mod:`repro.analysis.experiments` runs benchmark x experiment grids
-(submitted through the :mod:`repro.engine` job engine) over the keys
-defined in :mod:`repro.experiments_registry`;
-:mod:`repro.analysis.figures` regenerates each figure/table's rows;
+:mod:`repro.analysis.figures` regenerates each figure/table's rows from
+a :func:`repro.engine.run_study` grid over the keys defined in
+:mod:`repro.experiments_registry`;
 :mod:`repro.analysis.attribution` breaks each cell's reduction down by
 optimizer pass using engine telemetry;
 :mod:`repro.analysis.scaling` turns :mod:`repro.sweep` results into
@@ -27,14 +26,6 @@ from repro.analysis.attribution import (
     pipeline_report,
     report_reconciles,
 )
-from repro.analysis.experiments import (
-    EXPERIMENT_KEYS,
-    ExperimentResult,
-    ExperimentSpec,
-    experiment_spec,
-    run_experiment,
-    run_benchmark_suite,
-)
 from repro.analysis.frontier import (
     ContourPoint,
     ParetoPoint,
@@ -53,7 +44,6 @@ from repro.analysis.scaling import (
 )
 
 __all__ = [
-    "EXPERIMENT_KEYS",
     "CompositionCell",
     "CompositionResult",
     "ContourPoint",
@@ -66,17 +56,12 @@ __all__ = [
     "pareto_front",
     "pareto_surface",
     "winner_map",
-    "ExperimentResult",
-    "ExperimentSpec",
     "detect_crossovers",
-    "experiment_spec",
     "figure8_by_pass",
     "format_scaling_report",
     "pass_attribution",
     "pipeline_report",
     "report_reconciles",
-    "run_experiment",
-    "run_benchmark_suite",
     "format_table",
     "scaling_rows",
     "speedup_curve",

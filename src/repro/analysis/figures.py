@@ -3,21 +3,19 @@
 Each ``figure*``/``table*`` function returns ``(headers, rows)`` ready
 for :func:`repro.analysis.report.format_table`.  Functions over the
 whole-program study are *pure consumers* of precomputed engine results —
-any mapping of ``benchmark -> [ExperimentResult, ...]`` in key order: a
-:class:`repro.engine.StudyResult` from :func:`repro.run_study` or the
-plain dict from the legacy
-:func:`repro.analysis.experiments.run_benchmark_suite`.  One grid of
-simulations feeds Figures 8, 10, 11, 12 and Tables 1-4 — mirroring how
-the paper derives all of them from one set of runs — and the figures
-never trigger simulation themselves.
+any mapping of ``benchmark -> [ExperimentResult, ...]`` in key order,
+such as the :class:`repro.engine.StudyResult` of :func:`repro.run_study`.
+One grid of simulations feeds Figures 8, 10, 11, 12 and Tables 1-4 —
+mirroring how the paper derives all of them from one set of runs — and
+the figures never trigger simulation themselves.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.analysis.experiments import EXPERIMENT_KEYS, ExperimentResult
 from repro.comm import OptimizationConfig
+from repro.experiments_registry import EXPERIMENT_KEYS, ExperimentResult
 from repro.ir import emit_c
 from repro.machine import paragon, t3d
 from repro.programs import BENCHMARKS, build_benchmark

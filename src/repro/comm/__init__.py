@@ -23,13 +23,11 @@ Pipeline
 5. The plan is materialized back into IRONMAN :class:`~repro.ir.nodes.CommCall`
    statements interleaved with the block's core statements.
 
-Steps 2-4 are :class:`~repro.comm.passes.CommPass` instances run by an
-instrumented :class:`~repro.comm.passes.PassPipeline` (per-pass
-statistics, legality-checked ordering, optional verifier);
-:class:`~repro.comm.optimizer.OptimizationConfig` is the thin factory
-compiling the paper's experiment keys to pipelines, and
-:func:`repro.comm.optimizer.optimize` /
-:func:`repro.comm.optimizer.optimize_with_report` drive them over whole
+:func:`repro.comm.passes.run_block` runs steps 2-4 on one block, in
+that order, each where the
+:class:`~repro.comm.optimizer.OptimizationConfig` turns it on (per-pass
+statistics, optional verifier); :func:`repro.comm.optimizer.optimize` /
+:func:`repro.comm.optimizer.optimize_with_report` drive it over whole
 programs.
 """
 
@@ -38,30 +36,15 @@ from repro.comm.optimizer import (
     optimize,
     optimize_with_report,
 )
-from repro.comm.passes import (
-    CommPass,
-    PassContext,
-    PassPipeline,
-    PassStats,
-    PipelineReport,
-    make_pass,
-    register_pass,
-    registered_passes,
-)
+from repro.comm.passes import PassStats, PipelineReport
 from repro.comm.counts import static_comm_count, static_call_count
 
 __all__ = [
-    "CommPass",
     "OptimizationConfig",
-    "PassContext",
-    "PassPipeline",
     "PassStats",
     "PipelineReport",
-    "make_pass",
     "optimize",
     "optimize_with_report",
-    "register_pass",
-    "registered_passes",
     "static_comm_count",
     "static_call_count",
 ]

@@ -18,13 +18,12 @@ pl_maxlat      on    on    on    max_latency
 (The library — PVM vs SHMEM vs NX — is a *machine* property, not a
 compiler property; the same optimized program runs against any binding.)
 
-Since the pass-pipeline refactor, :class:`OptimizationConfig` is a thin
-factory: :meth:`OptimizationConfig.pipeline` compiles the booleans to a
-:class:`~repro.comm.passes.PassPipeline`, and the driver here only walks
-the program body, threading the inter-block context through structured
-statements.  :func:`optimize_with_report` additionally returns the
-pipeline's per-pass :class:`~repro.comm.passes.PipelineReport`, which
-the experiment engine records in job telemetry.
+:func:`optimize_with_report` walks the program body, threading the
+inter-block available set through structured statements, and hands each
+basic block to :func:`~repro.comm.passes.run_block`, which runs the
+selected passes in their one order.  It also returns the per-pass
+:class:`~repro.comm.passes.PipelineReport`, which the experiment engine
+records in job telemetry.
 """
 
 from __future__ import annotations
@@ -34,15 +33,7 @@ from typing import List, Optional, Tuple
 
 from repro.comm.combining import HEURISTICS
 from repro.comm.interblock import AvailableSet
-from repro.comm.passes import (
-    CombiningPass,
-    InterblockPass,
-    PassContext,
-    PassPipeline,
-    PipelineReport,
-    PipeliningPass,
-    RedundancyPass,
-)
+from repro.comm.passes import PipelineReport, run_block
 from repro.errors import OptimizationError
 from repro.ir import nodes as ir
 from repro.obs import core as obs
@@ -120,94 +111,73 @@ class OptimizationConfig:
             parts.append("pl")
         return "+".join(parts) if parts else "baseline"
 
-    def pipeline(self, verify: bool = False) -> PassPipeline:
-        """Compile this config to its :class:`PassPipeline`.
+    def signature(self) -> Tuple[str, ...]:
+        """Identity strings of the passes this config runs, in order.
 
-        The pipeline order is the paper's cumulative order — removal,
-        then combination, then pipelining — which is also the only order
-        the passes' own legality constraints admit.
+        The engine fingerprints them (so a renamed or re-parameterized
+        pass misses the result cache), every :class:`PipelineReport`
+        carries them, and each ``pass:<name>`` span is tagged with its
+        own.
         """
-        passes: list = []
-        if self.rr:
-            passes.append(RedundancyPass())
-        if self.rr_interblock:
-            passes.append(InterblockPass())
-        if self.cc:
-            passes.append(CombiningPass(self.combine_heuristic))
-        if self.pl:
-            passes.append(PipeliningPass())
-        return PassPipeline(passes, verify=verify)
-
-
-def optimize_block(
-    block: ir.Block,
-    config: OptimizationConfig,
-    avail: Optional[AvailableSet] = None,
-) -> ir.Block:
-    """Generate and optimize communication for one basic block.
-
-    ``avail`` is the inter-block available-transfer set (mutated to the
-    block's exit state when rr_interblock is on; pass None otherwise).
-    """
-    pipeline = config.pipeline()
-    new_block, _, _ = pipeline.run_block(block, PassContext(avail=avail))
-    return new_block
+        passes = (
+            (self.rr, "redundancy"),
+            (self.rr_interblock, "interblock"),
+            (self.cc, f"combining[{self.combine_heuristic}]"),
+            (self.pl, "pipelining"),
+        )
+        return tuple(name for on, name in passes if on)
 
 
 def _optimize_body(
     body: List[ir.IRStmt],
-    pipeline: PassPipeline,
+    config: OptimizationConfig,
     report: PipelineReport,
-    avail: Optional[AvailableSet] = None,
+    verify: bool,
 ) -> List[ir.IRStmt]:
-    if avail is None and pipeline.has("interblock"):
-        avail = {}
+    # the inter-block available set along this statement list
+    avail: Optional[AvailableSet] = {} if config.rr_interblock else None
     out: List[ir.IRStmt] = []
     for stmt in body:
         if isinstance(stmt, ir.Block):
-            new_block, planned, stats = pipeline.run_block(
-                stmt, PassContext(avail=avail)
-            )
+            new_block, planned, stats = run_block(stmt, config, avail, verify)
             report.record_block(planned, len(new_block.descriptors()), stats)
             out.append(new_block)
-        elif isinstance(stmt, ir.ForLoop):
-            # conservative dataflow: the loop body starts with nothing
-            # available and contributes nothing to the code after it
+            continue
+        if isinstance(stmt, ir.ForLoop):
             out.append(
                 ir.ForLoop(
                     var=stmt.var,
                     low=stmt.low,
                     high=stmt.high,
                     step=stmt.step,
-                    body=_optimize_body(stmt.body, pipeline, report),
+                    body=_optimize_body(stmt.body, config, report, verify),
                 )
             )
-            if avail is not None:
-                avail.clear()
         elif isinstance(stmt, ir.RepeatLoop):
             out.append(
                 ir.RepeatLoop(
-                    body=_optimize_body(stmt.body, pipeline, report),
+                    body=_optimize_body(stmt.body, config, report, verify),
                     cond=stmt.cond,
                     max_trips=stmt.max_trips,
                 )
             )
-            if avail is not None:
-                avail.clear()
         elif isinstance(stmt, ir.IfStmt):
             out.append(
                 ir.IfStmt(
                     arms=[
-                        (cond, _optimize_body(arm, pipeline, report))
+                        (cond, _optimize_body(arm, config, report, verify))
                         for cond, arm in stmt.arms
                     ],
-                    orelse=_optimize_body(stmt.orelse, pipeline, report),
+                    orelse=_optimize_body(stmt.orelse, config, report, verify),
                 )
             )
-            if avail is not None:
-                avail.clear()
         else:  # pragma: no cover - defensive
             raise OptimizationError(f"unexpected IR statement {stmt!r}")
+        # conservative dataflow: a structured statement's bodies start
+        # with nothing available and contribute nothing to the code
+        # after it
+        if avail is not None:
+            avail.clear()
     return out
 
 
@@ -228,16 +198,16 @@ def optimize_with_report(
                 "optimize() expects a communication-free program; "
                 "re-lower the source instead of re-optimizing"
             )
-    pipeline = config.pipeline(verify=verify)
-    report = PipelineReport(signature=pipeline.signature())
+    signature = config.signature()
+    report = PipelineReport(signature=signature)
     with obs.span(
         "optimize:pipeline",
         program=program.name,
-        signature=pipeline.describe(),
+        signature=" -> ".join(signature) or "(empty)",
     ):
         optimized = ir.IRProgram(
             name=program.name,
-            body=_optimize_body(program.body, pipeline, report),
+            body=_optimize_body(program.body, config, report, verify),
             arrays=dict(program.arrays),
             scalars=list(program.scalars),
             config_values=dict(program.config_values),

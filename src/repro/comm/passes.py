@@ -1,40 +1,28 @@
-"""The communication optimizer as an instrumented pass pipeline.
+"""The communication optimizer's passes, run in their one order.
 
-The paper's optimizer is a fixed sequence of transformations over a
-block's planned communications.  This module makes that sequence a
-first-class object: a :class:`PassPipeline` of named :class:`CommPass`
-instances, each reporting what it actually did (:class:`PassStats`), with
-legality constraints validated at construction and an optional verifier
-run between passes.  :class:`~repro.comm.optimizer.OptimizationConfig`
-is a thin factory over this layer — ``config.pipeline()`` compiles the
-paper's five experiment keys to the same five pipelines the hardcoded
-driver used to run, byte-identically.
+The paper's optimizer is one cumulative sequence over a block's planned
+communications, each step switched on or off per experiment key:
 
-Pass anatomy
-------------
+=============  =====================  ===========================
+pass           turned on by           what it does
+=============  =====================  ===========================
+redundancy     ``rr``                 remove transfers an earlier
+                                      same-block transfer covers
+interblock     ``rr_interblock``      remove transfers available on
+               (needs ``rr``)         entry from preceding blocks
+combining      ``cc``                 merge same-direction transfers
+                                      (``combine_heuristic``)
+pipelining     ``pl``                 hoist DR/SR to the ready point
+=============  =====================  ===========================
 
-A pass transforms one block's :class:`~repro.comm.planning.BlockPlan` in
-place and returns a :class:`PassStats`.  Shared state across blocks (the
-inter-block available set, the placement list handed to materialization)
-travels in a :class:`PassContext`.  Ordering legality is declared on the
-pass class:
-
-``requires``
-    Pass names that **must** appear earlier in the pipeline
-    (``interblock`` requires ``redundancy``: entry-available removal
-    assumes single-member plans and intra-block folding already done).
-``after``
-    Pass names that, *when present*, must appear earlier (``combining``
-    must not precede either removal pass — removal asserts single-member
-    plans).
-``terminal``
-    No pass may follow (``pipelining`` computes the final call
-    placements).
-
-The registry (:func:`register_pass` / :func:`registered_passes`) maps
-pass names to classes so tools — the ``repro passes`` CLI, sweep axes
-beyond the paper's five keys — can enumerate and build pipelines without
-hardcoding the set.
+:func:`run_block` runs the passes an
+:class:`~repro.comm.optimizer.OptimizationConfig` selects, in that
+order, on one block, and materializes the result.  Removal runs first
+because it assumes single-member plans; pipelining runs last because it
+computes the final call placements.  Each pass runs under a
+``pass:<name>`` span, adds to the ``opt.pass.<name>.removed``/``.merged``
+counters and reports a :class:`PassStats`; ``verify=True`` checks the
+plan after every pass and the materialized block at the end.
 
 Statistics
 ----------
@@ -62,23 +50,27 @@ telemetry tests and the Figure 8 deltas check.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.comm.combining import HEURISTICS, combine
+from repro.comm.combining import combine
 from repro.comm.interblock import (
     AvailableSet,
     exit_available,
     remove_entry_available,
 )
 from repro.comm.materialize import materialize
-from repro.comm.pipelining import CommPlacement, place_calls
+from repro.comm.pipelining import place_calls
 from repro.comm.planning import BlockPlan, plan_naive
 from repro.comm.redundancy import remove_redundant
 from repro.errors import OptimizationError
 from repro.ir import nodes as ir
 from repro.ironman.calls import CallKind
 from repro.obs import core as obs
+
+if TYPE_CHECKING:
+    from repro.comm.optimizer import OptimizationConfig
 
 
 # ---------------------------------------------------------------------------
@@ -199,154 +191,6 @@ class PipelineReport:
 
 
 # ---------------------------------------------------------------------------
-# pass protocol and registry
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PassContext:
-    """State shared across a pipeline run.
-
-    ``avail`` is the inter-block available-transfer set (None outside an
-    inter-block dataflow region); ``placements`` is set by a placement
-    pass and consumed by materialization.
-    """
-
-    avail: Optional[AvailableSet] = None
-    placements: Optional[List[CommPlacement]] = None
-
-
-class CommPass:
-    """Base class of all communication-optimization passes.
-
-    Subclasses set ``name`` (the registry key) and the ordering
-    constraints (``requires``/``after``/``terminal``, see the module
-    docstring) and implement :meth:`run`.
-    """
-
-    name: str = ""
-    requires: Tuple[str, ...] = ()
-    after: Tuple[str, ...] = ()
-    terminal: bool = False
-
-    def run(self, plan: BlockPlan, ctx: PassContext) -> PassStats:
-        """Transform ``plan`` in place; return what was done."""
-        raise NotImplementedError
-
-    def signature(self) -> str:
-        """Identity string covering every behavior-relevant option."""
-        return self.name
-
-    def describe(self) -> str:
-        """One-line human description (first docstring line)."""
-        doc = type(self).__doc__ or self.name
-        return doc.strip().splitlines()[0]
-
-
-PASS_REGISTRY: Dict[str, Type[CommPass]] = {}
-
-
-def register_pass(cls: Type[CommPass]) -> Type[CommPass]:
-    """Class decorator: add a pass to the global registry by name."""
-    if not cls.name:
-        raise OptimizationError(f"pass class {cls.__name__} has no name")
-    if cls.name in PASS_REGISTRY:
-        raise OptimizationError(f"pass {cls.name!r} already registered")
-    PASS_REGISTRY[cls.name] = cls
-    return cls
-
-
-def registered_passes() -> Dict[str, Type[CommPass]]:
-    """Snapshot of the pass registry (name -> class)."""
-    return dict(PASS_REGISTRY)
-
-
-def make_pass(name: str, **options) -> CommPass:
-    """Instantiate a registered pass by name."""
-    try:
-        cls = PASS_REGISTRY[name]
-    except KeyError:
-        raise OptimizationError(
-            f"unknown pass {name!r} "
-            f"(registered: {', '.join(sorted(PASS_REGISTRY))})"
-        ) from None
-    return cls(**options)
-
-
-# ---------------------------------------------------------------------------
-# the paper's passes
-# ---------------------------------------------------------------------------
-
-
-@register_pass
-class RedundancyPass(CommPass):
-    """Remove transfers whose data an earlier same-block transfer moved."""
-
-    name = "redundancy"
-
-    def run(self, plan: BlockPlan, ctx: PassContext) -> PassStats:
-        return PassStats(self.name, removed=remove_redundant(plan))
-
-
-@register_pass
-class InterblockPass(CommPass):
-    """Remove transfers already available from preceding blocks (dataflow)."""
-
-    name = "interblock"
-    requires = ("redundancy",)
-
-    def run(self, plan: BlockPlan, ctx: PassContext) -> PassStats:
-        if ctx.avail is None:
-            # no dataflow region threaded through this run: nothing to do
-            return PassStats(self.name)
-        removed = remove_entry_available(plan, ctx.avail)
-        new_avail = exit_available(plan, ctx.avail)
-        ctx.avail.clear()
-        ctx.avail.update(new_avail)
-        return PassStats(self.name, removed=removed)
-
-
-@register_pass
-class CombiningPass(CommPass):
-    """Merge same-direction transfers of different arrays into one message."""
-
-    name = "combining"
-    after = ("redundancy", "interblock")
-
-    def __init__(self, heuristic: str = "max_combining") -> None:
-        if heuristic not in HEURISTICS:
-            raise OptimizationError(
-                f"unknown combining heuristic {heuristic!r} "
-                f"(valid: {', '.join(HEURISTICS)})"
-            )
-        self.heuristic = heuristic
-
-    def signature(self) -> str:
-        return f"combining[{self.heuristic}]"
-
-    def run(self, plan: BlockPlan, ctx: PassContext) -> PassStats:
-        before = sum(c.distance for c in plan.comms)
-        merged = combine(plan, self.heuristic)
-        after = sum(c.distance for c in plan.comms)
-        # merging only ever shrinks total span: the gain is <= 0, the
-        # hiding potential this heuristic traded for fewer messages
-        return PassStats(self.name, merged=merged, distance_gained=after - before)
-
-
-@register_pass
-class PipeliningPass(CommPass):
-    """Hoist transfer initiation (DR/SR) to the data's ready point."""
-
-    name = "pipelining"
-    terminal = True
-
-    def run(self, plan: BlockPlan, ctx: PassContext) -> PassStats:
-        ctx.placements = place_calls(plan, pipelining=True)
-        gained = sum(p.dn - p.dr for p in ctx.placements)
-        return PassStats(self.name, distance_gained=gained)
-
-
-# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
@@ -402,99 +246,84 @@ def verify_block(block: ir.Block) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the pipeline
+# running the passes
 # ---------------------------------------------------------------------------
 
 
-class PassPipeline:
-    """An ordered, legality-checked sequence of communication passes.
+@contextmanager
+def _pass(
+    name: str,
+    plan: BlockPlan,
+    verify: bool,
+    stats: List[PassStats],
+    signature: Optional[str] = None,
+) -> Iterator[PassStats]:
+    """Run one pass's body under its span, time it, count what it did,
+    check the plan it left (with ``verify``) and append its stats."""
+    signature = signature or name
+    s = PassStats(name)
+    with obs.span(f"pass:{name}", signature=signature):
+        t0 = time.perf_counter()
+        yield s
+        s.wall_s = time.perf_counter() - t0
+    obs.add(f"opt.pass.{name}.removed", s.removed)
+    obs.add(f"opt.pass.{name}.merged", s.merged)
+    if verify:
+        verify_plan(plan, f"after {signature}")
+    stats.append(s)
 
-    Parameters
-    ----------
-    passes:
-        :class:`CommPass` instances, in execution order.  Ordering
-        constraints (``requires``, ``after``, ``terminal``, no
-        duplicates) are validated here — an illegal pipeline never
-        constructs.
-    verify:
-        Run :func:`verify_plan` after every pass and
-        :func:`verify_block` after materialization (slower; tests and
-        debugging).
+
+def run_block(
+    block: ir.Block,
+    config: "OptimizationConfig",
+    avail: Optional[AvailableSet] = None,
+    verify: bool = False,
+) -> Tuple[ir.Block, int, List[PassStats]]:
+    """Generate and optimize communication for one basic block.
+
+    Runs the passes ``config`` selects in their one order and
+    materializes the result.  ``avail`` is the inter-block available
+    set, updated in place to the block's exit state by the interblock
+    pass (with None that pass does nothing).  ``verify`` runs
+    :func:`verify_plan` after every pass and :func:`verify_block` on the
+    result.
+
+    Returns ``(new_block, planned, stats)``: ``planned`` is the naive
+    transfer count and ``stats`` has one entry per pass run, in order.
     """
-
-    def __init__(self, passes: Sequence[CommPass], verify: bool = False) -> None:
-        self.passes: Tuple[CommPass, ...] = tuple(passes)
-        self.verify = verify
-        self._validate()
-
-    def _validate(self) -> None:
-        seen: List[str] = []
-        for index, p in enumerate(self.passes):
-            if p.name in seen:
-                raise OptimizationError(
-                    f"pass {p.name!r} appears twice in the pipeline"
-                )
-            for needed in p.requires:
-                if needed not in seen:
-                    raise OptimizationError(
-                        f"pass {p.name!r} requires {needed!r} earlier in "
-                        f"the pipeline"
-                    )
-            later = {q.name for q in self.passes[index + 1:]}
-            for pred in p.after:
-                if pred in later:
-                    raise OptimizationError(
-                        f"pass {pred!r} must run before {p.name!r}"
-                    )
-            if p.terminal and index != len(self.passes) - 1:
-                raise OptimizationError(
-                    f"pass {p.name!r} is terminal; nothing may follow it"
-                )
-            seen.append(p.name)
-
-    def signature(self) -> Tuple[str, ...]:
-        """Per-pass identity strings — the pipeline's fingerprint axis."""
-        return tuple(p.signature() for p in self.passes)
-
-    def describe(self) -> str:
-        return " -> ".join(self.signature()) if self.passes else "(empty)"
-
-    def has(self, name: str) -> bool:
-        return any(p.name == name for p in self.passes)
-
-    def run_block(
-        self, block: ir.Block, ctx: Optional[PassContext] = None
-    ) -> Tuple[ir.Block, int, List[PassStats]]:
-        """Optimize one basic block.
-
-        Returns ``(new_block, planned, stats)`` where ``planned`` is the
-        naive transfer count and ``stats`` has one entry per pass in
-        pipeline order.
-        """
-        if ctx is None:
-            ctx = PassContext()
-        plan = plan_naive(block)
-        planned = len(plan.comms)
-        if self.verify:
-            verify_plan(plan, "plan_naive")
-        stats: List[PassStats] = []
-        for p in self.passes:
-            with obs.span(f"pass:{p.name}", signature=p.signature()):
-                t0 = time.perf_counter()
-                s = p.run(plan, ctx)
-                s.wall_s = time.perf_counter() - t0
-            obs.add(f"opt.pass.{p.name}.removed", s.removed)
-            obs.add(f"opt.pass.{p.name}.merged", s.merged)
-            if self.verify:
-                verify_plan(plan, f"after {p.signature()}")
-            stats.append(s)
-        placements = ctx.placements
-        ctx.placements = None
-        if placements is None:
-            # no placement pass ran: the paper's naive shape (all four
-            # calls together at first use)
-            placements = place_calls(plan, pipelining=False)
-        new_block = materialize(plan, placements)
-        if self.verify:
-            verify_block(new_block)
-        return new_block, planned, stats
+    plan = plan_naive(block)
+    planned = len(plan.comms)
+    if verify:
+        verify_plan(plan, "plan_naive")
+    stats: List[PassStats] = []
+    if config.rr:
+        with _pass("redundancy", plan, verify, stats) as s:
+            s.removed = remove_redundant(plan)
+    if config.rr_interblock:
+        with _pass("interblock", plan, verify, stats) as s:
+            if avail is not None:
+                s.removed = remove_entry_available(plan, avail)
+                exit_state = exit_available(plan, avail)
+                avail.clear()
+                avail.update(exit_state)
+    if config.cc:
+        heuristic = config.combine_heuristic
+        signature = f"combining[{heuristic}]"
+        with _pass("combining", plan, verify, stats, signature) as s:
+            before = sum(c.distance for c in plan.comms)
+            s.merged = combine(plan, heuristic)
+            # merging only ever shrinks total span: the gain is <= 0,
+            # the hiding potential this heuristic traded for fewer
+            # messages
+            s.distance_gained = sum(c.distance for c in plan.comms) - before
+    if config.pl:
+        with _pass("pipelining", plan, verify, stats) as s:
+            placements = place_calls(plan, pipelining=True)
+            s.distance_gained = sum(p.dn - p.dr for p in placements)
+    else:
+        # the paper's naive shape: all four calls together at first use
+        placements = place_calls(plan, pipelining=False)
+    new_block = materialize(plan, placements)
+    if verify:
+        verify_block(new_block)
+    return new_block, planned, stats

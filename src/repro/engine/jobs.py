@@ -9,7 +9,7 @@ on-disk result cache.
 The fingerprint is a SHA-256 over a canonical JSON document containing
 everything that can change the simulation's outcome: the benchmark's ZL
 source hash, the resolved :class:`~repro.comm.OptimizationConfig` *and*
-the pass-pipeline signature it compiles to (so re-ordering or re-naming
+the signature of the passes it runs (so re-ordering or re-naming
 passes invalidates old entries even when the config booleans read the
 same), the machine binding (name, processor count, library), the
 *merged* config constants (defaults + overrides, so editing a
@@ -70,9 +70,7 @@ class MachineSpec:
 
     ``library=None`` defers to the experiment key's library (PVM for the
     message-passing keys, SHMEM for ``pl_shmem``/``pl_maxlat``) — the
-    paper's default binding.  An explicit library overrides the key, as
-    the ``machine`` argument of
-    :func:`~repro.analysis.experiments.run_experiment` always has.
+    paper's default binding.  An explicit library overrides the key.
 
     ``overrides`` derives a swept machine *variant*: a sorted tuple of
     ``(path, value)`` parameter overrides (see
@@ -209,7 +207,7 @@ class Job:
             "source": source_sha(self.benchmark),
             "experiment": self.experiment,
             "opt": dataclasses.asdict(spec.opt),
-            "pipeline": list(spec.pipeline().signature()),
+            "pipeline": list(spec.opt.signature()),
             "machine": machine_payload,
             "config": self.merged_config(),
             "mode": self.mode,

@@ -16,13 +16,9 @@ optimization — and the library is an orthogonal axis that the last two
 keys flip to SHMEM.
 
 This module deliberately sits below both :mod:`repro.engine` and
-:mod:`repro.analysis`: the engine needs to resolve keys to optimization
-pipelines when fingerprinting jobs, and the analysis layer needs the
-same table to drive figures — importing the table from either side used
-to create a deferred-import cycle (``engine.jobs`` reached into
-``analysis.experiments`` inside function bodies).  Both now import from
-here; :mod:`repro.analysis.experiments` re-exports every name so the
-historical import paths keep working.
+:mod:`repro.analysis`: the engine resolves keys to optimization
+configs when fingerprinting jobs, and the analysis layer and the CLI
+need the same table to drive figures.  All of them import it from here.
 
 An experiment key resolves to an :class:`ExperimentSpec` (key, opt,
 library, description), read by field.
@@ -84,11 +80,6 @@ class ExperimentSpec:
     library: str
     description: str
 
-    def pipeline(self, verify: bool = False):
-        """The resolved :class:`~repro.comm.passes.PassPipeline` this key
-        compiles to (what the engine fingerprints)."""
-        return self.opt.pipeline(verify=verify)
-
 
 _SPECS: Dict[str, ExperimentSpec] = {
     spec.key: spec
@@ -130,9 +121,8 @@ _SPECS: Dict[str, ExperimentSpec] = {
             "pl with shmem, combining for maximum latency hiding",
         ),
         # single-optimization keys for the composition study: each
-        # optimization alone over the vectorized baseline (the pass
-        # legality model admits both — combining's redundancy ordering
-        # is a soft constraint, pipelining is merely terminal)
+        # optimization alone over the vectorized baseline (only
+        # interblock needs another pass, rr)
         ExperimentSpec(
             "cc_only",
             OptimizationConfig(cc=True),

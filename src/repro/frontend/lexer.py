@@ -1,183 +1,41 @@
-"""Hand-written lexer for ZL.
+"""Regex-driven lexer for ZL.
 
 Produces a list of :class:`~repro.frontend.tokens.Token` ending in a single
 ``EOF`` token.  Comments are ``-- to end of line`` (Pascal/ZPL style) and
 ``/* ... */`` block comments (non-nesting).  Numeric literals follow the
-usual forms: ``123``, ``1.5``, ``1.5e-3``, ``2e10``.
+usual forms: ``123``, ``1.5``, ``1.5e-3``, ``2e10``, ``.5``; a ``.``
+followed by another ``.`` is the range operator, so ``1..n`` is
+``1 .. n``.
+
+One compiled pattern matches a token at a time; its alternatives are
+tried in order, so comments win over ``-`` and ``/``, floats over
+integers, and the operators longest first.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexError
 from repro.frontend.source import SourceFile
 from repro.frontend.tokens import KEYWORDS, Token, TokenKind
 
-_SINGLE = {
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "@": TokenKind.AT,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "^": TokenKind.CARET,
-    "=": TokenKind.EQ,
-}
+#: Lexeme -> kind for every operator and punctuation kind: the kinds
+#: whose value is the lexeme itself (no letters or digits in it).
+_OPERATORS = {k.value: k for k in TokenKind if not re.search(r"\w", k.value)}
 
-
-class _Lexer:
-    """Cursor-based scanner over a :class:`SourceFile`."""
-
-    def __init__(self, src: SourceFile) -> None:
-        self.src = src
-        self.text = src.text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: List[Token] = []
-
-    # -- cursor helpers -------------------------------------------------
-    def _peek(self, ahead: int = 0) -> str:
-        i = self.pos + ahead
-        return self.text[i] if i < len(self.text) else ""
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _loc(self):
-        return self.src.location(self.line, self.col)
-
-    def _emit(self, kind: TokenKind, value, loc) -> None:
-        self.tokens.append(Token(kind, value, loc))
-
-    # -- scanning -------------------------------------------------------
-    def run(self) -> List[Token]:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c in " \t\r\n":
-                self._advance()
-            elif c == "-" and self._peek(1) == "-":
-                self._skip_line_comment()
-            elif c == "/" and self._peek(1) == "*":
-                self._skip_block_comment()
-            elif c.isdigit() or (c == "." and self._peek(1).isdigit()):
-                self._scan_number()
-            elif c.isalpha() or c == "_":
-                self._scan_word()
-            else:
-                self._scan_operator()
-        self._emit(TokenKind.EOF, "", self._loc())
-        return self.tokens
-
-    def _skip_line_comment(self) -> None:
-        while self.pos < len(self.text) and self._peek() != "\n":
-            self._advance()
-
-    def _skip_block_comment(self) -> None:
-        loc = self._loc()
-        self._advance(2)
-        while self.pos < len(self.text):
-            if self._peek() == "*" and self._peek(1) == "/":
-                self._advance(2)
-                return
-            self._advance()
-        raise LexError("unterminated block comment", loc)
-
-    def _scan_number(self) -> None:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1) != ".":
-            # '..' is the range operator, not a decimal point
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        lexeme = self.text[start : self.pos]
-        try:
-            if is_float:
-                self._emit(TokenKind.FLOATLIT, float(lexeme), loc)
-            else:
-                self._emit(TokenKind.INTLIT, int(lexeme), loc)
-        except ValueError as exc:  # pragma: no cover - defensive
-            raise LexError(f"malformed number {lexeme!r}", loc) from exc
-
-    def _scan_word(self) -> None:
-        loc = self._loc()
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        word = self.text[start : self.pos]
-        kind = KEYWORDS.get(word.lower())
-        if kind is not None:
-            self._emit(kind, word.lower(), loc)
-        else:
-            self._emit(TokenKind.IDENT, word, loc)
-
-    def _scan_operator(self) -> None:
-        loc = self._loc()
-        c = self._peek()
-        two = c + self._peek(1)
-        if two == "@@":
-            self._advance(2)
-            self._emit(TokenKind.WRAPAT, two, loc)
-        elif two == ":=":
-            self._advance(2)
-            self._emit(TokenKind.ASSIGN, two, loc)
-        elif two == "..":
-            self._advance(2)
-            self._emit(TokenKind.DOTDOT, two, loc)
-        elif two == "<<":
-            self._advance(2)
-            self._emit(TokenKind.REDUCE, two, loc)
-        elif two == "<=":
-            self._advance(2)
-            self._emit(TokenKind.LE, two, loc)
-        elif two == ">=":
-            self._advance(2)
-            self._emit(TokenKind.GE, two, loc)
-        elif two == "!=":
-            self._advance(2)
-            self._emit(TokenKind.NE, two, loc)
-        elif c == "<":
-            self._advance()
-            self._emit(TokenKind.LT, c, loc)
-        elif c == ">":
-            self._advance()
-            self._emit(TokenKind.GT, c, loc)
-        elif c == ":":
-            self._advance()
-            self._emit(TokenKind.COLON, c, loc)
-        elif c in _SINGLE:
-            self._advance()
-            self._emit(_SINGLE[c], c, loc)
-        else:
-            raise LexError(f"unexpected character {c!r}", loc)
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r\n]+|--[^\n]*|/\*.*?\*/)"
+    r"|(?P<open>/\*)"
+    r"|(?P<float>(?:\d+\.(?!\.)\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<op>"
+    + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True)))
+    + ")",
+    re.S,
+)
 
 
 def tokenize(text: str, filename: str = "<string>") -> List[Token]:
@@ -195,4 +53,40 @@ def tokenize(text: str, filename: str = "<string>") -> List[Token]:
     list of Token
         Always ends with an ``EOF`` token.
     """
-    return _Lexer(SourceFile(text, filename)).run()
+    src = SourceFile(text, filename)
+    tokens: List[Token] = []
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        group = m.lastgroup if m else None
+        if group == "skip":
+            newlines = text.count("\n", pos, m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, m.end()) + 1
+            pos = m.end()
+            continue
+        loc = src.location(line, pos - line_start + 1)
+        if group == "open":
+            raise LexError("unterminated block comment", loc)
+        # a name starts with a letter or '_'; \w also admits numeric
+        # characters such as '½'
+        c = text[pos]
+        if group is None or group == "word" and not (c.isalpha() or c == "_"):
+            raise LexError(f"unexpected character {c!r}", loc)
+        lexeme = m.group()
+        if group == "word":
+            keyword = KEYWORDS.get(lexeme.lower())
+            if keyword is None:
+                tokens.append(Token(TokenKind.IDENT, lexeme, loc))
+            else:
+                tokens.append(Token(keyword, lexeme.lower(), loc))
+        elif group == "float":
+            tokens.append(Token(TokenKind.FLOATLIT, float(lexeme), loc))
+        elif group == "int":
+            tokens.append(Token(TokenKind.INTLIT, int(lexeme), loc))
+        else:
+            tokens.append(Token(_OPERATORS[lexeme], lexeme, loc))
+        pos = m.end()
+    tokens.append(Token(TokenKind.EOF, "", src.location(line, pos - line_start + 1)))
+    return tokens

@@ -407,16 +407,22 @@ def _wrap_strips(desc, entry, layout, lo, hi, receivers):
 class PlanCache:
     """Per-simulation cache of transfer plans keyed by descriptor id.
 
-    Backed by a process-wide memo keyed by *content* (grid shape, array
-    domains, descriptor geometry), so re-simulating the same program on
-    the same layout — e.g. every cell of a study sweep, or a fast-path
-    run next to its interpreted check — reuses the built plans instead of
-    re-deriving their strips.  A ``TransferPlan`` is pure metadata
-    and safe to share within a process; the memo is bounded LRU.
+    Every plan built is also put in a process-wide memo (bounded LRU)
+    keyed by the layout, the processor count and the descriptor's id
+    and geometry.  The memo serves almost nothing: later runs of a
+    program on the same mesh shape take its plans from the program's
+    :class:`~repro.runtime.schedule.ScheduleTemplate`, and descriptor
+    ids are unique per process, so no other program's descriptor
+    matches a key.  On a cold t3d/64 paper study it builds 646 plans,
+    this cache's own dict serves 1938 lookups and the memo 0 (0 again
+    when the study reruns after ``clear_compile_cache``).  Once the
+    study's programs are dropped, the memo still pins their 646 plans,
+    about 8.7 MB by ``tracemalloc``.  It stays for now because the
+    benchmark harness (``benchmarks/perf/workloads.py``) clears it by
+    name through :meth:`clear_global`.
     """
 
-    # sized above one full paper study (~650 distinct plans across the
-    # 4 x 6 matrix at 64 ranks) so sweep cells reuse instead of thrash
+    # bounds the plans the memo pins after their programs are gone
     _GLOBAL_MAX = 1024
     _global: "OrderedDict[Tuple, TransferPlan]" = OrderedDict()
 

@@ -1,18 +1,17 @@
-"""Tests for the experiment harness."""
+"""Tests for the experiment keys and the study grid over them."""
 
 import warnings
 
 import pytest
 
-from repro.analysis import (
+from repro import run_study
+from repro.comm import OptimizationConfig
+from repro.errors import ExperimentError
+from repro.experiments_registry import (
     EXPERIMENT_KEYS,
     ExperimentSpec,
     experiment_spec,
-    run_experiment,
 )
-from repro.analysis.experiments import run_benchmark_suite
-from repro.comm import OptimizationConfig
-from repro.errors import ExperimentError
 from repro.programs import small_config
 
 
@@ -57,8 +56,8 @@ def test_spec_is_a_named_dataclass():
 
 
 def test_named_field_access_is_warning_free():
-    """The ExperimentSpec named-field path — including the pipeline
-    factory — raises no DeprecationWarning."""
+    """The ExperimentSpec named-field path — including the config's
+    pass signature — raises no DeprecationWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         spec = experiment_spec("pl")
@@ -66,27 +65,39 @@ def test_named_field_access_is_warning_free():
         assert spec.opt.pl
         assert spec.library == "pvm"
         assert "pipelining" in spec.description
-        assert spec.pipeline().has("pipelining")
+        assert "pipelining" in spec.opt.signature()
 
 
 def test_registry_module_is_the_single_source():
-    """repro.analysis re-exports the shared registry objects unchanged,
-    so both historical import paths resolve to the same definitions."""
+    """The key table lives only in repro.experiments_registry: the
+    analysis package no longer re-exports it, and the figures and the
+    CLI use the registry's own objects."""
+    import repro.__main__ as cli
     import repro.analysis as analysis
-    import repro.analysis.experiments as experiments
+    import repro.analysis.figures as figures
     import repro.experiments_registry as registry
 
-    for module in (analysis, experiments):
-        assert module.EXPERIMENT_KEYS is registry.EXPERIMENT_KEYS
-        assert module.ExperimentSpec is registry.ExperimentSpec
-        assert module.ExperimentResult is registry.ExperimentResult
-        assert module.experiment_spec is registry.experiment_spec
+    for name in ("EXPERIMENT_KEYS", "ExperimentSpec", "ExperimentResult",
+                 "experiment_spec"):
+        assert not hasattr(analysis, name), name
+    assert figures.EXPERIMENT_KEYS is registry.EXPERIMENT_KEYS
+    assert figures.ExperimentResult is registry.ExperimentResult
+    assert cli.EXPERIMENT_KEYS is registry.EXPERIMENT_KEYS
+    assert cli.experiment_spec is registry.experiment_spec
+
+
+def _swm_study(keys):
+    return run_study(
+        benchmarks=("swm",),
+        keys=keys,
+        nprocs=16,
+        config_overrides={"swm": small_config("swm")},
+        cache=False,
+    )
 
 
 def test_run_experiment_returns_counts_and_time():
-    res = run_experiment(
-        "swm", "cc", nprocs=16, config=small_config("swm")
-    )
+    (res,) = _swm_study(("cc",))["swm"]
     assert res.benchmark == "swm"
     assert res.library == "pvm"
     assert res.static_count > 0
@@ -95,22 +106,11 @@ def test_run_experiment_returns_counts_and_time():
 
 
 def test_suite_grid_shape():
-    results = run_benchmark_suite(
-        ["swm"],
-        keys=("baseline", "cc"),
-        nprocs=16,
-        config_overrides={"swm": small_config("swm")},
-    )
+    results = _swm_study(("baseline", "cc"))
     assert set(results) == {"swm"}
     assert [r.experiment for r in results["swm"]] == ["baseline", "cc"]
 
 
 def test_scaled_to_baseline():
-    results = run_benchmark_suite(
-        ["swm"],
-        keys=("baseline", "cc"),
-        nprocs=16,
-        config_overrides={"swm": small_config("swm")},
-    )
-    base, cc = results["swm"]
+    base, cc = _swm_study(("baseline", "cc"))["swm"]
     assert cc.scaled_to(base) == cc.execution_time / base.execution_time

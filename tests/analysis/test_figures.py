@@ -4,21 +4,22 @@ import math
 
 import pytest
 
+from repro import run_study
 from repro.analysis import figures as fig
-from repro.analysis.experiments import run_benchmark_suite
 from repro.programs import small_config
 
 
 @pytest.fixture(scope="module")
 def suite():
     """A small-scale whole-program study over two benchmarks."""
-    return run_benchmark_suite(
-        ["tomcatv", "swm"],
+    return run_study(
+        benchmarks=("tomcatv", "swm"),
         nprocs=16,
         config_overrides={
             "tomcatv": small_config("tomcatv"),
             "swm": small_config("swm"),
         },
+        cache=False,
     )
 
 

@@ -4,7 +4,7 @@ The corpus is the paper's four benchmarks' little siblings: the three
 classic kernels plus a batch of seeded generated programs.  Three
 relations must hold for *every* member:
 
-* every one of the 18 legal pass pipelines runs verifier-clean and its
+* every one of the 18 pass selections runs verifier-clean and its
   :class:`~repro.comm.PipelineReport` exactly reconciles the static
   count delta;
 * along the paper's cumulative chain (baseline -> rr -> cc -> pl) the
@@ -42,7 +42,7 @@ def _source_and_config(name):
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_every_legal_pipeline_is_verifier_clean(name):
-    """All 18 legal pipelines run with the post-pass verifier enabled,
+    """All 18 pass selections run with the post-pass verifier enabled,
     and each report accounts for the whole static-count delta."""
     source, config = _source_and_config(name)
     lowered = compile_program(source, f"{name}.zl", config=config)
@@ -54,9 +54,9 @@ def test_every_legal_pipeline_is_verifier_clean(name):
     )
     for opt in LEGAL_CONFIGS:
         program, report = optimize_with_report(lowered, opt, verify=True)
-        assert report.planned == naive, opt.pipeline().describe()
+        assert report.planned == naive, opt.signature()
         assert report.final == static_comm_count(program)
-        assert report.reconciles(), f"{name}: {opt.pipeline().describe()}"
+        assert report.reconciles(), f"{name}: {opt.signature()}"
 
 
 @pytest.mark.parametrize("name", CORPUS)

@@ -1,86 +1,49 @@
-"""Unit tests for the pass protocol, registry, pipeline, and report."""
+"""Unit tests for running the passes, the pass signatures, the report
+and the verifier."""
 
 import pytest
 
 from repro import compile_program
+from repro.__main__ import ALL_KEYS
 from repro.comm import (
-    CommPass,
     OptimizationConfig,
-    PassPipeline,
     PassStats,
     PipelineReport,
-    make_pass,
     optimize_with_report,
-    register_pass,
-    registered_passes,
     static_comm_count,
 )
-from repro.comm.passes import (
-    CombiningPass,
-    InterblockPass,
-    PipeliningPass,
-    RedundancyPass,
-    verify_block,
-    verify_plan,
-)
+from repro.comm.passes import run_block, verify_block, verify_plan
 from repro.comm.planning import plan_naive
 from repro.errors import OptimizationError
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.ir.nodes import CommCall
 from repro.ironman.calls import CallKind
+from repro.obs import MemorySink, recording
 from tests.conftest import DEMO_SOURCE
 
-
-PAPER_PASSES = {"redundancy", "interblock", "combining", "pipelining"}
-
-
-class TestRegistry:
-    def test_paper_passes_registered(self):
-        registry = registered_passes()
-        assert set(registry) == PAPER_PASSES
-        assert all(issubclass(cls, CommPass) for cls in registry.values())
-
-    def test_registry_snapshot_is_a_copy(self):
-        snap = registered_passes()
-        snap.clear()
-        assert set(registered_passes()) == PAPER_PASSES
-
-    def test_make_pass_by_name(self):
-        p = make_pass("combining", heuristic="max_latency")
-        assert isinstance(p, CombiningPass)
-        assert p.signature() == "combining[max_latency]"
-
-    def test_make_pass_unknown_name(self):
-        with pytest.raises(OptimizationError, match="registered"):
-            make_pass("loop_fusion")
-
-    def test_register_requires_a_name(self):
-        class Nameless(CommPass):
-            pass
-
-        with pytest.raises(OptimizationError, match="no name"):
-            register_pass(Nameless)
-
-    def test_register_rejects_duplicates(self):
-        class Impostor(CommPass):
-            name = "redundancy"
-
-        with pytest.raises(OptimizationError, match="already registered"):
-            register_pass(Impostor)
-        assert registered_passes()["redundancy"] is RedundancyPass
-
-    def test_invalid_combining_heuristic(self):
-        with pytest.raises(OptimizationError, match="heuristic"):
-            CombiningPass("bogus")
-
-    def test_describe_is_one_line(self):
-        for cls in registered_passes().values():
-            text = cls().describe()
-            assert text and "\n" not in text
+#: B is ready after the first statement but only used two statements
+#: later, and never written after that use.
+HOIST_SOURCE = """
+program hoist;
+config n : integer = 8;
+region R  = [1..n, 1..n];
+region In = [1..n, 1..n-1];
+direction east = [0, 1];
+var A, B, C : [R] double;
+procedure main();
+begin
+  [R] B := index1 + index2;
+  [R] C := index1 - index2;
+  [In] A := B@east;
+end;
+"""
 
 
 class TestConfigFactory:
-    """OptimizationConfig.pipeline() compiles the paper's keys."""
+    """OptimizationConfig.signature() names the passes each key runs.
+
+    The signatures are a job-fingerprint input: a drift here would turn
+    every cached result into a miss without any error."""
 
     EXPECTED = {
         "baseline": (),
@@ -89,56 +52,73 @@ class TestConfigFactory:
         "pl": ("redundancy", "combining[max_combining]", "pipelining"),
         "pl_shmem": ("redundancy", "combining[max_combining]", "pipelining"),
         "pl_maxlat": ("redundancy", "combining[max_latency]", "pipelining"),
+        "cc_only": ("combining[max_combining]",),
+        "pl_only": ("pipelining",),
     }
 
     def test_every_experiment_key_signature(self):
-        for key in EXPERIMENT_KEYS:
-            assert (
-                experiment_spec(key).pipeline().signature() == self.EXPECTED[key]
-            ), key
+        assert tuple(self.EXPECTED) == ALL_KEYS
+        for key in ALL_KEYS:
+            assert experiment_spec(key).opt.signature() == self.EXPECTED[key], key
 
     def test_interblock_rides_behind_redundancy(self):
         cfg = OptimizationConfig(rr=True, rr_interblock=True)
-        assert cfg.pipeline().signature() == ("redundancy", "interblock")
-
-    def test_describe(self):
-        assert OptimizationConfig.baseline().pipeline().describe() == "(empty)"
-        assert (
-            OptimizationConfig.full().pipeline().describe()
-            == "redundancy -> combining[max_combining] -> pipelining"
-        )
+        assert cfg.signature() == ("redundancy", "interblock")
 
     def test_has(self):
-        pipeline = OptimizationConfig.full().pipeline()
-        assert pipeline.has("combining")
-        assert not pipeline.has("interblock")
+        signature = OptimizationConfig.full().signature()
+        assert "combining[max_combining]" in signature
+        assert "interblock" not in signature
+
+    def test_describe(self):
+        """The optimize:pipeline span names the passes in order."""
+        lowered = compile_program(DEMO_SOURCE, "demo.zl")
+        sink = MemorySink()
+        with recording(sink):
+            optimize_with_report(lowered, OptimizationConfig.baseline())
+            optimize_with_report(lowered, OptimizationConfig.full())
+        assert [s["attrs"]["signature"] for s in sink.spans("optimize:pipeline")] == [
+            "(empty)",
+            "redundancy -> combining[max_combining] -> pipelining",
+        ]
 
 
-class TestLegality:
-    def test_duplicate_pass_rejected(self):
-        with pytest.raises(OptimizationError, match="twice"):
-            PassPipeline([RedundancyPass(), RedundancyPass()])
+class TestRunBlock:
+    def _block(self):
+        lowered = compile_program(DEMO_SOURCE, "demo.zl")
+        return next(b for b in lowered.walk_blocks() if plan_naive(b).comms)
 
-    def test_interblock_requires_redundancy(self):
-        with pytest.raises(OptimizationError, match="requires"):
-            PassPipeline([InterblockPass()])
+    def test_one_span_and_counter_pair_per_pass_in_order(self):
+        config = OptimizationConfig(
+            rr=True, rr_interblock=True, cc=True, pl=True,
+            combine_heuristic="max_latency",
+        )
+        sink = MemorySink()
+        with recording(sink):
+            block, planned, stats = run_block(self._block(), config, {}, verify=True)
+        names = ["redundancy", "interblock", "combining", "pipelining"]
+        assert [s.name for s in stats] == names
+        spans = [s for s in sink.spans() if s["name"].startswith("pass:")]
+        assert [s["name"] for s in spans] == [f"pass:{n}" for n in names]
+        assert [s["attrs"]["signature"] for s in spans] == list(config.signature())
+        for s in stats:
+            assert sink.counter_total(f"opt.pass.{s.name}.removed") == s.removed
+            assert sink.counter_total(f"opt.pass.{s.name}.merged") == s.merged
+        final = len(block.descriptors())
+        assert planned - sum(s.removed + s.merged for s in stats) == final
 
-    def test_interblock_before_redundancy_rejected(self):
-        with pytest.raises(OptimizationError, match="requires"):
-            PassPipeline([InterblockPass(), RedundancyPass()])
+    def test_interblock_without_an_available_set_does_nothing(self):
+        config = OptimizationConfig(rr=True, rr_interblock=True)
+        _, _, stats = run_block(self._block(), config)
+        assert [s.name for s in stats] == ["redundancy", "interblock"]
+        assert stats[1].removed == 0
 
-    def test_combining_before_removal_rejected(self):
-        with pytest.raises(OptimizationError, match="before"):
-            PassPipeline([CombiningPass(), RedundancyPass()])
-
-    def test_terminal_pass_must_be_last(self):
-        with pytest.raises(OptimizationError, match="terminal"):
-            PassPipeline([PipeliningPass(), RedundancyPass()])
-
-    def test_soft_ordering_allows_combining_alone(self):
-        # ``after`` only binds when the predecessor is present
-        pipeline = PassPipeline([CombiningPass()])
-        assert pipeline.signature() == ("combining[max_combining]",)
+    def test_available_set_is_updated_to_the_exit_state(self):
+        (block,) = compile_program(HOIST_SOURCE, "hoist.zl").walk_blocks()
+        config = OptimizationConfig(rr=True, rr_interblock=True)
+        avail = {("A", (0, 1), False): None}  # A is written: dropped
+        run_block(block, config, avail)
+        assert list(avail) == [("B", (0, 1), False)]
 
 
 class TestReport:
@@ -158,7 +138,7 @@ class TestReport:
             program, report = optimize_with_report(
                 lowered, spec.opt, verify=True
             )
-            assert report.signature == spec.pipeline().signature()
+            assert report.signature == spec.opt.signature()
             assert report.blocks > 0
             assert report.planned == baseline_count
             assert report.final == static_comm_count(program)
@@ -178,21 +158,7 @@ class TestReport:
         # B is ready after the first statement but only used two
         # statements later: pipelining hoists DR/SR across the gap and
         # the report shows the span it opened
-        source = """
-program hoist;
-config n : integer = 8;
-region R  = [1..n, 1..n];
-region In = [1..n, 1..n-1];
-direction east = [0, 1];
-var A, B, C : [R] double;
-procedure main();
-begin
-  [R] B := index1 + index2;
-  [R] C := index1 - index2;
-  [In] A := B@east;
-end;
-"""
-        lowered = compile_program(source, "hoist.zl")
+        lowered = compile_program(HOIST_SOURCE, "hoist.zl")
         _, report = optimize_with_report(
             lowered, OptimizationConfig(rr=True, pl=True)
         )

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from repro import run_study
-from repro.analysis.experiments import run_benchmark_suite
 from repro.engine import (
     RECORD_SCHEMA,
     ExperimentEngine,
@@ -248,18 +247,7 @@ def test_study_result_behaves_like_the_suite_dict(tmp_path):
     assert "swm" in study
     assert [r.experiment for r in study["swm"]] == ["baseline", "cc"]
     assert dict(study.items())["swm"] is study["swm"]
-
-
-def test_legacy_suite_api_unchanged_shape(tmp_path):
-    results = run_benchmark_suite(
-        ["swm"],
-        keys=("baseline", "cc"),
-        nprocs=16,
-        config_overrides={"swm": SWM_SMALL},
-    )
-    assert isinstance(results, dict)
-    assert [r.experiment for r in results["swm"]] == ["baseline", "cc"]
-    base, cc = results["swm"]
+    base, cc = study["swm"]
     assert cc.execution_time < base.execution_time
 
 

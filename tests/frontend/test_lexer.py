@@ -151,3 +151,53 @@ class TestLocations:
     def test_filename_recorded(self):
         toks = tokenize("x", filename="prog.zl")
         assert toks[0].location.filename == "prog.zl"
+
+
+class TestEdgeCases:
+    def test_exponent_needs_digits(self):
+        assert kinds("1e") == [TokenKind.INTLIT, TokenKind.IDENT, TokenKind.EOF]
+        assert kinds("1e+") == [
+            TokenKind.INTLIT,
+            TokenKind.IDENT,
+            TokenKind.PLUS,
+            TokenKind.EOF,
+        ]
+
+    def test_trailing_dot_is_part_of_the_float(self):
+        toks = tokenize("1.e5")
+        assert (toks[0].kind, toks[0].value) == (TokenKind.FLOATLIT, 1e5)
+        assert kinds("3.x") == [TokenKind.FLOATLIT, TokenKind.IDENT, TokenKind.EOF]
+        assert values("3.x") == [3.0, "x"]
+
+    def test_longest_operator_wins(self):
+        assert kinds("A@@east")[:3] == [
+            TokenKind.IDENT,
+            TokenKind.WRAPAT,
+            TokenKind.IDENT,
+        ]
+        assert kinds("<<=") == [TokenKind.REDUCE, TokenKind.EQ, TokenKind.EOF]
+
+    def test_multiline_block_comment_keeps_locations(self):
+        toks = tokenize("a /* one\ntwo\n */ b\n  c")
+        assert [(t.location.line, t.location.column) for t in toks] == [
+            (1, 1),
+            (3, 5),
+            (4, 3),
+            (4, 4),
+        ]
+
+    def test_non_ascii_letter_is_identifier(self):
+        toks = tokenize("é")
+        assert (toks[0].kind, toks[0].value) == (TokenKind.IDENT, "é")
+
+    def test_unknown_character_message(self):
+        with pytest.raises(LexError, match=r"<string>:2:2: unexpected character '#'"):
+            tokenize("x\n #")
+
+    def test_numeric_character_does_not_start_a_name(self):
+        with pytest.raises(LexError, match="unexpected character '½'"):
+            tokenize("½x")
+
+    def test_unterminated_block_comment_reports_its_start(self):
+        with pytest.raises(LexError, match=r"f\.zl:2:3: unterminated block comment"):
+            tokenize("a\n  /* never\nclosed", filename="f.zl")

@@ -1,17 +1,14 @@
-"""Property-based tests of the pass pipeline itself.
+"""Property-based tests of the optimizer over every pass selection.
 
-The optimizer's legality model claims that every *legal* subset of the
-four paper passes has exactly one legal order, and that running any of
-those pipelines preserves program semantics while its
+The passes run in one fixed order, and every :class:`OptimizationConfig`
+selects a subset of them: 3 removal states x 3 combining states x 2
+placement states = 18 configurations.  Running any of them must
+preserve program semantics while its
 :class:`~repro.comm.PipelineReport` exactly explains the static-count
-delta.  These tests enumerate all 18 legal pipelines (3 removal states x
-3 combining states x 2 placement states) against random ZL programs.
+delta.  These tests enumerate all 18 against random ZL programs.
 """
 
-import itertools
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from repro import (
@@ -22,8 +19,7 @@ from repro import (
     simulate,
     t3d,
 )
-from repro.comm import PassPipeline, optimize_with_report, static_comm_count
-from repro.errors import OptimizationError
+from repro.comm import optimize_with_report, static_comm_count
 from tests.property.test_optimizer_properties import (
     ARRAYS,
     FOOTER,
@@ -31,11 +27,8 @@ from tests.property.test_optimizer_properties import (
     program_bodies,
 )
 
-PASS_ORDER = ("redundancy", "interblock", "combining", "pipelining")
-
-
 def _legal_configs():
-    """Every legal pass subset, as the OptimizationConfig compiling to it."""
+    """Every OptimizationConfig: each selection of the passes."""
     configs = []
     for rr, interblock in ((False, False), (True, False), (True, True)):
         for heuristic in (None, "max_combining", "max_latency"):
@@ -57,28 +50,13 @@ LEGAL_CONFIGS = _legal_configs()
 
 def test_legal_subset_count():
     assert len(LEGAL_CONFIGS) == 18
-    assert len({c.pipeline().signature() for c in LEGAL_CONFIGS}) == 18
-
-
-def test_every_legal_subset_has_exactly_one_legal_order():
-    """The canonical order constructs; every other permutation of the
-    same passes is rejected at construction time."""
-    for config in LEGAL_CONFIGS:
-        pipeline = config.pipeline()
-        names = [p.name for p in pipeline.passes]
-        assert names == [n for n in PASS_ORDER if n in names]
-        for perm in itertools.permutations(pipeline.passes):
-            permuted = [p.name for p in perm]
-            if permuted == names:
-                continue
-            with pytest.raises(OptimizationError):
-                PassPipeline(perm)
+    assert len({c.signature() for c in LEGAL_CONFIGS}) == 18
 
 
 @given(program_bodies())
 @settings(max_examples=15, deadline=None)
 def test_every_legal_pipeline_matches_reference(body):
-    """Semantics: all 18 pipelines compute what the sequential reference
+    """Semantics: all 18 configs compute what the sequential reference
     computes, on random stencil programs."""
     source = HEADER + body + FOOTER
     ref = reference_run(compile_program(source, "fuzz.zl"))
@@ -88,13 +66,13 @@ def test_every_legal_pipeline_matches_reference(body):
         for array in ARRAYS:
             assert np.allclose(
                 res.array(array), ref.array(array), rtol=1e-12, atol=1e-12
-            ), f"{config.pipeline().describe()}: {array} diverged\n{source}"
+            ), f"{config.signature()}: {array} diverged\n{source}"
 
 
 @given(program_bodies())
 @settings(max_examples=15, deadline=None)
 def test_every_report_reconciles_with_static_counts(body):
-    """Instrumentation: for every pipeline, planned equals the naive
+    """Instrumentation: for every config, planned equals the naive
     static count, final equals the optimized static count, and the
     per-pass removal/merge totals account for the whole delta — with the
     post-pass verifier enabled throughout."""
@@ -105,7 +83,7 @@ def test_every_report_reconciles_with_static_counts(body):
     )
     for config in LEGAL_CONFIGS:
         program, report = optimize_with_report(lowered, config, verify=True)
-        assert report.signature == config.pipeline().signature()
+        assert report.signature == config.signature()
         assert report.planned == naive
         assert report.final == static_comm_count(program)
-        assert report.reconciles(), config.pipeline().describe()
+        assert report.reconciles(), config.signature()

@@ -92,12 +92,16 @@ def test_experiments_engine_flags(tmp_path, capsys):
 
 
 def test_passes_lists_the_registry(capsys):
+    """The four passes, one line each in the order they run, each with
+    the OptimizationConfig field that turns it on."""
     assert main(["passes"]) == 0
-    out = capsys.readouterr().out
-    for name in ("redundancy", "interblock", "combining", "pipelining"):
-        assert name in out
-    assert "requires redundancy" in out
-    assert "terminal" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "redundancy", "interblock", "combining", "pipelining",
+    ]
+    assert [line.rsplit("[", 1)[1] for line in lines] == [
+        "rr]", "rr_interblock; needs rr]", "cc]", "pl]",
+    ]
 
 
 def test_passes_dumps_a_key_pipeline(capsys):
