@@ -35,11 +35,10 @@ machine-parameter overrides.
     compiler/pass/engine/simulation spans, the cache and IRONMAN
     counters, and the bridged per-rank simulated timelines
     (``--ranks``); ``--jsonl PATH`` additionally writes the raw
-    structured event log.  The engine knobs apply: with ``--jobs N``
-    the pool workers' spans are shipped back and stitched under the
-    coordinator's root span — one trace id across every process.  The
-    result cache stays off unless ``--cache-dir`` is given, so every
-    compile/simulate span is captured.
+    structured event log.  The trace records one process: every job
+    runs inline, so there is no ``--jobs``.  The result cache stays off
+    unless ``--cache-dir`` is given, so every compile/simulate span is
+    captured.
 
 ``compare``
     Re-run a study and diff its counts and times against a committed
@@ -225,13 +224,15 @@ def _cache_parent():
     return parent
 
 
-def _engine_parent():
-    """The engine knobs ``experiments`` and ``sweep`` share."""
+def _engine_parent(jobs: bool = True):
+    """The engine knobs the study commands share; ``trace`` takes them
+    without ``--jobs``, since a traced run executes inline."""
     parent = argparse.ArgumentParser(add_help=False, parents=[_cache_parent()])
-    parent.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
-        help="worker processes for the job matrix (default 1)",
-    )
+    if jobs:
+        parent.add_argument(
+            "--jobs", type=_positive_int, default=1, metavar="N",
+            help="worker processes for the job matrix (default 1)",
+        )
     parent.add_argument(
         "--no-cache", action="store_true",
         help="bypass the result cache entirely",
@@ -391,12 +392,6 @@ def cmd_trace(args) -> int:
         )
     except MachineError as exc:
         raise SystemExit(f"trace: {exc}") from None
-    engine_kwargs = _engine_kwargs(args)
-    # historical default: serial and uncached, so every compile phase,
-    # optimizer pass, and cache counter lands in-process.  An explicit
-    # --cache-dir opts the result cache into the trace instead.
-    if not args.cache_dir:
-        engine_kwargs["cache"] = False
     sinks = [obs.ChromeTraceSink(args.out)]
     if args.jsonl:
         sinks.append(obs.JsonlSink(args.jsonl))
@@ -408,8 +403,12 @@ def cmd_trace(args) -> int:
                 nprocs=args.nprocs,
                 machine=mspec,
                 config_overrides={args.bench: overrides} if overrides else None,
+                # uncached by default, so every compile phase, optimizer
+                # pass, and cache counter lands in the trace; an explicit
+                # --cache-dir opts the result cache in instead
+                cache=bool(args.cache_dir) and not args.no_cache,
+                cache_dir=args.cache_dir,
                 telemetry=args.telemetry,
-                **engine_kwargs,
             )
             # bridge per-rank simulated timelines at the chosen key into
             # the same trace document (model time, separate process row)
@@ -1008,7 +1007,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "trace",
         help="run one benchmark's study with tracing on",
-        parents=[_sim_parent(64), _engine_parent()],
+        parents=[_sim_parent(64), _engine_parent(jobs=False)],
     )
     p.add_argument("bench", type=_benchmark, metavar="BENCH")
     p.add_argument("--out", required=True, type=_output_path, metavar="PATH",

@@ -67,10 +67,12 @@ def pass_attribution(
 
     One row per ``(benchmark, experiment, pass)``: transfers the pass
     removed, messages it merged away, hiding distance it gained (or, for
-    combining, traded away), its wall time, and its *share* of the
-    cell's total static reduction (blank when the cell reduced
-    nothing).  Rows keep telemetry order — benchmark-major, keys in
-    Figure 9 order, passes in pipeline order.
+    combining, traded away), and its *share* of the cell's total static
+    reduction (blank when the cell reduced nothing).  Rows keep
+    telemetry order — benchmark-major, keys in Figure 9 order, passes in
+    pipeline order.  Pass wall time stays out, so the table is the same
+    on every run; it lives in each record's ``pipeline.passes[].wall_s``
+    and in the ``pass:*`` spans.
     """
     headers = [
         "benchmark",
@@ -79,7 +81,6 @@ def pass_attribution(
         "removed",
         "merged",
         "distance",
-        "wall (ms)",
         "share",
     ]
     rows: List[List] = []
@@ -105,7 +106,6 @@ def pass_attribution(
                     stats.removed,
                     stats.merged,
                     stats.distance_gained,
-                    stats.wall_s * 1e3,
                     share,
                 ]
             )

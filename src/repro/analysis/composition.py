@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
+from repro.analysis.scaling import _format_cell
 from repro.engine.core import ConfigOverride, ExperimentEngine, build_matrix
 from repro.engine.jobs import MachineSpec
 from repro.errors import ExperimentError
@@ -356,15 +357,6 @@ def format_composition_report(result: CompositionResult) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-
-def _format_cell(value):
-    """Floats render as ``%.6g`` so CSV artifacts diff cleanly across
-    platforms; ints and strings pass through (full precision lives in
-    :func:`write_json`)."""
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return value
 
 
 def write_csv(path: Union[str, Path], result: CompositionResult) -> Path:

@@ -3,10 +3,10 @@
 :class:`ExperimentEngine` turns a list of :class:`~repro.engine.jobs.Job`
 into :class:`JobOutcome` records: each job is first looked up in the
 on-disk result cache by content fingerprint; the misses run through
-:func:`~repro.engine.worker.execute_job`, inline when serial or over a
-``ProcessPoolExecutor`` when ``jobs > 1``.  Outcomes always come back in
-submission order regardless of completion order, which is what makes
-``--jobs 4`` byte-identical to a serial run.
+:func:`~repro.engine.worker.execute_job`, inline when serial or traced
+and otherwise over a ``ProcessPoolExecutor`` when ``jobs > 1``.
+Outcomes always come back in submission order regardless of completion
+order, which is what makes ``--jobs 4`` byte-identical to a serial run.
 
 :func:`run_study` is the public facade (re-exported as
 ``repro.run_study``): build the paper's ``benchmark x experiment``
@@ -19,7 +19,6 @@ also carries the per-job telemetry records.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,7 +108,8 @@ class ExperimentEngine:
     jobs:
         Worker process count; ``None`` or ``1`` runs inline (sharing one
         compile cache across the whole study), ``N > 1`` fans misses out
-        over a worker pool.
+        over a worker pool.  While tracing is on, misses run inline
+        whatever the count, so the trace holds this process's work.
     cache:
         Consult/populate the result cache (default on).
     cache_dir:
@@ -125,23 +125,16 @@ class ExperimentEngine:
     ) -> None:
         if jobs is not None and jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
         self.cache: CacheBackend = make_cache(cache, cache_dir)
         self.dispatcher = LocalDispatcher(workers=jobs)
 
     def run(self, jobs: Sequence[Job]) -> List[JobOutcome]:
         """Run every job, returning outcomes in submission order."""
-        with obs.span(
-            "engine:run",
-            jobs=len(jobs),
-            workers=self.jobs or 1,
-            cache=self.cache.kind,
-        ):
+        with obs.span("engine:run", jobs=len(jobs), cache=self.cache.kind):
             outcomes, misses = partition_jobs(self.cache, jobs)
             if misses:
                 todo = [job for _, job, _ in misses]
                 records = self.dispatcher.dispatch(todo)
-                pid = os.getpid()
                 trace = obs.active_trace()
                 for (i, job, fp), record in zip(misses, records):
                     self.cache.put(fp, record)
@@ -151,29 +144,8 @@ class ExperimentEngine:
                         # trace-free (it is content, not provenance)
                         record = dict(record, trace=trace)
                     outcomes[i] = JobOutcome(job=job, record=record, cached=False)
-                    if record.get("worker_pid") != pid:
-                        # pool workers start with tracing off; their
-                        # warnings travel home in the job record and are
-                        # surfaced through the event sink here (inline
-                        # execution already emitted them live)
-                        _reemit_worker_warnings(record)
 
             return [o for o in outcomes if o is not None]
-
-
-def _reemit_worker_warnings(record: dict) -> None:
-    """Surface a pool worker's simulation warnings through the active
-    event sink (no-op when tracing is off)."""
-    if not obs.enabled():
-        return
-    for message in record["result"].get("warnings", ()):
-        obs.event(
-            "warning",
-            message=message,
-            benchmark=record["benchmark"],
-            experiment=record["experiment"],
-            worker_pid=record.get("worker_pid"),
-        )
 
 
 def build_matrix(

@@ -7,11 +7,10 @@ keeps ``--jobs 4`` byte-identical to a serial run; the same
 :func:`~repro.engine.worker.execute_job` produces every record, so
 fingerprints and record bytes do not depend on the worker count.
 
-When the coordinator is tracing, every pool worker starts with the
-run's trace context (:func:`repro.obs.distributed.worker_init`), and the
-spans and metrics each job captured in its worker are stitched back
-(:func:`repro.obs.distributed.absorb`) before the record reaches the
-result cache or the caller.
+While tracing is on (:func:`repro.obs.core.enabled`), jobs always run
+inline, so a trace holds exactly the work of the process that records
+it: every span, counter and warning lands in the active recorder as it
+happens.
 """
 
 from __future__ import annotations
@@ -20,46 +19,11 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.obs import core as obs
-from repro.obs import distributed
 
 from repro.engine.jobs import Job
-from repro.engine.worker import execute_job
+from repro.engine.worker import execute_job, job_failure
 
 __all__ = ["LocalDispatcher"]
-
-
-def _job_failure(job: Job, exc: BaseException) -> ExperimentError:
-    """Name the job that died — a bare worker traceback loses which cell
-    of a 24-job matrix failed."""
-    return ExperimentError(
-        f"job failed for ({job.benchmark}, {job.experiment}, "
-        f"{job.effective_library()}): {exc}"
-    )
-
-
-def _pool_kwargs() -> dict:
-    """Extra ``ProcessPoolExecutor`` kwargs: when the coordinator is
-    tracing, initialize every pool worker with the run's trace id and
-    the enclosing span id so per-job captures stitch under it (no-op
-    kwargs otherwise — the disabled path constructs the pool exactly as
-    before)."""
-    parent = obs.trace_parent()
-    if parent is None:
-        return {}
-    return {"initializer": distributed.worker_init, "initargs": parent}
-
-
-def _job_event(job: Job, status: str) -> None:
-    """One ``engine.job`` lifecycle event per job completion (cache hits
-    emit theirs with ``status="cached"`` in the engine's partition)."""
-    if not obs.enabled():
-        return
-    obs.event(
-        "engine.job",
-        benchmark=job.benchmark,
-        experiment=job.experiment,
-        status=status,
-    )
 
 
 class LocalDispatcher:
@@ -74,28 +38,31 @@ class LocalDispatcher:
         if not jobs:
             return []
         obs.add("engine.dispatch.jobs", len(jobs))
-        pooled = bool(self.workers and self.workers > 1 and len(jobs) > 1)
+        pooled = bool(
+            self.workers
+            and self.workers > 1
+            and len(jobs) > 1
+            and not obs.enabled()
+        )
         if pooled:
             from concurrent.futures import ProcessPoolExecutor
 
             # Larger chunks amortize pickling/IPC; the /4 keeps enough
             # chunks in flight to balance uneven job costs.
             chunksize = max(1, len(jobs) // (self.workers * 4))
-            with ProcessPoolExecutor(
-                max_workers=self.workers, **_pool_kwargs()
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=self.workers) as pool:
                 return _drain(
                     pool.map(execute_job, jobs, chunksize=chunksize), jobs
                 )
         records = []
         for job in jobs:
-            try:
-                records.append(execute_job(job))
-            except ExperimentError:
-                raise
-            except Exception as exc:
-                raise _job_failure(job, exc) from exc
-            _job_event(job, "done")
+            records.append(execute_job(job))
+            obs.event(
+                "engine.job",
+                benchmark=job.benchmark,
+                experiment=job.experiment,
+                status="done",
+            )
         return records
 
 
@@ -116,7 +83,5 @@ def _drain(results: Iterable[dict], todo: Sequence[Job]) -> List[dict]:
         except ExperimentError:
             raise
         except Exception as exc:
-            raise _job_failure(todo[len(records)], exc) from exc
-        distributed.absorb(record)
-        _job_event(todo[len(records)], "done")
+            raise job_failure(todo[len(records)], exc) from exc
         records.append(record)

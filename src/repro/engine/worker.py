@@ -39,7 +39,6 @@ from repro.errors import ExperimentError
 from repro.experiments_registry import experiment_spec
 from repro.ir.nodes import IRProgram
 from repro.obs import core as obs
-from repro.obs import distributed
 from repro.programs import benchmark_source
 from repro.programs.common import compile_source
 from repro.runtime import BatchRun, ExecutionMode, RunResult, SimOptions, simulate
@@ -109,6 +108,15 @@ def compile_cached(
     return program, report, compile_s, optimize_s, lowered_hit, False
 
 
+def job_failure(job: Job, exc: BaseException) -> ExperimentError:
+    """Name the job that died — a bare worker traceback loses which cell
+    of a 24-job matrix failed."""
+    return ExperimentError(
+        f"job failed for ({job.benchmark}, {job.experiment}, "
+        f"{job.effective_library()}): {exc}"
+    )
+
+
 def execute_job(job: Job) -> dict:
     """Run one job and return its JSON-safe record (result + telemetry).
 
@@ -121,31 +129,13 @@ def execute_job(job: Job) -> dict:
     Failures are re-raised as :class:`~repro.errors.ExperimentError`
     naming the job, so a pooled study reports which matrix cell died
     instead of a bare worker traceback.
-
-    When this process is a pool worker of a *tracing* coordinator (see
-    :func:`repro.obs.distributed.worker_init`), the job runs under a
-    per-job capture recorder and the record carries the captured
-    spans/metrics home under the ``"obs"`` key — popped by the
-    dispatcher before the record reaches the cache or the caller
-    (:func:`repro.obs.distributed.absorb`).
     """
-    capture = distributed.begin_job_capture()
     try:
-        record = _execute_job(job)
+        return _execute_job(job)
     except ExperimentError:
-        if capture is not None:
-            capture.finish()
         raise
     except Exception as exc:
-        if capture is not None:
-            capture.finish()
-        raise ExperimentError(
-            f"job failed for ({job.benchmark}, {job.experiment}, "
-            f"{job.effective_library()}): {exc}"
-        ) from exc
-    if capture is not None:
-        record["obs"] = capture.finish()
-    return record
+        raise job_failure(job, exc) from exc
 
 
 def _execute_job(job: Job) -> dict:

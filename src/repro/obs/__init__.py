@@ -10,7 +10,9 @@ timelines bridged into the same file), and an in-memory sink for tests.
 
 Tracing is **off by default and zero-cost when off**: every
 instrumentation site calls a module-level helper that reads one global
-and returns a shared no-op.  Turn it on around any workload::
+and returns a shared no-op.  A trace records one process: while tracing
+is on, the engine runs its jobs inline instead of over a worker pool.
+Turn it on around any workload::
 
     from repro import run_study
     from repro.obs import ChromeTraceSink, JsonlSink, recording
@@ -52,7 +54,6 @@ from repro.obs.core import (
     recording,
     shutdown,
     span,
-    trace_parent,
 )
 from repro.obs.sinks import ChromeTraceSink, JsonlSink, MemorySink, Sink
 
@@ -74,7 +75,6 @@ __all__ = [
     "recording",
     "shutdown",
     "span",
-    "trace_parent",
     # sinks
     "ChromeTraceSink",
     "JsonlSink",

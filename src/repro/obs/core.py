@@ -2,13 +2,14 @@
 module-global switch that keeps everything zero-cost when tracing is
 off.
 
-One :class:`Recorder` is active per process at most (simulation workers
-spawned by the engine each start with tracing off; the engine re-emits
-their warnings — see :mod:`repro.engine.core`).  Every instrumentation
-site in the package goes through the module-level helpers
-(:func:`span`, :func:`add`, :func:`event`, ...), which read the active
-recorder once and fall back to shared no-op objects, so a disabled run
-pays one attribute load and one ``is None`` test per site — nothing is
+One :class:`Recorder` is active per process at most, and a trace holds
+exactly the work of the process that records it: while a recorder is
+active the engine runs every job inline (see
+:mod:`repro.engine.dispatch`).  Every instrumentation site in the
+package goes through the module-level helpers (:func:`span`,
+:func:`add`, :func:`event`, ...), which read the active recorder once
+and fall back to shared no-op objects, so a disabled run pays one
+attribute load and one ``is None`` test per site — nothing is
 allocated, formatted, or buffered.
 
 Timebases
@@ -25,10 +26,8 @@ Trace identity
 
 Every recorder owns a **trace id** (random hex, minted at
 construction) and stamps it on every record it emits, and every span
-gets a process-unique **span id** plus the id of its parent (the
-enclosing span on this thread, or the recorder's ``parent_span`` for
-top-level spans — how a shipped worker trace parents under its
-coordinator; see :mod:`repro.obs.distributed`).
+gets a **span id** plus the id of its parent, the enclosing span on
+this thread (a top-level span has no ``parent``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional
 
 __all__ = [
     "Metrics",
@@ -50,7 +49,6 @@ __all__ = [
     "bridge_rank_trace",
     "configure",
     "current",
-    "discard",
     "enabled",
     "event",
     "gauge",
@@ -58,7 +56,6 @@ __all__ = [
     "recording",
     "shutdown",
     "span",
-    "trace_parent",
 ]
 
 
@@ -108,28 +105,6 @@ class Metrics:
             "histograms": {k: dict(v) for k, v in self.histograms.items()},
         }
 
-    def merge(self, snapshot: dict) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters add, gauges keep the incoming value (last write wins),
-        histograms combine count/sum/min/max.  This is how worker-side
-        registries shipped back by pool workers land in the
-        coordinator (see :mod:`repro.obs.distributed`).
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.counters[name] = self.counters.get(name, 0) + int(value)
-        for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauges[name] = float(value)
-        for name, incoming in (snapshot.get("histograms") or {}).items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = dict(incoming)
-            else:
-                mine["count"] += incoming["count"]
-                mine["sum"] += incoming["sum"]
-                mine["min"] = min(mine["min"], incoming["min"])
-                mine["max"] = max(mine["max"], incoming["max"])
-
 
 class Span:
     """One timed interval, emitted on exit.
@@ -142,11 +117,7 @@ class Span:
     __slots__ = ("_recorder", "name", "attrs", "_t0", "_depth", "id", "parent")
 
     def __init__(
-        self,
-        recorder: "Recorder",
-        name: str,
-        attrs: Dict[str, Any],
-        parent: Optional[str] = None,
+        self, recorder: "Recorder", name: str, attrs: Dict[str, Any]
     ) -> None:
         self._recorder = recorder
         self.name = name
@@ -154,23 +125,23 @@ class Span:
         self._t0 = 0.0
         self._depth = 0
         self.id = ""
-        self.parent = parent
+        self.parent: Optional[str] = None
 
     def __enter__(self) -> "Span":
         rec = self._recorder
         stack = rec._stack()
         self._depth = len(stack)
         self.id = rec.next_span_id()
-        if self.parent is None:
-            self.parent = stack[-1][1] if stack else rec.parent_span
-        stack.append((self.name, self.id))
+        if stack:
+            self.parent = stack[-1]
+        stack.append(self.id)
         self._t0 = rec.now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end = self._recorder.now()
         stack = self._recorder._stack()
-        if stack and stack[-1][1] == self.id:
+        if stack and stack[-1] == self.id:
             stack.pop()
         record = {
             "type": "span",
@@ -211,38 +182,22 @@ class Recorder:
     Records are plain dicts (see :mod:`repro.obs.sinks` for the shapes);
     the metrics registry additionally accumulates in memory so a final
     summary record lands in every sink at :meth:`close`.
-
-    ``trace_id`` identifies every record this recorder emits (a worker
-    recorder is constructed with the coordinator's trace id so the
-    stitched output is one trace); ``parent_span`` is the span id that
-    top-level spans parent under when no enclosing span exists on the
-    current thread.
+    ``trace_id`` identifies every record this recorder emits.
     """
 
-    def __init__(
-        self,
-        sinks: Iterable[Any] = (),
-        *,
-        trace_id: Optional[str] = None,
-        parent_span: Optional[str] = None,
-    ) -> None:
+    def __init__(self, sinks: Iterable[Any] = ()) -> None:
         self.sinks: List[Any] = list(sinks)
         self.metrics = Metrics()
-        self.trace_id = trace_id or uuid.uuid4().hex
-        self.parent_span = parent_span
-        # Span ids are "<8 hex>:<n>" — the random prefix makes ids from
-        # worker recorders globally unique, so stitching never remaps.
-        self._span_prefix = uuid.uuid4().hex[:8]
+        self.trace_id = uuid.uuid4().hex
         self._span_seq = itertools.count(1)
         self._tls = threading.local()
         self._epoch = time.perf_counter()
-        self.wall_epoch = time.time()
         self._closed = False
         # Sinks are not thread-safe (a TextIOWrapper written from two
         # threads can scramble its buffer).  A library caller may trace
         # from several threads at once, and the before-fork flush runs
-        # on whichever thread forks a pool worker, so fan-out, flush
-        # and close serialize here.
+        # on whichever thread forks, so fan-out, flush and close
+        # serialize here.
         self._emit_lock = threading.Lock()
 
     # -- time ----------------------------------------------------------
@@ -252,21 +207,15 @@ class Recorder:
 
     # -- span identity -------------------------------------------------
     def next_span_id(self) -> str:
-        return f"{self._span_prefix}:{next(self._span_seq)}"
+        return str(next(self._span_seq))
 
-    def _stack(self) -> List[Tuple[str, str]]:
-        """The per-thread (name, span id) stack of open spans."""
+    def _stack(self) -> List[str]:
+        """The per-thread stack of open span ids."""
         stack = getattr(self._tls, "stack", None)
         if stack is None:
             stack = []
             self._tls.stack = stack
         return stack
-
-    def current_span_id(self) -> Optional[str]:
-        stack = getattr(self._tls, "stack", None)
-        if stack:
-            return stack[-1][1]
-        return None
 
     # -- emission ------------------------------------------------------
     def emit(self, record: dict) -> None:
@@ -275,8 +224,8 @@ class Recorder:
             for sink in self.sinks:
                 sink.emit(record)
 
-    def span(self, name: str, _parent: Optional[str] = None, **attrs: Any) -> Span:
-        return Span(self, name, attrs, parent=_parent)
+    def span(self, name: str, **attrs: Any) -> Span:
+        return Span(self, name, attrs)
 
     def event(self, name: str, **attrs: Any) -> None:
         record: Dict[str, Any] = {"type": "event", "name": name, "ts": self.now()}
@@ -331,31 +280,6 @@ class Recorder:
         self.metrics.add(f"sim.trace.rank{rank}.events", n)
         return n
 
-    def merge_worker(self, payload: dict) -> int:
-        """Stitch a worker-side capture payload (see
-        :func:`repro.obs.distributed.begin_job_capture`) into this
-        recorder: re-emit the worker's records with timestamps rebased
-        onto this recorder's epoch and tagged with the worker pid, and
-        fold the worker's metrics registry into ours.
-
-        Returns the number of records re-emitted.
-        """
-        delta = float(payload.get("wall_epoch", self.wall_epoch)) - self.wall_epoch
-        pid = payload.get("pid")
-        n = 0
-        for record in payload.get("records", ()):
-            out = dict(record)
-            if "ts" in out:
-                out["ts"] = out["ts"] + delta
-            if pid is not None:
-                out["worker_pid"] = pid
-            self.emit(out)
-            n += 1
-        metrics = payload.get("metrics")
-        if metrics:
-            self.metrics.merge(metrics)
-        return n
-
     # -- lifecycle -----------------------------------------------------
     def close(self) -> dict:
         """Emit the final metrics summary, close every sink, and return
@@ -394,21 +318,14 @@ def enabled() -> bool:
     return _ACTIVE is not None
 
 
-def configure(
-    *sinks: Any,
-    trace_id: Optional[str] = None,
-    parent_span: Optional[str] = None,
-) -> Recorder:
+def configure(*sinks: Any) -> Recorder:
     """Install a fresh recorder writing to ``sinks`` and return it.
 
-    Replaces (and closes) any previously active recorder.  ``trace_id``
-    and ``parent_span`` seed the recorder's trace identity — used by
-    pool workers so their records stitch under the coordinator's root.
-    """
+    Replaces (and closes) any previously active recorder."""
     global _ACTIVE
     if _ACTIVE is not None:
         _ACTIVE.close()
-    _ACTIVE = Recorder(sinks, trace_id=trace_id, parent_span=parent_span)
+    _ACTIVE = Recorder(sinks)
     return _ACTIVE
 
 
@@ -420,17 +337,6 @@ def shutdown() -> Optional[dict]:
     if recorder is None:
         return None
     return recorder.close()
-
-
-def discard() -> None:
-    """Drop the active recorder WITHOUT flushing its sinks.
-
-    For forked children that inherit the parent's live recorder:
-    closing it there would flush the parent's sinks (e.g. write the
-    trace file) from the child, so the inherited reference is simply
-    abandoned."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def _flush_before_fork() -> None:
@@ -518,18 +424,3 @@ def active_trace() -> Optional[str]:
     """The active recorder's trace id; None when tracing is off."""
     r = _ACTIVE
     return r.trace_id if r is not None else None
-
-
-def trace_parent() -> Optional[Tuple[str, Optional[str]]]:
-    """The ``(trace_id, span_id)`` context a child of the current
-    execution point should parent under — the innermost open span on
-    this thread, falling back to the recorder's parent.  None when
-    tracing is off.  This is what the dispatcher hands its pool
-    workers."""
-    r = _ACTIVE
-    if r is None:
-        return None
-    span_id = r.current_span_id()
-    if span_id is None:
-        span_id = r.parent_span
-    return r.trace_id, span_id

@@ -4,7 +4,8 @@ Every sink consumes the plain-dict records :class:`~repro.obs.core.
 Recorder` emits:
 
 ``span``
-    ``{"type": "span", "name", "ts", "dur", "depth", "attrs"?, "error"?}``
+    ``{"type": "span", "name", "ts", "dur", "depth", "id", "parent"?,
+    "attrs"?, "error"?}``
 ``event``
     ``{"type": "event", "name", "ts", "attrs"?}``
 ``counter`` / ``gauge`` / ``sample``
@@ -24,11 +25,10 @@ Three sinks ship:
   line-buffered (crash-safe streaming for long sweeps);
 * :class:`ChromeTraceSink` — a Chrome trace-event JSON document that
   Perfetto (https://ui.perfetto.dev) loads directly.  Host spans and
-  counters land under the "host" process; records stitched back from
-  pool workers (tagged ``worker_pid``) each get their own process;
-  bridged rank timelines land under the "simulated ranks" process with
-  one thread per rank, so one file shows compiler phases, engine cache
-  traffic, pool workers, and the simulated machine side by side.
+  counters land under the "host" process; bridged rank timelines land
+  under the "simulated ranks" process with one thread per rank, so one
+  file shows compiler phases, engine cache traffic, and the simulated
+  machine side by side.
 """
 
 from __future__ import annotations
@@ -134,22 +134,17 @@ class JsonlSink(Sink):
 
 
 #: Chrome-trace process ids: host-side records vs. bridged model time.
-#: Records stitched back from pool workers get pids counted up
-#: from WORKER_PID_BASE, one per distinct worker_pid.
 HOST_PID = 1
 SIM_PID = 2
-WORKER_PID_BASE = 100
 
 
 class ChromeTraceSink(Sink):
     """Accumulate a Chrome trace-event document; write it on close.
 
-    Coordinator records go to pid ``HOST_PID`` / tid 0 (complete events
-    nest by containment, which the recorder's span stack guarantees);
-    records carrying a ``worker_pid`` tag (stitched back from pool
-    workers) each get a dedicated chrome process named after
-    the worker; each bridged simulation rank becomes a thread of pid
-    ``SIM_PID`` with timestamps in model microseconds.  Counters become
+    Host records go to pid ``HOST_PID`` / tid 0 (complete events nest
+    by containment, which the recorder's span stack guarantees); each
+    bridged simulation rank becomes a thread of pid ``SIM_PID`` with
+    timestamps in model microseconds.  Counters become
     ``"C"`` events so Perfetto renders them as tracks.
     """
 
@@ -157,19 +152,8 @@ class ChromeTraceSink(Sink):
         self.path = Path(path)
         self.trace_events: List[dict] = []
         self._sim_ranks: set = set()
-        self._worker_pids: Dict[int, int] = {}
         self._metrics: Optional[dict] = None
         self._closed = False
-
-    def _host_pid(self, record: dict) -> int:
-        worker = record.get("worker_pid")
-        if worker is None:
-            return HOST_PID
-        pid = self._worker_pids.get(worker)
-        if pid is None:
-            pid = WORKER_PID_BASE + len(self._worker_pids)
-            self._worker_pids[worker] = pid
-        return pid
 
     # -- record translation --------------------------------------------
     def emit(self, record: dict) -> None:
@@ -181,7 +165,7 @@ class ChromeTraceSink(Sink):
                 "ph": "X",
                 "ts": record["ts"] * 1e6,
                 "dur": record["dur"] * 1e6,
-                "pid": self._host_pid(record),
+                "pid": HOST_PID,
                 "tid": 0,
             }
             args = dict(record.get("attrs") or {})
@@ -198,7 +182,7 @@ class ChromeTraceSink(Sink):
                     "ph": "i",
                     "s": "p",
                     "ts": record["ts"] * 1e6,
-                    "pid": self._host_pid(record),
+                    "pid": HOST_PID,
                     "tid": 0,
                     "args": dict(record.get("attrs") or {}),
                 }
@@ -210,7 +194,7 @@ class ChromeTraceSink(Sink):
                     "cat": type_,
                     "ph": "C",
                     "ts": record["ts"] * 1e6,
-                    "pid": self._host_pid(record),
+                    "pid": HOST_PID,
                     "args": {"value": record["value"]},
                 }
             )
@@ -249,24 +233,6 @@ class ChromeTraceSink(Sink):
                 "args": {"name": "repro"},
             },
         ]
-        for worker, pid in sorted(self._worker_pids.items(), key=lambda kv: kv[1]):
-            meta.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": f"worker {worker}"},
-                }
-            )
-            meta.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": f"worker {worker}"},
-                }
-            )
         if self._sim_ranks:
             meta.append(
                 {

@@ -21,7 +21,7 @@ simulated machine faithfully exposes its own primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from repro.comm import OptimizationConfig
 from repro.machine.params import Machine
@@ -167,20 +167,3 @@ def analytic_overhead(
         )
         for size in sizes
     ]
-
-
-def figure6_curves(
-    sizes: Sequence[int] = DEFAULT_SIZES, reps: int = 1000
-) -> Dict[str, List[OverheadPoint]]:
-    """All five curves of the paper's Figure 6, measured through the
-    simulator: csend/crecv, isend/irecv, hsend/hrecv on the Paragon;
-    PVM and SHMEM on the T3D."""
-    from repro.machine import paragon, t3d
-
-    return {
-        "paragon csend/crecv": measured_overhead(paragon, "nx", sizes, reps),
-        "paragon isend/irecv": measured_overhead(paragon, "nx_async", sizes, reps),
-        "paragon hsend/hrecv": measured_overhead(paragon, "nx_callback", sizes, reps),
-        "t3d pvm": measured_overhead(t3d, "pvm", sizes, reps),
-        "t3d shmem": measured_overhead(t3d, "shmem", sizes, reps),
-    }

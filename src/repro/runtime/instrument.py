@@ -85,9 +85,9 @@ class Instrumentation:
 
         The set-backed dedup keeps repeated warnings O(1) (simulations
         can re-warn every trip of a capped loop).  When tracing is on,
-        the warning also lands in the event sink the moment it happens;
-        for pool workers — where no recorder is active — the engine
-        re-emits warnings from the returned job records instead.
+        the warning also lands in the event sink the moment it happens
+        (a traced engine run executes every job inline, in the recording
+        process).
         """
         if message in self._warned:
             return

@@ -1,9 +1,12 @@
-"""The dispatch layer: inline vs pool parity and worker observability.
+"""The dispatch layer: inline vs pool parity and one-process traces.
 
 A pool of workers must be invisible in the results — byte-identical
-records, same fingerprints, same cache — while the coordinator's trace
-still sees every worker's spans and counters.
+records, same fingerprints, same cache.  While tracing is on, jobs run
+inline, so a trace holds exactly the work of the process recording it.
 """
+
+import os
+from collections import Counter
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.engine import (
     LocalDispatcher,
     MachineSpec,
     build_matrix,
+    clear_compile_cache,
 )
 from repro.errors import ExperimentError
 from repro.obs import MemorySink, recording
@@ -60,31 +64,21 @@ def test_pool_matches_inline_byte_for_byte():
 
 
 # ---------------------------------------------------------------------------
-# pool observability: worker capture, job events, counter parity
+# tracing: one process per trace
 # ---------------------------------------------------------------------------
 
 
-def test_pool_worker_spans_are_stitched_into_the_coordinator_trace():
+def test_traced_dispatch_runs_inline():
     jobs = _matrix(keys=("baseline", "cc", "pl"))
     sink = MemorySink()
-    with recording(sink) as rec:
-        records = LocalDispatcher(workers=2).dispatch(jobs)
-    # the worker capture payload is popped before records reach anyone
-    assert all("obs" not in r for r in records)
-    worker_spans = [
-        r
-        for r in sink.records
-        if r["type"] == "span" and "worker_pid" in r
-    ]
-    assert worker_spans, "worker-side spans must ship back to the coordinator"
-    assert {r["trace"] for r in worker_spans} == {rec.trace_id}
-    # every job runs under a worker-side "job" span (compile spans only
-    # appear when the forked worker's compile cache is cold)
-    assert {r["name"] for r in worker_spans} >= {"job"}
-    assert sum(r["name"] == "job" for r in worker_spans) == len(jobs)
-    # worker span ids are globally unique: no id collides across pids
-    ids = [r["id"] for r in sink.records if r["type"] == "span"]
-    assert len(ids) == len(set(ids))
+    with recording(sink):
+        traced = LocalDispatcher(workers=2).dispatch(jobs)
+    assert {r["worker_pid"] for r in traced} == {os.getpid()}
+    assert not [r for r in sink.records if "worker_pid" in r]
+    # untraced, the same call still fans out over the pool
+    untraced = LocalDispatcher(workers=2).dispatch(jobs)
+    assert {r["worker_pid"] for r in untraced} - {os.getpid()}
+    assert [_strip(r) for r in traced] == [_strip(r) for r in untraced]
 
 
 def test_dispatch_emits_one_job_event_per_job():
@@ -102,6 +96,8 @@ def test_dispatch_emits_one_job_event_per_job():
 
 
 def test_worker_counters_merge_into_the_coordinator_registry():
+    """The simulator work of a traced dispatch that asks for workers is
+    counted in the registry of the process that records it."""
     jobs = _matrix(keys=("baseline", "cc", "pl"))
     with recording(MemorySink()):
         LocalDispatcher().dispatch(jobs)
@@ -115,30 +111,47 @@ def test_worker_counters_merge_into_the_coordinator_registry():
 
 
 def test_counter_parity_serial_vs_pool_on_the_paper_matrix():
-    """The regression gate: the same simulator work happens (and is
-    counted) whether one process or a pool ran it, across the full
-    paper matrix.  Only ``sim.*`` counters are comparable — compile-cache
-    counters legitimately differ per worker process."""
+    """A traced ``jobs=2`` study records exactly what a traced serial
+    one does, across the paper matrix: the same spans, every counter,
+    one warning event per job, one trace id, one span tree."""
     from repro.programs import BENCHMARKS
 
     cfg = {b: small_config(b) for b in BENCHMARKS}
 
-    def sim_counters(jobs):
-        with recording(MemorySink()):
-            run_study(
-                benchmarks=BENCHMARKS,
-                nprocs=16,
-                config_overrides=cfg,
-                cache=False,
-                jobs=jobs,
-            )
-            return {
-                k: v for k, v in obs.counters().items() if k.startswith("sim.")
-            }
+    def traced(jobs):
+        clear_compile_cache()
+        sink = MemorySink()
+        with recording(sink) as rec:
+            with rec.span("root") as root:
+                study = run_study(
+                    benchmarks=BENCHMARKS,
+                    nprocs=16,
+                    config_overrides=cfg,
+                    cache=False,
+                    jobs=jobs,
+                )
+        (metrics,) = sink.of_type("metrics")
+        spans = sink.spans()
+        warnings = sorted(r["attrs"]["message"] for r in sink.events("warning"))
+        assert sorted(
+            w for record in study.telemetry for w in record["result"]["warnings"]
+        ) == warnings
+        assert len(warnings) == len(study.outcomes)
+        assert {r["trace"] for r in sink.records} == {rec.trace_id}
+        by_id = {r["id"]: r for r in spans}
+        for span in spans:
+            seen = set()
+            while "parent" in span:
+                assert span["parent"] not in seen
+                seen.add(span["parent"])
+                span = by_id[span["parent"]]
+            assert span["id"] == root.id
+        return Counter(r["name"] for r in spans), metrics["metrics"]["counters"]
 
-    serial = sim_counters(1)
-    pooled = sim_counters(2)
-    assert serial and serial == pooled
+    serial_spans, serial_counters = traced(1)
+    pooled_spans, pooled_counters = traced(2)
+    assert serial_spans == pooled_spans
+    assert serial_counters and serial_counters == pooled_counters
 
 
 def test_dispatch_counters_flow_through_the_engine(tmp_path):

@@ -151,6 +151,26 @@ class TestRecorder:
         assert rec.metrics.counters["sim.trace.rank3.events"] == 2
 
 
+class TestSpanIdentity:
+    def test_span_ids_are_unique_and_parented(self):
+        sink = MemorySink()
+        with obs.recording(sink):
+            with obs.span("outer"):
+                with obs.span("inner"):
+                    pass
+        spans = {r["name"]: r for r in sink.records if r["type"] == "span"}
+        assert spans["outer"]["id"] != spans["inner"]["id"]
+        assert spans["inner"]["parent"] == spans["outer"]["id"]
+        assert "parent" not in spans["outer"]
+
+    def test_every_record_carries_the_trace_id(self):
+        sink = MemorySink()
+        with obs.recording(sink) as rec:
+            obs.add("c")
+            obs.event("e")
+        assert all(r["trace"] == rec.trace_id for r in sink.records)
+
+
 class TestSwitch:
     def test_configure_enables_and_shutdown_disables(self):
         sink = MemorySink()

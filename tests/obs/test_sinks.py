@@ -10,6 +10,13 @@ from repro.obs.sinks import HOST_PID, SIM_PID
 from repro.runtime.timing import TraceEvent
 
 
+def _flush_inherited():
+    """A forked child that exits through interpreter shutdown flushes
+    the sink buffers it inherited; do that explicitly, since
+    multiprocessing ends its children with ``os._exit``."""
+    obs.current().flush()
+
+
 @pytest.fixture(autouse=True)
 def tracing_off():
     obs.shutdown()
@@ -251,7 +258,7 @@ class TestConcurrency:
         for i in range(50):
             recorder.event("parent.tick", i=i)  # sits in the buffer
         ctx = multiprocessing.get_context("fork")
-        proc = ctx.Process(target=obs.discard)
+        proc = ctx.Process(target=_flush_inherited)
         proc.start()
         proc.join()
         assert proc.exitcode == 0

@@ -125,6 +125,24 @@ def test_experiments_explain_appends_attribution(tmp_path, capsys):
     assert "combining" in out and "share" in out
 
 
+def test_experiments_explain_is_reproducible(capsys):
+    """Two cold ``--explain`` runs print the same bytes: the tables hold
+    counts and shares only, no host wall time."""
+    from repro.engine import clear_compile_cache
+
+    outs = []
+    for _ in range(2):
+        clear_compile_cache()
+        assert main([
+            "experiments", "--bench", "swm", "--procs", "16",
+            "--config", "n=16", "--config", "nsteps=2",
+            "--explain", "--no-cache",
+        ]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "Per-pass attribution" in outs[0]
+    assert outs[0] == outs[1]
+
+
 def test_trace_writes_perfetto_and_jsonl(tmp_path, capsys):
     import json
 
@@ -151,6 +169,19 @@ def test_trace_writes_perfetto_and_jsonl(tmp_path, capsys):
 
     lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
     assert {r["type"] for r in lines} >= {"span", "counter", "rank_event", "metrics"}
+    # one trace id, and every span's parent chain reaches the root
+    # "trace" span
+    assert len({r["trace"] for r in lines}) == 1
+    spans = [r for r in lines if r["type"] == "span"]
+    by_id = {r["id"]: r for r in spans}
+    (root,) = [r for r in spans if r["name"] == "trace"]
+    for span in spans:
+        seen = set()
+        while "parent" in span:
+            assert span["parent"] not in seen
+            seen.add(span["parent"])
+            span = by_id[span["parent"]]
+        assert span["id"] == root["id"]
 
 
 def test_trace_leaves_tracing_disabled_after(tmp_path):
@@ -435,50 +466,18 @@ def test_cache_prune_rejects_bad_duration(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cross-process tracing (repro trace --jobs N)
+# a trace records one process (repro trace has no --jobs)
 # ---------------------------------------------------------------------------
 
 
-def test_trace_pool_jobs_stitch_one_trace(tmp_path, capsys):
-    import json
-
-    trace = tmp_path / "trace.json"
-    jsonl = tmp_path / "events.jsonl"
-    assert main([
-        "trace", "swm", "--out", str(trace), "--jsonl", str(jsonl),
-        "--procs", "4", "--ranks", "1",
-        "--config", "n=16", "--config", "nsteps=2",
-        "--jobs", "2",
-    ]) == 0
-    assert "trace id:" in capsys.readouterr().out
-
-    records = [json.loads(line) for line in jsonl.read_text().splitlines()]
-    spans = [r for r in records if r["type"] == "span"]
-    # one trace id across coordinator and every pool worker
-    assert len({r["trace"] for r in spans}) == 1
-    worker_spans = [r for r in spans if "worker_pid" in r]
-    assert len({r["worker_pid"] for r in worker_spans}) >= 1
-    assert sum(r["name"] == "job" for r in worker_spans) == 6
-    # every span's parent chain reaches the root "trace" span
-    by_id = {r["id"]: r for r in spans}
-    root = next(r for r in spans if r["name"] == "trace")
-    for span in spans:
-        seen = set()
-        while span.get("parent"):
-            assert span["parent"] not in seen
-            seen.add(span["parent"])
-            span = by_id[span["parent"]]
-        assert span["id"] == root["id"]
-
-    # the Perfetto document shows each worker as its own process
-    doc = json.loads(trace.read_text())
-    names = {
-        e["args"]["name"]
-        for e in doc["traceEvents"]
-        if e.get("ph") == "M" and e.get("name") == "process_name"
-    }
-    assert "host" in names
-    assert any(n.startswith("worker ") for n in names)
+def test_trace_rejects_jobs(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "trace", "swm", "--out", str(tmp_path / "trace.json"),
+            "--jobs", "2",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_frontier_refine_localizes_crossover(tmp_path, capsys):
