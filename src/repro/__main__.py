@@ -25,9 +25,10 @@ Commands
 machine-parameter overrides.
 
 ``passes``
-    List the registered optimizer passes and their legality constraints;
-    with ``--key KEY``, show the pass pipeline that experiment key
-    compiles to.
+    Print the optimizer passes in their fixed order, each with the
+    ``OptimizationConfig`` field that turns it on; with ``--key KEY``,
+    print that experiment key's description, optimization config and
+    pass signature (the passes it runs, in order).
 
 ``trace BENCH``
     Run one benchmark's whole study with tracing on and write a Chrome
@@ -38,7 +39,8 @@ machine-parameter overrides.
     structured event log.  The trace records one process: every job
     runs inline, so there is no ``--jobs``.  The result cache stays off
     unless ``--cache-dir`` is given, so every compile/simulate span is
-    captured.
+    captured; the bridged timelines (``--opt``) reuse the program the
+    study compiled, so each program compiles once.
 
 ``compare``
     Re-run a study and diff its counts and times against a committed
@@ -132,6 +134,7 @@ from repro.analysis import attribution as attr
 from repro.analysis import figures as fig
 from repro.analysis import format_table, scaling
 from repro.engine import DirCache, Job, MachineSpec
+from repro.engine.worker import compile_cached
 from repro.errors import ExperimentError, ReproError
 from repro.experiments_registry import (
     COMPOSITION_KEYS,
@@ -139,7 +142,7 @@ from repro.experiments_registry import (
     experiment_spec,
 )
 from repro.frontend import parse_config_assignments
-from repro.programs import BENCHMARKS, KERNELS, benchmark_source, validate_benchmark
+from repro.programs import BENCHMARKS, KERNELS, validate_benchmark
 from repro.sweep.axes import parse_axes
 
 #: Every key the CLI accepts: the paper's six plus the composition
@@ -411,7 +414,8 @@ def cmd_trace(args) -> int:
                 telemetry=args.telemetry,
             )
             # bridge per-rank simulated timelines at the chosen key into
-            # the same trace document (model time, separate process row)
+            # the same trace document (model time, separate process row);
+            # the study just compiled the key's program in this process
             spec = experiment_spec(args.opt)
             job = Job.make(
                 benchmark=args.bench,
@@ -419,12 +423,9 @@ def cmd_trace(args) -> int:
                 machine=mspec,
                 config=overrides or None,
             )
-            program = compile_program(
-                benchmark_source(args.bench),
-                f"{args.bench}.zl",
-                config=job.merged_config(),
-                opt=spec.opt,
-            )
+            program = compile_cached(
+                job.benchmark, tuple(sorted(job.merged_config().items())), spec.opt
+            )[0]
             machine = job.machine.build(spec.library)
             bridged = 0
             for rank in range(min(args.ranks, args.nprocs)):

@@ -15,9 +15,9 @@ differs between variants is the float arithmetic on the clock matrix.
 The run goes through the one simulation driver
 (:class:`repro.runtime.executor._Simulation`), lowering and loop runner
 with the batched core
-(:class:`~repro.runtime.timing.BatchTimingEngine`), which performs the
-scalar core's floating-point operations in the same order, elementwise
-across the variant axis, and reads the same price tables
+(:class:`~repro.runtime.timing.BatchTimingEngine`), whose block forms
+perform the scalar core's floating-point operations in the same order,
+elementwise across the variant axis, and read the same price tables
 (:func:`~repro.runtime.costs.price`).  So every row of the clock
 matrix is **bit-identical** to the scalar fast path run of that variant
 (``tests/runtime/test_batch.py`` enforces this differentially).
@@ -41,10 +41,14 @@ variant-independent) and matches the scalar path exactly.
 
 Memory model: a batch holds ``O(V x P)`` floats for the clock matrix
 plus one ``(V, R)`` block per in-flight transfer and per posted DR flag
-(``R`` the transfer's receivers), the ``(V, M)`` price table of each
-call kind over the program's ``M`` messages and the ``(S, V, P)``
-charge rows — for a 1000-variant sweep on 64 ranks this is a few MB,
-not a concern; for 10^6-variant grids, chunk the variant list.
+(``R`` the transfer's receivers), the price table of each call kind —
+per-rank totals as one ``(n, V, P)`` buffer over the program's ``n``
+distinct plans, SR's per-message costs as one ``(V, M_i)`` block per
+plan over its ``M`` messages, and one ``(V, R)`` receive block per DN
+plan, all bound by the block forms without copying — and the
+``(S, V, P)`` charge rows.  For a 1000-variant sweep on 64 ranks this
+is a few MB, not a concern; for 10^6-variant grids, chunk the variant
+list.
 """
 
 from __future__ import annotations

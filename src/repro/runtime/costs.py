@@ -22,7 +22,13 @@ Pricing splits in two halves:
 
 Both timing cores read the result: the batched core the ``(V, ...)``
 arrays, the scalar core :meth:`CallCosts.row` ``0`` of a one-variant
-pack, whose arrays are 1-D views.
+pack, whose arrays are 1-D views.  Each plan's arrays are contiguous:
+the per-rank totals of a table are one ``(n, V, P)`` buffer, so plan
+``i``'s ``(V, P)`` block is one slice, and SR's per-message ``cum_sw``
+and ``wire`` are one contiguous ``(V, M_i)`` array per plan.  A core
+binds them as they are, without copying; at ``V = 1`` a plan's rows
+are slices of the table's, which are contiguous, and nothing is copied
+to make the layout.
 
 Exactness: every per-rank total accumulates from 0.0 in message order,
 which is the float sequence of the per-message loop
@@ -134,7 +140,8 @@ class PlanTable:
 def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallCosts]:
     """The ``(V, ...)`` cost arrays of ``kind`` calls on every plan of
     ``table`` under every variant of ``matrix``, in table order: one
-    vectorized pass."""
+    vectorized pass.  Each plan's arrays are contiguous, so a core binds
+    them without copying."""
     pc = matrix.prims[matrix.base.binding.primitive(kind)]
     V, n, P = matrix.nvariants, len(table.bounds) - 1, table.nprocs
     common = dict(
@@ -144,24 +151,26 @@ def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallC
         spread_penalty=pc.spread_penalty[:, None],
         spread_cap=pc.spread_cap[:, None],
     )
+    # per-rank totals are ``(n, V, P)``, written through their
+    # ``(V, n, P)`` view at each (plan, rank) slot
     if kind is CallKind.SR:
         rows = np.zeros((V, len(table.run_slot), table.width))
         rows[:, table.run, table.place] = pc.sw_matrix(table.nbytes)
         np.cumsum(rows, axis=2, out=rows)
-        cum_sw = rows[:, table.run, table.place]
-        totals = np.zeros((V, n * P))
-        totals[:, table.run_slot] = rows[:, :, -1]
-        totals = totals.reshape(V, n, P)
+        totals = np.zeros((n, V, P))
+        plan, rank = np.divmod(table.run_slot, P)
+        totals.transpose(1, 0, 2)[:, plan, rank] = rows[:, :, -1]
         lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
         wire = lat[:, None] + table.nbytes[None, :] / matrix.net_bandwidth[:, None]
+        cum_sw = _plan_blocks(rows[:, table.run, table.place], table.bounds)
+        wire = _plan_blocks(wire, table.bounds)
         calls = np.count_nonzero(totals > 0, axis=2)
-        bounds = table.bounds
         return [
             CallCosts(
-                calls=calls[:, i],
-                rank_sw=totals[:, i],
-                cum_sw=cum_sw[:, bounds[i] : bounds[i + 1]],
-                wire=wire[:, bounds[i] : bounds[i + 1]],
+                calls=calls[i],
+                rank_sw=totals[i],
+                cum_sw=cum_sw[i],
+                wire=wire[i],
                 **common,
             )
             for i in range(n)
@@ -174,15 +183,21 @@ def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallC
         per_message = (
             pc.sw_matrix(table.nbytes) if kind is CallKind.DN else pc.fixed[:, None]
         )
-        totals = np.zeros((V, n * P))
-        slots = table.send_slots if sv else table.recv_slots
-        np.add.at(totals, (slice(None), slots), per_message)
-        totals = totals.reshape(V, n, P)
+        totals = np.zeros((n, V, P))
+        plan, rank = np.divmod(table.send_slots if sv else table.recv_slots, P)
+        np.add.at(totals.transpose(1, 0, 2), (slice(None), plan, rank), per_message)
     return [
         CallCosts(
             calls=np.full(V, callers),
-            rank_sw=None if totals is None else totals[:, i],
+            rank_sw=None if totals is None else totals[i],
             **common,
         )
         for i, callers in enumerate(table.send_callers if sv else table.recv_callers)
     ]
+
+
+def _plan_blocks(per_message: np.ndarray, bounds: List[int]) -> List[np.ndarray]:
+    """``(V, M)`` per-message costs as one contiguous ``(V, M_i)`` array
+    per plan.  A row (``V = 1``) slices into contiguous views, which are
+    not copied."""
+    return [np.ascontiguousarray(per_message[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]

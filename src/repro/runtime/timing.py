@@ -25,11 +25,12 @@ interesting dynamics live entirely in the communication calls:
 
 Reductions synchronize all ranks (combine + broadcast tree).
 
-Every call executes as ``op(plan, costs)``: the
-:class:`~repro.runtime.costs.CallCosts` of the call are priced once per
-run by :func:`~repro.runtime.costs.price` and bound at lowering, each
-core taking its view of them (:meth:`TimingEngine.bind_costs`) and
-binding the compiled op itself (``bind_call``, ``bind_charge``).
+The :class:`~repro.runtime.costs.CallCosts` of every call are priced
+once per run by :func:`~repro.runtime.costs.price` and bound at
+lowering: each core takes its view of them (:meth:`TimingEngine.bind_costs`)
+and binds the compiled op itself (``bind_call``, ``bind_charge``).  The
+scalar core's call op is one of its methods, ``op(plan, costs)``, or a
+scalar form; the batched core's is a block form (both below).
 
 In-flight state per receiver
 ----------------------------
@@ -60,8 +61,24 @@ arrival and flag are the vector op's one-receiver blocks, so rebasing,
 the cycle monitor and extrapolation see the same state.  The choice is
 made once per run at binding, from plan geometry; the interpreted walk,
 NUMERIC mode and ``trace_rank`` keep the vector ops, so the walk is the
-scalar forms' oracle.  The batched core has no scalar forms: each of
-its ops moves ``V`` variants at once.
+scalar forms' oracle.  The batched core has no scalar forms: a
+one-message call there binds its block form, which moves a ``(V, 1)``
+column.
+
+Block forms
+-----------
+The batched core binds every SR, DN, DR and SV call to a *block form*
+(:meth:`BatchTimingEngine.bind_call`): a closure over the clock matrix,
+the in-flight and DR-flag tables, the plan's index arrays as ``intp``
+and the call's cost blocks, which :func:`~repro.runtime.costs.price`
+lays out contiguous.  It gathers each index once with ``take`` and
+does the scalar core's IEEE operations in the scalar core's order,
+elementwise over the variants: an arrival is ``t = clock.take(senders,
+axis=1); t += cum_sw; t += wire``, which is ``(clock + cum_sw) +
+wire``, and a wait-arrival DN adds the receive totals over the plan's
+receivers, gathered once per plan and run.  Each row is therefore a
+scalar run of its variant bit for bit; the scalar core is the block
+forms' oracle (``tests/runtime/test_block_forms.py``).
 
 Two cores, one arithmetic
 -------------------------
@@ -132,7 +149,7 @@ class TraceEvent:
         return self.end - self.start
 
 
-#: the method executing each call kind, ``op(plan, costs)``
+#: the scalar core's method executing each call kind, ``op(plan, costs)``
 _CALL_OPS = {
     CallKind.SR: "_do_send",
     CallKind.DN: "_do_complete",
@@ -147,6 +164,16 @@ _ONE_MESSAGE_OPS = {
     CallKind.DN: "_complete_one",
     CallKind.DR: "_pre_one",
     CallKind.SV: "_volatile_one",
+}
+
+#: the batched core's method binding a call of each kind to its block
+#: form (a closure named ``send_block``, ``complete_block``,
+#: ``pre_block`` or ``volatile_block``)
+_BLOCK_FORMS = {
+    CallKind.SR: "_send_block",
+    CallKind.DN: "_complete_block",
+    CallKind.DR: "_pre_block",
+    CallKind.SV: "_volatile_block",
 }
 
 
@@ -174,6 +201,12 @@ def _per_sender(flags: np.ndarray, plan: TransferPlan, raw) -> np.ndarray:
     return flags
 
 
+def _intp(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """An index array as ``intp``, the type ``take`` and ``reduceat``
+    index with, so no call converts it again."""
+    return None if a is None else a.astype(np.intp, copy=False)
+
+
 def _sent_twice(plan: TransferPlan) -> RuntimeFault:
     return RuntimeFault(
         f"transfer {plan.desc.describe()} initiated twice without "
@@ -189,21 +222,12 @@ def _never_sent(plan: TransferPlan) -> RuntimeFault:
 
 
 class _Core:
-    """What the two cores share: the in-flight tables and the op table."""
+    """What the two cores share: the in-flight tables, the charge
+    binding and the end-of-run check."""
 
     matrix: VariantMatrix
     _inflight: Dict[int, np.ndarray]
     _dr_times: Dict[int, np.ndarray]
-
-    def call_op(self, kind: CallKind) -> Callable[[TransferPlan, CallCosts], None]:
-        """The bound method executing ``kind`` calls."""
-        return getattr(self, _CALL_OPS[kind])
-
-    def bind_call(
-        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
-    ) -> Callable[[], None]:
-        """The compiled op executing a ``kind`` call on ``plan``."""
-        return partial(self.call_op(kind), plan, costs)
 
     def bind_charge(
         self, cost: np.ndarray, rank: Optional[int], label: str
@@ -223,16 +247,6 @@ class _Core:
                 f"{len(self._dr_times)} destination-ready flag(s) posted "
                 "but never consumed — optimizer produced an illegal schedule"
             )
-
-    def _check_send(self, plan: TransferPlan) -> None:
-        if plan.desc.id in self._inflight:
-            raise _sent_twice(plan)
-
-    def _pop_arrivals(self, plan: TransferPlan) -> np.ndarray:
-        arrivals = self._inflight.pop(plan.desc.id, None)
-        if arrivals is None:
-            raise _never_sent(plan)
-        return arrivals
 
 
 class TimingEngine(_Core):
@@ -402,8 +416,13 @@ class TimingEngine(_Core):
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
+    def call_op(self, kind: CallKind) -> Callable[[TransferPlan, CallCosts], None]:
+        """The bound method executing ``kind`` calls (the walk's op)."""
+        return getattr(self, _CALL_OPS[kind])
+
     def _do_send(self, plan: TransferPlan, costs: CallCosts) -> None:
-        self._check_send(plan)
+        if plan.desc.id in self._inflight:
+            raise _sent_twice(plan)
         # One-way communication: a put may not start until the destination
         # signalled buffer readiness (its DR `synch` posted a flag); the
         # source blocks until the flag has crossed the wire.
@@ -433,7 +452,9 @@ class TimingEngine(_Core):
         self.instrument.record_calls(costs.name, costs.calls)
 
     def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
-        arrivals = self._pop_arrivals(plan)
+        arrivals = self._inflight.pop(plan.desc.id, None)
+        if arrivals is None:
+            raise _never_sent(plan)
         receivers = plan.receivers_unique
         traced = self.trace_rank is not None and self.trace_rank in receivers
         if traced:
@@ -553,7 +574,7 @@ class TimingEngine(_Core):
         """A one-message plan binds the call's scalar form, which reads
         and writes only the message's sender and receiver."""
         if plan.message_count != 1 or self.trace_rank is not None:
-            return partial(getattr(self, _CALL_OPS[kind]), plan, costs)
+            return partial(self.call_op(kind), plan, costs)
         return getattr(self, _ONE_MESSAGE_OPS[kind])(plan, costs)
 
     def _send_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
@@ -667,11 +688,11 @@ class BatchTimingEngine(_Core):
     """The batched core: :class:`TimingEngine`'s arithmetic lifted to a
     ``(V, P)`` clock matrix — V variants, P ranks.
 
-    Every method performs the scalar core's float operations in the same
-    order, elementwise along the variant axis.  The epoch is per-variant
-    run-length-encoded, and the advance log entries are ``(c, mask, n)``
-    tuples — ``c`` the ``(V,)`` advance, ``mask`` which variants
-    advanced, ``n`` the run length.
+    Every method and block form performs the scalar core's float
+    operations in the same order, elementwise along the variant axis.
+    The epoch is per-variant run-length-encoded, and the advance log
+    entries are ``(c, mask, n)`` tuples — ``c`` the ``(V,)`` advance,
+    ``mask`` which variants advanced, ``n`` the run length.
     """
 
     def __init__(self, matrix: VariantMatrix, instrument: Instrumentation) -> None:
@@ -685,6 +706,8 @@ class BatchTimingEngine(_Core):
         self.clock = np.zeros((V, P), dtype=np.float64)
         self._inflight: Dict[int, np.ndarray] = {}
         self._dr_times: Dict[int, np.ndarray] = {}
+        #: plan signature -> its DN receive block (:meth:`_receive_block`)
+        self._recv_sw: Dict[Tuple, np.ndarray] = {}
         self._epoch_prefix = np.zeros(V, dtype=np.float64)
         self._epoch_c = np.zeros(V, dtype=np.float64)
         self._epoch_n = np.zeros(V, dtype=np.int64)
@@ -790,43 +813,118 @@ class BatchTimingEngine(_Core):
         self.clock[:] = t[:, None]
         self.instrument.record_reduction()
 
-    # -- communication ---------------------------------------------------
-    def _do_send(self, plan: TransferPlan, costs: CallCosts) -> None:
-        self._check_send(plan)
-        dr = self._dr_times.pop(plan.desc.id, None)
-        if dr is not None:
-            # the put blocks until the destination's DR flag crossed the wire
-            senders = plan.senders_unique
-            flags = _per_sender(dr, plan, self.matrix.net_raw[:, None])
-            self.clock[:, senders] = np.maximum(self.clock[:, senders], flags)
-        send_end = self.clock[:, plan.senders] + costs.cum_sw
-        self._inflight[plan.desc.id] = _per_receiver(send_end + costs.wire, plan)
-        self.clock += costs.rank_sw
-        self.instrument.record_transfer(plan)
+    # -- communication: block forms --------------------------------------
+    def bind_call(
+        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        """The call's block form: a closure over the clock matrix, the
+        in-flight and DR-flag tables, the plan's index arrays as ``intp``
+        and the call's cost blocks, doing the scalar core's operations
+        elementwise over the variants."""
+        return getattr(self, _BLOCK_FORMS[kind])(plan, costs)
 
-    def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
-        a = self._pop_arrivals(plan)
-        receivers = plan.receivers_unique
-        c = self.clock[:, receivers]
+    def _send_block(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        key, raw = plan.desc.id, self.matrix.net_raw[:, None]
+        senders, senders_unique = _intp(plan.senders), plan.senders_unique
+        groups = plan.grouping
+        order, fan_in = _intp(groups.order), _intp(groups.fan_in)
+        cum_sw, wire, rank_sw = costs.cum_sw, costs.wire, costs.rank_sw
+        clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
+        counts, block = self.instrument.counts, plan.count_block
+        add, maximum = np.add, np.maximum
+
+        def send_block() -> None:
+            if key in inflight:
+                raise _sent_twice(plan)
+            dr = dr_times.pop(key, None)
+            if dr is not None:
+                # the put blocks until the destination's DR flag crossed the wire
+                flags = _per_sender(dr, plan, raw)
+                clock[:, senders_unique] = maximum(
+                    clock.take(senders_unique, axis=1), flags
+                )
+            t = clock.take(senders, axis=1)
+            t += cum_sw
+            t += wire
+            if order is not None:
+                t = t.take(order, axis=1)
+            if fan_in is not None:
+                t = maximum.reduceat(t, fan_in, axis=1)
+            inflight[key] = t
+            add(clock, rank_sw, out=clock)
+            add(counts, block, out=counts)
+
+        return send_block
+
+    def _complete_block(
+        self, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        key, receivers = plan.desc.id, plan.receivers_unique
+        clock, inflight = self.clock, self._inflight
+        maximum, minimum = np.maximum, np.minimum
         if costs.sync is SyncKind.RENDEZVOUS:
-            waited = np.maximum(0.0, a - c)
-            surcharge = costs.spread_penalty * np.minimum(
-                waited, costs.spread_cap
+            fixed, penalty, cap = costs.fixed, costs.spread_penalty, costs.spread_cap
+
+            def complete_block() -> None:
+                a = inflight.pop(key, None)
+                if a is None:
+                    raise _never_sent(plan)
+                c = clock.take(receivers, axis=1)
+                waited = maximum(0.0, a - c)
+                surcharge = penalty * minimum(waited, cap)
+                clock[:, receivers] = maximum(c, a) + fixed + surcharge
+
+            return complete_block
+        recv_sw = self._receive_block(plan, costs)
+
+        def complete_block() -> None:
+            a = inflight.pop(key, None)
+            if a is None:
+                raise _never_sent(plan)
+            c = clock.take(receivers, axis=1)
+            maximum(c, a, out=c)
+            c += recv_sw
+            clock[:, receivers] = c
+
+        return complete_block
+
+    def _receive_block(self, plan: TransferPlan, costs: CallCosts) -> np.ndarray:
+        """A DN's receive totals over ``plan.receivers_unique``, ``(V, R)``:
+        gathered once per plan signature and run, shared by every DN op
+        on it (equal signatures price equally)."""
+        block = self._recv_sw.get(plan.signature)
+        if block is None:
+            block = self._recv_sw[plan.signature] = costs.rank_sw.take(
+                plan.receivers_unique, axis=1
             )
-            self.clock[:, receivers] = np.maximum(c, a) + costs.fixed + surcharge
-        else:
-            self.clock[:, receivers] = np.maximum(c, a) + costs.rank_sw[
-                :, receivers
-            ]
+        return block
 
-    def _do_pre(self, plan: TransferPlan, costs: CallCosts) -> None:
-        if costs.sync is SyncKind.RENDEZVOUS:
-            receivers = plan.receivers_unique
-            flags = self.clock[:, receivers] + costs.fixed
-            self.clock[:, receivers] = flags
-            self._dr_times[plan.desc.id] = flags
-        else:
-            self.clock += costs.rank_sw
+    def _pre_block(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+        clock = self.clock
+        if costs.sync is not SyncKind.RENDEZVOUS:
+            rank_sw, add = costs.rank_sw, np.add
 
-    def _do_volatile(self, plan: TransferPlan, costs: CallCosts) -> None:
-        self.clock += costs.rank_sw
+            def pre_block() -> None:
+                add(clock, rank_sw, out=clock)
+
+            return pre_block
+        key, receivers, fixed = plan.desc.id, plan.receivers_unique, costs.fixed
+        dr_times = self._dr_times
+
+        def pre_block() -> None:
+            flags = clock.take(receivers, axis=1)
+            flags += fixed
+            clock[:, receivers] = flags
+            dr_times[key] = flags
+
+        return pre_block
+
+    def _volatile_block(
+        self, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        clock, rank_sw, add = self.clock, costs.rank_sw, np.add
+
+        def volatile_block() -> None:
+            add(clock, rank_sw, out=clock)
+
+        return volatile_block

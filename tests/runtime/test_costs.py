@@ -350,6 +350,27 @@ def test_corpus_reaches_multi_message_senders_and_receivers():
     )
 
 
+@pytest.mark.parametrize("nvariants", [1, 16])
+def test_each_plan_is_priced_contiguous(nvariants):
+    """A core binds a plan's cost arrays as they are: each is
+    C-contiguous, a plan's ``(V, P)`` totals are one slice of the
+    table's ``(n, V, P)`` buffer, and at one variant SR's per-message
+    arrays are views of the table's row, not copies."""
+    (plans, _) = _mesh_plans("simple")
+    for base in BASES:
+        matrix = pack_variants([apply_overrides(base, o) for o in VARIANTS[:nvariants]])
+        for kind in CallKind:
+            priced = price(PlanTable(plans), kind, matrix)
+            for costs in priced:
+                if costs.rank_sw is not None:
+                    assert costs.rank_sw.flags.c_contiguous
+                    assert costs.rank_sw.base is priced[0].rank_sw.base
+                for a in (costs.cum_sw, costs.wire):
+                    if a is not None:
+                        assert a.flags.c_contiguous
+                        assert (a.base is not None) == (nvariants == 1)
+
+
 # ---------------------------------------------------------------------------
 # random cost models
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ TOMCATV's row bands each live on one processor, so most of its wavefront
 charges one rank and moves one message.  On the scalar core such an op
 binds a scalar form that updates only its ranks' clocks and accounts, in
 the vector op's float order; the walk keeps the vector ops and is the
-oracle.  The batched core binds vector ops only.
+oracle.  The batched core binds no scalar form: its calls bind block
+forms over ``(V, R)`` blocks, a one-message call a ``(V, 1)`` column.
 """
 
 from functools import partial
@@ -29,7 +30,7 @@ from repro.runtime.schedule import (
     _Repeat,
     compile_schedule,
 )
-from tests.runtime.test_template import _flatten
+from tests.runtime.test_template import BLOCK_FORMS, _flatten
 
 #: every library binding, on the machine that offers it
 BINDINGS = [
@@ -61,8 +62,12 @@ def _nodes(nodes):
             yield node
 
 
+#: the scalar core's single-rank forms, by the closure's name
+SCALAR_FORMS = {"charge_one", "send_one", "complete_one", "pre_one", "fixed_one"}
+
+
 def _is_scalar_form(op):
-    return not isinstance(op, partial)
+    return getattr(op, "__name__", None) in SCALAR_FORMS
 
 
 def _sim(program, target):
@@ -134,9 +139,33 @@ def test_scalar_core_binds_scalar_forms_for_single_rank_ops(machine_name, librar
 
 
 def test_batched_core_binds_vector_ops_only():
+    """No scalar form on the batched core: a charge stays a
+    ``charge_array_vec`` partial and a call binds its kind's block form,
+    one-rank rows and one-message plans included; a one-message SR
+    leaves a ``(V, 1)`` in-flight block."""
     base = machine_by_name("t3d", 64, "shmem")
     variants = [apply_overrides(base, {"net.latency": lat}) for lat in (1e-5, 4e-5)]
     sim = _sim(_tomcatv("pl"), pack_variants(variants))
+    binder = _Binder(sim)
+    lowered = sim.template.lowered
+    seen = set()
+    for node in _nodes(lowered.body):
+        if isinstance(node, _Charge):
+            rank = lowered.one_rank[node.row]
+            op = sim.timing.bind_charge(binder.charges[node.row], rank, node.label)
+            assert isinstance(op, partial) and op.func == sim.timing.charge_array_vec
+            seen.add((_Charge, rank is not None))
+        elif isinstance(node, _Call) and node.kind in binder.costs:
+            one = node.plan.message_count == 1
+            costs = binder.costs[node.kind][node.index]
+            op = sim.timing.bind_call(node.kind, node.plan, costs)
+            assert BLOCK_FORMS[op.__name__] is node.kind
+            if one and node.kind is CallKind.SR and not sim.timing._inflight:
+                op()
+                assert sim.timing._inflight[node.plan.desc.id].shape == (2, 1)
+            seen.add((type(node), one))
+    assert seen == {(_Charge, True), (_Charge, False), (_Call, True), (_Call, False)}
+    assert sim.timing._inflight
     ops = list(_flatten(compile_schedule(sim).ops))
     assert ops and not any(map(_is_scalar_form, ops))
 

@@ -173,20 +173,39 @@ def _flatten(ops):
             yield op
 
 
+#: the batched core's block form of each call kind, by the closure's name
+BLOCK_FORMS = {
+    "send_block": CallKind.SR,
+    "complete_block": CallKind.DN,
+    "pre_block": CallKind.DR,
+    "volatile_block": CallKind.SV,
+}
+
+#: every call op either core binds here, by name: the scalar core's
+#: vector ops (partials of its ``_do_*`` methods) and the block forms
+CALL_OPS = {
+    "_do_send": CallKind.SR,
+    "_do_complete": CallKind.DN,
+    "_do_pre": CallKind.DR,
+    "_do_volatile": CallKind.SV,
+    **BLOCK_FORMS,
+}
+
+#: the ops that are not calls: charges, reductions and assignments
+OTHER_OPS = {"charge_array_vec", "charge_scalar_cost", "charge_reduction_vec", "_assign"}
+
+
 def _call_ops(sim):
-    """The call kinds of every op ``sim``'s compiled schedule binds."""
-    names = {
-        "_do_send": CallKind.SR,
-        "_do_complete": CallKind.DN,
-        "_do_pre": CallKind.DR,
-        "_do_volatile": CallKind.SV,
-    }
+    """The call kinds of every op ``sim``'s compiled schedule binds; an
+    op of any other name fails."""
     schedule = compile_schedule(sim)
-    kinds = [
-        names[op.func.__name__]
-        for op in _flatten(schedule.ops)
-        if getattr(op.func, "__name__", None) in names
-    ]
+    kinds = []
+    for op in _flatten(schedule.ops):
+        name = getattr(op, "func", op).__name__
+        if name in CALL_OPS:
+            kinds.append(CALL_OPS[name])
+        else:
+            assert name in OTHER_OPS, name
     return schedule, kinds
 
 

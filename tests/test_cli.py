@@ -146,6 +146,10 @@ def test_experiments_explain_is_reproducible(capsys):
 def test_trace_writes_perfetto_and_jsonl(tmp_path, capsys):
     import json
 
+    from repro.engine import clear_compile_cache
+
+    # a cold compile cache, so the study compiles in the trace
+    clear_compile_cache()
     trace = tmp_path / "trace.json"
     jsonl = tmp_path / "events.jsonl"
     assert main([
@@ -182,6 +186,35 @@ def test_trace_writes_perfetto_and_jsonl(tmp_path, capsys):
             seen.add(span["parent"])
             span = by_id[span["parent"]]
         assert span["id"] == root["id"]
+
+
+def test_trace_compiles_each_program_once(tmp_path):
+    """The bridged key's program comes from the compile cache the study
+    filled: one front-end pass for the study's one config, one optimizer
+    pipeline per distinct optimization of its six keys, and no more."""
+    import json
+
+    from repro.engine import clear_compile_cache
+    from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
+
+    clear_compile_cache()
+    jsonl = tmp_path / "events.jsonl"
+    assert main([
+        "trace", "simple", "--out", str(tmp_path / "t.json"),
+        "--jsonl", str(jsonl), "--ranks", "2", "--nprocs", "16",
+        "--config", "n=16", "--config", "niters=2", "--config", "ncond=2",
+    ]) == 0
+    lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
+    names = [r["name"] for r in lines if r["type"] == "span"]
+    opts = {experiment_spec(key).opt for key in EXPERIMENT_KEYS}
+    assert len(opts) == 5
+    for name, count in [
+        ("compile", 1),
+        ("frontend:parse", 1),
+        ("ir:lower", 1),
+        ("optimize:pipeline", len(opts)),
+    ]:
+        assert names.count(name) == count, name
 
 
 def test_trace_leaves_tracing_disabled_after(tmp_path):
