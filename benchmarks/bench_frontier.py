@@ -122,8 +122,8 @@ def test_frontier_refinement_and_map(benchmark, record_table):
     t0 = time.perf_counter()
     times = {}
     for key in MAP_KEYS:
-        batch = simulate_many(programs[key], matrices[key])
-        times[key] = np.asarray(batch.run("simple").times).reshape(
+        run = simulate_many(programs[key], matrices[key])
+        times[key] = np.asarray(run.times).reshape(
             len(MAP_YS), len(MAP_XS)
         )
     contours = []

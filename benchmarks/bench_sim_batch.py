@@ -67,13 +67,12 @@ def test_batched_speedup(benchmark, record_table):
     simulate_many(program, [base])
 
     t0 = time.perf_counter()
-    batch = simulate_many(program, variants)
+    run = simulate_many(program, variants)
     batch_s = time.perf_counter() - t0
 
-    run = batch.run(program.name)
     t0 = time.perf_counter()
     scalar = [
-        simulate(program, machine, options=SimOptions.timing(fast=True))
+        simulate(program, machine, options=SimOptions.timing())
         for machine in variants
     ]
     scalar_s = time.perf_counter() - t0

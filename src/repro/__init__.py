@@ -108,7 +108,6 @@ from repro.programs.generate import (
     generate_source,
 )
 from repro.runtime import (
-    BatchResult,
     BatchRun,
     ExecutionMode,
     RunResult,
@@ -188,7 +187,6 @@ __all__ = [
     "reference_run",
     "ExecutionMode",
     "RunResult",
-    "BatchResult",
     "BatchRun",
     "SimOptions",
     # observability

@@ -54,9 +54,9 @@ machine-parameter overrides.
     run the benchmark x experiment matrix over every point through the
     cached engine; prints the scaling report with detected crossovers
     and optionally emits it (``--csv``/``--json``).  ``--set`` pins a
-    machine override at every point; cost-only sweeps evaluate through
-    the batched simulator by default (``--batched``/``--no-batched``
-    to force either path); see ``docs/SWEEPS.md``.
+    machine override at every point; the engine evaluates the cost
+    variants of each cell and processor count through the batched
+    simulator, and ``--jobs`` runs the rest; see ``docs/SWEEPS.md``.
 
 ``frontier``
     The adaptive frontier engine.  ``--refine PATH=LO:HI --tol T``
@@ -528,7 +528,6 @@ def cmd_sweep(args) -> int:
             library=args.library,
             overrides=pinned or None,
             config_overrides={b: config for b in benches} if config else None,
-            batched=args.batched,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )
@@ -836,9 +835,7 @@ def _check_generated(seed, profile):
     }
     for machine_name, machine in (("t3d", t3d(4)), ("paragon", paragon(4))):
         for opt_name, program in programs.items():
-            fast = simulate(
-                program, machine, options=SimOptions.timing(fast=True)
-            )
+            fast = simulate(program, machine, options=SimOptions.timing())
             slow = simulate(
                 program, machine, options=SimOptions.timing(fast=False)
             )
@@ -1064,11 +1061,6 @@ def main(argv=None) -> int:
     p.add_argument("--library", default=None,
                    help="communication library override (default: each "
                    "key's library)")
-    p.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                   default=None,
-                   help="evaluate each cell's variants in one batched "
-                   "simulate_many call (default: auto when the axes are "
-                   "cost-only; --no-batched keeps the per-job path)")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help="program config override applied to every benchmark")
     p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",

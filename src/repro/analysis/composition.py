@@ -38,8 +38,9 @@ break that circle.
 
 The whole grid — every program under every key on every machine
 variant — is submitted as one :class:`~repro.engine.ExperimentEngine`
-run, so cells are content-cached and parallelized exactly like any study,
-and generated programs (``gen_<seed>``) ride through the registry like
+run, so cells are content-cached exactly like any study, each program
+and key's machine variants evaluate in one batched call, and generated
+programs (``gen_<seed>``) ride through the registry like
 the bundled benchmarks.  Results emit as a ``%.6g`` CSV artifact and a
 full-precision versioned JSON document, mirroring
 :mod:`repro.analysis.scaling`.
@@ -177,7 +178,7 @@ def run_composition(
 
     Every (program, key, variant) cell runs TIMING mode through one
     engine run — cached, and bit-identical at any ``jobs`` count like
-    any study.
+    any study; the engine batches each (program, key)'s variants.
     """
     if benchmarks is None:
         benchmarks = BENCHMARKS + KERNELS

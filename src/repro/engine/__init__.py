@@ -11,12 +11,13 @@ cacheable.  This package runs it that way:
 * :mod:`repro.engine.cache` — the result cache: :class:`DirCache`
   (the ``.repro-cache/`` layout) and :class:`NullCache` (``--no-cache``);
 * :mod:`repro.engine.dispatch` — :class:`LocalDispatcher`, which runs
-  cache misses inline or over a process pool;
-* :mod:`repro.engine.core` — :class:`ExperimentEngine` (cache
-  partition + dispatch) and the :func:`run_study` facade;
-* :mod:`repro.engine.batch` — cost-only variant matrices through one
-  :func:`repro.runtime.simulate_many` call per cell, records
-  interchangeable with the scalar worker's.
+  the jobs that are not batched inline or over a process pool;
+* :mod:`repro.engine.batch` — the routing of cache misses: every TIMING
+  cell of two or more cost variants through one
+  :func:`repro.runtime.simulate_many` call, records interchangeable
+  with the scalar worker's, and every other job through the dispatcher;
+* :mod:`repro.engine.core` — :class:`ExperimentEngine` (result cache +
+  routing) and the :func:`run_study` facade.
 
 See ``docs/ENGINE.md`` for the job-matrix model, the result cache,
 and the telemetry schema.
@@ -39,7 +40,6 @@ from repro.engine.core import (
     StudyResult,
     build_matrix,
     load_telemetry,
-    partition_jobs,
     run_study,
 )
 from repro.engine.dispatch import LocalDispatcher
@@ -67,7 +67,6 @@ __all__ = [
     "execute_job",
     "load_telemetry",
     "make_cache",
-    "partition_jobs",
     "run_jobs_batched",
     "run_study",
     "source_sha",

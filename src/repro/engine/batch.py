@@ -1,85 +1,89 @@
-"""Batched execution of cost-only variant jobs.
+"""The engine's routing of cache misses: one batched evaluation per cell.
 
-A sweep whose axes touch only machine *costs* (never ``nprocs``) builds
-a job matrix where every ``benchmark x experiment`` cell repeats across
-N machine variants.  :func:`run_jobs_batched` runs such a matrix through
-one :func:`repro.runtime.simulate_many` call per cell instead of N
-engine jobs — same result cache, same record shape, same submission
-order.
+A *cell* is every job that differs only in its machine's cost overrides:
+same benchmark, experiment, config, mode, machine name, processor count
+and effective library, so one compiled program and one packed variant
+matrix serve all of them.  :func:`run_jobs_batched` runs each TIMING
+cell of two or more jobs through one :func:`repro.runtime.simulate_many`
+call (:func:`execute_cell_batched`) and hands every other job to the
+dispatcher, returning one record per job in submission order.
 
-The records a batched cell produces are interchangeable with the scalar
-:func:`~repro.engine.worker.execute_job` records: the batched evaluator
-is bit-identical to the scalar fast path per variant, each job is still
-fingerprinted and cached individually, and the only addition is a
-``"batched": True`` marker.  A sweep warmed by a batched run therefore
-serves scalar re-runs from cache, and vice versa.
+A batched record is interchangeable with the scalar
+:func:`~repro.engine.worker.execute_job` record of its job: the batched
+core is bit-identical to the scalar fast path per variant, each job is
+still fingerprinted and cached individually, and the only addition is a
+``"batched": True`` marker.  A result cache filled by batched runs
+therefore serves per-job runs, and vice versa.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.experiments_registry import experiment_spec
 from repro.machine import pack_variant_specs
 from repro.obs import core as obs
-from repro.runtime import ExecutionMode, SimOptions, simulate_many
+from repro.runtime import ExecutionMode, simulate_many
 
-from repro.engine.core import ExperimentEngine, JobOutcome, partition_jobs
+from repro.engine.dispatch import LocalDispatcher
 from repro.engine.jobs import Job
 from repro.engine.worker import compile_cached, job_record
 
 __all__ = ["execute_cell_batched", "run_jobs_batched"]
 
-#: the per-cell grouping key: jobs differing only in machine variant
-#: share one compiled program and one batched evaluation
-_CellKey = Tuple[str, str, tuple, str]
+#: what the jobs of one cell share: everything but the cost overrides
+_CellKey = Tuple[str, str, tuple, str, str, int, str]
 
 
 def _cell_key(job: Job) -> _CellKey:
-    return (job.benchmark, job.experiment, job.config, job.mode)
+    return (
+        job.benchmark,
+        job.experiment,
+        job.config,
+        job.mode,
+        job.machine.name,
+        job.machine.nprocs,
+        job.effective_library(),
+    )
 
 
 def run_jobs_batched(
-    engine: ExperimentEngine, jobs: Sequence[Job]
-) -> List[JobOutcome]:
-    """Run a cost-only variant matrix, batching each cell's misses.
+    dispatcher: LocalDispatcher, jobs: Sequence[Job]
+) -> List[dict]:
+    """Run ``jobs``, one record each in submission order: every TIMING
+    cell of two or more jobs as one batched evaluation, every other job
+    through ``dispatcher``."""
+    cells: Dict[_CellKey, List[int]] = {}
+    for i, job in enumerate(jobs):
+        cells.setdefault(_cell_key(job), []).append(i)
 
-    Mirrors :meth:`ExperimentEngine.run`'s contract — per-job cache
-    lookup first, outcomes in submission order — but executes the
-    misses cell-by-cell through :func:`execute_cell_batched` instead of
-    job-by-job (the engine's dispatcher is not used; the batched
-    evaluator replaces that parallelism).
-    """
-    outcomes, misses = partition_jobs(engine.cache, jobs)
-
-    cells: Dict[_CellKey, List[tuple]] = {}
-    for entry in misses:
-        cells.setdefault(_cell_key(entry[1]), []).append(entry)
-
-    trace = obs.active_trace()
-    for entries in cells.values():
-        records = execute_cell_batched([job for _, job, _ in entries])
-        for (i, job, fp), record in zip(entries, records):
-            engine.cache.put(fp, record)
-            if trace is not None:
-                record = dict(record, trace=trace)
-                obs.event(
-                    "engine.job",
-                    benchmark=job.benchmark,
-                    experiment=job.experiment,
-                    status="batched",
-                )
-            outcomes[i] = JobOutcome(job=job, record=record, cached=False)
-
-    return [o for o in outcomes if o is not None]
+    records: List[Optional[dict]] = [None] * len(jobs)
+    single: List[int] = []
+    for key, members in cells.items():
+        if len(members) < 2 or key[3] != ExecutionMode.TIMING.value:
+            single.extend(members)
+            continue
+        obs.add("engine.batched.jobs", len(members))
+        cell = execute_cell_batched([jobs[i] for i in members])
+        for i, record in zip(members, cell):
+            records[i] = record
+            obs.event(
+                "engine.job",
+                benchmark=jobs[i].benchmark,
+                experiment=jobs[i].experiment,
+                status="batched",
+            )
+    single.sort()
+    for i, record in zip(single, dispatcher.dispatch([jobs[i] for i in single])):
+        records[i] = record
+    return records
 
 
 def execute_cell_batched(cell_jobs: Sequence[Job]) -> List[dict]:
-    """One cell's jobs (same benchmark/experiment/config/mode, variant
-    machines) through a single batched evaluation, returning one record
-    per job in input order.
+    """One cell's jobs through a single batched evaluation, returning
+    one record per job in input order.
 
     Failures are wrapped as :class:`ExperimentError` naming the cell,
     matching :func:`~repro.engine.worker.execute_job`.
@@ -109,11 +113,6 @@ def _execute_cell(cell_jobs: Sequence[Job]) -> List[dict]:
         variants=len(cell_jobs),
     ):
         spec = experiment_spec(job0.experiment)
-        libraries = {job.effective_library() for job in cell_jobs}
-        if len(libraries) != 1:
-            raise ExperimentError(
-                f"batched cell mixes libraries {sorted(libraries)}"
-            )
         # content-keyed packing memo: every cell of a sweep shares the
         # same variant list, so the (V,)-stacked cost tensors are built
         # once per sweep instead of once per cell
@@ -131,14 +130,9 @@ def _execute_cell(cell_jobs: Sequence[Job]) -> List[dict]:
         )
 
         t0 = time.perf_counter()
-        batch = simulate_many(
-            program,
-            matrix,
-            options=SimOptions(mode=ExecutionMode(job0.mode)),
-        )
+        run = simulate_many(program, matrix)
         simulate_s = time.perf_counter() - t0
 
-    run = batch.run(program.name)
     # per-record attribution of the shared phases: the batch's wall time
     # is split evenly, compile telemetry lands on the first record (the
     # later variants would have been compile-cache hits serially anyway)

@@ -2,9 +2,12 @@
 
 :class:`ExperimentEngine` turns a list of :class:`~repro.engine.jobs.Job`
 into :class:`JobOutcome` records: each job is first looked up in the
-on-disk result cache by content fingerprint; the misses run through
-:func:`~repro.engine.worker.execute_job`, inline when serial or traced
-and otherwise over a ``ProcessPoolExecutor`` when ``jobs > 1``.
+on-disk result cache by content fingerprint; the misses go to
+:func:`~repro.engine.batch.run_jobs_batched`, which evaluates each TIMING
+cell of two or more cost variants in one batched call and runs every
+other job through :func:`~repro.engine.worker.execute_job`, inline when
+serial or traced and otherwise over a ``ProcessPoolExecutor`` when
+``jobs > 1``.
 Outcomes always come back in submission order regardless of completion
 order, which is what makes ``--jobs 4`` byte-identical to a serial run.
 
@@ -39,6 +42,7 @@ from repro.obs import core as obs
 from repro.programs import BENCHMARKS
 from repro.runtime import ExecutionMode
 
+from repro.engine.batch import run_jobs_batched
 from repro.engine.cache import RECORD_SCHEMA, CacheBackend, make_cache
 from repro.engine.dispatch import LocalDispatcher
 from repro.engine.jobs import ConfigValue, Job, MachineSpec
@@ -68,48 +72,18 @@ class JobOutcome:
         )
 
 
-def partition_jobs(
-    cache: CacheBackend, jobs: Sequence[Job]
-) -> Tuple[List[Optional[JobOutcome]], List[Tuple[int, Job, str]]]:
-    """Split a job list against the result cache: a sparse outcome list
-    with the hits filled in, plus the ``(index, job, fingerprint)``
-    misses still to dispatch.  This is the one place the engine-level
-    ``engine.result_cache.hit|miss`` counters are emitted — every
-    execution path (per-job, batched) goes through it."""
-    outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
-    misses: List[Tuple[int, Job, str]] = []
-    trace = obs.active_trace()
-    for i, job in enumerate(jobs):
-        fp = job.fingerprint()
-        record = cache.get(fp)
-        if record is not None:
-            obs.add("engine.result_cache.hit")
-            record = dict(record, cache_hit=True)
-            if trace is not None:
-                record["trace"] = trace
-                obs.event(
-                    "engine.job",
-                    benchmark=job.benchmark,
-                    experiment=job.experiment,
-                    status="cached",
-                )
-            outcomes[i] = JobOutcome(job=job, record=record, cached=True)
-        else:
-            obs.add("engine.result_cache.miss")
-            misses.append((i, job, fp))
-    return outcomes, misses
-
-
 class ExperimentEngine:
-    """Runs jobs through the result cache and a :class:`LocalDispatcher`.
+    """Runs jobs through the result cache, then the misses through
+    :func:`~repro.engine.batch.run_jobs_batched`: batched per cell, the
+    rest through a :class:`LocalDispatcher`.
 
     Parameters
     ----------
     jobs:
         Worker process count; ``None`` or ``1`` runs inline (sharing one
-        compile cache across the whole study), ``N > 1`` fans misses out
-        over a worker pool.  While tracing is on, misses run inline
-        whatever the count, so the trace holds this process's work.
+        compile cache across the whole study), ``N > 1`` fans the misses
+        that are not batched out over a worker pool.  Batched cells, and
+        every miss while tracing is on, run inline whatever the count.
     cache:
         Consult/populate the result cache (default on).
     cache_dir:
@@ -131,21 +105,39 @@ class ExperimentEngine:
     def run(self, jobs: Sequence[Job]) -> List[JobOutcome]:
         """Run every job, returning outcomes in submission order."""
         with obs.span("engine:run", jobs=len(jobs), cache=self.cache.kind):
-            outcomes, misses = partition_jobs(self.cache, jobs)
-            if misses:
-                todo = [job for _, job, _ in misses]
-                records = self.dispatcher.dispatch(todo)
-                trace = obs.active_trace()
-                for (i, job, fp), record in zip(misses, records):
-                    self.cache.put(fp, record)
-                    if trace is not None:
-                        # the outcome copy carries the run's trace id into
-                        # telemetry envelopes; the cached record stays
-                        # trace-free (it is content, not provenance)
-                        record = dict(record, trace=trace)
-                    outcomes[i] = JobOutcome(job=job, record=record, cached=False)
+            outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
+            misses: List[Tuple[int, Job, str]] = []
+            trace = obs.active_trace()
+            for i, job in enumerate(jobs):
+                fp = job.fingerprint()
+                record = self.cache.get(fp)
+                if record is None:
+                    obs.add("engine.result_cache.miss")
+                    misses.append((i, job, fp))
+                    continue
+                obs.add("engine.result_cache.hit")
+                record = dict(record, cache_hit=True)
+                if trace is not None:
+                    record["trace"] = trace
+                    obs.event(
+                        "engine.job",
+                        benchmark=job.benchmark,
+                        experiment=job.experiment,
+                        status="cached",
+                    )
+                outcomes[i] = JobOutcome(job=job, record=record, cached=True)
 
-            return [o for o in outcomes if o is not None]
+            todo = [job for _, job, _ in misses]
+            records = run_jobs_batched(self.dispatcher, todo)
+            for (i, job, fp), record in zip(misses, records):
+                self.cache.put(fp, record)
+                if trace is not None:
+                    # the outcome copy carries the run's trace id into
+                    # telemetry envelopes; the cached record stays
+                    # trace-free (it is content, not provenance)
+                    record = dict(record, trace=trace)
+                outcomes[i] = JobOutcome(job=job, record=record, cached=False)
+            return outcomes
 
 
 def build_matrix(

@@ -1,4 +1,5 @@
-"""The dispatch layer: how a list of cache-missing jobs gets executed.
+"""The dispatch layer: how the cache-missing jobs that the engine does
+not batch (:mod:`repro.engine.batch`) get executed.
 
 :class:`LocalDispatcher` runs them inline when serial, or ``pool.map``
 over a ``ProcessPoolExecutor`` with an amortizing chunksize when

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -44,7 +45,7 @@ from repro.machine import (
 )
 from repro.obs import core as obs
 from repro.programs.registry import default_config
-from repro.runtime import ExecutionMode, SimOptions, simulate_many
+from repro.runtime import simulate_many
 
 __all__ = [
     "FIT_SCHEMA",
@@ -123,30 +124,84 @@ class FitTarget:
         return path
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_target(path: Union[str, Path]) -> FitTarget:
-    """Read a versioned fit-target JSON document."""
-    doc = json.loads(Path(path).read_text())
+    """Read a versioned fit-target JSON document.
+
+    The document's shape and types are checked here: anything malformed
+    raises :class:`MachineError` naming the file and the field."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise MachineError(
+            f"cannot read fit target {path}: {exc.strerror}"
+        ) from None
+    except ValueError as exc:
+        raise MachineError(
+            f"fit target {path} is not valid JSON: {exc}"
+        ) from None
+
+    def bad(field: str, want: str, got: object) -> MachineError:
+        return MachineError(
+            f"fit target {path}: {field} must be {want}, got {got!r}"
+        )
+
+    def numbers(value: object, field: str) -> Dict[str, float]:
+        if not isinstance(value, dict):
+            raise bad(field, "an object", value)
+        for name, number in value.items():
+            if not _is_number(number):
+                raise bad(f"{field}.{name}", "a number", number)
+        return dict(value)
+
+    if not isinstance(doc, dict):
+        raise MachineError(f"fit target {path} must hold a JSON object")
     schema = doc.get("schema")
     if schema != FIT_SCHEMA:
         raise MachineError(
             f"fit target {path} has schema {schema!r}; this build reads "
             f"schema {FIT_SCHEMA}"
         )
+    if not isinstance(doc.get("machine"), str):
+        raise bad("machine", "a string", doc.get("machine"))
+    nprocs = doc.get("nprocs")
+    if not isinstance(nprocs, int) or isinstance(nprocs, bool):
+        raise bad("nprocs", "an integer", nprocs)
+    library = doc.get("library")
+    if library is not None and not isinstance(library, str):
+        raise bad("library", "a string or null", library)
+    observations = doc.get("observations")
+    if not isinstance(observations, list) or not observations:
+        raise bad("observations", "a non-empty list", observations)
+    for i, ob in enumerate(observations):
+        where = f"observations[{i}]"
+        if not isinstance(ob, dict):
+            raise bad(where, "an object", ob)
+        for key in ("benchmark", "experiment"):
+            if not isinstance(ob.get(key), str):
+                raise bad(f"{where}.{key}", "a string", ob.get(key))
+        t = ob.get("time")
+        if not (_is_number(t) and math.isfinite(t) and t > 0):
+            raise bad(f"{where}.time", "a finite positive number", t)
+    config = doc.get("config") or {}
+    if not isinstance(config, dict):
+        raise bad("config", "an object", config)
     return FitTarget(
         machine=doc["machine"],
-        nprocs=int(doc["nprocs"]),
-        library=doc.get("library"),
-        overrides=dict(doc.get("overrides") or {}),
-        config={
-            b: dict(c) for b, c in (doc.get("config") or {}).items()
-        },
+        nprocs=nprocs,
+        library=library,
+        overrides=numbers(doc.get("overrides") or {}, "overrides"),
+        config={b: numbers(c, f"config.{b}") for b, c in config.items()},
         observations=tuple(
             FitObservation(
                 benchmark=ob["benchmark"],
                 experiment=ob["experiment"],
                 time=float(ob["time"]),
             )
-            for ob in doc["observations"]
+            for ob in observations
         ),
     )
 
@@ -210,12 +265,8 @@ def _evaluate(
                 apply_overrides(base, {**target.overrides, **cand})
                 for cand in candidates
             ]
-        batch = simulate_many(
-            cell.program,
-            machines_by_lib[cell.library],
-            options=SimOptions(mode=ExecutionMode.TIMING),
-        )
-        times[:, j] = batch.times_for(cell.program.name)
+        run = simulate_many(cell.program, machines_by_lib[cell.library])
+        times[:, j] = run.times
     return times
 
 

@@ -316,18 +316,3 @@ def walk_stmts(stmts: List[Stmt]):
         yield stmt
         yield from walk_stmts(stmt_children(stmt))
 
-
-def stmt_exprs(stmt: Stmt) -> List[Expr]:
-    """Expressions appearing directly in ``stmt`` (not in sub-statements)."""
-    if isinstance(stmt, Assign):
-        return [stmt.value]
-    if isinstance(stmt, For):
-        out = [stmt.low, stmt.high]
-        if stmt.step is not None:
-            out.append(stmt.step)
-        return out
-    if isinstance(stmt, Repeat):
-        return [stmt.cond]
-    if isinstance(stmt, If):
-        return [cond for cond, _ in stmt.arms]
-    return []

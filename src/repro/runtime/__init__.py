@@ -23,7 +23,6 @@ Entry point: :func:`repro.runtime.executor.simulate`.
 
 from repro.runtime.batch import (
     BatchEvaluator,
-    BatchResult,
     BatchRun,
     batch_evaluator,
     clear_batch_evaluators,
@@ -38,7 +37,6 @@ __all__ = [
     "simulate_many",
     "RunResult",
     "BatchEvaluator",
-    "BatchResult",
     "BatchRun",
     "batch_evaluator",
     "clear_batch_evaluators",

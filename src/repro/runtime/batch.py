@@ -6,7 +6,9 @@ costs, charge rates, and reduction stage costs are stacked into numpy
 arrays with a leading variant axis
 (:func:`repro.machine.variants.pack_variants`), and the CHARGE / REDUCE
 / SR / DN / DR / SV dispatch loop runs *once* with ``(V, P)`` clock
-updates instead of once per variant.
+updates instead of once per variant.  The experiment engine reaches it
+through :func:`repro.engine.batch.run_jobs_batched`, one call per
+TIMING cell of two or more cost variants.
 
 Why this is sound: TIMING control flow is replicated scalar state, and
 scalar state never depends on a cost parameter — so every cost-only
@@ -53,12 +55,9 @@ list.
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,12 +68,11 @@ from repro.machine.variants import VariantMatrix, pack_variants
 from repro.obs import core as obs
 from repro.runtime.executor import _Simulation
 from repro.runtime.instrument import Instrumentation
-from repro.runtime.options import ExecutionMode, SimOptions
+from repro.runtime.options import ExecutionMode
 from repro.runtime.schedule import FastPathStats, schedule_template
 
 __all__ = [
     "BatchEvaluator",
-    "BatchResult",
     "BatchRun",
     "batch_evaluator",
     "clear_batch_evaluators",
@@ -113,8 +111,6 @@ class BatchEvaluator:
         self.base = base
         self.repeat_cap = repeat_cap
         self.template = schedule_template(program, base)
-        self.calls = 0
-        self.variants_evaluated = 0
 
     def _check_base(self, other: Machine) -> None:
         base = self.base
@@ -145,7 +141,7 @@ class BatchEvaluator:
             fast=True,
         )
         stats = sim.execute()
-        run = BatchRun(
+        return BatchRun(
             program_name=self.program.name,
             times=sim.timing.elapsed(),
             clocks=sim.timing.absolute_clocks(),
@@ -155,9 +151,6 @@ class BatchEvaluator:
             scalars=sim.final_scalars(),
             fastpath=stats,
         )
-        self.calls += 1
-        self.variants_evaluated += matrix.nvariants
-        return run
 
 
 # bounded identity-checked memo: refinement rounds and fit iterations
@@ -227,105 +220,22 @@ class BatchRun:
         return self.instrument.warnings
 
 
-@dataclass
-class BatchResult:
-    """Everything :func:`simulate_many` produced: a ``(B, V)`` time
-    matrix over benchmarks x variants, plus per-program runs."""
-
-    machine_name: str
-    library: str
-    nprocs: int
-    variant_ids: Tuple[str, ...]
-    benchmarks: Tuple[str, ...]
-    #: (B, V) simulated execution times
-    times: np.ndarray
-    runs: Dict[str, BatchRun] = field(repr=False)
-
-    @property
-    def nvariants(self) -> int:
-        return len(self.variant_ids)
-
-    def run(self, benchmark: str) -> BatchRun:
-        return self.runs[benchmark]
-
-    def times_for(self, benchmark: str) -> np.ndarray:
-        """(V,) times of one benchmark."""
-        return self.times[self.benchmarks.index(benchmark)]
-
-    def time(self, benchmark: str, variant: str) -> float:
-        return float(
-            self.times[
-                self.benchmarks.index(benchmark),
-                self.variant_ids.index(variant),
-            ]
-        )
-
-    def as_rows(self) -> Tuple[List[str], List[List]]:
-        headers = ["benchmark", "variant", "time"]
-        rows = []
-        for b, bench in enumerate(self.benchmarks):
-            for v, vid in enumerate(self.variant_ids):
-                rows.append([bench, vid, float(self.times[b, v])])
-        return headers, rows
-
-    def write_csv(self, path: Union[str, Path]) -> Path:
-        """``benchmark,variant,time`` rows; times formatted ``%.6g`` so
-        artifacts diff cleanly (full precision lives in the JSON)."""
-        path = Path(path)
-        headers, rows = self.as_rows()
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(headers)
-            for bench, vid, t in rows:
-                writer.writerow([bench, vid, f"{t:.6g}"])
-        return path
-
-    def write_json(self, path: Union[str, Path]) -> Path:
-        """Full-precision JSON: times, scalars, and warnings keyed by
-        benchmark, variants in batch order."""
-        path = Path(path)
-        payload = {
-            "schema": 1,
-            "machine": self.machine_name,
-            "library": self.library,
-            "nprocs": self.nprocs,
-            "variants": list(self.variant_ids),
-            "benchmarks": list(self.benchmarks),
-            "times": {
-                bench: [float(t) for t in self.times[b]]
-                for b, bench in enumerate(self.benchmarks)
-            },
-            "scalars": {
-                bench: self.runs[bench].scalars for bench in self.benchmarks
-            },
-            "warnings": {
-                bench: list(self.runs[bench].warnings)
-                for bench in self.benchmarks
-            },
-        }
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-        return path
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
 
 def simulate_many(
-    programs: Union[ir.IRProgram, Iterable[ir.IRProgram]],
+    program: ir.IRProgram,
     variants: Union[VariantMatrix, Iterable[Machine]],
-    *,
-    options: Optional[SimOptions] = None,
-    variant_ids: Optional[Sequence[str]] = None,
-) -> BatchResult:
-    """Evaluate program(s) over a batch of cost-only machine variants.
+) -> BatchRun:
+    """Evaluate one program's TIMING run over a batch of cost-only
+    machine variants.
 
     Parameters
     ----------
-    programs:
-        One optimized :class:`~repro.ir.nodes.IRProgram` or an iterable
-        of them (each becomes a row of the result's time matrix).
+    program:
+        An optimized :class:`~repro.ir.nodes.IRProgram`.
     variants:
         The machine variants — cost-only siblings of one base machine
         (same name, nprocs, grid, library, binding, primitive
@@ -334,96 +244,37 @@ def simulate_many(
         :class:`~repro.machine.variants.VariantMatrix` (e.g. from the
         memoized :func:`repro.machine.pack_variant_specs`) is accepted
         as-is, skipping the packing pass.
-    options:
-        A :class:`~repro.runtime.options.SimOptions` (the *only* options
-        spelling here — no bare keywords).  Must be TIMING mode without
-        ``trace_rank``; ``fast=False`` is rejected (there is no batched
-        interpreted walk — loop per variant with :func:`repro.simulate`
-        instead).  ``repeat_cap`` applies as in :func:`repro.simulate`.
-    variant_ids:
-        Labels for the variant axis (default ``v0..vN-1``); sweeps pass
-        the machine-spec variant ids here.
 
-    Every row of the result is bit-identical to the scalar compiled
-    fast path run of that variant.
+    Returns the program's :class:`BatchRun`, ``(V,)`` times in variant
+    order; every row is bit-identical to the scalar compiled fast path
+    run of that variant.  NUMERIC data, per-rank timelines and the
+    interpreted walk need one :func:`repro.simulate` per variant.
     """
-    opts = options if options is not None else SimOptions(mode=ExecutionMode.TIMING)
-    if opts.mode is not ExecutionMode.TIMING:
-        raise RuntimeFault(
-            "simulate_many evaluates the batched TIMING cost model; "
-            "NUMERIC data needs one simulate() per variant"
-        )
-    if opts.trace_rank is not None:
-        raise RuntimeFault(
-            "simulate_many cannot record a per-rank timeline; pass "
-            "trace_rank to simulate() on a single variant"
-        )
-    if opts.fast is False:
-        raise RuntimeFault(
-            "simulate_many has no interpreted walk (fast=False); loop "
-            "over simulate() for the interpreter"
-        )
-    if isinstance(programs, ir.IRProgram):
-        programs = (programs,)
-    programs = tuple(programs)
-    if not programs:
-        raise RuntimeFault("simulate_many needs at least one program")
-    names = [p.name for p in programs]
-    if len(set(names)) != len(names):
-        raise RuntimeFault(f"duplicate program names in batch: {names}")
-
     matrix = (
         variants
         if isinstance(variants, VariantMatrix)
         else pack_variants(variants)
     )
-    if variant_ids is None:
-        ids = tuple(f"v{i}" for i in range(matrix.nvariants))
-    else:
-        ids = tuple(str(v) for v in variant_ids)
-        if len(ids) != matrix.nvariants:
-            raise RuntimeFault(
-                f"{len(ids)} variant ids for {matrix.nvariants} variants"
-            )
-
     base = matrix.base
-    runs: Dict[str, BatchRun] = {}
-    times = np.empty((len(programs), matrix.nvariants), dtype=np.float64)
     with obs.span(
         "simulate_many",
+        program=program.name,
         machine=base.name,
         library=base.library,
         nprocs=base.nprocs,
         variants=matrix.nvariants,
-        programs=len(programs),
     ):
-        for b, program in enumerate(programs):
-            run = batch_evaluator(
-                program, base, repeat_cap=opts.repeat_cap
-            ).evaluate(matrix)
-            runs[program.name] = run
-            times[b] = run.times
+        run = batch_evaluator(program, base).evaluate(matrix)
     if obs.enabled():
-        _record_batch_metrics(matrix.nvariants, runs)
-    return BatchResult(
-        machine_name=base.name,
-        library=base.library,
-        nprocs=base.nprocs,
-        variant_ids=ids,
-        benchmarks=tuple(names),
-        times=times,
-        runs=runs,
-    )
+        _record_batch_metrics(matrix.nvariants, run)
+    return run
 
 
-def _record_batch_metrics(nvariants: int, runs: Dict[str, BatchRun]) -> None:
-    obs.add("sim.batch.runs", len(runs))
-    obs.add("sim.batch.variants", nvariants * len(runs))
-    for run in runs.values():
-        obs.add("sim.batch.messages", run.instrument.total_messages)
-        obs.add("sim.batch.bytes", run.instrument.total_bytes)
-        if run.fastpath is not None:
-            obs.add(
-                "sim.batch.extrapolated_trips", run.fastpath.extrapolated_trips
-            )
-            obs.add("sim.batch.fallbacks", run.fastpath.fallbacks)
+def _record_batch_metrics(nvariants: int, run: BatchRun) -> None:
+    obs.add("sim.batch.runs", 1)
+    obs.add("sim.batch.variants", nvariants)
+    obs.add("sim.batch.messages", run.instrument.total_messages)
+    obs.add("sim.batch.bytes", run.instrument.total_bytes)
+    if run.fastpath is not None:
+        obs.add("sim.batch.extrapolated_trips", run.fastpath.extrapolated_trips)
+        obs.add("sim.batch.fallbacks", run.fastpath.fallbacks)

@@ -329,27 +329,7 @@ def _check_trace_rank(trace_rank: object, nprocs: int) -> None:
         )
 
 
-def _resolve_fast(
-    fast: Optional[bool], mode: ExecutionMode, trace_rank: Optional[int]
-) -> bool:
-    if fast is None:
-        return mode is ExecutionMode.TIMING and trace_rank is None
-    if fast:
-        if mode is not ExecutionMode.TIMING:
-            raise RuntimeFault(
-                "fast=True requires TIMING mode; NUMERIC runs the "
-                "interpreted walk (pass fast=False or fast=None)"
-            )
-        if trace_rank is not None:
-            raise RuntimeFault(
-                "fast=True cannot record a per-rank timeline; pass "
-                "fast=False together with trace_rank"
-            )
-    return bool(fast)
-
-
-#: Sentinel distinguishing "argument not passed" from an explicit value
-#: (``fast=None`` is a meaningful setting, so ``None`` can't mark absence).
+#: Sentinel distinguishing "``mode`` not passed" from an explicit value.
 _UNSET = object()
 
 
@@ -403,12 +383,11 @@ def simulate(
             :mod:`repro.analysis.timeline` or bridge it into a Perfetto
             trace with :func:`repro.obs.bridge_rank_trace`.
         ``fast``
-            Select the compiled TIMING fast path
-            (:mod:`repro.runtime.schedule`).  ``None`` (default) chooses
-            it automatically for TIMING runs without a ``trace_rank``;
-            ``False`` forces the interpreted walk, the differential
-            oracle; ``True`` demands it and raises if the mode can't
-            support it.  Results are bit-identical either way.
+            ``True`` (default) runs the compiled TIMING fast path
+            (:mod:`repro.runtime.schedule`) whenever the run is TIMING
+            without a ``trace_rank``; ``False`` forces the interpreted
+            walk, the differential oracle.  Results are bit-identical
+            either way.
 
     ``mode`` may also be passed positionally — ``simulate(program,
     machine, ExecutionMode.TIMING)`` is the stable short form — but
@@ -422,7 +401,7 @@ def simulate(
     repeat_cap = opts.repeat_cap
     trace_rank = opts.trace_rank
     _check_trace_rank(trace_rank, machine.nprocs)
-    use_fast = _resolve_fast(opts.fast, mode, trace_rank)
+    use_fast = opts.fast and mode is ExecutionMode.TIMING and trace_rank is None
     with obs.span(
         "simulate",
         program=program.name,

@@ -1,9 +1,10 @@
 """Simulation options: the execution mode and the run-shaping knobs.
 
-:class:`SimOptions` is the single options surface shared by
-:func:`repro.simulate` and :func:`repro.simulate_many`.  Neither takes
-``repeat_cap``, ``trace_rank`` or ``fast`` as bare keywords (a
-``TypeError``); ``simulate`` also accepts the mode positionally.
+:class:`SimOptions` is :func:`repro.simulate`'s single options surface:
+it takes no ``repeat_cap``, ``trace_rank`` or ``fast`` bare keywords (a
+``TypeError``) and accepts the mode positionally.
+:func:`repro.simulate_many` takes no options: it is always a compiled
+TIMING run without a timeline.
 """
 
 from __future__ import annotations
@@ -36,15 +37,16 @@ class SimOptions:
         ``[0, nprocs)`` (interpreted walk only; see
         :func:`repro.simulate`).
     fast:
-        Compiled TIMING fast-path selection: ``None`` auto-selects,
-        ``False`` runs the interpreted walk (the differential oracle),
-        ``True`` demands the compiled schedule.
+        ``True`` runs the compiled schedule whenever the run is TIMING
+        without a ``trace_rank`` (NUMERIC runs and timelines take the
+        interpreted walk); ``False`` always runs the interpreted walk,
+        the differential oracle.
     """
 
     mode: ExecutionMode = ExecutionMode.NUMERIC
     repeat_cap: Optional[int] = None
     trace_rank: Optional[int] = None
-    fast: Optional[bool] = None
+    fast: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ExecutionMode):
@@ -56,7 +58,7 @@ class SimOptions:
         *,
         repeat_cap: Optional[int] = None,
         trace_rank: Optional[int] = None,
-        fast: Optional[bool] = None,
+        fast: bool = True,
     ) -> "SimOptions":
         return cls(
             mode=ExecutionMode.TIMING,
@@ -71,7 +73,7 @@ class SimOptions:
         *,
         repeat_cap: Optional[int] = None,
         trace_rank: Optional[int] = None,
-        fast: Optional[bool] = None,
+        fast: bool = True,
     ) -> "SimOptions":
         return cls(
             mode=ExecutionMode.NUMERIC,

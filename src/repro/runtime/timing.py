@@ -201,12 +201,6 @@ def _per_sender(flags: np.ndarray, plan: TransferPlan, raw) -> np.ndarray:
     return flags
 
 
-def _intp(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """An index array as ``intp``, the type ``take`` and ``reduceat``
-    index with, so no call converts it again."""
-    return None if a is None else a.astype(np.intp, copy=False)
-
-
 def _sent_twice(plan: TransferPlan) -> RuntimeFault:
     return RuntimeFault(
         f"transfer {plan.desc.describe()} initiated twice without "
@@ -825,9 +819,8 @@ class BatchTimingEngine(_Core):
 
     def _send_block(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
         key, raw = plan.desc.id, self.matrix.net_raw[:, None]
-        senders, senders_unique = _intp(plan.senders), plan.senders_unique
-        groups = plan.grouping
-        order, fan_in = _intp(groups.order), _intp(groups.fan_in)
+        senders, senders_unique = plan.senders, plan.senders_unique
+        order, fan_in = plan.grouping.order, plan.grouping.fan_in
         cum_sw, wire, rank_sw = costs.cum_sw, costs.wire, costs.rank_sw
         clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
         counts, block = self.instrument.counts, plan.count_block

@@ -126,8 +126,9 @@ class _StripSet:
 
 class Grouping(NamedTuple):
     """How the timing cores merge a plan's messages per rank: arrivals
-    by receiver and DR flags by sender.  Every field is None where it is
-    trivial (the identity, or one message per rank)."""
+    by receiver and DR flags by sender.  Every field is an ``intp``
+    index array, the type ``take`` and ``reduceat`` index with, or None
+    where it is trivial (the identity, or one message per rank)."""
 
     #: the messages in receiver order (None: they already are)
     order: Optional[np.ndarray]
@@ -205,9 +206,7 @@ class TransferPlan:
             slots = np.searchsorted(self.receivers_unique, self.receivers)
         if len(self.senders_unique) != m:
             sender_runs = _run_starts(self.senders)
-        return Grouping(
-            *(None if a is None else _narrow(a) for a in (order, fan_in, slots, sender_runs))
-        )
+        return Grouping(order, fan_in, slots, sender_runs)
 
     @cached_property
     def count_block(self) -> Optional[np.ndarray]:

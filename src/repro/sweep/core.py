@@ -15,10 +15,9 @@ whole thing as *one* job list to *one*
 result cache, process pool, and telemetry as the paper study, and each
 variant's jobs fingerprint independently through the override content.
 
-When the axes are cost-only (no ``nprocs``) and the run is a TIMING one,
-the misses route through :func:`repro.engine.batch.run_jobs_batched`
-by default: one :func:`repro.simulate_many` call per ``benchmark x
-experiment`` cell evaluates every variant at once, bit-identical to the
+The engine batches on its own: the TIMING misses of one ``benchmark x
+experiment`` cell at one processor count, two or more cost variants,
+run as one :func:`repro.simulate_many` call, bit-identical to the
 per-job path and writing the same per-variant cache records.
 """
 
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.batch import run_jobs_batched
 from repro.engine.cache import RECORD_SCHEMA
 from repro.engine.core import (
     ConfigOverride,
@@ -186,7 +184,6 @@ def run_sweep(
     overrides: Optional[Mapping[str, OverrideValue]] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
     mode: Union[ExecutionMode, str] = ExecutionMode.TIMING,
-    batched: Optional[bool] = None,
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir: Union[str, Path, None] = None,
@@ -205,20 +202,12 @@ def run_sweep(
     machine:
         The base machine (name or spec) the variants derive from; its
         ``nprocs`` is the default when no ``nprocs`` axis is given.
-    batched:
-        Route each cell's variant jobs through the batched evaluator
-        (:func:`repro.simulate_many`) instead of N engine jobs.
-        ``None`` (default) auto-selects it whenever it applies: TIMING
-        mode, no ``nprocs`` axis, and more than one point.  ``True`` forces it (raising
-        :class:`~repro.errors.MachineError` naming any blocker);
-        ``False`` keeps the per-job path.  Results and cache records
-        are bit-identical either way — the batched evaluator matches
-        the scalar fast path per variant — so the two paths share one
-        result cache.  ``jobs`` is ignored on the batched path.
 
     All cells go through one engine run: the on-disk result cache keys
     each variant by override content, so re-invoking a sweep (or growing
-    one axis) only simulates the new points.
+    one axis) only simulates the new points, and the engine evaluates
+    the cost variants of each cell and processor count in one batched
+    call (``jobs`` runs the rest).
     """
     axes = tuple(axes)
     if not axes:
@@ -230,24 +219,6 @@ def run_sweep(
 
     base = MachineSpec.coerce(machine, library=library, overrides=overrides)
     points = expand_axes(axes, base)
-
-    mode_value = mode.value if isinstance(mode, ExecutionMode) else str(mode)
-    blockers = []
-    if mode_value != ExecutionMode.TIMING.value:
-        blockers.append(
-            f"mode is {mode_value!r} (batched evaluation is TIMING-only)"
-        )
-    if any(axis.name == NPROCS_AXIS for axis in axes):
-        blockers.append(
-            "an nprocs axis changes the machine shape between points"
-        )
-    if batched is True and blockers:
-        raise MachineError(
-            "cannot run a batched sweep: " + "; ".join(blockers)
-        )
-    use_batched = (
-        batched if batched is not None else not blockers and len(points) > 1
-    )
 
     with obs.span(
         "sweep:run",
@@ -270,11 +241,7 @@ def run_sweep(
         obs.add("sweep.cells", len(matrix))
 
         engine = ExperimentEngine(jobs=jobs, cache=cache, cache_dir=cache_dir)
-        if use_batched:
-            obs.add("sweep.batched_cells", len(matrix))
-            outcomes = run_jobs_batched(engine, matrix)
-        else:
-            outcomes = engine.run(matrix)
+        outcomes = engine.run(matrix)
         obs.add("sweep.cache_hits", sum(o.cached for o in outcomes))
 
     result = SweepResult(

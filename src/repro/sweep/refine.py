@@ -10,11 +10,12 @@ which experiment owns the minimum time), then bisect only those
 intervals until each is narrower than the requested tolerance.
 
 Every round is one :func:`repro.sweep.run_sweep` call over just the new
-axis values, so it rides the batched evaluator, the incremental
-:class:`repro.runtime.BatchEvaluator` append path, the memoized
-variant packing, and the engine's content-addressed result cache —
+axis values, so it rides the engine's content-addressed result cache —
 re-running a refinement (or tightening its tolerance) only simulates
-the genuinely new points.  Evaluated points are bit-identical to a
+the genuinely new points — and a round that adds two or more values
+evaluates each cell's new variants in one batched call, through the
+incremental :class:`repro.runtime.BatchEvaluator` append path and the
+memoized variant packing.  Evaluated points are bit-identical to a
 dense grid containing the same values: refinement changes *which*
 variants run, never *how*.
 """
@@ -221,7 +222,7 @@ def run_refined_sweep(
     winner flip, stopping when every such interval is narrower than
     ``tol`` (or after ``max_rounds`` bisection rounds).  All sweep
     keywords (machine, overrides, caching, ...) match
-    :func:`repro.sweep.run_sweep`; the mode is always batched TIMING.
+    :func:`repro.sweep.run_sweep`; the mode is always TIMING.
 
     Integral axes (``knee_bytes``) bisect on integers and stop when a
     bracket has no interior integer left, whatever ``tol`` says.
@@ -285,7 +286,6 @@ def run_refined_sweep(
                 keys=keys,
                 machine=base,
                 config_overrides=config_overrides,
-                batched=None,
                 jobs=jobs,
                 cache=cache,
                 cache_dir=cache_dir,

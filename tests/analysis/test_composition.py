@@ -100,6 +100,27 @@ def test_anti_circularity(study):
     ), "every factor is exactly 1 — the computation is circular"
 
 
+def test_two_variant_grid_batches_with_per_job_factors(study):
+    """Each (program, key) cell's two variants run as one batched
+    evaluation, with the factors of per-job runs: a one-variant grid
+    has one job per cell, so none of it batches."""
+    assert all(o.record.get("batched") for o in study.outcomes)
+    for variant in VARIANTS:
+        alone = run_composition(
+            benchmarks=BENCHES,
+            machine="t3d",
+            nprocs=4,
+            variants=(variant,),
+            config_overrides=CONFIGS,
+            cache=False,
+        )
+        assert not any(o.record.get("batched") for o in alone.outcomes)
+        for cell in alone.cells:
+            batched = study.cell(cell.benchmark, cell.variant)
+            assert batched.times == cell.times
+            assert batched.factor == cell.factor
+
+
 def test_factor_sanity_bounds(study):
     for c in study.cells:
         assert 0.2 < c.factor < 5.0, (c.benchmark, c.variant, c.factor)

@@ -224,6 +224,15 @@ def test_parallel_matches_serial(tmp_path):
     assert dict(serial.results) == dict(parallel.results)
 
 
+def test_study_records_are_never_batched(tmp_path):
+    """A study has one job per (benchmark, key) cell, so every job runs
+    per job, serial or pooled."""
+    for jobs in (1, 2):
+        study = _study(tmp_path / str(jobs), cache=False, jobs=jobs)
+        assert len(study.outcomes) == 2
+        assert not any("batched" in o.record for o in study.outcomes)
+
+
 def test_parallel_populates_shared_cache(tmp_path):
     _study(tmp_path, jobs=2)
     warm = _study(tmp_path, jobs=2)

@@ -222,8 +222,8 @@ def test_batched_rows_match_scalar_simulate(seed):
     override_sets = ({}, {"net.latency": 6e-5}, {"net.bandwidth": 6e7})
     machines = [apply_overrides(base, o) for o in override_sets]
     program = generate_program(seed, opt=OptimizationConfig.full())
-    batch = simulate_many(program, machines)
-    run = batch.run(generated_name(seed))
+    run = simulate_many(program, machines)
+    assert run.program_name == generated_name(seed)
     for column, machine in enumerate(machines):
         scalar = simulate(program, machine, options=SimOptions.timing())
         assert run.times[column] == scalar.time, _repro_line(seed)

@@ -5,11 +5,9 @@ of the batch must be *bit-identical* to running that variant alone —
 through the compiled fast path, which is itself bit-identical to the
 interpreted walk (``test_fastpath``).  These tests enforce the contract
 across the paper matrix, under hypothesis-generated variant sets, and on
-a dense 512-variant grid (``-m slow``), plus the entry point's argument
-validation and result emission.
+a dense 512-variant grid (``-m slow``), plus the entry point's variant
+validation and the evaluator cache it runs through.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    ExecutionMode,
     SimOptions,
     compile_program,
     machine_by_name,
@@ -26,8 +23,9 @@ from repro import (
 )
 from repro.errors import MachineError, RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
-from repro.machine import apply_overrides
+from repro.machine import apply_overrides, pack_variants
 from repro.programs import BENCHMARKS, build_benchmark, small_config
+from repro.runtime import BatchEvaluator
 from tests.runtime.test_fastpath import TOGGLE_SRC
 
 NPROCS = 16
@@ -156,8 +154,7 @@ class TestPaperMatrixParity:
         program = build_benchmark(bench, config=small_config(bench), opt=spec.opt)
         base = machine_for(machine_name)(key)
         variants = _variants(base, [{}, DIVERSE_OVERRIDES[1], DIVERSE_OVERRIDES[3]])
-        batch = simulate_many(program, variants)
-        run = batch.run(program.name)
+        run = simulate_many(program, variants)
         for v, machine in enumerate(variants):
             assert_row_parity(run, v, scalar_fast(program, machine))
 
@@ -170,8 +167,7 @@ class TestDiverseVariantParity:
         program = _steady_program(key)
         base = machine_for("t3d")(key)
         variants = _variants(base, DIVERSE_OVERRIDES)
-        batch = simulate_many(program, variants)
-        run = batch.run(program.name)
+        run = simulate_many(program, variants)
         # the variants must actually diverge, or parity is vacuous
         assert len({float(t) for t in run.times}) > 2
         assert run.dynamic_comm_count > 0
@@ -182,29 +178,22 @@ class TestDiverseVariantParity:
             assert np.array_equal(run.clocks[v], interp.clocks)
 
     def test_multiple_programs(self):
-        """Each program is a row group; rows stay per-variant exact."""
+        """Several programs over one packed variant matrix, one call
+        each: rows stay per-variant exact."""
         programs = [_steady_program("pl"), _steady_program("cc")]
-        # distinct names are required; recompile the cc one under a name
-        programs[1] = compile_program(
-            STEADY_SRC.replace("program steady;", "program steady2;"),
-            "steady2.zl",
-            opt=experiment_spec("cc").opt,
-        )
         base = machine_for("t3d")("pl")
         variants = _variants(base, DIVERSE_OVERRIDES[:3])
-        batch = simulate_many(programs, variants)
-        assert batch.benchmarks == ("steady", "steady2")
-        assert batch.times.shape == (2, 3)
+        matrix = pack_variants(variants)
         for program in programs:
-            run = batch.run(program.name)
+            run = simulate_many(program, matrix)
+            assert run.times.shape == (3,)
             for v, machine in enumerate(variants):
                 assert_row_parity(run, v, scalar_fast(program, machine))
 
     def test_steady_state_extrapolation_engages(self):
         program = _steady_program("pl")
         base = machine_for("t3d")("pl")
-        batch = simulate_many(program, _variants(base, DIVERSE_OVERRIDES))
-        fp = batch.run(program.name).fastpath
+        fp = simulate_many(program, _variants(base, DIVERSE_OVERRIDES)).fastpath
         assert fp is not None
         assert fp.extrapolated_loops >= 1
         assert fp.extrapolated_trips >= 20
@@ -216,7 +205,7 @@ class TestDiverseVariantParity:
             TOGGLE_SRC, "toggle.zl", opt=experiment_spec("pl").opt
         )
         variants = _variants(machine_for("t3d")("pl"), DIVERSE_OVERRIDES)
-        run = simulate_many(program, variants).run(program.name)
+        run = simulate_many(program, variants)
         assert run.fastpath.extrapolated_loops >= 1
         assert run.fastpath.extrapolated_trips >= 20
         assert len({float(t) for t in run.times}) > 2
@@ -229,10 +218,7 @@ class TestDiverseVariantParity:
         )
         base = machine_for("t3d")("pl")
         variants = _variants(base, DIVERSE_OVERRIDES[:4])
-        batch = simulate_many(
-            program, variants, options=SimOptions.timing(repeat_cap=50)
-        )
-        run = batch.run(program.name)
+        run = BatchEvaluator(program, base, repeat_cap=50).evaluate(variants)
         assert any("capped" in w for w in run.warnings)
         for v, machine in enumerate(variants):
             assert_row_parity(
@@ -279,8 +265,7 @@ class TestHypothesisDifferential:
         program = _steady_program(key)
         base = machine_for(machine_name)(key)
         variants = _variants(base, override_sets)
-        batch = simulate_many(program, variants)
-        run = batch.run(program.name)
+        run = simulate_many(program, variants)
         for v, machine in enumerate(variants):
             fast = scalar_fast(program, machine)
             assert_row_parity(run, v, fast)
@@ -305,87 +290,9 @@ class TestValidation:
         with pytest.raises(MachineError):
             simulate_many(program, variants)
 
-    def test_numeric_mode_rejected(self):
-        program = _steady_program("pl")
-        with pytest.raises(RuntimeFault, match="NUMERIC"):
-            simulate_many(
-                program,
-                [machine_by_name("t3d", 16, "pvm")],
-                options=SimOptions(mode=ExecutionMode.NUMERIC),
-            )
-
-    def test_trace_rank_rejected(self):
-        program = _steady_program("pl")
-        with pytest.raises(RuntimeFault, match="trace"):
-            simulate_many(
-                program,
-                [machine_by_name("t3d", 16, "pvm")],
-                options=SimOptions.timing(trace_rank=0),
-            )
-
-    def test_fast_false_rejected(self):
-        program = _steady_program("pl")
-        with pytest.raises(RuntimeFault, match="interpreted"):
-            simulate_many(
-                program,
-                [machine_by_name("t3d", 16, "pvm")],
-                options=SimOptions.timing(fast=False),
-            )
-
     def test_no_variants_rejected(self):
         with pytest.raises((MachineError, RuntimeFault)):
             simulate_many(_steady_program("pl"), [])
-
-    def test_variant_ids_length_mismatch(self):
-        program = _steady_program("pl")
-        with pytest.raises(RuntimeFault, match="variant ids"):
-            simulate_many(
-                program,
-                [machine_by_name("t3d", 16, "pvm")],
-                variant_ids=["a", "b"],
-            )
-
-    def test_duplicate_program_names(self):
-        program = _steady_program("pl")
-        with pytest.raises(RuntimeFault, match="duplicate"):
-            simulate_many(
-                [program, program], [machine_by_name("t3d", 16, "pvm")]
-            )
-
-
-class TestResultSurface:
-    @pytest.fixture(scope="class")
-    def batch(self):
-        program = _steady_program("pl")
-        base = machine_for("t3d")("pl")
-        return simulate_many(
-            program,
-            _variants(base, DIVERSE_OVERRIDES[:3]),
-            variant_ids=["base", "fastnet", "rawdr"],
-        )
-
-    def test_accessors(self, batch):
-        assert batch.nvariants == 3
-        assert batch.variant_ids == ("base", "fastnet", "rawdr")
-        times = batch.times_for("steady")
-        assert times.shape == (3,)
-        assert batch.time("steady", "fastnet") == float(times[1])
-
-    def test_write_csv(self, batch, tmp_path):
-        path = batch.write_csv(tmp_path / "batch.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "benchmark,variant,time"
-        assert len(lines) == 1 + 3
-        bench, vid, t = lines[1].split(",")
-        assert (bench, vid) == ("steady", "base")
-        assert t == f"{batch.time('steady', 'base'):.6g}"
-
-    def test_write_json_roundtrips_full_precision(self, batch, tmp_path):
-        path = batch.write_json(tmp_path / "batch.json")
-        payload = json.loads(path.read_text())
-        assert payload["schema"] == 1
-        assert payload["variants"] == ["base", "fastnet", "rawdr"]
-        assert payload["times"]["steady"] == [float(t) for t in batch.times[0]]
 
 
 @pytest.mark.slow
@@ -410,8 +317,7 @@ class TestDenseGrid:
         ]
         assert len(overrides) == 512
         variants = _variants(base, overrides)
-        batch = simulate_many(program, variants)
-        run = batch.run(program.name)
+        run = simulate_many(program, variants)
         assert len({float(t) for t in run.times}) > 100
         for v, machine in enumerate(variants):
             scalar = scalar_fast(program, machine)
@@ -428,8 +334,6 @@ class TestBatchEvaluator:
     def test_incremental_append_bit_identity(self):
         """Appending variant batches against shared lowered state gives
         the same rows as standalone scalar runs, bit for bit."""
-        from repro.runtime import BatchEvaluator
-
         program = _steady_program("cc")
         base = machine_for("t3d")("cc")
         ev = BatchEvaluator(program, base)
@@ -437,27 +341,21 @@ class TestBatchEvaluator:
         second = _variants(base, DIVERSE_OVERRIDES[3:])
         run1 = ev.evaluate(first)
         run2 = ev.evaluate(second)
-        assert ev.calls == 2
-        assert ev.variants_evaluated == len(DIVERSE_OVERRIDES)
         for v, machine in enumerate(first):
             assert_row_parity(run1, v, scalar_fast(program, machine))
         for v, machine in enumerate(second):
             assert_row_parity(run2, v, scalar_fast(program, machine))
 
     def test_matches_one_shot_simulate_many(self):
-        from repro.runtime import BatchEvaluator
-
         program = _steady_program("rr")
         base = machine_for("t3d")("rr")
         variants = _variants(base, DIVERSE_OVERRIDES)
         ev_run = BatchEvaluator(program, base).evaluate(variants)
-        one_shot = simulate_many(program, variants).run(program.name)
+        one_shot = simulate_many(program, variants)
         assert np.array_equal(ev_run.times, one_shot.times)
         assert np.array_equal(ev_run.clocks, one_shot.clocks)
 
     def test_mismatched_variant_base_rejected(self):
-        from repro.runtime import BatchEvaluator
-
         program = _steady_program("cc")
         ev = BatchEvaluator(program, machine_for("t3d")("cc"))
         other = machine_for("paragon")("cc")
@@ -480,20 +378,27 @@ class TestBatchEvaluator:
         finally:
             clear_batch_evaluators()
 
-    def test_simulate_many_routes_through_cached_evaluator(self):
+    def test_simulate_many_routes_through_cached_evaluator(self, monkeypatch):
         from repro.runtime import batch_evaluator, clear_batch_evaluators
 
         program = _steady_program("cc")
         base = machine_for("t3d")("cc")
         variants = _variants(base, DIVERSE_OVERRIDES[:2])
+        evaluated = []
+        evaluate = BatchEvaluator.evaluate
+
+        def counting(ev, batch):
+            evaluated.append(ev)
+            return evaluate(ev, batch)
+
+        monkeypatch.setattr(BatchEvaluator, "evaluate", counting)
         clear_batch_evaluators()
         try:
             simulate_many(program, variants)
             ev = batch_evaluator(program, base)
-            assert ev.calls >= 1  # simulate_many populated the cache
-            before = ev.calls
+            assert evaluated == [ev]  # simulate_many populated the cache
             simulate_many(program, variants)
             assert batch_evaluator(program, base) is ev
-            assert ev.calls == before + 1
+            assert evaluated == [ev, ev]
         finally:
             clear_batch_evaluators()

@@ -68,7 +68,7 @@ def test_batched_rows_equal_scalar_runs(name, key):
     program = _program(name, key)
     for base in BASES:
         variants = _variants(base, DIVERSE_OVERRIDES)
-        run = simulate_many(program, variants).run(program.name)
+        run = simulate_many(program, variants)
         for v, machine in enumerate(variants):
             scalar = scalar_fast(program, machine)
             where = f"{base.library} variant {v}"

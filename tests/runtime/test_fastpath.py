@@ -20,7 +20,6 @@ from repro import (
     machine_by_name,
     simulate,
 )
-from repro.errors import RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides
 from repro.programs import BENCHMARKS, build_benchmark, small_config
@@ -302,24 +301,6 @@ class TestCycleExtrapolation:
 
 
 class TestFastArgumentValidation:
-    def test_numeric_mode_rejected(self):
-        program = compile_program(STEADY_SRC, "steady.zl")
-        machine = machine_by_name("t3d", 4, "pvm")
-        with pytest.raises(RuntimeFault, match="TIMING"):
-            simulate(
-                program,
-                machine,
-                options=SimOptions(mode=ExecutionMode.NUMERIC, fast=True),
-            )
-
-    def test_trace_rank_rejected(self):
-        program = compile_program(STEADY_SRC, "steady.zl")
-        machine = machine_by_name("t3d", 4, "pvm")
-        with pytest.raises(RuntimeFault, match="trace"):
-            simulate(
-                program, machine, options=SimOptions.timing(fast=True, trace_rank=0)
-            )
-
     def test_auto_selects_fast_for_timing(self):
         program = compile_program(STEADY_SRC, "steady.zl")
         machine = machine_by_name("t3d", 4, "pvm")

@@ -57,7 +57,7 @@ class TestSimOptions:
         assert opts.mode is ExecutionMode.NUMERIC
         assert opts.repeat_cap is None
         assert opts.trace_rank is None
-        assert opts.fast is None
+        assert opts.fast is True
 
     def test_string_mode_coerced(self):
         assert SimOptions(mode="timing").mode is ExecutionMode.TIMING

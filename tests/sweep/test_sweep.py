@@ -3,7 +3,7 @@
 import pytest
 
 from repro import MachineError, load_telemetry
-from repro.engine import Job, MachineSpec
+from repro.engine import Job, MachineSpec, execute_job
 from repro.sweep import SweepAxis, expand_axes, parse_axis, run_sweep
 from repro.sweep.axes import parse_axes
 
@@ -215,8 +215,33 @@ class TestRunSweep:
 
 
 # ---------------------------------------------------------------------------
-# batched routing: cost-only sweeps go through simulate_many
+# routing: the engine batches the cost variants of each cell
 # ---------------------------------------------------------------------------
+
+
+def _per_job(tmp_path, values, **kwargs):
+    """One single-point sweep per ``net.latency`` value, concatenated:
+    each cell then has one job, so none of them batches."""
+    return [
+        outcome
+        for value in values
+        for outcome in _sweep(
+            tmp_path, axes=[SweepAxis("net.latency", (value,))], **kwargs
+        ).outcomes
+    ]
+
+
+def _same_result(a, b):
+    """Two records' results agree bit for bit."""
+    for field in (
+        "execution_time",
+        "static_count",
+        "dynamic_count",
+        "total_messages",
+        "total_bytes",
+        "warnings",
+    ):
+        assert a["result"][field] == b["result"][field], (a["fingerprint"], field)
 
 
 class TestBatchedRouting:
@@ -224,67 +249,76 @@ class TestBatchedRouting:
         sweep = _sweep(tmp_path)
         assert all(o.record.get("batched") for o in sweep.outcomes)
 
-    def test_batched_false_keeps_per_job_path(self, tmp_path):
-        sweep = _sweep(tmp_path, batched=False)
-        assert not any(o.record.get("batched") for o in sweep.outcomes)
-
     def test_nprocs_axis_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, axes=[SweepAxis("nprocs", (2, 4))])
         assert not any(o.record.get("batched") for o in sweep.outcomes)
 
+    def test_nprocs_by_cost_sweep_batches_each_processor_count(self, tmp_path):
+        sweep = _sweep(
+            tmp_path,
+            axes=[
+                SweepAxis("nprocs", (2, 4)),
+                SweepAxis("net.latency", (1e-6, 1e-4)),
+            ],
+        )
+        assert sweep.cells == 8
+        assert all(o.record.get("batched") for o in sweep.outcomes)
+        for outcome in sweep.outcomes:
+            reference = execute_job(outcome.job)
+            assert "batched" not in reference
+            _same_result(outcome.record, reference)
+
     def test_single_point_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, axes=[SweepAxis("net.latency", (1e-6,))])
         assert not any(o.record.get("batched") for o in sweep.outcomes)
-
-    def test_forced_batched_with_nprocs_axis_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="nprocs"):
-            _sweep(tmp_path, axes=[SweepAxis("nprocs", (2, 4))], batched=True)
-
-    def test_forced_batched_with_numeric_mode_raises(self, tmp_path):
-        with pytest.raises(MachineError, match="TIMING"):
-            _sweep(tmp_path, mode="numeric", batched=True)
 
     def test_numeric_mode_falls_back(self, tmp_path):
         sweep = _sweep(tmp_path, mode="numeric")
         assert not any(o.record.get("batched") for o in sweep.outcomes)
 
     def test_batched_matches_per_job_bitwise(self, tmp_path):
-        batched = _sweep(tmp_path, cache_dir=tmp_path / "a", batched=True)
-        scalar = _sweep(tmp_path, cache_dir=tmp_path / "b", batched=False)
-        assert batched.cells == scalar.cells
-        for a, b in zip(batched.outcomes, scalar.outcomes):
+        batched = _sweep(tmp_path, cache_dir=tmp_path / "a")
+        scalar = _per_job(tmp_path, (1e-6, 1e-4), cache_dir=tmp_path / "b")
+        assert all(o.record.get("batched") for o in batched.outcomes)
+        assert not any(o.record.get("batched") for o in scalar)
+        assert batched.cells == len(scalar)
+        for a, b in zip(batched.outcomes, scalar):
             assert a.job == b.job
             assert a.result == b.result
-            ra, rb = a.record["result"], b.record["result"]
-            assert ra["execution_time"] == rb["execution_time"]
-            assert ra["total_messages"] == rb["total_messages"]
-            assert ra["total_bytes"] == rb["total_bytes"]
-            assert ra["warnings"] == rb["warnings"]
+            _same_result(a.record, b.record)
 
     def test_cache_interop_batched_then_scalar(self, tmp_path):
-        cold = _sweep(tmp_path, batched=True)
+        cold = _sweep(tmp_path)
         assert cold.cache_hits == 0
-        warm = _sweep(tmp_path, batched=False)
-        assert warm.cache_hits == warm.cells
-        for a, b in zip(cold.outcomes, warm.outcomes):
+        warm = _per_job(tmp_path, (1e-6, 1e-4))
+        assert all(o.cached for o in warm)
+        for a, b in zip(cold.outcomes, warm):
             assert a.result.execution_time == b.result.execution_time
 
     def test_cache_interop_scalar_then_batched(self, tmp_path):
-        cold = _sweep(tmp_path, batched=False)
-        assert cold.cache_hits == 0
-        warm = _sweep(tmp_path, batched=True)
+        cold = _per_job(tmp_path, (1e-6, 1e-4))
+        assert not any(o.cached for o in cold)
+        warm = _sweep(tmp_path)
         assert warm.cache_hits == warm.cells
-        for a, b in zip(cold.outcomes, warm.outcomes):
+        for a, b in zip(cold, warm.outcomes):
             assert a.result.execution_time == b.result.execution_time
 
     def test_growing_an_axis_batches_only_new_points(self, tmp_path):
-        _sweep(tmp_path, batched=True)
+        _sweep(tmp_path)
         grown = _sweep(
             tmp_path,
-            axes=[SweepAxis("net.latency", (1e-6, 1e-4, 1e-3))],
-            batched=True,
+            axes=[SweepAxis("net.latency", (1e-6, 1e-4, 1e-3, 1e-2))],
         )
-        assert grown.cells == 6
+        assert grown.cells == 8
         assert grown.cache_hits == 4
         fresh = [o for o in grown.outcomes if not o.cached]
         assert all(o.record.get("batched") for o in fresh)
+
+    def test_cell_left_with_one_miss_runs_per_job(self, tmp_path):
+        _sweep(tmp_path)
+        grown = _sweep(
+            tmp_path, axes=[SweepAxis("net.latency", (1e-6, 1e-4, 1e-3))]
+        )
+        fresh = [o for o in grown.outcomes if not o.cached]
+        assert len(fresh) == 2
+        assert not any(o.record.get("batched") for o in fresh)

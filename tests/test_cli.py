@@ -405,29 +405,8 @@ def test_experiments_nprocs_zero_exits_cleanly(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# unified flags: --set / --nprocs / --batched across subcommands
+# unified flags: --set / --nprocs across subcommands
 # ---------------------------------------------------------------------------
-
-
-def test_sweep_batched_flags(tmp_path, capsys):
-    cache = ["--cache-dir", str(tmp_path / "a")]
-    argv = ["sweep", "--axis", "net.latency=1e-6,1e-4", "--batched"]
-    assert main(argv + SWEEP_SCALE + cache) == 0
-    out = capsys.readouterr().out
-    assert "4 cells" in out
-    cache = ["--cache-dir", str(tmp_path / "b")]
-    argv = ["sweep", "--axis", "net.latency=1e-6,1e-4", "--no-batched"]
-    assert main(argv + SWEEP_SCALE + cache) == 0
-    assert "4 cells" in capsys.readouterr().out
-
-
-def test_sweep_batched_with_nprocs_axis_exits_cleanly(tmp_path):
-    with pytest.raises(SystemExit, match="sweep:.*nprocs"):
-        main(
-            ["sweep", "--axis", "nprocs=2,4", "--batched",
-             "--cache-dir", str(tmp_path / "cache")]
-            + SWEEP_SCALE
-        )
 
 
 def test_experiments_set_override_moves_times(tmp_path, capsys):
@@ -619,6 +598,72 @@ def test_fit_from_target_file(tmp_path, capsys):
         "--rounds", "4",
     ]) == 0
     assert "Fitted t3d/16" in capsys.readouterr().out
+
+
+_TARGET = {
+    "schema": 1,
+    "machine": "t3d",
+    "nprocs": 4,
+    "library": None,
+    "overrides": {},
+    "config": {"simple": {"n": 8, "niters": 1, "ncond": 1}},
+    "observations": [
+        {"benchmark": "simple", "experiment": "baseline", "time": 1e-3}
+    ],
+}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read fit target .*missing.json"),
+        ("{", "fit target .* is not valid JSON"),
+        ([1, 2], "must hold a JSON object"),
+        (_without(_TARGET, "machine"), "machine must be a string"),
+        (_without(_TARGET, "nprocs"), "nprocs must be an integer"),
+        (dict(_TARGET, nprocs=4.5), "nprocs must be an integer, got 4.5"),
+        (_without(_TARGET, "observations"), "observations must be a non-empty list"),
+        (
+            dict(_TARGET, observations=[{"benchmark": "simple", "time": 1e-3}]),
+            r"observations\[0\]\.experiment must be a string",
+        ),
+        (
+            dict(
+                _TARGET,
+                observations=[
+                    {"benchmark": "simple", "experiment": "baseline", "time": "x"}
+                ],
+            ),
+            r"observations\[0\]\.time must be a finite positive number",
+        ),
+        (
+            dict(_TARGET, config={"simple": {"n": "x"}}),
+            "config.simple.n must be a number",
+        ),
+        (
+            dict(_TARGET, overrides={"net.latency": "x"}),
+            "overrides.net.latency must be a number",
+        ),
+    ],
+    ids=[
+        "missing-file", "not-json", "array", "no-machine", "no-nprocs",
+        "float-nprocs", "no-observations", "observation-field", "string-time",
+        "string-config", "string-override",
+    ],
+)
+def test_fit_malformed_target_fails_at_the_boundary(tmp_path, text, message):
+    import json
+
+    path = tmp_path / "missing.json"
+    if text is not None:
+        path = tmp_path / "target.json"
+        path.write_text(text if isinstance(text, str) else json.dumps(text))
+    with pytest.raises(SystemExit, match=f"^fit: .*{message}"):
+        main(["fit", str(path), "--fit", "net.latency", "--rounds", "1"])
 
 
 def test_fit_rejects_target_plus_synthetic(tmp_path):
