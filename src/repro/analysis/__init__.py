@@ -28,10 +28,7 @@ from repro.analysis.attribution import (
 )
 from repro.analysis.frontier import (
     ContourPoint,
-    ParetoPoint,
     crossover_map,
-    pareto_front,
-    pareto_surface,
     winner_map,
 )
 from repro.analysis.report import format_table
@@ -51,10 +48,7 @@ __all__ = [
     "composition_rows",
     "format_composition_report",
     "run_composition",
-    "ParetoPoint",
     "crossover_map",
-    "pareto_front",
-    "pareto_surface",
     "winner_map",
     "detect_crossovers",
     "figure8_by_pass",

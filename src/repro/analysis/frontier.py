@@ -1,4 +1,4 @@
-"""Frontier analysis: 2-D crossover maps and Pareto surfaces.
+"""Frontier analysis: 2-D crossover maps and winner grids.
 
 The paper's win/loss story is one-dimensional per figure — a ratio
 against one machine parameter.  This module lifts it to surfaces:
@@ -8,15 +8,16 @@ against one machine parameter.  This module lifts it to surfaces:
   per value of the second axis, turning "the combining knee is at 4 KB"
   into "here is the knee as a function of wire latency";
 * :func:`winner_map` grids the best experiment key over both axes (the
-  discrete view of the same surface);
-* :func:`pareto_front` / :func:`pareto_surface` keep the non-dominated
-  ``(machine cost, time)`` points per benchmark — the machines for
-  which no cheaper parameter value is also faster.
+  discrete view of the same surface).
 
-Everything consumes :class:`~repro.sweep.SweepResult` /
-:class:`~repro.sweep.RefinedSweep` values; nothing here simulates.
-Emission follows :mod:`repro.analysis.scaling`: CSV floats are
-``%.6g``, JSON is full precision under a versioned ``schema`` key.
+Both read the one crossing scan and per-point winner of
+:mod:`repro.analysis.scaling` (:func:`~repro.analysis.scaling.scan_crossovers`
+at the caller's threshold, :func:`~repro.analysis.scaling.fastest_keys`),
+as does refinement (:mod:`repro.sweep.refine`).  Everything consumes
+:class:`~repro.sweep.SweepResult` / :class:`~repro.sweep.RefinedSweep`
+values; nothing here simulates.  Emission follows
+:mod:`repro.analysis.scaling`: CSV floats are ``%.6g``, JSON is full
+precision under a versioned ``schema`` key.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
-from repro.analysis.scaling import _format_cell, find_crossings, speedup_curve
+from repro.analysis.scaling import _format_cell, fastest_keys, scan_crossovers
 from repro.sweep.axes import AxisValue
 from repro.sweep.core import SweepResult
 
@@ -38,13 +39,10 @@ if TYPE_CHECKING:  # avoid the sweep.refine <-> analysis import cycle
 __all__ = [
     "FRONTIER_SCHEMA",
     "ContourPoint",
-    "ParetoPoint",
     "crossover_map",
     "format_frontier_report",
     "format_refined_report",
     "frontier_doc",
-    "pareto_front",
-    "pareto_surface",
     "refined_doc",
     "winner_map",
     "write_frontier_csv",
@@ -73,18 +71,6 @@ class ContourPoint:
     ratio_high: float
 
 
-@dataclass(frozen=True)
-class ParetoPoint:
-    """One evaluated ``(machine cost, time)`` point of a benchmark's
-    trade-off curve, flagged if no other point dominates it."""
-
-    benchmark: str
-    experiment: str
-    x: float
-    time: float
-    on_front: bool
-
-
 def crossover_map(
     sweep: SweepResult,
     x_axis: str,
@@ -93,39 +79,22 @@ def crossover_map(
 ) -> List[ContourPoint]:
     """The crossover contours of a two-axis sweep.
 
-    For every benchmark and every incremental key pair, scans the ratio
-    curve along ``x_axis`` at each ``y_axis`` value and records each
-    threshold crossing — the contour of the win/loss boundary in the
+    The crossings of ``threshold`` along ``x_axis`` whose other-axis
+    group holds ``y_axis`` — the contour of the win/loss boundary in the
     ``(x, y)`` plane, ordered by (benchmark, experiment, y).
     """
     names = [a.name for a in sweep.axes]
     for name in (x_axis, y_axis):
         if name not in names:
             raise KeyError(f"axis {name!r} not in sweep axes {names}")
-    keys = list(sweep.keys)
     out: List[ContourPoint] = []
-    for bench in sweep.benchmarks:
-        for prev, key in zip(keys, keys[1:]):
-            for group, curve in speedup_curve(
-                sweep, x_axis, bench, key, reference=prev
-            ):
-                coords = dict(group)
-                if y_axis not in coords:
-                    continue
-                for x0, x1, est, r0, r1 in find_crossings(curve, threshold):
-                    out.append(
-                        ContourPoint(
-                            benchmark=bench,
-                            experiment=key,
-                            reference=prev,
-                            y=coords[y_axis],
-                            x_low=x0,
-                            x_high=x1,
-                            x_estimate=est,
-                            ratio_low=r0,
-                            ratio_high=r1,
-                        )
-                    )
+    for c in scan_crossovers(sweep, [x_axis], threshold):
+        coords = dict(c.group)
+        if y_axis in coords:
+            out.append(ContourPoint(
+                c.benchmark, c.experiment, c.reference, coords[y_axis],
+                c.x_low, c.x_high, c.x_estimate, c.ratio_low, c.ratio_high,
+            ))
     return out
 
 
@@ -137,88 +106,12 @@ def winner_map(
     boundaries :func:`crossover_map` localizes."""
     rows: List[Tuple[str, AxisValue, AxisValue, str]] = []
     for bench in sweep.benchmarks:
-        cells: Dict[Tuple[AxisValue, AxisValue], Dict[str, float]] = {}
-        for point, block in sweep.iter_points():
-            times = {
-                o.job.experiment: o.result.execution_time
-                for o in block
-                if o.job.benchmark == bench
-            }
-            if times:
-                cells[(point.coord(y_axis), point.coord(x_axis))] = times
-        for (y, x), times in sorted(cells.items()):
-            winner = min(
-                sweep.keys, key=lambda k: times.get(k, float("inf"))
-            )
-            rows.append((bench, y, x, winner))
+        cells = {
+            (point.coord(y_axis), point.coord(x_axis)): winner
+            for point, winner in fastest_keys(sweep, bench)
+        }
+        rows.extend((bench, y, x, w) for (y, x), w in sorted(cells.items()))
     return rows
-
-
-def pareto_front(
-    points: Sequence[Tuple[float, float]]
-) -> List[bool]:
-    """Non-dominated mask over ``(x, y)`` points, both minimized.
-
-    A point is on the front when no other point is <= in both
-    coordinates and strictly < in at least one.  Duplicate points are
-    all kept (neither strictly improves on the other).
-    """
-    n = len(points)
-    mask = [True] * n
-    for i, (xi, yi) in enumerate(points):
-        for j, (xj, yj) in enumerate(points):
-            if j == i:
-                continue
-            if (
-                xj <= xi
-                and yj <= yi
-                and (xj < xi or yj < yi)
-            ):
-                mask[i] = False
-                break
-    return mask
-
-
-def pareto_surface(
-    sweep: SweepResult,
-    axis: str,
-    benchmark: Optional[str] = None,
-    experiment: Optional[str] = None,
-) -> List[ParetoPoint]:
-    """The ``{machine axis} x {time}`` trade-off points of a sweep.
-
-    For each benchmark (optionally one), collects every evaluated
-    ``(axis value, execution time)`` pair — per experiment key, or one
-    key if given — and flags the non-dominated ones: the machine
-    parameter values for which no cheaper (lower) value is also faster.
-    The front is computed per benchmark across all included keys, so it
-    answers "which (parameter, optimization) settings are worth
-    having".
-    """
-    benches = (benchmark,) if benchmark else sweep.benchmarks
-    keys = (experiment,) if experiment else sweep.keys
-    out: List[ParetoPoint] = []
-    for bench in benches:
-        entries: List[Tuple[str, float, float]] = []
-        for point, block in sweep.iter_points():
-            x = float(point.coord(axis))
-            for o in block:
-                if o.job.benchmark == bench and o.job.experiment in keys:
-                    entries.append(
-                        (o.job.experiment, x, o.result.execution_time)
-                    )
-        mask = pareto_front([(x, t) for _, x, t in entries])
-        out.extend(
-            ParetoPoint(
-                benchmark=bench,
-                experiment=key,
-                x=x,
-                time=t,
-                on_front=on,
-            )
-            for (key, x, t), on in zip(entries, mask)
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

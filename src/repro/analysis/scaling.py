@@ -24,15 +24,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.analysis.report import format_table
 from repro.obs import core as obs
 from repro.sweep.axes import AxisValue
-from repro.sweep.core import SweepResult
+from repro.sweep.core import SweepPoint, SweepResult
 
 __all__ = [
     "SCALING_SCHEMA",
     "Crossover",
     "detect_crossovers",
+    "fastest_keys",
     "find_crossings",
     "format_scaling_report",
     "scaling_rows",
+    "scan_crossovers",
     "speedup_curve",
     "write_csv",
     "write_json",
@@ -46,10 +48,11 @@ SCALING_SCHEMA = 1
 class Crossover:
     """One detected win/loss flip along one axis.
 
-    The ratio ``time(experiment) / time(reference)`` crosses 1.0 between
-    axis values ``x_low`` and ``x_high``; ``x_estimate`` linearly
-    interpolates the crossing point.  ``group`` pins the other axes'
-    coordinates (empty for a one-axis sweep).
+    The ratio ``time(experiment) / time(reference)`` crosses the
+    threshold (1.0 for :func:`detect_crossovers`) between axis values
+    ``x_low`` and ``x_high``; ``x_estimate`` linearly interpolates the
+    crossing point.  ``group`` pins the other axes' coordinates (empty
+    for a one-axis sweep).
     """
 
     benchmark: str
@@ -65,7 +68,7 @@ class Crossover:
 
     @property
     def direction(self) -> str:
-        """``"win->loss"`` when the ratio rises through 1.0."""
+        """``"win->loss"`` when the ratio rises through the threshold."""
         return "win->loss" if self.ratio_high > self.ratio_low else "loss->win"
 
 
@@ -213,26 +216,27 @@ def find_crossings(
     return out
 
 
-def detect_crossovers(sweep: SweepResult) -> List[Crossover]:
-    """Every win/loss flip of every incremental optimization, along
-    every axis, in every benchmark and other-axis group."""
+def scan_crossovers(
+    sweep: SweepResult, axes: Sequence[str], threshold: float = 1.0
+) -> List[Crossover]:
+    """Every crossing of ``threshold`` by every incremental ratio along
+    each of ``axes``, in every benchmark and other-axis group, ordered
+    by axis, benchmark, key pair, group and ``x``."""
     crossovers: List[Crossover] = []
     keys = list(sweep.keys)
-    for axis in sweep.axes:
-        if len(axis.values) < 2:
-            continue
+    for axis in axes:
         for bench in sweep.benchmarks:
             for prev, key in zip(keys, keys[1:]):
                 for group, curve in speedup_curve(
-                    sweep, axis.name, bench, key, reference=prev
+                    sweep, axis, bench, key, reference=prev
                 ):
-                    for x0, x1, est, r0, r1 in find_crossings(curve):
+                    for x0, x1, est, r0, r1 in find_crossings(curve, threshold):
                         crossovers.append(
                             Crossover(
                                 benchmark=bench,
                                 experiment=key,
                                 reference=prev,
-                                axis=axis.name,
+                                axis=axis,
                                 group=group,
                                 x_low=x0,
                                 x_high=x1,
@@ -241,8 +245,33 @@ def detect_crossovers(sweep: SweepResult) -> List[Crossover]:
                                 ratio_high=r1,
                             )
                         )
+    return crossovers
+
+
+def detect_crossovers(sweep: SweepResult) -> List[Crossover]:
+    """Every win/loss flip of every incremental optimization, along
+    every axis, in every benchmark and other-axis group."""
+    crossovers = scan_crossovers(
+        sweep, [axis.name for axis in sweep.axes if len(axis.values) >= 2]
+    )
     obs.add("sweep.crossovers", len(crossovers))
     return crossovers
+
+
+def fastest_keys(
+    sweep: SweepResult, benchmark: str
+) -> List[Tuple[SweepPoint, str]]:
+    """``(point, key)`` per point where ``benchmark`` ran, in point
+    order: the key with the least execution time there (the first in
+    key order on a tie)."""
+    out: List[Tuple[SweepPoint, str]] = []
+    for point, block in sweep.iter_points():
+        times = {
+            o.job.experiment: o.result.execution_time for o in block if o.job.benchmark == benchmark
+        }
+        if times:
+            out.append((point, min(sweep.keys, key=lambda k: times.get(k, float("inf")))))
+    return out
 
 
 def _crossover_rows(

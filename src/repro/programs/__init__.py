@@ -40,10 +40,11 @@ through :mod:`repro.programs.generate`, the seeded ZL program
 generator.  All three families flow through every surface (studies,
 sweeps, frontier, composition) identically.
 
-Each module exposes ``SOURCE`` (the ZL text), ``DEFAULT_CONFIG``, and a
-``build(config=..., opt=...)`` helper returning an optimized
-:class:`~repro.ir.nodes.IRProgram`.  :mod:`repro.programs.registry` maps
-names to modules for the harness.
+Each module holds ``SOURCE`` (the ZL text), ``DEFAULT_CONFIG`` and
+``SMALL_CONFIG``; :mod:`repro.programs.registry` maps names to them.
+:func:`~repro.programs.registry.build_benchmark` compiles a name's
+source under its default config updated by the caller's, into an
+:class:`~repro.ir.nodes.IRProgram`, as the engine's compile cache does.
 """
 
 from repro.programs.registry import (

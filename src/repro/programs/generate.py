@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.comm import OptimizationConfig
 from repro.errors import ExperimentError
@@ -463,20 +463,3 @@ def generate_program(
         merged.update(config)
     source = generate_source(seed, profile)
     return compile_source(source, f"gen_{seed}.zl", merged, opt)
-
-
-def corpus(
-    seeds: Sequence[int], profile: Optional[GeneratorProfile] = None
-) -> Dict[str, str]:
-    """``name -> source`` for a batch of seeds (a fuzz corpus)."""
-    return {generated_name(s): generate_source(s, profile) for s in seeds}
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-    *,
-    seed: int = 0,
-) -> IRProgram:
-    """Benchmark-module-shaped entry point (registry compatibility)."""
-    return generate_program(seed, config=config, opt=opt)

@@ -18,11 +18,7 @@ paper's four re-read-heavy whole programs never isolate this cleanly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"n": 64, "niters": 100}
 
@@ -70,14 +66,3 @@ begin
   end;
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile Jacobi with optional config overrides and optimization."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "jacobi.zl", merged, opt)

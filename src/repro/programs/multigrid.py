@@ -27,11 +27,7 @@ re-reads are interblock-rr territory.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"n": 64, "niters": 8, "ncoarse": 4}
 
@@ -116,14 +112,3 @@ begin
   end;
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile the multigrid ladder with optional overrides."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "multigrid.zl", merged, opt)

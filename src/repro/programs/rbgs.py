@@ -29,11 +29,7 @@ profile and the paper's whole programs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"n": 64, "niters": 60}
 
@@ -89,14 +85,3 @@ begin
   end;
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile RBGS with optional config overrides and optimization."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "rbgs.zl", merged, opt)

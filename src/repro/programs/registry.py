@@ -1,4 +1,4 @@
-"""Registry mapping program names to sources and builders.
+"""Registry mapping program names to sources and configs.
 
 Three name families resolve here, and everything downstream — the
 engine's job fingerprints (:meth:`repro.engine.Job.fingerprint` hashes
@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 from repro.comm import OptimizationConfig
 from repro.errors import ExperimentError
 from repro.ir.nodes import IRProgram
+from repro.programs.common import compile_source
 
 
 def _modules():
@@ -88,13 +89,13 @@ def build_benchmark(
     config: Optional[Dict[str, float]] = None,
     opt: Optional[OptimizationConfig] = None,
 ) -> IRProgram:
-    """Compile a registered program by name."""
-    seed = _generated_seed(name)
-    if seed is not None:
-        from repro.programs.generate import generate_program
-
-        return generate_program(seed, config=config, opt=opt)
-    return _module(name).build(config=config, opt=opt)
+    """Compile a registered program by name: its source under its
+    default config updated by ``config``, optimized by ``opt`` (None:
+    the lowered program without communication)."""
+    merged = default_config(name)
+    if config:
+        merged.update(config)
+    return compile_source(benchmark_source(name), f"{name}.zl", merged, opt)
 
 
 def benchmark_source(name: str) -> str:

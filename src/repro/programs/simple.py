@@ -31,11 +31,7 @@ Why the structure matches the paper's data:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"n": 128, "niters": 40, "ncond": 14}
 
@@ -188,14 +184,3 @@ begin
   [In] echeck := +<< E;
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile SIMPLE with optional config overrides and optimization."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "simple.zl", merged, opt)

@@ -32,11 +32,7 @@ distributed extents — and hence every transfer — match the paper's run.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"nx": 16, "nz": 128, "niters": 60, "nsweep": 4}
 
@@ -170,14 +166,3 @@ begin
   [In] rnorm := +<< (R1 * R1 + R5 * R5);
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile SP with optional config overrides and optimization."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "sp.zl", merged, opt)

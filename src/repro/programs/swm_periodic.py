@@ -8,20 +8,16 @@ domain a genuine torus: no boundary regions, no special-casing — every
 processor, including the mesh edges, exchanges with a neighbour for
 every transfer.
 
-It is registered separately from the paper's four benchmarks (it is not
-part of the reproduction targets) and serves as the showcase workload
-for periodic communication: compare its per-step transfer participation
+It is not in the program registry (it is not part of the reproduction
+targets); compile its ``SOURCE`` directly.  It serves as the showcase
+workload for periodic communication: compare its per-step transfer participation
 with the bounded variant's — on the torus *every* rank participates in
 *every* transfer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.comm import OptimizationConfig
-from repro.ir.nodes import IRProgram
-from repro.programs.common import compile_source
+from typing import Dict
 
 DEFAULT_CONFIG: Dict[str, int] = {"n": 128, "nsteps": 150}
 
@@ -103,14 +99,3 @@ begin
   [R] pcheck := +<< P;
 end;
 """
-
-
-def build(
-    config: Optional[Dict[str, float]] = None,
-    opt: Optional[OptimizationConfig] = None,
-) -> IRProgram:
-    """Compile periodic SWM with optional config overrides."""
-    merged = dict(DEFAULT_CONFIG)
-    if config:
-        merged.update(config)
-    return compile_source(SOURCE, "swm_periodic.zl", merged, opt)

@@ -100,16 +100,9 @@ class BatchEvaluator:
     bit-identical to one.
     """
 
-    def __init__(
-        self,
-        program: ir.IRProgram,
-        base: Machine,
-        *,
-        repeat_cap: Optional[int] = None,
-    ) -> None:
+    def __init__(self, program: ir.IRProgram, base: Machine) -> None:
         self.program = program
         self.base = base
-        self.repeat_cap = repeat_cap
         self.template = schedule_template(program, base)
 
     def _check_base(self, other: Machine) -> None:
@@ -133,13 +126,7 @@ class BatchEvaluator:
             else pack_variants(variants)
         )
         self._check_base(matrix.base)
-        sim = _Simulation(
-            self.program,
-            matrix,
-            ExecutionMode.TIMING,
-            self.repeat_cap,
-            fast=True,
-        )
+        sim = _Simulation(self.program, matrix, ExecutionMode.TIMING, fast=True)
         stats = sim.execute()
         return BatchRun(
             program_name=self.program.name,
@@ -161,26 +148,17 @@ _EVALUATOR_CACHE_MAX = 32
 _evaluators: "OrderedDict[Tuple, BatchEvaluator]" = OrderedDict()
 
 
-def batch_evaluator(
-    program: ir.IRProgram, base: Machine, *, repeat_cap: Optional[int] = None
-) -> BatchEvaluator:
-    """The process-wide :class:`BatchEvaluator` for ``(program, base,
-    repeat_cap)``, building (and LRU-caching) it on first use."""
-    key = (
-        id(program),
-        base.name,
-        base.nprocs,
-        base.grid_shape,
-        base.library,
-        repeat_cap,
-    )
+def batch_evaluator(program: ir.IRProgram, base: Machine) -> BatchEvaluator:
+    """The process-wide :class:`BatchEvaluator` for ``(program, base)``,
+    building (and LRU-caching) it on first use."""
+    key = (id(program), base.name, base.nprocs, base.grid_shape, base.library)
     ev = _evaluators.get(key)
     if ev is not None and ev.program is program:
         _evaluators.move_to_end(key)
         if obs.enabled():
             obs.add("sim.batch.evaluator_hits", 1)
         return ev
-    ev = BatchEvaluator(program, base, repeat_cap=repeat_cap)
+    ev = BatchEvaluator(program, base)
     _evaluators[key] = ev
     if len(_evaluators) > _EVALUATOR_CACHE_MAX:
         _evaluators.popitem(last=False)

@@ -126,7 +126,6 @@ class _Simulation:
         program: ir.IRProgram,
         target: Union[Machine, VariantMatrix],
         mode: ExecutionMode,
-        repeat_cap: Optional[int],
         trace_rank: Optional[int] = None,
         fast: bool = False,
     ) -> None:
@@ -134,7 +133,6 @@ class _Simulation:
         self.program = program
         self.machine = target.base if batched else target
         self.mode = mode
-        self.repeat_cap = repeat_cap
         self.fast = fast
         self.template = schedule_template(program, self.machine)
         geometry = self.template.geometry
@@ -258,7 +256,6 @@ class _Simulation:
             self.timing.loop_rebase()
 
     def _exec_repeat(self, stmt: ir.RepeatLoop) -> None:
-        cap = self.repeat_cap if self.repeat_cap is not None else stmt.max_trips
         trips = 0
         while True:
             self._exec_body(stmt.body)
@@ -266,9 +263,9 @@ class _Simulation:
             trips += 1
             if bool(self.scalar_eval.eval(stmt.cond)):
                 break
-            if trips >= cap:
+            if trips >= stmt.max_trips:
                 self.instrument.warn(
-                    f"repeat loop capped at {cap} trips without converging"
+                    f"repeat loop capped at {stmt.max_trips} trips without converging"
                 )
                 break
 
@@ -374,8 +371,6 @@ def simulate(
 
         ``mode``
             NUMERIC (data + time) or TIMING (time and counts only).
-        ``repeat_cap``
-            Override for every ``repeat`` loop's trip cap.
         ``trace_rank``
             Record the full event timeline (compute/send/recv/wait/...)
             of one processor, an ``int`` in ``[0, nprocs)``; retrieve it
@@ -391,14 +386,13 @@ def simulate(
 
     ``mode`` may also be passed positionally — ``simulate(program,
     machine, ExecutionMode.TIMING)`` is the stable short form — but
-    every other setting lives on the options object (the bare
-    ``repeat_cap``/``trace_rank``/``fast`` keywords completed their
-    deprecation cycle and are gone).  Mixing ``mode`` with ``options=``
-    raises.
+    every other setting lives on the options object (bare
+    ``trace_rank``/``fast`` keywords are a ``TypeError``).  Mixing
+    ``mode`` with ``options=`` raises.  A ``repeat`` loop stops at its
+    own ``max_trips``.
     """
     opts = _resolve_options(options, mode)
     mode = opts.mode
-    repeat_cap = opts.repeat_cap
     trace_rank = opts.trace_rank
     _check_trace_rank(trace_rank, machine.nprocs)
     use_fast = opts.fast and mode is ExecutionMode.TIMING and trace_rank is None
@@ -410,9 +404,7 @@ def simulate(
         nprocs=machine.nprocs,
         mode=mode.value,
     ):
-        result = _Simulation(
-            program, machine, mode, repeat_cap, trace_rank, fast=use_fast
-        ).run()
+        result = _Simulation(program, machine, mode, trace_rank, fast=use_fast).run()
     if obs.enabled():
         _record_run_metrics(result)
     return result

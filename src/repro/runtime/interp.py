@@ -11,8 +11,12 @@ NUMERIC work is *bound* once per run.  The first time an array
 statement, a reduction or a transfer runs, the parallel evaluator
 resolves each processor's box, the target view, every operand view and
 every ``indexK`` array, and turns the expression into a closure tree
-over them (:meth:`ParallelEvaluator.bind`); every later execution only
-calls the closures.  The views stay valid because a
+over them (:meth:`ParallelEvaluator.bind`).  A transfer binds a
+(source view, destination view) pair per strip, read straight off the
+plan's strip arrays (:attr:`~repro.runtime.transfers.TransferPlan.strips`);
+SR snapshots the sources in that order and DN delivers by position.
+Every later execution only calls the closures or copies through the
+views.  The views stay valid because a
 :class:`~repro.runtime.distarray.DistArray` allocates each block buffer
 once and every write goes into a buffer in place.  Scalars are read when
 a closure runs, not when it is bound, so loop variables and assigned
@@ -207,8 +211,8 @@ class ParallelEvaluator:
         return float(acc)
 
     def snapshot(self, plan) -> None:
-        """Copy out what an SR on ``plan`` sends: each message's strips,
-        in message order."""
+        """Copy out what an SR on ``plan`` sends: each of its strips, in
+        strip order."""
         self._payloads[plan.desc.id] = [
             source.copy() for source, _ in self._once(plan, self._bind_copies)
         ]
@@ -264,14 +268,22 @@ class ParallelEvaluator:
 
     def _bind_copies(self, plan) -> list:
         """``(source view, destination view)`` of every strip of
-        ``plan``'s messages, in message order."""
+        ``plan``, in strip order: by entry and strip class, then by
+        receiver."""
         return [
             (
-                self.arrays[copy.array].block(msg.sender).view(copy.source),
-                self.arrays[copy.array].block(msg.receiver).view(copy.box),
+                self.arrays[s.array].block(sender).view(Region(s.array, src_lo, src_hi)),
+                self.arrays[s.array].block(receiver).view(Region(s.array, lo, hi)),
             )
-            for msg in plan.messages
-            for copy in msg.copies
+            for s in plan.strips
+            for sender, receiver, lo, hi, src_lo, src_hi in zip(
+                s.senders.tolist(),
+                s.receivers.tolist(),
+                s.lows.tolist(),
+                s.highs.tolist(),
+                s.src_lows.tolist(),
+                s.src_highs.tolist(),
+            )
         ]
 
 

@@ -1,8 +1,9 @@
 """Simulation options: the execution mode and the run-shaping knobs.
 
 :class:`SimOptions` is :func:`repro.simulate`'s single options surface:
-it takes no ``repeat_cap``, ``trace_rank`` or ``fast`` bare keywords (a
-``TypeError``) and accepts the mode positionally.
+it takes no ``trace_rank`` or ``fast`` bare keywords (a ``TypeError``)
+and accepts the mode positionally.  A ``repeat`` loop's trip cap is the
+program's own (:attr:`~repro.ir.nodes.RepeatLoop.max_trips`).
 :func:`repro.simulate_many` takes no options: it is always a compiled
 TIMING run without a timeline.
 """
@@ -30,8 +31,6 @@ class SimOptions:
     mode:
         NUMERIC (data + time) or TIMING (time and counts only); a mode
         string (``"timing"``) coerces.
-    repeat_cap:
-        Override for every ``repeat`` loop's trip cap.
     trace_rank:
         Record the full event timeline of one processor, an ``int`` in
         ``[0, nprocs)`` (interpreted walk only; see
@@ -44,7 +43,6 @@ class SimOptions:
     """
 
     mode: ExecutionMode = ExecutionMode.NUMERIC
-    repeat_cap: Optional[int] = None
     trace_rank: Optional[int] = None
     fast: bool = True
 
@@ -54,33 +52,15 @@ class SimOptions:
 
     @classmethod
     def timing(
-        cls,
-        *,
-        repeat_cap: Optional[int] = None,
-        trace_rank: Optional[int] = None,
-        fast: bool = True,
+        cls, *, trace_rank: Optional[int] = None, fast: bool = True
     ) -> "SimOptions":
-        return cls(
-            mode=ExecutionMode.TIMING,
-            repeat_cap=repeat_cap,
-            trace_rank=trace_rank,
-            fast=fast,
-        )
+        return cls(mode=ExecutionMode.TIMING, trace_rank=trace_rank, fast=fast)
 
     @classmethod
     def numeric(
-        cls,
-        *,
-        repeat_cap: Optional[int] = None,
-        trace_rank: Optional[int] = None,
-        fast: bool = True,
+        cls, *, trace_rank: Optional[int] = None, fast: bool = True
     ) -> "SimOptions":
-        return cls(
-            mode=ExecutionMode.NUMERIC,
-            repeat_cap=repeat_cap,
-            trace_rank=trace_rank,
-            fast=fast,
-        )
+        return cls(mode=ExecutionMode.NUMERIC, trace_rank=trace_rank, fast=fast)
 
 
 ModeLike = Union[ExecutionMode, str]

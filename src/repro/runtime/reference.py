@@ -14,7 +14,7 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -39,9 +39,8 @@ class ReferenceResult:
 
 
 class _Reference:
-    def __init__(self, program: ir.IRProgram, repeat_cap: Optional[int]) -> None:
+    def __init__(self, program: ir.IRProgram) -> None:
         self.program = program
-        self.repeat_cap = repeat_cap
         self.arrays: Dict[str, np.ndarray] = {}
         self.origins: Dict[str, tuple] = {}
         self.warnings: List[str] = []
@@ -86,16 +85,15 @@ class _Reference:
                     self.scalars[stmt.var] = v
                     self._body(stmt.body)
             elif isinstance(stmt, ir.RepeatLoop):
-                cap = self.repeat_cap if self.repeat_cap is not None else stmt.max_trips
                 trips = 0
                 while True:
                     self._body(stmt.body)
                     trips += 1
                     if bool(self._scalar(stmt.cond)):
                         break
-                    if trips >= cap:
+                    if trips >= stmt.max_trips:
                         self.warnings.append(
-                            f"repeat loop capped at {cap} trips"
+                            f"repeat loop capped at {stmt.max_trips} trips"
                         )
                         break
             elif isinstance(stmt, ir.IfStmt):
@@ -238,11 +236,9 @@ def _apply_intrinsic(func, args):
     return _FUNCS[func](*args)
 
 
-def reference_run(
-    program: ir.IRProgram, repeat_cap: Optional[int] = None
-) -> ReferenceResult:
+def reference_run(program: ir.IRProgram) -> ReferenceResult:
     """Execute ``program`` sequentially on global arrays.
 
     Accepts lowered or optimized programs (communication calls are
     skipped — a single address space needs none)."""
-    return _Reference(program, repeat_cap).run()
+    return _Reference(program).run()

@@ -268,11 +268,10 @@ class _Snapshot:
 class _Runner:
     """Dynamic state shared by every op of one compiled run."""
 
-    def __init__(self, timing, instrument, scalars, repeat_cap) -> None:
+    def __init__(self, timing, instrument, scalars) -> None:
         self.timing = timing
         self.instrument = instrument
         self.scalars = scalars
-        self.repeat_cap = repeat_cap
         self.stats = FastPathStats()
         #: how many monitored loops are currently executing (an
         #: extrapolating loop must keep logging epoch advances when an
@@ -731,7 +730,7 @@ class _Binder:
 
     ``sim`` is the owning :class:`repro.runtime.executor._Simulation`
     (duck-typed: needs ``template``, ``timing``, ``instrument``,
-    ``scalars``, ``scalar_eval`` and ``repeat_cap``)."""
+    ``scalars`` and ``scalar_eval``)."""
 
     def __init__(self, sim) -> None:
         lowered = sim.template.lowered
@@ -739,8 +738,7 @@ class _Binder:
         timing = self.timing = sim.timing
         self.scalars = sim.scalars
         self.reduce_hook = sim.scalar_eval.reduce_hook
-        self.repeat_cap = sim.repeat_cap
-        self.runner = _Runner(timing, sim.instrument, sim.scalars, sim.repeat_cap)
+        self.runner = _Runner(timing, sim.instrument, sim.scalars)
         self.charges = timing.array_cost(lowered.flops, lowered.elements)
         binding = timing.machine.binding
         self.costs = {
@@ -797,10 +795,12 @@ class _Binder:
                     )
                 )
             elif isinstance(node, _Repeat):
-                cap = self.repeat_cap if self.repeat_cap is not None else node.max_trips
                 ops.append(
                     _RepeatOp(
-                        self.runner, self.bind(node.body), self._compile(node.cond), cap
+                        self.runner,
+                        self.bind(node.body),
+                        self._compile(node.cond),
+                        node.max_trips,
                     )
                 )
             else:

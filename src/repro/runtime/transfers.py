@@ -26,10 +26,9 @@ array expressions over the block lows and highs of
 the receiver's mesh neighbour one step along the subset's dimensions,
 or, for a periodic (``@@``) transfer, the owner of the strip folded back
 into the domain.  Strip sizes summed per (sender, receiver) pair, pairs
-in sorted order, give the vectors the timing engines read; the
-:class:`Message` list with real strip boxes, which only the numeric
-engine walks to snapshot and deliver data, is built from the same strip
-arrays on first access.
+in sorted order, give the vectors the timing engines read; the numeric
+engine binds a view pair per strip straight from the strip arrays
+(:attr:`TransferPlan.strips`) to snapshot and deliver data.
 
 A plan holds geometry only.  What its messages cost on a machine is
 priced per run by :func:`repro.runtime.costs.price`, so one plan serves
@@ -55,43 +54,8 @@ from repro.runtime.layout import ProblemLayout
 _DOUBLE = 8  # bytes per element; ZL arrays are doubles
 
 
-@dataclass(frozen=True)
-class StripCopy:
-    """One rectangular piece of one array inside one message.
-
-    ``box`` is in destination coordinates (the receiver's fluff);
-    ``src_box`` is in the sender's owned coordinates.  They coincide for
-    ordinary transfers and differ by a domain extent per wrapped
-    dimension for periodic (wrap-@) transfers."""
-
-    array: str
-    box: Region
-    src_box: Optional[Region] = None
-
-    @property
-    def source(self) -> Region:
-        return self.src_box if self.src_box is not None else self.box
-
-
-@dataclass
-class Message:
-    """One point-to-point message of a transfer."""
-
-    sender: int
-    receiver: int
-    copies: List[StripCopy]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(c.box.size for c in self.copies) * _DOUBLE
-
-    def __post_init__(self) -> None:
-        for c in self.copies:
-            assert c.source.size == c.box.size, "wrap strip size mismatch"
-
-
 @dataclass(frozen=True, eq=False)
-class _StripSet:
+class StripSet:
     """One strip class of one entry: a strip for each receiver that has
     a nonempty one, in receiver order."""
 
@@ -101,27 +65,11 @@ class _StripSet:
     #: ``(n, rank)`` strip boxes in destination coordinates
     lows: np.ndarray
     highs: np.ndarray
-    #: periodic transfers only: the boxes folded into the domain
-    src_lows: Optional[np.ndarray] = None
-    src_highs: Optional[np.ndarray] = None
-
-    def copies(self):
-        """``(sender, receiver, StripCopy)`` per strip."""
-        sources = [None] * len(self.senders)
-        if self.src_lows is not None:
-            sources = [
-                Region(f"<wrapsrc:{self.array}>", tuple(lows), tuple(highs))
-                for lows, highs in zip(self.src_lows.tolist(), self.src_highs.tolist())
-            ]
-        for sender, receiver, lows, highs, src in zip(
-            self.senders.tolist(),
-            self.receivers.tolist(),
-            self.lows.tolist(),
-            self.highs.tolist(),
-            sources,
-        ):
-            box = Region(f"<strip:{self.array}>", tuple(lows), tuple(highs))
-            yield sender, receiver, StripCopy(self.array, box, src)
+    #: the boxes the senders read: the strip boxes folded into the
+    #: domain for a periodic transfer, the strip boxes themselves
+    #: otherwise
+    src_lows: np.ndarray
+    src_highs: np.ndarray
 
 
 class Grouping(NamedTuple):
@@ -147,24 +95,24 @@ class TransferPlan:
     """All messages of one descriptor on one machine layout.
 
     ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
-    in (sender, receiver) order; :attr:`messages` materializes the
-    messages themselves on first access, and :attr:`grouping` and
-    :attr:`count_block`, which the timing cores and counters read, and
-    :attr:`table`, which the interpreted walk prices, are built on first
-    use too."""
+    in (sender, receiver) order; :attr:`strips` holds the strips they
+    are summed from, one :class:`StripSet` per entry and strip class.
+    :attr:`grouping` and :attr:`count_block`, which the timing cores and
+    counters read, and :attr:`table`, which the interpreted walk prices,
+    are built on first use."""
 
     def __init__(
         self, desc: CommDescriptor, layout: ProblemLayout, nprocs: int
     ) -> None:
         self.desc = desc
         self.nprocs = nprocs
-        self._strips: List[_StripSet] = [
+        self.strips: List[StripSet] = [
             strips
             for entry in desc.entries
             for strips in _entry_strips(desc, entry, layout)
         ]
         self.senders, self.receivers, self.nbytes = _pair_totals(
-            self._strips, nprocs
+            self.strips, nprocs
         )
         sending = np.zeros(nprocs, dtype=bool)
         sending[self.senders] = True
@@ -228,23 +176,9 @@ class TransferPlan:
         it is freed with the plan."""
         return PlanTable([self])
 
-    @cached_property
-    def messages(self) -> List[Message]:
-        """The messages in (sender, receiver) order, each carrying its
-        strips in (entry, strip class) order.  Built on first access:
-        only the numeric engine reads strip boxes."""
-        pairs: Dict[Tuple[int, int], List[StripCopy]] = {}
-        for strips in self._strips:
-            for sender, receiver, copy in strips.copies():
-                pairs.setdefault((sender, receiver), []).append(copy)
-        return [
-            Message(sender=s, receiver=r, copies=copies)
-            for (s, r), copies in sorted(pairs.items())
-        ]
-
 
 def _pair_totals(
-    strips: List[_StripSet], nprocs: int
+    strips: List[StripSet], nprocs: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(senders, receivers, nbytes)`` per message: strip sizes summed
     per (sender, receiver) pair, pairs in sorted order."""
@@ -273,7 +207,7 @@ def _narrow(a: np.ndarray) -> np.ndarray:
 
 def _entry_strips(
     desc: CommDescriptor, entry: CommEntry, layout: ProblemLayout
-) -> List[_StripSet]:
+) -> List[StripSet]:
     """The nonempty strip classes of one entry, in subset-mask order.
 
     Raises the fault of the first faulty strip in (receiver, strip
@@ -304,7 +238,7 @@ def _entry_strips(
     over_hi = np.where(ahead, need_hi, np.minimum(need_hi, own_lo - 1))
     inner_fits, over_fits = inner_hi >= inner_lo, over_hi >= over_lo
 
-    out: List[_StripSet] = []
+    out: List[StripSet] = []
     fault: Optional[Tuple[int, str]] = None  # (receiver, message)
     for mask in range(1, 1 << len(active)):
         subset = [d for i, d in enumerate(active) if mask >> i & 1]
@@ -353,7 +287,7 @@ def _neighbour_strips(desc, entry, layout, dist_dims, subset, lo, hi, receivers)
             f"transfer {desc.describe()}: strip {strip} for rank {receiver} "
             "has no owning neighbour — layout/semantic inconsistency",
         )
-    return _StripSet(entry.array, receivers + step, receivers, lo, hi), None
+    return StripSet(entry.array, receivers + step, receivers, lo, hi, lo, hi), None
 
 
 def _wrap_strips(desc, entry, layout, lo, hi, receivers):
@@ -378,7 +312,7 @@ def _wrap_strips(desc, entry, layout, lo, hi, receivers):
     split[good] = senders[good] != layout.owners(domain.rank, src_hi[good])
     bad |= split
     if not bad.any():
-        return _StripSet(
+        return StripSet(
             entry.array, senders, receivers, lo, hi, src_lo, src_hi
         ), None
     j = int(np.argmax(bad))

@@ -4,10 +4,13 @@ A dense sweep spends almost all of its batched-simulation work on
 variants far from any win/loss flip.  :func:`run_refined_sweep` spends
 it only where the answer changes: evaluate a coarse grid in one batched
 pass per ``benchmark x experiment`` cell, find every interval where an
-incremental ratio crosses the threshold (:func:`find_crossings` sign
-changes) **or** the best key flips (the 1-D Pareto-membership change:
-which experiment owns the minimum time), then bisect only those
-intervals until each is narrower than the requested tolerance.
+incremental ratio crosses the threshold **or** the best key flips
+(which experiment owns the minimum time), then bisect only those
+intervals until each is narrower than the requested tolerance.  Both
+come from the shared scans of :mod:`repro.analysis.scaling`
+(:func:`~repro.analysis.scaling.scan_crossovers`,
+:func:`~repro.analysis.scaling.fastest_keys`), and the crossings the
+last round found, of the same threshold, are what the run reports.
 
 Every round is one :func:`repro.sweep.run_sweep` call over just the new
 axis values, so it rides the engine's content-addressed result cache —
@@ -46,8 +49,7 @@ __all__ = ["RefinedSweep", "WinnerFlip", "run_refined_sweep"]
 @dataclass(frozen=True)
 class WinnerFlip:
     """Between two adjacent evaluated axis values, a different
-    experiment key owns the minimum time — the 1-D Pareto-front
-    membership change."""
+    experiment key owns the minimum time."""
 
     benchmark: str
     x_low: float
@@ -148,19 +150,11 @@ def _merge_rounds(
 
 def _winner_flips(sweep: SweepResult, axis: str) -> List[WinnerFlip]:
     """Adjacent evaluated values where the fastest key changes."""
+    from repro.analysis.scaling import fastest_keys
+
     flips: List[WinnerFlip] = []
     for bench in sweep.benchmarks:
-        winners: List[Tuple[float, str]] = []
-        for point, block in sweep.iter_points():
-            times = {
-                o.job.experiment: o.result.execution_time
-                for o in block
-                if o.job.benchmark == bench
-            }
-            if not times:
-                continue
-            best = min(sweep.keys, key=lambda k: times.get(k, float("inf")))
-            winners.append((float(point.coord(axis)), best))
+        winners = [(float(p.coord(axis)), w) for p, w in fastest_keys(sweep, bench)]
         for (x0, w0), (x1, w1) in zip(winners, winners[1:]):
             if w0 != w1:
                 flips.append(
@@ -173,27 +167,6 @@ def _winner_flips(sweep: SweepResult, axis: str) -> List[WinnerFlip]:
                     )
                 )
     return flips
-
-
-def _active_intervals(
-    sweep: SweepResult, axis: str, threshold: float
-) -> List[Tuple[float, float]]:
-    """Every bracket, over every benchmark, where an incremental ratio
-    crosses ``threshold`` or the winning key flips."""
-    from repro.analysis.scaling import find_crossings, speedup_curve
-
-    intervals: set = set()
-    keys = list(sweep.keys)
-    for bench in sweep.benchmarks:
-        for prev, key in zip(keys, keys[1:]):
-            for _, curve in speedup_curve(
-                sweep, axis, bench, key, reference=prev
-            ):
-                for x0, x1, _, _, _ in find_crossings(curve, threshold):
-                    intervals.add((float(x0), float(x1)))
-    for flip in _winner_flips(sweep, axis):
-        intervals.add((flip.x_low, flip.x_high))
-    return sorted(intervals)
 
 
 def run_refined_sweep(
@@ -227,6 +200,8 @@ def run_refined_sweep(
     Integral axes (``knee_bytes``) bisect on integers and stop when a
     bracket has no interior integer left, whatever ``tol`` says.
     """
+    from repro.analysis.scaling import scan_crossovers
+
     if axis == NPROCS_AXIS:
         raise MachineError(
             "refinement bisects machine-cost values; nprocs is discrete "
@@ -298,7 +273,12 @@ def run_refined_sweep(
             obs.add("sweep.refine.points", len(new))
 
             merged = _merge_rounds(axis, rounds)
-            intervals = _active_intervals(merged, axis, threshold)
+            crossovers = scan_crossovers(merged, [axis], threshold)
+            flips = _winner_flips(merged, axis)
+            intervals = sorted(
+                {(float(c.x_low), float(c.x_high)) for c in crossovers}
+                | {(f.x_low, f.x_high) for f in flips}
+            )
             obs.add("sweep.refine.active_intervals", len(intervals))
             values = []
             for a, b in intervals:
@@ -309,11 +289,7 @@ def run_refined_sweep(
                     continue  # float / integer exhaustion: localized
                 values.append(mid)
 
-    from repro.analysis.scaling import detect_crossovers
-
     assert merged is not None  # coarse >= 2 guarantees one round
-    crossovers = detect_crossovers(merged)
-    flips = _winner_flips(merged, axis)
     result = RefinedSweep(
         sweep=merged,
         axis=axis,

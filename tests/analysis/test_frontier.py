@@ -12,8 +12,6 @@ from repro.analysis.frontier import (
     format_frontier_report,
     format_refined_report,
     frontier_doc,
-    pareto_front,
-    pareto_surface,
     refined_doc,
     winner_map,
     write_frontier_csv,
@@ -48,37 +46,7 @@ def grid_sweep(tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
-# pareto_front: the pure dominance helper
-# ---------------------------------------------------------------------------
-
-
-class TestParetoFront:
-    def test_single_point_is_on_front(self):
-        assert pareto_front([(1.0, 1.0)]) == [True]
-
-    def test_dominated_point_dropped(self):
-        assert pareto_front([(1.0, 1.0), (2.0, 2.0)]) == [True, False]
-
-    def test_trade_off_keeps_both(self):
-        assert pareto_front([(1.0, 2.0), (2.0, 1.0)]) == [True, True]
-
-    def test_duplicates_all_kept(self):
-        assert pareto_front([(1.0, 1.0), (1.0, 1.0)]) == [True, True]
-
-    def test_equal_in_one_coordinate_dominates(self):
-        # same x, strictly better y: the slower point falls off
-        assert pareto_front([(1.0, 1.0), (1.0, 2.0)]) == [True, False]
-
-    def test_staircase(self):
-        pts = [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0), (1.5, 2.5), (3.0, 0.5)]
-        assert pareto_front(pts) == [True, True, True, False, True]
-
-    def test_empty(self):
-        assert pareto_front([]) == []
-
-
-# ---------------------------------------------------------------------------
-# maps and surfaces over a real grid
+# maps over a real grid
 # ---------------------------------------------------------------------------
 
 
@@ -123,37 +91,6 @@ class TestWinnerMap:
         at_low_lat = [r[3] for r in rows if r[1] == 1e-5]
         assert at_low_lat[0] == "cc"  # free combining wins
         assert at_low_lat[-1] == "rr"  # expensive beyond-knee bytes lose
-
-
-class TestParetoSurface:
-    def test_front_is_nonempty_and_flagged(self, grid_sweep):
-        points = pareto_surface(grid_sweep, X, benchmark="simple")
-        assert points
-        front = [p for p in points if p.on_front]
-        assert front
-        # the cheapest-and-fastest corner is always on the front
-        best = min(points, key=lambda p: (p.x, p.time))
-        assert any(p.x == best.x and p.time == best.time for p in front)
-
-    def test_front_points_are_mutually_nondominated(self, grid_sweep):
-        front = [
-            p
-            for p in pareto_surface(grid_sweep, X, benchmark="simple")
-            if p.on_front
-        ]
-        for a in front:
-            for b in front:
-                assert not (
-                    b.x <= a.x
-                    and b.time <= a.time
-                    and (b.x < a.x or b.time < a.time)
-                )
-
-    def test_single_key_filter(self, grid_sweep):
-        points = pareto_surface(
-            grid_sweep, X, benchmark="simple", experiment="cc"
-        )
-        assert {p.experiment for p in points} == {"cc"}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import OptimizationConfig, compile_program, paragon, t3d
+from repro.ir import nodes as ir
 
 settings.register_profile(
     "ci",
@@ -141,3 +142,13 @@ def paragon2():
 def compile_demo(opt=None, **config):
     """Helper used by many tests: compile DEMO_SOURCE with overrides."""
     return compile_program(DEMO_SOURCE, "demo.zl", config=config or None, opt=opt)
+
+
+def cap_repeats(program, max_trips: int):
+    """``program`` with every ``repeat`` loop capped at ``max_trips``
+    trips.  Call it before the program's first run: a simulated program
+    keeps its lowered templates."""
+    for stmt in ir.walk_body(program.body):
+        if isinstance(stmt, ir.RepeatLoop):
+            stmt.max_trips = max_trips
+    return program

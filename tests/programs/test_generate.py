@@ -42,7 +42,6 @@ from repro.programs import BENCHMARKS, build_benchmark, small_config
 from repro.programs.generate import (
     DEFAULT_PROFILE,
     GeneratorProfile,
-    corpus,
     generate_program,
     generate_source,
     generated_name,
@@ -136,12 +135,6 @@ def test_invalid_seeds_rejected():
             generate_source(bad)
         with pytest.raises(ExperimentError):
             generated_name(bad)
-
-
-def test_corpus_maps_names_to_sources():
-    batch = corpus(range(3))
-    assert set(batch) == {"gen_0", "gen_1", "gen_2"}
-    assert all(f"program {name}" in src for name, src in batch.items())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides, pack_variants
 from repro.programs import BENCHMARKS, build_benchmark, small_config
 from repro.runtime import BatchEvaluator
+from tests.conftest import cap_repeats
 from tests.runtime.test_fastpath import TOGGLE_SRC
 
 NPROCS = 16
@@ -216,14 +217,13 @@ class TestDiverseVariantParity:
         program = compile_program(
             REPEAT_SRC, "rep.zl", opt=experiment_spec("pl").opt
         )
+        cap_repeats(program, 50)
         base = machine_for("t3d")("pl")
         variants = _variants(base, DIVERSE_OVERRIDES[:4])
-        run = BatchEvaluator(program, base, repeat_cap=50).evaluate(variants)
+        run = BatchEvaluator(program, base).evaluate(variants)
         assert any("capped" in w for w in run.warnings)
         for v, machine in enumerate(variants):
-            assert_row_parity(
-                run, v, scalar_fast(program, machine, repeat_cap=50)
-            )
+            assert_row_parity(run, v, scalar_fast(program, machine))
 
 
 _pos_float = st.floats(
@@ -371,8 +371,8 @@ class TestBatchEvaluator:
         try:
             ev = batch_evaluator(program, base)
             assert batch_evaluator(program, base) is ev
-            # a different repeat_cap is different lowered state
-            assert batch_evaluator(program, base, repeat_cap=7) is not ev
+            # a different machine shape is a different template
+            assert batch_evaluator(program, machine_for("paragon")("cc")) is not ev
             clear_batch_evaluators()
             assert batch_evaluator(program, base) is not ev
         finally:

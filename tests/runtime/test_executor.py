@@ -13,6 +13,7 @@ from repro import (
     t3d,
 )
 from repro.errors import RuntimeFault
+from tests.conftest import cap_repeats
 
 SRC = """
 program exec;
@@ -202,8 +203,8 @@ class TestControlFlow:
           until s < 0.0;
         end;
         """
-        prog = compile_program(src, "p.zl")
-        res = simulate(prog, t3d(1), options=SimOptions.numeric(repeat_cap=5))
+        prog = cap_repeats(compile_program(src, "p.zl"), 5)
+        res = simulate(prog, t3d(1), options=SimOptions.numeric())
         assert res.scalars["s"] == 5.0
         assert any("capped" in w for w in res.warnings)
 

@@ -23,6 +23,7 @@ from repro import (
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides
 from repro.programs import BENCHMARKS, build_benchmark, small_config
+from tests.conftest import cap_repeats
 
 NPROCS = 16
 
@@ -252,9 +253,9 @@ class TestSteadyStateExtrapolation:
     def test_capped_repeat_extrapolates_to_cap(self):
         """A never-converging repeat reaches the cap in closed form with
         the interpreted walk's exact state and warning."""
-        program = compile_program(REPEAT_SRC, "rep.zl")
+        program = cap_repeats(compile_program(REPEAT_SRC, "rep.zl"), 50)
         machine = machine_by_name("t3d", NPROCS, "pvm")
-        interp, fast = run_both(program, machine, repeat_cap=50)
+        interp, fast = run_both(program, machine)
         assert_parity(interp, fast)
         assert any("capped" in w for w in fast.warnings)
         assert fast.fastpath.extrapolated_trips > 0
@@ -293,7 +294,7 @@ class TestCycleExtrapolation:
         )
         machine = machine_by_name("t3d", NPROCS, "pvm")
         # the cap leaves one trip past the skipped periods to step
-        interp, fast = run_both(program, machine, repeat_cap=50)
+        interp, fast = run_both(cap_repeats(program, 50), machine)
         assert_parity(interp, fast)
         assert "repeat loop capped at 50 trips without converging" in fast.warnings
         assert fast.fastpath.extrapolated_loops == 1

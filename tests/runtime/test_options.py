@@ -2,9 +2,11 @@
 
 ``simulate`` historically took ``repeat_cap`` / ``trace_rank`` / ``fast``
 as bare keywords; that shim completed its one-release deprecation cycle
-and is gone.  ``options=SimOptions(...)`` is the only spelling for those
-settings now — bare keywords are a ``TypeError`` — while positional
-``mode`` remains a stable short form.  Mixing ``mode`` with ``options=``
+and is gone.  ``options=SimOptions(...)`` is the only spelling for
+``trace_rank`` and ``fast`` now — bare keywords are a ``TypeError`` —
+while positional ``mode`` remains a stable short form.  ``repeat_cap``
+is gone altogether: a ``repeat`` loop stops at its own ``max_trips``,
+which the fixture program sets low.  Mixing ``mode`` with ``options=``
 is an error (a silent precedence rule would hide bugs).
 """
 
@@ -20,6 +22,7 @@ from repro import (
     t3d,
 )
 from repro.errors import RuntimeFault
+from tests.conftest import cap_repeats
 
 SRC = """
 program opts;
@@ -43,7 +46,8 @@ end;
 
 @pytest.fixture(scope="module")
 def program():
-    return compile_program(SRC, "opts.zl")
+    # the repeat never converges: every run stops at the cap
+    return cap_repeats(compile_program(SRC, "opts.zl"), 5)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +59,6 @@ class TestSimOptions:
     def test_defaults(self):
         opts = SimOptions()
         assert opts.mode is ExecutionMode.NUMERIC
-        assert opts.repeat_cap is None
         assert opts.trace_rank is None
         assert opts.fast is True
 
@@ -68,9 +71,8 @@ class TestSimOptions:
             SimOptions(mode="warp")
 
     def test_constructors(self):
-        t = SimOptions.timing(repeat_cap=7, fast=True)
+        t = SimOptions.timing(fast=True)
         assert t.mode is ExecutionMode.TIMING
-        assert t.repeat_cap == 7
         assert t.fast is True
         n = SimOptions.numeric(trace_rank=2)
         assert n.mode is ExecutionMode.NUMERIC
@@ -79,7 +81,7 @@ class TestSimOptions:
     def test_frozen(self):
         opts = SimOptions()
         with pytest.raises(Exception):
-            opts.repeat_cap = 3
+            opts.trace_rank = 3
 
 
 class TestOptionsOnlyAPI:
@@ -99,19 +101,17 @@ class TestOptionsOnlyAPI:
         traced = simulate(
             program,
             machine,
-            options=SimOptions.timing(trace_rank=0, repeat_cap=5),
+            options=SimOptions.timing(trace_rank=0),
         )
         assert traced.trace is not None
         walked = simulate(
             program,
             machine,
-            options=SimOptions.timing(fast=False, repeat_cap=5),
+            options=SimOptions.timing(fast=False),
         )
         assert walked.fastpath is None
         assert walked.time == traced.time
-        capped = simulate(
-            program, machine, options=SimOptions.numeric(repeat_cap=5)
-        )
+        capped = simulate(program, machine, options=SimOptions.numeric())
         assert any("capped" in w for w in capped.warnings)
 
     def test_positional_mode_is_silent(self, program, machine):
@@ -129,7 +129,7 @@ class TestOptionsOnlyAPI:
     def test_options_path_is_silent(self, program, machine):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            simulate(program, machine, options=SimOptions.timing(repeat_cap=5))
+            simulate(program, machine, options=SimOptions.timing())
 
     def test_mixing_options_and_mode_raises(self, program, machine):
         with pytest.raises(RuntimeFault, match="mode"):
@@ -160,7 +160,7 @@ class TestTraceRankBoundary:
             simulate(
                 program,
                 machine,
-                options=SimOptions(mode=mode, trace_rank=rank, repeat_cap=3),
+                options=SimOptions(mode=mode, trace_rank=rank),
             )
         assert repr(rank) in str(err.value)
         assert "[0, 4)" in str(err.value)
@@ -170,6 +170,6 @@ class TestTraceRankBoundary:
             res = simulate(
                 program,
                 machine,
-                options=SimOptions.timing(trace_rank=rank, repeat_cap=3),
+                options=SimOptions.timing(trace_rank=rank),
             )
             assert res.trace_rank == rank and res.trace

@@ -5,14 +5,15 @@ receiver and every strip class it intersects ``Region`` objects and asks
 the mesh (or, for periodic transfers, the owner map) for the sender.
 :class:`~repro.runtime.transfers.TransferPlan` computes the same strips
 for all ranks at once.  Every case must give identical messages (order,
-endpoints, and each copy's array, box and source), identical
-``senders``/``receivers``/``nbytes`` vectors, or the same
+endpoints, and each copy's array, box and source; the plan's strips are
+regrouped per (sender, receiver) pair by :func:`plan_messages`),
+identical ``senders``/``receivers``/``nbytes`` vectors, or the same
 ``RuntimeFault`` message from both.  The oracle reads ownership
 through ``ProblemLayout.owned``/``owner_of``, which
 ``tests/runtime/test_layout.py`` pins against the mesh splits.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,49 @@ from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.ir.nodes import CommDescriptor, CommEntry
 from repro.lang.regions import Direction, Region
 from repro.programs import BENCHMARKS, KERNELS, build_benchmark, swm_periodic
+from repro.programs.common import compile_source
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
-from repro.runtime.transfers import Message, StripCopy, TransferPlan
+from repro.runtime.transfers import TransferPlan
+
+
+class StripCopy(NamedTuple):
+    """One rectangular piece of one array inside one message: ``box`` in
+    the receiver's coordinates, ``src_box`` (periodic transfers only) in
+    the sender's."""
+
+    array: str
+    box: Region
+    src_box: Optional[Region] = None
+
+
+class Message(NamedTuple):
+    """One point-to-point message of a transfer."""
+
+    sender: int
+    receiver: int
+    copies: List[StripCopy]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(c.box.size for c in self.copies) * 8
+
+
+def plan_messages(plan: TransferPlan) -> List[Message]:
+    """``plan.strips`` regrouped per (sender, receiver) pair, pairs in
+    sorted order, each pair's strips in (entry, strip class) order."""
+    pairs: Dict[Tuple[int, int], List[StripCopy]] = {}
+    for s in plan.strips:
+        for sender, receiver, lo, hi, src_lo, src_hi in zip(
+            s.senders.tolist(), s.receivers.tolist(), s.lows.tolist(),
+            s.highs.tolist(), s.src_lows.tolist(), s.src_highs.tolist(),
+        ):
+            src = Region("<wrapsrc>", src_lo, src_hi) if plan.desc.wrap else None
+            pairs.setdefault((sender, receiver), []).append(
+                StripCopy(s.array, Region("<strip>", lo, hi), src)
+            )
+    return [Message(s, r, copies) for (s, r), copies in sorted(pairs.items())]
+
 
 # ---------------------------------------------------------------------------
 # the oracle: the per-rank, per-strip Region walk
@@ -206,7 +247,11 @@ def assert_matches_oracle(desc: CommDescriptor, layout: ProblemLayout) -> None:
     assert plan.receivers.tolist() == [m.receiver for m in expected]
     assert plan.nbytes.tolist() == [m.nbytes for m in expected]
     assert plan.message_count == len(expected)
-    assert _copies(plan.messages) == _copies(expected)
+    assert _copies(plan_messages(plan)) == _copies(expected)
+    for s in plan.strips:
+        # each folded source box is the size of its strip
+        sizes = (s.highs - s.lows + 1).prod(axis=1)
+        assert ((s.src_highs - s.src_lows + 1).prod(axis=1) == sizes).all()
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +266,14 @@ CORPUS = (
 
 def _build(name, opt):
     if name == "swm_periodic":
-        return swm_periodic.build(opt=opt)
+        return _swm_periodic(opt)
     return build_benchmark(name, opt=opt)
+
+
+def _swm_periodic(opt):
+    return compile_source(
+        swm_periodic.SOURCE, "swm_periodic.zl", swm_periodic.DEFAULT_CONFIG, opt
+    )
 
 
 @pytest.mark.parametrize("name", CORPUS)
@@ -261,7 +312,7 @@ def test_corpus_covers_periodic_and_combined_transfers():
     descs = [
         d
         for key in EXPERIMENT_KEYS
-        for d in swm_periodic.build(opt=experiment_spec(key).opt).all_descriptors()
+        for d in _swm_periodic(experiment_spec(key).opt).all_descriptors()
     ]
     assert any(d.wrap for d in descs)
     assert any(d.wrap and len(d.entries) > 1 for d in descs)

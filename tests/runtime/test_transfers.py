@@ -8,6 +8,7 @@ from repro.lang.regions import Direction, Region
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
 from repro.runtime.transfers import PlanCache, TransferPlan
+from tests.runtime.test_plan_oracle import plan_messages
 
 
 def make_plan(direction, use_region=None, rows=2, cols=2, n=8, arrays=("A",)):
@@ -27,25 +28,25 @@ class TestAxisTransfers:
         plan, layout = make_plan(Direction("east", (0, 1)))
         # 2x2 mesh: each left-column rank receives from its right neighbour
         assert plan.message_count == 2
-        for msg in plan.messages:
+        for msg in plan_messages(plan):
             assert layout.grid.coords(msg.sender)[1] == 1
             assert layout.grid.coords(msg.receiver)[1] == 0
 
     def test_strip_contents_are_boundary_columns(self):
         plan, _ = make_plan(Direction("east", (0, 1)))
-        for msg in plan.messages:
+        for msg in plan_messages(plan):
             (copy,) = msg.copies
             lo, hi = copy.box.lows[1], copy.box.highs[1]
             assert lo == hi == 5  # first column of the east block
 
     def test_bytes_match_strip_sizes(self):
         plan, _ = make_plan(Direction("east", (0, 1)))
-        for msg in plan.messages:
+        for msg in plan_messages(plan):
             assert msg.nbytes == msg.copies[0].box.size * 8
 
     def test_boundary_ranks_send_nothing_west(self):
         plan, layout = make_plan(Direction("west", (0, -1)))
-        senders = {layout.grid.coords(m.sender)[1] for m in plan.messages}
+        senders = {layout.grid.coords(m.sender)[1] for m in plan_messages(plan)}
         assert senders == {0}
 
 
@@ -55,14 +56,14 @@ class TestDiagonalTransfers:
         # the top-left rank receives an east strip, a south strip, and a
         # corner from the south-east neighbour
         senders = sorted(
-            m.sender for m in plan.messages if m.receiver == 0
+            m.sender for m in plan_messages(plan) if m.receiver == 0
         )
         assert senders == [1, 3, 4]
 
     def test_corner_message_is_single_cell(self):
         plan, layout = make_plan(Direction("se", (1, 1)), rows=3, cols=3, n=9)
         corner = [
-            m for m in plan.messages if m.receiver == 0 and m.sender == 4
+            m for m in plan_messages(plan) if m.receiver == 0 and m.sender == 4
         ]
         assert corner[0].copies[0].box.size == 1
 
@@ -76,7 +77,7 @@ class TestCombinedTransfers:
 
     def test_combined_message_carries_both_strips(self):
         plan, _ = make_plan(Direction("east", (0, 1)), arrays=("A", "B"))
-        for msg in plan.messages:
+        for msg in plan_messages(plan):
             assert sorted(c.array for c in msg.copies) == ["A", "B"]
 
 

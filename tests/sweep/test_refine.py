@@ -71,6 +71,15 @@ class TestRefinement:
             for fp in refined.round_fingerprints
         )
 
+    def test_reported_crossings_straddle_the_threshold(self, tmp_path):
+        """A refinement bisects toward crossings of its threshold and
+        reports those crossings, not the crossings of 1.0."""
+        refined = _refine(tmp_path, threshold=0.97)
+        assert refined.crossovers
+        for c in refined.crossovers:
+            assert (c.ratio_low - 0.97) * (c.ratio_high - 0.97) < 0
+            assert c.x_high - c.x_low <= refined.tol
+
     def test_merged_sweep_is_ordered_and_complete(self, refined):
         xs = [float(p.coord(AXIS)) for p in refined.sweep.points]
         assert xs == sorted(xs)
