@@ -22,7 +22,10 @@ Commands
 
 ``experiments``, ``trace``, and ``sweep`` share one flag vocabulary:
 ``--nprocs`` (``--procs`` stays as an alias) and ``--set PATH=VALUE`` for
-machine-parameter overrides.
+machine-parameter overrides.  Where a command runs several benchmarks,
+each ``--config NAME=VALUE`` goes to the selected benchmarks whose
+default config declares ``NAME`` (SIMPLE's ``niters``, SWM's
+``nsteps``); a ``NAME`` none of them declares exits with an error.
 
 ``passes``
     Print the optimizer passes in their fixed order, each with the
@@ -142,7 +145,7 @@ from repro.experiments_registry import (
     experiment_spec,
 )
 from repro.frontend import parse_config_assignments
-from repro.programs import BENCHMARKS, KERNELS, validate_benchmark
+from repro.programs import BENCHMARKS, KERNELS, default_config, validate_benchmark
 from repro.sweep.axes import parse_axes
 
 #: Every key the CLI accepts: the paper's six plus the composition
@@ -157,6 +160,25 @@ def _parse_config(pairs):
         return parse_config_assignments(pairs)
     except ValueError as exc:
         raise SystemExit(f"--config: {exc}") from None
+
+
+def _config_per_benchmark(command: str, benches, config):
+    """``--config`` overrides per benchmark: each NAME goes to the
+    selected benchmarks whose default config declares it (None without
+    overrides); a NAME that none of them declares exits."""
+    if not config:
+        return None
+    declared = {bench: default_config(bench) for bench in benches}
+    for name in config:
+        if not any(name in names for names in declared.values()):
+            raise SystemExit(
+                f"{command}: --config {name}: no selected benchmark declares it"
+            )
+    per_bench = {
+        bench: {name: value for name, value in config.items() if name in names}
+        for bench, names in declared.items()
+    }
+    return {bench: c for bench, c in per_bench.items() if c}
 
 
 def _opt_for(key: str) -> OptimizationConfig:
@@ -312,14 +334,16 @@ def cmd_run(args) -> int:
 
 def cmd_experiments(args) -> int:
     benches = args.bench or list(BENCHMARKS)
-    overrides = _parse_config(args.config)
+    overrides = _config_per_benchmark(
+        "experiments", benches, _parse_config(args.config)
+    )
     pinned = _parse_set(args.set)
     try:
         results = run_study(
             benchmarks=benches,
             machine=MachineSpec.coerce(None, overrides=pinned or None),
             nprocs=args.nprocs,
-            config_overrides={b: overrides for b in benches} if overrides else None,
+            config_overrides=overrides,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )
@@ -480,13 +504,12 @@ def cmd_compare(args) -> int:
             )
         procs = args.procs or (existing["nprocs"] if existing else 64)
         machine = args.machine or (existing["machine"] if existing else "t3d")
-        overrides = _parse_config(args.config)
         study = run_study(
             benchmarks=benches,
             nprocs=procs,
             machine=machine,
-            config_overrides=(
-                {b: overrides for b in benches} if overrides else None
+            config_overrides=_config_per_benchmark(
+                "compare", benches, _parse_config(args.config)
             ),
             jobs=args.jobs,
             cache=not args.no_cache,
@@ -516,7 +539,7 @@ def cmd_compare(args) -> int:
 def cmd_sweep(args) -> int:
     benches = args.bench or list(BENCHMARKS)
     keys = tuple(args.keys or EXPERIMENT_KEYS)
-    config = _parse_config(args.config)
+    config = _config_per_benchmark("sweep", benches, _parse_config(args.config))
     pinned = _parse_set(args.set)
     try:
         axes = parse_axes(args.axis)
@@ -527,7 +550,7 @@ def cmd_sweep(args) -> int:
             machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
             library=args.library,
             overrides=pinned or None,
-            config_overrides={b: config for b in benches} if config else None,
+            config_overrides=config,
             telemetry=args.telemetry,
             **_engine_kwargs(args),
         )
@@ -578,7 +601,7 @@ def cmd_frontier(args) -> int:
 
     benches = args.bench or list(BENCHMARKS)
     keys = tuple(args.keys or EXPERIMENT_KEYS)
-    config = _parse_config(args.config)
+    config = _config_per_benchmark("frontier", benches, _parse_config(args.config))
     pinned = _parse_set(args.set)
     if (args.refine is None) == (not args.axis or len(args.axis) != 2):
         raise SystemExit(
@@ -601,9 +624,7 @@ def cmd_frontier(args) -> int:
                 machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
                 library=args.library,
                 overrides=pinned or None,
-                config_overrides={b: config for b in benches}
-                if config
-                else None,
+                config_overrides=config,
                 **_engine_kwargs(args),
             )
             print(fr.format_refined_report(refined))
@@ -627,9 +648,7 @@ def cmd_frontier(args) -> int:
                 machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
                 library=args.library,
                 overrides=pinned or None,
-                config_overrides={b: config for b in benches}
-                if config
-                else None,
+                config_overrides=config,
                 **_engine_kwargs(args),
             )
             print(fr.format_frontier_report(sweep, x_axis, y_axis))
@@ -674,7 +693,7 @@ def cmd_fit(args) -> int:
                 keys=keys,
                 library=args.library,
                 overrides=_parse_set(args.set) or None,
-                config={b: config for b in benches} if config else None,
+                config=_config_per_benchmark("fit", benches, config),
             )
         else:
             target = fitmod.load_target(args.target)
@@ -739,13 +758,12 @@ def cmd_compose(args) -> int:
             f"gen_{seed}"
             for seed in range(args.gen_seed, args.gen_seed + args.gen)
         )
-    config = _parse_config(args.config)
+    config = _config_per_benchmark("compose", benches, _parse_config(args.config)) or {}
     pinned = _parse_set(args.set)
     config_overrides = {}
     for bench in benches:
         merged = dict(small_config(bench)) if args.small else {}
-        if config:
-            merged.update(config)
+        merged.update(config.get(bench, {}))
         if merged:
             config_overrides[bench] = merged
     variants = None
@@ -957,6 +975,13 @@ def cmd_figure6(args) -> int:
     return 0
 
 
+#: the ``--config`` help of every command that runs several benchmarks
+_CONFIG_HELP = (
+    "program config override, repeatable; it goes to each selected "
+    "benchmark whose default config declares NAME"
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -989,7 +1014,7 @@ def main(argv=None) -> int:
     p.add_argument("--bench", action="append", type=_benchmark,
                    metavar="BENCH")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
-                   help="config override applied to every benchmark")
+                   help=_CONFIG_HELP)
     p.add_argument("--explain", action="store_true",
                    help="append per-pass attribution tables (which pass "
                    "accounts for how much of each reduction)")
@@ -1031,7 +1056,8 @@ def main(argv=None) -> int:
                    help="processor count (default: the baseline's)")
     p.add_argument("--machine", default=None,
                    help="machine name (default: the baseline's)")
-    p.add_argument("--config", action="append", metavar="NAME=VALUE")
+    p.add_argument("--config", action="append", metavar="NAME=VALUE",
+                   help=_CONFIG_HELP)
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=None, metavar="DIR")
@@ -1062,7 +1088,7 @@ def main(argv=None) -> int:
                    help="communication library override (default: each "
                    "key's library)")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
-                   help="program config override applied to every benchmark")
+                   help=_CONFIG_HELP)
     p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the per-cell scaling table as CSV")
     p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
@@ -1093,7 +1119,7 @@ def main(argv=None) -> int:
                    help="base machine the variants derive from (t3d/paragon)")
     p.add_argument("--library", default=None)
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
-                   help="program config override applied to every benchmark")
+                   help=_CONFIG_HELP)
     p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the contour table (dense mode) or per-cell "
                    "scaling table (refine mode) as CSV")
@@ -1132,7 +1158,7 @@ def main(argv=None) -> int:
     p.add_argument("--library", default=None)
     p.add_argument("--machine", default="t3d")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
-                   help="program config override for the fit cells")
+                   help=_CONFIG_HELP + " (the --synthetic cells)")
     p.add_argument("--write-target", type=_output_path, default=None,
                    metavar="PATH",
                    help="also write the (synthetic) target document")
@@ -1166,7 +1192,7 @@ def main(argv=None) -> int:
     p.add_argument("--small", action="store_true",
                    help="run every program at its test-sized config")
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
-                   help="config override applied to every program")
+                   help=_CONFIG_HELP)
     p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
                    help="write the per-cell composition table as CSV")
     p.add_argument("--json", type=_output_path, default=None, metavar="PATH",

@@ -307,10 +307,12 @@ class _Simulation:
             return  # nothing to move on this machine: calls find no work
         if self.parallel is not None:
             if stmt.kind is CallKind.SR:
-                self.parallel.snapshot(plan)
+                self.parallel.snapshot(stmt.desc, plan)
             elif stmt.kind is CallKind.DN:
-                self.parallel.deliver(plan)
-        self.timing.call_op(stmt.kind)(plan, self.comm_costs(plan, stmt.kind))
+                self.parallel.deliver(stmt.desc, plan)
+        self.timing.call_op(stmt.kind)(
+            stmt.desc, plan, self.comm_costs(plan, stmt.kind)
+        )
 
 
 def _check_trace_rank(trace_rank: object, nprocs: int) -> None:

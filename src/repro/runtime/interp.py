@@ -132,7 +132,8 @@ class ParallelEvaluator:
         #: id(node) -> (node, its bound form); holding the node keeps
         #: its id from being reused while the evaluator lives
         self._bound: Dict[int, Tuple[object, list]] = {}
-        #: transfer descriptor id -> payloads snapshotted at SR
+        #: the SR's descriptor id -> payloads snapshotted at SR (its plan
+        #: may serve other descriptors, with their own payloads)
         self._payloads: Dict[int, List[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
@@ -210,20 +211,18 @@ class ParallelEvaluator:
             acc = combiner(acc, part)
         return float(acc)
 
-    def snapshot(self, plan) -> None:
-        """Copy out what an SR on ``plan`` sends: each of its strips, in
-        strip order."""
-        self._payloads[plan.desc.id] = [
+    def snapshot(self, desc: ir.CommDescriptor, plan) -> None:
+        """Copy out what the SR of ``desc`` sends on ``plan``: each of its
+        strips, in strip order."""
+        self._payloads[desc.id] = [
             source.copy() for source, _ in self._once(plan, self._bind_copies)
         ]
 
-    def deliver(self, plan) -> None:
-        """Write the payloads of ``plan``'s SR into the receivers' fluff."""
-        payloads = self._payloads.pop(plan.desc.id, None)
+    def deliver(self, desc: ir.CommDescriptor, plan) -> None:
+        """Write the payloads of ``desc``'s SR into the receivers' fluff."""
+        payloads = self._payloads.pop(desc.id, None)
         if payloads is None:  # pragma: no cover - timing engine raises first
-            raise RuntimeFault(
-                f"delivery of {plan.desc.describe()} before initiation"
-            )
+            raise RuntimeFault(f"delivery of {desc.describe()} before initiation")
         for (_, dest), payload in zip(self._once(plan, self._bind_copies), payloads):
             dest[...] = payload
 

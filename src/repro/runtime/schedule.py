@@ -12,8 +12,11 @@ precomputed:
 ``REDUCE``
     the partial-combine vector and tree time of a collective;
 ``SR`` / ``DN`` / ``DR`` / ``SV``
-    the resolved :class:`~repro.runtime.transfers.TransferPlan` of an
-    IRONMAN call and its :class:`~repro.runtime.costs.CallCosts`;
+    an IRONMAN call's :class:`~repro.ir.nodes.CommDescriptor` (what
+    identifies the transfer), its resolved
+    :class:`~repro.runtime.transfers.TransferPlan` (geometry, shared by
+    every descriptor of that geometry) and its
+    :class:`~repro.runtime.costs.CallCosts`;
 loop / branch markers
     structured ops that re-evaluate only what is genuinely dynamic
     (bounds, conditions, scalar assignments — compiled to closures).
@@ -541,9 +544,11 @@ class _Assign(NamedTuple):
 
 
 class _Call(NamedTuple):
-    """An IRONMAN call: its plan's index in the plan table."""
+    """An IRONMAN call: its descriptor, which keys the transfer's
+    in-flight state, its plan, and the plan's index in the plan table."""
 
     kind: CallKind
+    desc: ir.CommDescriptor
     plan: TransferPlan
     index: int
 
@@ -677,7 +682,7 @@ class _TemplateLowerer:
                 index = self.plan_index[plan.signature] = len(self.table_plans)
                 self.table_plans.append(plan)
             self.kinds.add(stmt.kind)
-            nodes.append(_Call(stmt.kind, plan, index))
+            nodes.append(_Call(stmt.kind, stmt.desc, plan, index))
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot lower {stmt!r}")
 
@@ -766,7 +771,11 @@ class _Binder:
             elif isinstance(node, _Call):
                 costs = self.costs.get(node.kind)
                 if costs is not None:
-                    ops.append(timing.bind_call(node.kind, node.plan, costs[node.index]))
+                    ops.append(
+                        timing.bind_call(
+                            node.kind, node.desc, node.plan, costs[node.index]
+                        )
+                    )
             elif isinstance(node, _Assign):
                 ops.append(
                     partial(timing.charge_scalar_cost, timing.scalar_cost(node.flops))

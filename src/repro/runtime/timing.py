@@ -29,18 +29,22 @@ The :class:`~repro.runtime.costs.CallCosts` of every call are priced
 once per run by :func:`~repro.runtime.costs.price` and bound at
 lowering: each core takes its view of them (:meth:`TimingEngine.bind_costs`)
 and binds the compiled op itself (``bind_call``, ``bind_charge``).  The
-scalar core's call op is one of its methods, ``op(plan, costs)``, or a
-scalar form; the batched core's is a block form (both below).
+scalar core's call op is one of its methods, ``op(desc, plan, costs)``,
+or a scalar form; the batched core's is a block form (both below).
 
 In-flight state per receiver
 ----------------------------
 An in-flight transfer is stored as a block over its plan's
 ``receivers_unique``: each receiver's latest arrival, shape ``(R,)`` on
 the scalar core and ``(V, R)`` on the batched one.  A posted DR flag is
-the same block of the receivers' clocks.  SR gathers the senders'
-clocks, adds ``cum_sw`` and then ``wire`` per message, permutes the
-result to receiver order and, where some receiver gets more than one
-message, takes each receiver's maximum with ``np.maximum.reduceat``
+the same block of the receivers' clocks.  Both are keyed by the id of
+the call's :class:`~repro.ir.nodes.CommDescriptor`, not by the plan:
+one plan serves every descriptor of its geometry, and two of them may
+be in flight at once; faults and traced labels name the descriptor
+too.  SR gathers the senders' clocks, adds ``cum_sw`` and then ``wire``
+per message, permutes the result to receiver order and, where some
+receiver gets more than one message, takes each receiver's maximum with
+``np.maximum.reduceat``
 (:attr:`~repro.runtime.transfers.TransferPlan.grouping`).  A rendezvous
 SR reads the flag block through each message's receiver slot and takes
 each sender's maximum over its run of messages.  The result equals a
@@ -123,6 +127,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import RuntimeFault
+from repro.ir.nodes import CommDescriptor
 from repro.ironman.calls import CallKind
 from repro.machine.params import SyncKind
 from repro.machine.variants import VariantMatrix
@@ -149,7 +154,7 @@ class TraceEvent:
         return self.end - self.start
 
 
-#: the scalar core's method executing each call kind, ``op(plan, costs)``
+#: the scalar core's method executing each call kind, ``op(desc, plan, costs)``
 _CALL_OPS = {
     CallKind.SR: "_do_send",
     CallKind.DN: "_do_complete",
@@ -201,16 +206,16 @@ def _per_sender(flags: np.ndarray, plan: TransferPlan, raw) -> np.ndarray:
     return flags
 
 
-def _sent_twice(plan: TransferPlan) -> RuntimeFault:
+def _sent_twice(desc: CommDescriptor) -> RuntimeFault:
     return RuntimeFault(
-        f"transfer {plan.desc.describe()} initiated twice without "
+        f"transfer {desc.describe()} initiated twice without "
         "completion — optimizer produced an illegal schedule"
     )
 
 
-def _never_sent(plan: TransferPlan) -> RuntimeFault:
+def _never_sent(desc: CommDescriptor) -> RuntimeFault:
     return RuntimeFault(
-        f"completion of {plan.desc.describe()} before initiation — "
+        f"completion of {desc.describe()} before initiation — "
         "optimizer produced an illegal schedule"
     )
 
@@ -410,17 +415,19 @@ class TimingEngine(_Core):
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
-    def call_op(self, kind: CallKind) -> Callable[[TransferPlan, CallCosts], None]:
+    def call_op(
+        self, kind: CallKind
+    ) -> Callable[[CommDescriptor, TransferPlan, CallCosts], None]:
         """The bound method executing ``kind`` calls (the walk's op)."""
         return getattr(self, _CALL_OPS[kind])
 
-    def _do_send(self, plan: TransferPlan, costs: CallCosts) -> None:
-        if plan.desc.id in self._inflight:
-            raise _sent_twice(plan)
+    def _do_send(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
+        if desc.id in self._inflight:
+            raise _sent_twice(desc)
         # One-way communication: a put may not start until the destination
         # signalled buffer readiness (its DR `synch` posted a flag); the
         # source blocks until the flag has crossed the wire.
-        dr = self._dr_times.pop(plan.desc.id, None)
+        dr = self._dr_times.pop(desc.id, None)
         if dr is not None:
             senders = plan.senders_unique
             flags = _per_sender(dr, plan, self.machine.network.raw)
@@ -431,24 +438,24 @@ class TimingEngine(_Core):
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
                 t1 = max(t0, e + float(flags[i]))
-                self._record("wait", t0, t1, f"DR flag {plan.desc.describe()}")
+                self._record("wait", t0, t1, f"DR flag {desc.describe()}")
             self.clock[senders] = np.maximum(clock, flags)
         send_end = self.clock[plan.senders] + costs.cum_sw
         arrivals = _per_receiver(send_end + costs.wire, plan)
         if self.trace_rank is not None:
             t0 = self._epoch_val + float(self.clock[self.trace_rank])
             t1 = t0 + float(costs.rank_sw[self.trace_rank])
-            self._record("send", t0, t1, plan.desc.describe())
+            self._record("send", t0, t1, desc.describe())
         self.clock += costs.rank_sw
         self.instrument.comm_sw_time += costs.rank_sw
-        self._inflight[plan.desc.id] = arrivals
+        self._inflight[desc.id] = arrivals
         self.instrument.record_transfer(plan)
         self.instrument.record_calls(costs.name, costs.calls)
 
-    def _do_complete(self, plan: TransferPlan, costs: CallCosts) -> None:
-        arrivals = self._inflight.pop(plan.desc.id, None)
+    def _do_complete(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
+        arrivals = self._inflight.pop(desc.id, None)
         if arrivals is None:
-            raise _never_sent(plan)
+            raise _never_sent(desc)
         receivers = plan.receivers_unique
         traced = self.trace_rank is not None and self.trace_rank in receivers
         if traced:
@@ -469,12 +476,12 @@ class TimingEngine(_Core):
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
                 t_arr = max(t0, e + float(arrivals[i]))
-                self._record("wait", t0, t_arr, f"DN {plan.desc.describe()}")
+                self._record("wait", t0, t_arr, f"DN {desc.describe()}")
                 self._record(
                     "synch",
                     t_arr,
                     t_arr + costs.fixed + float(surcharge[i]),
-                    plan.desc.describe(),
+                    desc.describe(),
                 )
             self.clock[receivers] = (
                 np.maximum(self.clock[receivers], arrivals)
@@ -490,18 +497,18 @@ class TimingEngine(_Core):
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
                 t_arr = max(t0, e + float(arrivals[i]))
-                self._record("wait", t0, t_arr, f"DN {plan.desc.describe()}")
+                self._record("wait", t0, t_arr, f"DN {desc.describe()}")
                 self._record(
                     "recv",
                     t_arr,
                     t_arr + float(sw[self.trace_rank]),
-                    plan.desc.describe(),
+                    desc.describe(),
                 )
             waited = np.maximum(self.clock[receivers], arrivals)
             self.clock[receivers] = waited + sw[receivers]
         self.instrument.record_calls(costs.name, costs.calls)
 
-    def _do_pre(self, plan: TransferPlan, costs: CallCosts) -> None:
+    def _do_pre(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
         if costs.sync is SyncKind.RENDEZVOUS:
             # the destination readies its fluff buffer and posts a flag to
             # each source; the put may not start before the flag lands
@@ -510,24 +517,24 @@ class TimingEngine(_Core):
             if self.trace_rank is not None and self.trace_rank in receivers:
                 t0 = self._epoch_val + float(self.clock[self.trace_rank])
                 self._record(
-                    "synch", t0, t0 + costs.fixed, f"DR {plan.desc.describe()}"
+                    "synch", t0, t0 + costs.fixed, f"DR {desc.describe()}"
                 )
             flags = self.clock[receivers] + costs.fixed
             self.clock[receivers] = flags
             self.instrument.comm_sw_time[receivers] += costs.fixed
-            self._dr_times[plan.desc.id] = flags
+            self._dr_times[desc.id] = flags
         else:
             # posting receives (irecv/hprobe): fixed cost per incoming
             # message at each receiver
-            self._charge_fixed(plan, costs, "recv", "DR")
+            self._charge_fixed(desc, costs, "recv", "DR")
         self.instrument.record_calls(costs.name, costs.calls)
 
-    def _do_volatile(self, plan: TransferPlan, costs: CallCosts) -> None:
-        self._charge_fixed(plan, costs, "send", "SV")
+    def _do_volatile(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
+        self._charge_fixed(desc, costs, "send", "SV")
         self.instrument.record_calls(costs.name, costs.calls)
 
     def _charge_fixed(
-        self, plan: TransferPlan, costs: CallCosts, kind: str, call: str
+        self, desc: CommDescriptor, costs: CallCosts, kind: str, call: str
     ) -> None:
         per_rank = costs.rank_sw
         if self.trace_rank is not None:
@@ -536,7 +543,7 @@ class TimingEngine(_Core):
                 kind,
                 t0,
                 t0 + float(per_rank[self.trace_rank]),
-                f"{call} {plan.desc.describe()}",
+                f"{call} {desc.describe()}",
             )
         self.clock += per_rank
         self.instrument.comm_sw_time += per_rank
@@ -563,16 +570,22 @@ class TimingEngine(_Core):
         return charge_one
 
     def bind_call(
-        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
+        self,
+        kind: CallKind,
+        desc: CommDescriptor,
+        plan: TransferPlan,
+        costs: CallCosts,
     ) -> Callable[[], None]:
         """A one-message plan binds the call's scalar form, which reads
         and writes only the message's sender and receiver."""
         if plan.message_count != 1 or self.trace_rank is not None:
-            return partial(self.call_op(kind), plan, costs)
-        return getattr(self, _ONE_MESSAGE_OPS[kind])(plan, costs)
+            return partial(self.call_op(kind), desc, plan, costs)
+        return getattr(self, _ONE_MESSAGE_OPS[kind])(desc, plan, costs)
 
-    def _send_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
-        s, d, key = plan.senders.item(0), plan.receivers.item(0), plan.desc.id
+    def _send_one(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        s, d, key = plan.senders.item(0), plan.receivers.item(0), desc.id
         nbytes = plan.nbytes.item(0)
         cum, wire, sw = costs.cum_sw.item(0), costs.wire.item(0), costs.rank_sw.item(s)
         raw = self.machine.network.raw
@@ -583,7 +596,7 @@ class TimingEngine(_Core):
 
         def send_one() -> None:
             if key in inflight:
-                raise _sent_twice(plan)
+                raise _sent_twice(desc)
             t = clock.item(s)
             dr = dr_times.pop(key, None)
             if dr is not None:
@@ -600,8 +613,10 @@ class TimingEngine(_Core):
 
         return send_one
 
-    def _complete_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
-        d, key = plan.receivers.item(0), plan.desc.id
+    def _complete_one(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        d, key = plan.receivers.item(0), desc.id
         clock, inflight = self.clock, self._inflight
         inst = self.instrument
         wait, comm_sw = inst.wait_time, inst.comm_sw_time
@@ -612,7 +627,7 @@ class TimingEngine(_Core):
             def complete_one() -> None:
                 arrivals = inflight.pop(key, None)
                 if arrivals is None:
-                    raise _never_sent(plan)
+                    raise _never_sent(desc)
                 a, t = arrivals.item(0), clock.item(d)
                 waited = a - t
                 waited = 0.0 if 0.0 >= waited else waited
@@ -628,7 +643,7 @@ class TimingEngine(_Core):
         def complete_one() -> None:
             arrivals = inflight.pop(key, None)
             if arrivals is None:
-                raise _never_sent(plan)
+                raise _never_sent(desc)
             a, t = arrivals.item(0), clock.item(d)
             stall = a - t
             wait[d] = wait.item(d) + (0.0 if 0.0 >= stall else stall)
@@ -638,11 +653,13 @@ class TimingEngine(_Core):
 
         return complete_one
 
-    def _pre_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+    def _pre_one(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
         d = plan.receivers.item(0)
         if costs.sync is not SyncKind.RENDEZVOUS:
             return self._fixed_one(d, costs)
-        key, fixed = plan.desc.id, costs.fixed
+        key, fixed = desc.id, costs.fixed
         clock, dr_times = self.clock, self._dr_times
         comm_sw = self.instrument.comm_sw_time
         record, name, calls = self.instrument.record_calls, costs.name, costs.calls
@@ -656,7 +673,9 @@ class TimingEngine(_Core):
 
         return pre_one
 
-    def _volatile_one(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+    def _volatile_one(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
         return self._fixed_one(plan.senders.item(0), costs)
 
     def _fixed_one(self, r: int, costs: CallCosts) -> Callable[[], None]:
@@ -809,16 +828,22 @@ class BatchTimingEngine(_Core):
 
     # -- communication: block forms --------------------------------------
     def bind_call(
-        self, kind: CallKind, plan: TransferPlan, costs: CallCosts
+        self,
+        kind: CallKind,
+        desc: CommDescriptor,
+        plan: TransferPlan,
+        costs: CallCosts,
     ) -> Callable[[], None]:
         """The call's block form: a closure over the clock matrix, the
         in-flight and DR-flag tables, the plan's index arrays as ``intp``
         and the call's cost blocks, doing the scalar core's operations
         elementwise over the variants."""
-        return getattr(self, _BLOCK_FORMS[kind])(plan, costs)
+        return getattr(self, _BLOCK_FORMS[kind])(desc, plan, costs)
 
-    def _send_block(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
-        key, raw = plan.desc.id, self.matrix.net_raw[:, None]
+    def _send_block(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
+        key, raw = desc.id, self.matrix.net_raw[:, None]
         senders, senders_unique = plan.senders, plan.senders_unique
         order, fan_in = plan.grouping.order, plan.grouping.fan_in
         cum_sw, wire, rank_sw = costs.cum_sw, costs.wire, costs.rank_sw
@@ -828,7 +853,7 @@ class BatchTimingEngine(_Core):
 
         def send_block() -> None:
             if key in inflight:
-                raise _sent_twice(plan)
+                raise _sent_twice(desc)
             dr = dr_times.pop(key, None)
             if dr is not None:
                 # the put blocks until the destination's DR flag crossed the wire
@@ -850,9 +875,9 @@ class BatchTimingEngine(_Core):
         return send_block
 
     def _complete_block(
-        self, plan: TransferPlan, costs: CallCosts
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
     ) -> Callable[[], None]:
-        key, receivers = plan.desc.id, plan.receivers_unique
+        key, receivers = desc.id, plan.receivers_unique
         clock, inflight = self.clock, self._inflight
         maximum, minimum = np.maximum, np.minimum
         if costs.sync is SyncKind.RENDEZVOUS:
@@ -861,7 +886,7 @@ class BatchTimingEngine(_Core):
             def complete_block() -> None:
                 a = inflight.pop(key, None)
                 if a is None:
-                    raise _never_sent(plan)
+                    raise _never_sent(desc)
                 c = clock.take(receivers, axis=1)
                 waited = maximum(0.0, a - c)
                 surcharge = penalty * minimum(waited, cap)
@@ -873,7 +898,7 @@ class BatchTimingEngine(_Core):
         def complete_block() -> None:
             a = inflight.pop(key, None)
             if a is None:
-                raise _never_sent(plan)
+                raise _never_sent(desc)
             c = clock.take(receivers, axis=1)
             maximum(c, a, out=c)
             c += recv_sw
@@ -892,7 +917,9 @@ class BatchTimingEngine(_Core):
             )
         return block
 
-    def _pre_block(self, plan: TransferPlan, costs: CallCosts) -> Callable[[], None]:
+    def _pre_block(
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
+    ) -> Callable[[], None]:
         clock = self.clock
         if costs.sync is not SyncKind.RENDEZVOUS:
             rank_sw, add = costs.rank_sw, np.add
@@ -901,7 +928,7 @@ class BatchTimingEngine(_Core):
                 add(clock, rank_sw, out=clock)
 
             return pre_block
-        key, receivers, fixed = plan.desc.id, plan.receivers_unique, costs.fixed
+        key, receivers, fixed = desc.id, plan.receivers_unique, costs.fixed
         dr_times = self._dr_times
 
         def pre_block() -> None:
@@ -913,7 +940,7 @@ class BatchTimingEngine(_Core):
         return pre_block
 
     def _volatile_block(
-        self, plan: TransferPlan, costs: CallCosts
+        self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
     ) -> Callable[[], None]:
         clock, rank_sw, add = self.clock, costs.rank_sw, np.add
 

@@ -30,10 +30,20 @@ in sorted order, give the vectors the timing engines read; the numeric
 engine binds a view pair per strip straight from the strip arrays
 (:attr:`TransferPlan.strips`) to snapshot and deliver data.
 
-A plan holds geometry only.  What its messages cost on a machine is
-priced per run by :func:`repro.runtime.costs.price`, so one plan serves
-every machine and variant of the same layout; the interpreted walk
-prices through the plan's own one-plan :attr:`TransferPlan.table`.
+A plan holds geometry only: the layout, the direction's offsets, the
+wrap flag and each entry's array and use region.  :class:`PlanCache`
+builds one plan per process for each geometry, and that plan serves
+every descriptor with it, in any program on an equal layout (a
+program's baseline and optimized versions share many).  What
+its messages cost is priced per run by :func:`repro.runtime.costs.price`,
+so it also serves every machine and variant of its layout; the
+interpreted walk prices through the plan's own one-plan
+:attr:`TransferPlan.table`.  A transfer is identified by the call's
+:class:`~repro.ir.nodes.CommDescriptor`, which every call carries beside
+its plan: the timing cores key in-flight arrivals and DR flags, and
+NUMERIC runs their payloads, by its ``id``, and faults and traced labels
+name it, because two descriptors of one geometry may be in flight at
+once (jacobi's two ``A@north`` transfers under ``pl_only``).
 """
 
 from __future__ import annotations
@@ -92,19 +102,20 @@ class Grouping(NamedTuple):
 
 
 class TransferPlan:
-    """All messages of one descriptor on one machine layout.
+    """All messages of a descriptor's geometry on one machine layout.
 
     ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
     in (sender, receiver) order; :attr:`strips` holds the strips they
     are summed from, one :class:`StripSet` per entry and strip class.
     :attr:`grouping` and :attr:`count_block`, which the timing cores and
     counters read, and :attr:`table`, which the interpreted walk prices,
-    are built on first use."""
+    are built on first use.  ``desc`` only supplies the geometry (and
+    names itself in a construction fault); the plan keeps no reference
+    to it, since it serves every descriptor of that geometry."""
 
     def __init__(
         self, desc: CommDescriptor, layout: ProblemLayout, nprocs: int
     ) -> None:
-        self.desc = desc
         self.nprocs = nprocs
         self.strips: List[StripSet] = [
             strips
@@ -338,21 +349,20 @@ def _wrap_strips(desc, entry, layout, lo, hi, receivers):
 
 
 class PlanCache:
-    """Per-simulation cache of transfer plans keyed by descriptor id.
+    """Per-simulation cache of transfer plans keyed by descriptor id,
+    over a process-wide memo keyed by geometry.
 
-    Every plan built is also put in a process-wide memo (bounded LRU)
-    keyed by the layout, the processor count and the descriptor's id
-    and geometry.  The memo serves almost nothing: later runs of a
-    program on the same mesh shape take its plans from the program's
-    :class:`~repro.runtime.schedule.ScheduleTemplate`, and descriptor
-    ids are unique per process, so no other program's descriptor
-    matches a key.  On a cold t3d/64 paper study it builds 646 plans,
-    this cache's own dict serves 1938 lookups and the memo 0 (0 again
-    when the study reruns after ``clear_compile_cache``).  Once the
-    study's programs are dropped, the memo still pins their 646 plans,
-    about 8.7 MB by ``tracemalloc``.  It stays for now because the
-    benchmark harness (``benchmarks/perf/workloads.py``) clears it by
-    name through :meth:`clear_global`.
+    The memo (a bounded LRU) keys a plan by the layout, the processor
+    count, the direction's offsets, the wrap flag and each entry's array
+    and use region (:meth:`_geometry_key`), not by descriptor: every
+    descriptor with that geometry, in any program on an equal layout,
+    gets the one plan object, whose :attr:`~TransferPlan.signature`,
+    :attr:`~TransferPlan.grouping`, :attr:`~TransferPlan.count_block`
+    and :attr:`~TransferPlan.table` are computed once.  A cold t3d/64
+    paper study looks up 646 descriptors and builds 150 plans; the memo
+    then pins those 150, about 2 MB by ``tracemalloc``, until
+    :meth:`clear_global` (which the benchmark harness calls by name) or
+    the LRU drops them.
     """
 
     # bounds the plans the memo pins after their programs are gone
@@ -374,11 +384,12 @@ class PlanCache:
             ),
         )
 
-    def _desc_key(self, desc: CommDescriptor) -> Tuple:
+    def _geometry_key(self, desc: CommDescriptor) -> Tuple:
+        """Everything ``desc``'s plan depends on on this layout; equal
+        keys build equal plans."""
         return (
             self._layout_key,
             self.nprocs,
-            desc.id,
             desc.direction.offsets,
             desc.wrap,
             tuple(
@@ -390,7 +401,7 @@ class PlanCache:
     def plan(self, desc: CommDescriptor) -> TransferPlan:
         plan = self._plans.get(desc.id)
         if plan is None:
-            key = self._desc_key(desc)
+            key = self._geometry_key(desc)
             memo = type(self)._global
             plan = memo.get(key)
             if plan is None:
@@ -405,5 +416,5 @@ class PlanCache:
 
     @classmethod
     def clear_global(cls) -> None:
-        """Drop the process-wide plan memo (tests)."""
+        """Drop the process-wide plan memo."""
         cls._global.clear()

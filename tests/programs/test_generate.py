@@ -328,7 +328,7 @@ def test_check_reports_numerics_without_delivery(monkeypatch):
     zero, on a program that communicates."""
     lowered = generate_program(0)
     assert optimize(lowered, OptimizationConfig.full()).all_descriptors()
-    monkeypatch.setattr(ParallelEvaluator, "deliver", lambda self, plan: None)
+    monkeypatch.setattr(ParallelEvaluator, "deliver", lambda self, desc, plan: None)
     problems = cli._check_generated(0, DEFAULT_PROFILE)
     assert problems
     assert all(

@@ -125,13 +125,14 @@ def _sims(library):
 
 def _bind(sim, kind, one):
     """``sim``'s op for its first ``kind`` call on a plan with one
-    message (``one``) or several, and the plan."""
+    message (``one``) or several, the call's descriptor and the plan."""
     binder = _Binder(sim)
     for node in _nodes(sim.template.lowered.body):
         if isinstance(node, _Call) and node.kind is kind:
             if (node.plan.message_count == 1) == one:
                 costs = binder.costs[kind][node.index]
-                return sim.timing.bind_call(kind, node.plan, costs), node.plan
+                op = sim.timing.bind_call(kind, node.desc, node.plan, costs)
+                return op, node.desc, node.plan
     raise AssertionError(f"no {kind} call")
 
 
@@ -145,24 +146,24 @@ def _fault(op):
 @pytest.mark.parametrize("library", ["pvm", "shmem"])
 def test_send_twice_raises_the_scalar_fault(library, one):
     batched, scalar = _sims(library)
-    (block, plan), (op, _) = _bind(batched, CallKind.SR, one), _bind(scalar, CallKind.SR, one)
+    (block, desc, _), (op, *_) = _bind(batched, CallKind.SR, one), _bind(scalar, CallKind.SR, one)
     assert block.__name__ == "send_block"
     block()
     op()
     message = _fault(block)
     assert message == _fault(op)
-    assert f"transfer {plan.desc.describe()} initiated twice" in message
+    assert f"transfer {desc.describe()} initiated twice" in message
 
 
 @pytest.mark.parametrize("one", [True, False], ids=["one", "many"])
 @pytest.mark.parametrize("library", ["pvm", "shmem"])
 def test_complete_before_send_raises_the_scalar_fault(library, one):
     batched, scalar = _sims(library)
-    (block, plan), (op, _) = _bind(batched, CallKind.DN, one), _bind(scalar, CallKind.DN, one)
+    (block, desc, _), (op, *_) = _bind(batched, CallKind.DN, one), _bind(scalar, CallKind.DN, one)
     assert block.__name__ == "complete_block"
     message = _fault(block)
     assert message == _fault(op)
-    assert f"completion of {plan.desc.describe()} before initiation" in message
+    assert f"completion of {desc.describe()} before initiation" in message
 
 
 def test_unconsumed_flag_fails_quiescence():
@@ -171,10 +172,10 @@ def test_unconsumed_flag_fails_quiescence():
     batched, scalar = _sims("shmem")
     messages = []
     for sim in (batched, scalar):
-        op, plan = _bind(sim, CallKind.DR, False)
+        op, desc, plan = _bind(sim, CallKind.DR, False)
         sim.timing.assert_quiescent()
         op()
         messages.append(_fault(sim.timing.assert_quiescent))
-    assert batched.timing._dr_times[plan.desc.id].shape == (2, len(plan.receivers_unique))
+    assert batched.timing._dr_times[desc.id].shape == (2, len(plan.receivers_unique))
     assert messages[0] == messages[1]
     assert "1 destination-ready flag(s) posted but never consumed" in messages[0]

@@ -52,16 +52,17 @@ class Message(NamedTuple):
         return sum(c.box.size for c in self.copies) * 8
 
 
-def plan_messages(plan: TransferPlan) -> List[Message]:
+def plan_messages(plan: TransferPlan, wrap: bool = False) -> List[Message]:
     """``plan.strips`` regrouped per (sender, receiver) pair, pairs in
-    sorted order, each pair's strips in (entry, strip class) order."""
+    sorted order, each pair's strips in (entry, strip class) order; a
+    periodic (``wrap``) plan's copies carry their folded source boxes."""
     pairs: Dict[Tuple[int, int], List[StripCopy]] = {}
     for s in plan.strips:
         for sender, receiver, lo, hi, src_lo, src_hi in zip(
             s.senders.tolist(), s.receivers.tolist(), s.lows.tolist(),
             s.highs.tolist(), s.src_lows.tolist(), s.src_highs.tolist(),
         ):
-            src = Region("<wrapsrc>", src_lo, src_hi) if plan.desc.wrap else None
+            src = Region("<wrapsrc>", src_lo, src_hi) if wrap else None
             pairs.setdefault((sender, receiver), []).append(
                 StripCopy(s.array, Region("<strip>", lo, hi), src)
             )
@@ -247,7 +248,7 @@ def assert_matches_oracle(desc: CommDescriptor, layout: ProblemLayout) -> None:
     assert plan.receivers.tolist() == [m.receiver for m in expected]
     assert plan.nbytes.tolist() == [m.nbytes for m in expected]
     assert plan.message_count == len(expected)
-    assert _copies(plan_messages(plan)) == _copies(expected)
+    assert _copies(plan_messages(plan, desc.wrap)) == _copies(expected)
     for s in plan.strips:
         # each folded source box is the size of its strip
         sizes = (s.highs - s.lows + 1).prod(axis=1)

@@ -123,7 +123,7 @@ def test_scalar_core_binds_scalar_forms_for_single_rank_ops(machine_name, librar
         elif isinstance(node, _Call) and node.kind in binder.costs:
             one = node.plan.message_count == 1
             costs = binder.costs[node.kind][node.index]
-            op = sim.timing.bind_call(node.kind, node.plan, costs)
+            op = sim.timing.bind_call(node.kind, node.desc, node.plan, costs)
             vector_op = sim.timing.call_op(node.kind)
         else:
             continue
@@ -158,11 +158,11 @@ def test_batched_core_binds_vector_ops_only():
         elif isinstance(node, _Call) and node.kind in binder.costs:
             one = node.plan.message_count == 1
             costs = binder.costs[node.kind][node.index]
-            op = sim.timing.bind_call(node.kind, node.plan, costs)
+            op = sim.timing.bind_call(node.kind, node.desc, node.plan, costs)
             assert BLOCK_FORMS[op.__name__] is node.kind
             if one and node.kind is CallKind.SR and not sim.timing._inflight:
                 op()
-                assert sim.timing._inflight[node.plan.desc.id].shape == (2, 1)
+                assert sim.timing._inflight[node.desc.id].shape == (2, 1)
             seen.add((type(node), one))
     assert seen == {(_Charge, True), (_Charge, False), (_Call, True), (_Call, False)}
     assert sim.timing._inflight
@@ -171,11 +171,12 @@ def test_batched_core_binds_vector_ops_only():
 
 
 def _one_message_call(sim, kind):
-    """The plan and bound costs of ``sim``'s first one-message ``kind`` call."""
+    """The descriptor, plan and bound costs of ``sim``'s first
+    one-message ``kind`` call."""
     binder = _Binder(sim)
     for node in _nodes(sim.template.lowered.body):
         if isinstance(node, _Call) and node.kind is kind and node.plan.message_count == 1:
-            return node.plan, binder.costs[kind][node.index]
+            return node.desc, node.plan, binder.costs[kind][node.index]
     raise AssertionError(f"no one-message {kind} call")
 
 
@@ -189,9 +190,9 @@ def _fault(op):
 def test_scalar_send_twice_raises_like_the_vector_op(library):
     program, machine = _tomcatv("pl"), machine_by_name("t3d", 64, library)
     scalar_sim, vector_sim = _sim(program, machine), _sim(program, machine)
-    plan, costs = _one_message_call(scalar_sim, CallKind.SR)
-    scalar = scalar_sim.timing.bind_call(CallKind.SR, plan, costs)
-    vector = partial(vector_sim.timing.call_op(CallKind.SR), plan, costs)
+    desc, plan, costs = _one_message_call(scalar_sim, CallKind.SR)
+    scalar = scalar_sim.timing.bind_call(CallKind.SR, desc, plan, costs)
+    vector = partial(vector_sim.timing.call_op(CallKind.SR), desc, plan, costs)
     assert _is_scalar_form(scalar)
     scalar()
     vector()
@@ -204,9 +205,11 @@ def test_scalar_send_twice_raises_like_the_vector_op(library):
 def test_scalar_complete_before_send_raises_like_the_vector_op(library):
     program, machine = _tomcatv("pl"), machine_by_name("t3d", 64, library)
     scalar_sim, vector_sim = _sim(program, machine), _sim(program, machine)
-    plan, costs = _one_message_call(scalar_sim, CallKind.DN)
-    scalar = scalar_sim.timing.bind_call(CallKind.DN, plan, costs)
+    desc, plan, costs = _one_message_call(scalar_sim, CallKind.DN)
+    scalar = scalar_sim.timing.bind_call(CallKind.DN, desc, plan, costs)
     assert _is_scalar_form(scalar)
     message = _fault(scalar)
-    assert message == _fault(partial(vector_sim.timing.call_op(CallKind.DN), plan, costs))
+    assert message == _fault(
+        partial(vector_sim.timing.call_op(CallKind.DN), desc, plan, costs)
+    )
     assert "before initiation" in message

@@ -1,5 +1,7 @@
 """Tests of the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -774,6 +776,74 @@ def test_compose_over_kernels_and_generated(tmp_path, capsys):
 def test_compose_rejects_unknown_benchmark(capsys):
     with pytest.raises(SystemExit):
         main(["compose", "--bench", "linpack"])
+
+
+#: two benchmarks whose iteration counts have different names: SIMPLE's
+#: ``niters``, SWM's ``nsteps``
+TWO_BENCH_CONFIG = [
+    "--bench", "simple", "--bench", "swm", "--nprocs", "4",
+    "--config", "n=16", "--config", "niters=2", "--config", "nsteps=2",
+]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["experiments"],
+        ["sweep", "--keys", "baseline", "cc", "--axis", "net.latency=1e-6,2e-5"],
+        ["compose", "--variant", "net.latency=6e-5"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_config_goes_to_each_benchmark_that_declares_it(command, tmp_path, capsys):
+    """Each ``--config`` NAME reaches the selected benchmarks that declare
+    it: SIMPLE runs at ``niters=2`` and SWM at ``nsteps=2``, each with its
+    other defaults."""
+    import json
+
+    telemetry = tmp_path / "t.json"
+    argv = command + TWO_BENCH_CONFIG + ["--no-cache", "--telemetry", str(telemetry)]
+    assert main(argv) == 0
+    records = json.loads(telemetry.read_text())["records"]
+    assert {r["benchmark"]: r["config"] for r in records} == {
+        "simple": {"n": 16, "niters": 2, "ncond": 14},
+        "swm": {"n": 16, "nsteps": 2},
+    }
+
+
+BASELINE = str(Path(__file__).resolve().parents[1] / "baselines" / "paper.json")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["experiments"],
+        ["compare", "--baseline", BASELINE],
+        ["sweep", "--axis", "net.latency=1e-6,2e-5"],
+        ["frontier", "--refine", "net.latency=0:1e-5", "--tol", "1e-6"],
+        ["frontier", "--axis", "net.latency=1e-6,2e-5", "--axis", "prim.*.fixed=0,1e-6"],
+        ["fit", "--synthetic", "net.latency=3.2e-5"],
+        ["compose"],
+    ],
+    ids=["experiments", "compare", "sweep", "frontier-refine", "frontier-map", "fit", "compose"],
+)
+def test_config_no_selected_benchmark_declares_exits(command, tmp_path):
+    """A NAME that neither SIMPLE nor SP declares exits before any work
+    (``fit`` keeps no result cache)."""
+    cache = [] if command[0] == "fit" else ["--cache-dir", str(tmp_path / "cache")]
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--bench", "simple", "--bench", "sp", "--config", "nsteps=2"] + cache)
+    assert str(exc.value) == f"{command[0]}: --config nsteps: no selected benchmark declares it"
+    assert not (tmp_path / "cache").exists()
+
+
+def test_config_for_one_benchmark_passes_whole():
+    """One benchmark gets every override, as before the fan-out fix."""
+    from repro.__main__ import _config_per_benchmark
+
+    config = {"n": 16, "niters": 2}
+    assert _config_per_benchmark("sweep", ["simple"], config) == {"simple": config}
+    assert _config_per_benchmark("sweep", ["simple"], {}) is None
 
 
 def test_study_commands_accept_kernels_and_gen_names(tmp_path, capsys):
