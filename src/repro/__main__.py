@@ -47,28 +47,31 @@ default config declares ``NAME`` (SIMPLE's ``niters``, SWM's
 
 ``compare``
     Re-run a study and diff its counts and times against a committed
-    baseline (``--baseline PATH``); communication counts must match
-    exactly, model times within ``--tolerance``.  Exits nonzero on any
-    drift; ``--update`` (re)writes the baseline instead.
+    baseline (``--baseline PATH``); every field must match exactly,
+    model times to the last bit.  Exits nonzero on any drift;
+    ``--update`` (re)writes the baseline instead.
 
 ``sweep``
     Expand ``--axis name=v1,v2,...`` axes (processor counts, network
     parameters, primitive-cost fields) into derived machine variants and
     run the benchmark x experiment matrix over every point through the
     cached engine; prints the scaling report with detected crossovers
-    and optionally emits it (``--csv``/``--json``).  ``--set`` pins a
-    machine override at every point; the engine evaluates the cost
-    variants of each cell and processor count through the batched
-    simulator, and ``--jobs`` runs the rest; see ``docs/SWEEPS.md``.
+    (over two axes, the crossings along each axis per value of the
+    other: the crossover map) and, for two or more keys, the fastest
+    key per point, and optionally emits it (``--csv``/``--json``).
+    ``--set`` pins a machine override at every point; the engine
+    evaluates the cost variants of each cell and processor count
+    through the batched simulator, and ``--jobs`` runs the rest; see
+    ``docs/SWEEPS.md``.
 
 ``frontier``
-    The adaptive frontier engine.  ``--refine PATH=LO:HI --tol T``
-    localizes every crossover of one cost axis by coarse-grid bisection
-    — only intervals still containing a ratio crossing or a winner flip
-    are subdivided, so localization costs a fraction of a dense sweep.
-    Two ``--axis`` flags instead map the crossover contours and winner
-    grid over a 2-D parameter plane.  ``--csv``/``--json`` emit the
-    frontier documents; see ``docs/SWEEPS.md``.
+    Adaptive refinement.  ``--refine PATH=LO:HI --tol T`` localizes
+    every crossover of one cost axis by coarse-grid bisection — only
+    intervals still containing a ratio crossing or a winner flip are
+    subdivided, so localization costs a fraction of a dense sweep.
+    ``--csv`` emits the evaluated points' scaling table, ``--json`` the
+    refinement document, ``--telemetry`` one record per evaluated
+    point, benchmark and key; see ``docs/SWEEPS.md``.
 
 ``fit``
     Calibrate machine cost parameters against measured curves: load a
@@ -523,14 +526,12 @@ def cmd_compare(args) -> int:
             obs.write_baseline(baseline_path, snapshot)
             print(f"baseline updated: {baseline_path} ({cells} cells)")
             return 0
-        drifts = obs.diff_baseline(
-            snapshot, existing, time_tolerance=args.tolerance
-        )
+        drifts = obs.diff_baseline(snapshot, existing)
     except BaselineError as exc:
         raise SystemExit(f"compare: {exc}") from None
     print(
         f"compared {cells} cells against {baseline_path} "
-        f"(counts exact, times within {args.tolerance:.0%})"
+        "(counts and times exact)"
     )
     print(obs.format_drifts(drifts))
     return 1 if drifts else 0
@@ -596,74 +597,43 @@ def _parse_range(text: str, flag: str):
 
 
 def cmd_frontier(args) -> int:
-    from repro.analysis import frontier as fr
     from repro.sweep import run_refined_sweep
 
     benches = args.bench or list(BENCHMARKS)
     keys = tuple(args.keys or EXPERIMENT_KEYS)
     config = _config_per_benchmark("frontier", benches, _parse_config(args.config))
     pinned = _parse_set(args.set)
-    if (args.refine is None) == (not args.axis or len(args.axis) != 2):
-        raise SystemExit(
-            "frontier: pass either --refine PATH=LO:HI --tol T (adaptive "
-            "1-D localization) or exactly two --axis flags (dense 2-D map)"
-        )
+    path, lo, hi = _parse_range(args.refine, "--refine")
     try:
-        if args.refine is not None:
-            if args.tol is None:
-                raise SystemExit("frontier: --refine requires --tol")
-            path, lo, hi = _parse_range(args.refine, "--refine")
-            refined = run_refined_sweep(
-                axis=path,
-                lo=lo,
-                hi=hi,
-                tol=args.tol,
-                coarse=args.coarse,
-                benchmarks=benches,
-                keys=keys,
-                machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
-                library=args.library,
-                overrides=pinned or None,
-                config_overrides=config,
-                **_engine_kwargs(args),
-            )
-            print(fr.format_refined_report(refined))
-            if args.csv:
-                print(
-                    "\nscaling CSV written:  "
-                    f"{scaling.write_csv(args.csv, refined.sweep)}"
-                )
-            if args.json:
-                print(
-                    "frontier JSON written: "
-                    f"{fr.write_refined_json(args.json, refined)}"
-                )
-        else:
-            axes = parse_axes(args.axis)
-            x_axis, y_axis = axes[0].name, axes[1].name
-            sweep = run_sweep(
-                axes=axes,
-                benchmarks=benches,
-                keys=keys,
-                machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
-                library=args.library,
-                overrides=pinned or None,
-                config_overrides=config,
-                **_engine_kwargs(args),
-            )
-            print(fr.format_frontier_report(sweep, x_axis, y_axis))
-            if args.csv:
-                print(
-                    "\nfrontier CSV written:  "
-                    f"{fr.write_frontier_csv(args.csv, fr.crossover_map(sweep, x_axis, y_axis), x_axis, y_axis)}"
-                )
-            if args.json:
-                print(
-                    "frontier JSON written: "
-                    f"{fr.write_frontier_json(args.json, sweep, x_axis, y_axis)}"
-                )
+        refined = run_refined_sweep(
+            axis=path,
+            lo=lo,
+            hi=hi,
+            tol=args.tol,
+            coarse=args.coarse,
+            benchmarks=benches,
+            keys=keys,
+            machine=MachineSpec.coerce(args.machine, nprocs=args.nprocs),
+            library=args.library,
+            overrides=pinned or None,
+            config_overrides=config,
+            **_engine_kwargs(args),
+        )
     except (MachineError, ExperimentError) as exc:
         raise SystemExit(f"frontier: {exc}") from None
+    print(scaling.format_refined_report(refined))
+    if args.csv:
+        print(
+            "\nscaling CSV written:  "
+            f"{scaling.write_csv(args.csv, refined.sweep)}"
+        )
+    if args.json:
+        print(
+            "frontier JSON written: "
+            f"{scaling.write_refined_json(args.json, refined)}"
+        )
+    if args.telemetry:
+        refined.sweep.write_telemetry(args.telemetry)
     return 0
 
 
@@ -1061,8 +1031,6 @@ def main(argv=None) -> int:
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=None, metavar="DIR")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for model times (default 0.05)")
     p.add_argument("--update", action="store_true",
                    help="(re)write the baseline instead of comparing")
     p.set_defaults(func=cmd_compare)
@@ -1093,25 +1061,21 @@ def main(argv=None) -> int:
                    help="write the per-cell scaling table as CSV")
     p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
                    help="write the full scaling document (axes, rows, "
-                   "crossovers) as JSON")
+                   "crossovers, winners) as JSON")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
         "frontier",
-        help="adaptively localize crossovers or map them over two axes",
+        help="adaptively localize the crossovers of one cost axis",
         parents=[_sim_parent(None), _engine_parent()],
     )
-    p.add_argument("--refine", default=None, metavar="PATH=LO:HI",
-                   help="adaptive mode: bisect this cost axis toward its "
-                   "crossovers (e.g. prim.*.per_byte_beyond=0:1e-6)")
-    p.add_argument("--tol", type=float, default=None, metavar="T",
-                   help="crossover localization tolerance for --refine "
-                   "(axis units)")
+    p.add_argument("--refine", required=True, metavar="PATH=LO:HI",
+                   help="bisect this cost axis toward its crossovers "
+                   "(e.g. prim.*.per_byte_beyond=0:1e-6)")
+    p.add_argument("--tol", type=float, required=True, metavar="T",
+                   help="crossover localization tolerance (axis units)")
     p.add_argument("--coarse", type=_positive_int, default=9, metavar="N",
-                   help="initial grid size for --refine (default 9)")
-    p.add_argument("--axis", action="append", metavar="NAME=V1,V2,...",
-                   help="dense mode: exactly two cost axes — the first is "
-                   "scanned for crossings at each value of the second")
+                   help="initial grid size (default 9)")
     p.add_argument("--bench", action="append", type=_benchmark,
                    metavar="BENCH")
     p.add_argument("--keys", nargs="+", choices=ALL_KEYS, default=None)
@@ -1121,10 +1085,10 @@ def main(argv=None) -> int:
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help=_CONFIG_HELP)
     p.add_argument("--csv", type=_output_path, default=None, metavar="PATH",
-                   help="write the contour table (dense mode) or per-cell "
-                   "scaling table (refine mode) as CSV")
+                   help="write the evaluated points' per-cell scaling "
+                   "table as CSV")
     p.add_argument("--json", type=_output_path, default=None, metavar="PATH",
-                   help="write the full frontier document as JSON")
+                   help="write the refinement document as JSON")
     p.set_defaults(func=cmd_frontier)
 
     p = sub.add_parser(

@@ -6,7 +6,8 @@ a :func:`repro.engine.run_study` grid over the keys defined in
 :mod:`repro.analysis.attribution` breaks each cell's reduction down by
 optimizer pass using engine telemetry;
 :mod:`repro.analysis.scaling` turns :mod:`repro.sweep` results into
-per-optimization curves, crossovers, and CSV/JSON documents;
+per-optimization curves, crossovers, the fastest key per point, and
+CSV/JSON documents;
 :mod:`repro.analysis.composition` measures whether rr/cc/pl compose
 multiplicatively (predicted-from-singles vs measured-combined) across
 the benchmark x machine-variant grid;
@@ -26,11 +27,6 @@ from repro.analysis.attribution import (
     pipeline_report,
     report_reconciles,
 )
-from repro.analysis.frontier import (
-    ContourPoint,
-    crossover_map,
-    winner_map,
-)
 from repro.analysis.report import format_table
 from repro.analysis.scaling import (
     Crossover,
@@ -43,13 +39,10 @@ from repro.analysis.scaling import (
 __all__ = [
     "CompositionCell",
     "CompositionResult",
-    "ContourPoint",
     "Crossover",
     "composition_rows",
     "format_composition_report",
     "run_composition",
-    "crossover_map",
-    "winner_map",
     "detect_crossovers",
     "figure8_by_pass",
     "format_scaling_report",

@@ -56,7 +56,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from repro.analysis.report import format_table
 from repro.analysis.scaling import _format_cell
-from repro.engine.core import ConfigOverride, ExperimentEngine, build_matrix
+from repro.engine.core import (
+    ConfigOverride,
+    ExperimentEngine,
+    build_matrix,
+    write_telemetry,
+)
 from repro.engine.jobs import MachineSpec
 from repro.errors import ExperimentError
 from repro.experiments_registry import COMPOSITION_KEYS
@@ -249,13 +254,9 @@ def run_composition(
         outcomes=outcomes,
     )
     if telemetry is not None:
-        from repro.engine.cache import RECORD_SCHEMA
-
-        doc = {
-            "schema": RECORD_SCHEMA,
-            "records": [o.record for o in outcomes],
-        }
-        Path(telemetry).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_telemetry(
+            telemetry, [o.record for o in outcomes], engine.cache.describe()
+        )
     return result
 
 

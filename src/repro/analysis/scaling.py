@@ -7,10 +7,14 @@ a swept point is the *incremental* ratio ``time(key) / time(prev key)``
 A ratio below 1 means the optimization still pays at that point; a
 *crossover* is the axis value where the ratio crosses 1.0 — where
 combining stops winning as the knee shrinks, or pipelining stops hiding
-anything as the latency approaches zero.
+anything as the latency approaches zero.  Over two axes the crossings
+along one, per value of the other, are the crossover map, and
+:func:`winner_rows` adds the fastest key at every point.
 
 All functions are pure consumers of a
-:class:`~repro.sweep.SweepResult`; nothing here simulates.
+:class:`~repro.sweep.SweepResult` (or, for the refinement's report and
+document, a :class:`~repro.sweep.RefinedSweep`); nothing here
+simulates.
 """
 
 from __future__ import annotations
@@ -19,12 +23,15 @@ import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import format_table
 from repro.obs import core as obs
 from repro.sweep.axes import AxisValue
 from repro.sweep.core import SweepPoint, SweepResult
+
+if TYPE_CHECKING:  # avoid the sweep.refine <-> analysis import cycle
+    from repro.sweep.refine import RefinedSweep
 
 __all__ = [
     "SCALING_SCHEMA",
@@ -32,15 +39,20 @@ __all__ = [
     "detect_crossovers",
     "fastest_keys",
     "find_crossings",
+    "format_refined_report",
     "format_scaling_report",
+    "refined_doc",
     "scaling_rows",
     "scan_crossovers",
     "speedup_curve",
+    "winner_rows",
     "write_csv",
     "write_json",
+    "write_refined_json",
 ]
 
-#: Schema version of the emitted CSV/JSON scaling documents.
+#: Schema version of the emitted CSV/JSON scaling and refinement
+#: documents.
 SCALING_SCHEMA = 1
 
 
@@ -274,6 +286,19 @@ def fastest_keys(
     return out
 
 
+def winner_rows(sweep: SweepResult) -> Tuple[List[str], List[List]]:
+    """The fastest key at every point, one row per benchmark and point
+    (benchmark-major, then point order): the axis coordinates, the
+    benchmark, and the winner from :func:`fastest_keys`."""
+    axis_names = [axis.name for axis in sweep.axes]
+    rows = [
+        [point.coord(name) for name in axis_names] + [bench, winner]
+        for bench in sweep.benchmarks
+        for point, winner in fastest_keys(sweep, bench)
+    ]
+    return axis_names + ["benchmark", "winner"], rows
+
+
 def _crossover_rows(
     crossovers: Sequence[Crossover],
 ) -> Tuple[List[str], List[List]]:
@@ -312,7 +337,8 @@ def _crossover_rows(
 def format_scaling_report(
     sweep: SweepResult, crossovers: Optional[Sequence[Crossover]] = None
 ) -> str:
-    """The CLI's text report: the per-cell table plus the crossovers."""
+    """The CLI's text report: the per-cell table, the crossovers and,
+    when the sweep runs two or more keys, the fastest key per point."""
     if crossovers is None:
         crossovers = detect_crossovers(sweep)
     headers, rows = scaling_rows(sweep)
@@ -338,6 +364,14 @@ def format_scaling_report(
         )
     else:
         parts.append("Crossovers — none detected")
+    if len(sweep.keys) >= 2:
+        parts.append(
+            format_table(
+                *winner_rows(sweep),
+                float_fmt=".6g",
+                title="Fastest key per point",
+            )
+        )
     return "\n\n".join(parts)
 
 
@@ -368,10 +402,13 @@ def write_json(
     sweep: SweepResult,
     crossovers: Optional[Sequence[Crossover]] = None,
 ) -> Path:
-    """The full scaling document: axes, per-cell rows, crossovers."""
+    """The full scaling document: axes, per-cell rows, crossovers, and
+    the fastest key per point (``winners``, one object per
+    :func:`winner_rows` row keyed by its columns)."""
     if crossovers is None:
         crossovers = detect_crossovers(sweep)
     headers, rows = scaling_rows(sweep)
+    winner_headers, winners = winner_rows(sweep)
     doc = {
         "schema": SCALING_SCHEMA,
         "axes": [
@@ -390,7 +427,99 @@ def write_json(
         "columns": headers,
         "rows": rows,
         "crossovers": [asdict(c) for c in crossovers],
+        "winners": [dict(zip(winner_headers, row)) for row in winners],
     }
     path = Path(path)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
+
+
+# ---------------------------------------------------------------------------
+# the refinement's report and document (``repro frontier --refine``)
+# ---------------------------------------------------------------------------
+
+
+def refined_doc(refined: RefinedSweep) -> dict:
+    """The full-precision document of one refinement run: localized
+    crossovers, winner flips, and the evaluation ledger."""
+    return {
+        "schema": SCALING_SCHEMA,
+        "axis": refined.axis,
+        "lo": refined.lo,
+        "hi": refined.hi,
+        "tol": refined.tol,
+        "threshold": refined.threshold,
+        "rounds": refined.rounds,
+        "round_values": [list(vs) for vs in refined.round_values],
+        "round_fingerprints": list(refined.round_fingerprints),
+        "points_evaluated": refined.points_evaluated,
+        "dense_points": refined.dense_points,
+        "savings": refined.savings,
+        "crossovers": [asdict(c) for c in refined.crossovers],
+        "winner_flips": [asdict(f) for f in refined.winner_flips],
+    }
+
+
+def write_refined_json(
+    path: Union[str, Path], refined: RefinedSweep
+) -> Path:
+    path = Path(path)
+    path.write_text(
+        json.dumps(refined_doc(refined), indent=1, sort_keys=True) + "\n"
+    )
+    return path
+
+
+def format_refined_report(refined: RefinedSweep) -> str:
+    """The CLI's text view of a refinement run."""
+    parts = [
+        f"Refined {refined.axis} on [{refined.lo:.6g}, {refined.hi:.6g}] "
+        f"to tol={refined.tol:.6g}: {refined.points_evaluated} evaluations "
+        f"over {refined.rounds} rounds "
+        f"(dense grid: {refined.dense_points}, {refined.savings:.1f}x fewer)"
+    ]
+    if refined.crossovers:
+        rows = [
+            [
+                c.benchmark,
+                c.experiment,
+                c.reference,
+                c.direction,
+                c.x_low,
+                c.x_high,
+                c.x_estimate,
+            ]
+            for c in refined.crossovers
+        ]
+        parts.append(
+            format_table(
+                [
+                    "benchmark",
+                    "experiment",
+                    "vs",
+                    "direction",
+                    "x_low",
+                    "x_high",
+                    "x_estimate",
+                ],
+                rows,
+                float_fmt=".6g",
+                title=f"Localized crossovers — {len(refined.crossovers)}",
+            )
+        )
+    else:
+        parts.append("Localized crossovers — none detected")
+    if refined.winner_flips:
+        rows = [
+            [f.benchmark, f.from_key, f.to_key, f.x_low, f.x_high]
+            for f in refined.winner_flips
+        ]
+        parts.append(
+            format_table(
+                ["benchmark", "from", "to", "x_low", "x_high"],
+                rows,
+                float_fmt=".6g",
+                title=f"Winner flips — {len(refined.winner_flips)}",
+            )
+        )
+    return "\n\n".join(parts)

@@ -39,7 +39,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from repro.obs import core as obs
 
 #: Schema version of the stored record; bump together with record shape.
-#: The telemetry *envelope* (``StudyResult.write_telemetry`` /
+#: The telemetry *envelope* (``engine.core.write_telemetry`` /
 #: ``load_telemetry``) is versioned by this same constant, so a record
 #: shape change can never silently outrun the document that carries it.
 #: 2: records carry the optimizer's per-pass ``pipeline`` report.

@@ -213,26 +213,32 @@ class StudyResult(MappingABC):
         return sum(o.cached for o in self.outcomes)
 
     def write_telemetry(self, path: Union[str, Path]) -> Path:
-        """Persist the telemetry records as a JSON document.
+        """Persist the telemetry records (see :func:`write_telemetry`)."""
+        return write_telemetry(path, self.telemetry, self.cache_info)
 
-        The envelope is versioned by the same ``RECORD_SCHEMA`` constant
-        the per-job records carry, so the document version can never
-        drift from the records inside it; read it back with
-        :func:`load_telemetry`.  When the study ran through the engine,
-        the envelope also carries its ``cache`` attribution (cache kind
-        + resolved root).
-        """
-        path = Path(path)
-        doc = {"schema": RECORD_SCHEMA, "records": self.telemetry}
-        if self.cache_info is not None:
-            doc["cache"] = self.cache_info
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return path
+
+def write_telemetry(
+    path: Union[str, Path], records: List[dict], cache_info: Optional[dict] = None
+) -> Path:
+    """Persist telemetry records as a JSON document — the one envelope
+    every study, sweep and composition run writes.
+
+    The envelope is versioned by the same ``RECORD_SCHEMA`` constant
+    the per-job records carry, so the document version can never drift
+    from the records inside it; read it back with
+    :func:`load_telemetry`.  ``cache_info`` (the cache's ``describe()``:
+    cache kind + resolved root) goes under ``cache`` when given.
+    """
+    path = Path(path)
+    doc = {"schema": RECORD_SCHEMA, "records": records}
+    if cache_info is not None:
+        doc["cache"] = cache_info
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return path
 
 
 def load_telemetry(path: Union[str, Path]) -> List[dict]:
-    """Read back a telemetry document written by
-    :meth:`StudyResult.write_telemetry`.
+    """Read back a telemetry document written by :func:`write_telemetry`.
 
     Rejects non-telemetry files and unknown schema versions — of the
     envelope *and* of every record inside it — instead of handing the

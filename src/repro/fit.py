@@ -9,13 +9,14 @@ path (``net.latency``, ``prim.*.per_byte``, ``reduction.stage_cost``,
 measure-then-tune loop of modern communication benchmarks, run against
 the simulator itself.
 
-The optimizer is a bracketed batched **coordinate descent**: every
-round samples each free path's bracket, evaluates *all* candidate
-machines in one :func:`repro.simulate_many` call per cell (thousands of
-variants cost little more than one thanks to the batched evaluator and
-its incremental-append cache), takes the best single-coordinate move,
-and shrinks that coordinate's bracket around the winner.  Derivative
-free, monotone in loss, and embarrassingly batched.
+The optimizer is a batched **joint grid refinement**: every round
+samples each free path's bracket, evaluates the full cartesian product
+of those samples (``itertools.product``, capped at ``max_candidates``)
+in one :func:`repro.simulate_many` call per cell, and moves every path
+at once to the best candidate.  Each bracket then shrinks around an
+interior winner or slides with an edge winner; a round in which no
+candidate improves contracts every bracket.  Derivative free, monotone
+in loss, and embarrassingly batched.
 
 :func:`synthesize_target` generates ground-truth observations from a
 known parameter set, so recovery is testable end to end; see
@@ -286,7 +287,7 @@ class _Coordinate:
     whose lower bound is 0 search linearly.  Edge wins slide the
     bracket instead of shrinking it, so a bad initial guess walks to
     the optimum at constant resolution instead of fencing itself in —
-    the standard compass-search escape for coordinate descent valleys.
+    the standard compass-search escape.
     """
 
     def __init__(
@@ -339,7 +340,7 @@ class _Coordinate:
                 self.span = spacing * 2.0
 
     def shrink(self) -> None:
-        """No single-coordinate move improved: contract toward the
+        """No candidate of the round improved: contract toward the
         current center."""
         self.span = self.span**0.5 if self.multiplicative else self.span / 2.0
 

@@ -4,17 +4,13 @@ A **baseline** freezes the measurable surface of one study — every
 ``benchmark x experiment`` cell's communication counts, message/byte
 volumes, and model execution time, plus the machine shape it was taken
 on — into a small JSON document that lives in the repository
-(``baselines/``).  A later run is *diffed* against it with the paper's
-own standards of evidence:
-
-* **counts must match exactly** — static/dynamic communication counts,
-  message counts, and byte volumes are deterministic model outputs, so
-  any drift is a behavior change (an optimizer pass got stronger,
-  weaker, or broken);
-* **model times match within a relative tolerance** (default 5%) —
-  they are floats computed from the cost model and should be bit-stable,
-  but the looser threshold keeps the check robust to numeric library
-  differences across platforms.
+(``baselines/``).  A later run is *diffed* against it field by field,
+and every field must match exactly: static/dynamic communication
+counts, message counts and byte volumes are deterministic model
+outputs, and so are the model times, which a rerun reproduces to the
+last bit.  Any drift is a behavior change (an optimizer pass got
+stronger, weaker, or broken; a cost moved by one ulp; a loop stopped
+extrapolating).
 
 ``python -m repro compare --baseline PATH`` wires this into CI: a drift
 exits nonzero and prints one line per drifted field.
@@ -32,8 +28,6 @@ from repro.errors import BaselineError
 __all__ = [
     "BASELINE_KIND",
     "BASELINE_SCHEMA",
-    "COUNT_FIELDS",
-    "TIME_FIELDS",
     "Drift",
     "diff_baseline",
     "format_drifts",
@@ -49,19 +43,6 @@ __all__ = [
 #: drifting numbers.
 BASELINE_SCHEMA = 2
 BASELINE_KIND = "repro-baseline"
-
-#: Cell fields compared exactly (integer model outputs).
-COUNT_FIELDS = (
-    "static_count",
-    "dynamic_count",
-    "total_messages",
-    "total_bytes",
-    "sim.fastpath.compiled",
-    "sim.fastpath.extrapolated_trips",
-    "sim.fastpath.fallbacks",
-)
-#: Cell fields compared within a relative tolerance.
-TIME_FIELDS = ("execution_time",)
 
 
 def snapshot_study(study, note: str = "") -> dict:
@@ -159,15 +140,14 @@ class Drift:
         )
 
 
-def diff_baseline(
-    current: dict, baseline: dict, time_tolerance: float = 0.05
-) -> List[Drift]:
+def diff_baseline(current: dict, baseline: dict) -> List[Drift]:
     """Every way ``current`` drifted from ``baseline``.
 
-    Counts compare exactly; times within ``time_tolerance`` (relative).
-    Cells present in the baseline but absent from the run (and the
-    machine shape itself) drift too; cells the baseline never recorded
-    are ignored, so a baseline may cover a subset of a larger run.
+    Every field the baseline records for a cell compares with ``!=``,
+    times included.  Cells present in the baseline but absent from the
+    run (and the machine shape itself) drift too; cells the baseline
+    never recorded are ignored, so a baseline may cover a subset of a
+    larger run.
     """
     drifts: List[Drift] = []
     for shape_field in ("machine", "nprocs", "mode"):
@@ -191,14 +171,9 @@ def diff_baseline(
             if actual is None:
                 drifts.append(Drift(bench, key, "cell", "present", "missing"))
                 continue
-            for f in COUNT_FIELDS:
-                if int(actual[f]) != int(expected[f]):
-                    drifts.append(Drift(bench, key, f, expected[f], actual[f]))
-            for f in TIME_FIELDS:
-                want, got = float(expected[f]), float(actual[f])
-                scale = max(abs(want), 1e-300)
-                if abs(got - want) / scale > time_tolerance:
-                    drifts.append(Drift(bench, key, f, want, got))
+            for f, want in expected.items():
+                if actual.get(f) != want:
+                    drifts.append(Drift(bench, key, f, want, actual.get(f)))
     return drifts
 
 

@@ -24,18 +24,17 @@ per-job path and writing the same per-variant cache records.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.cache import RECORD_SCHEMA
 from repro.engine.core import (
     ConfigOverride,
     ExperimentEngine,
     JobOutcome,
     StudyResult,
     build_matrix,
+    write_telemetry,
 )
 from repro.engine.jobs import MachineSpec
 from repro.errors import MachineError
@@ -163,15 +162,10 @@ class SweepResult:
         return [o.record for o in self.outcomes]
 
     def write_telemetry(self, path: Union[str, Path]) -> Path:
-        """Persist the flat telemetry records (same envelope as
-        :meth:`~repro.engine.StudyResult.write_telemetry`, readable with
+        """Persist the flat telemetry records (the envelope of
+        :func:`repro.engine.core.write_telemetry`, readable with
         :func:`repro.load_telemetry`)."""
-        path = Path(path)
-        doc = {"schema": RECORD_SCHEMA, "records": self.telemetry}
-        if self.cache_info is not None:
-            doc["cache"] = self.cache_info
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        return path
+        return write_telemetry(path, self.telemetry, self.cache_info)
 
 
 def run_sweep(

@@ -209,6 +209,8 @@ def test_telemetry_roundtrip(tmp_path):
     records = load_telemetry(tel)
     assert len(records) == len(COMPOSITION_KEYS) == len(result.outcomes)
     assert {r["experiment"] for r in records} == set(COMPOSITION_KEYS)
+    # the one envelope writer records the cache, as studies and sweeps do
+    assert json.loads(tel.read_text())["cache"] == {"backend": "null", "location": None}
 
 
 def test_base_overrides_merge_into_variants():

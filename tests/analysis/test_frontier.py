@@ -1,25 +1,19 @@
-"""Tests for frontier analysis (`repro.analysis.frontier`)."""
+"""Crossover frontiers over a two-axis sweep: the crossings along one
+axis per value of the other (`scan_crossovers`) and the fastest key per
+point (`winner_rows`) — the map `repro sweep --axis X --axis Y` prints."""
 
-import csv
 import json
 
 import pytest
 
-from repro.analysis.frontier import (
-    FRONTIER_SCHEMA,
-    ContourPoint,
-    crossover_map,
-    format_frontier_report,
-    format_refined_report,
-    frontier_doc,
-    refined_doc,
-    winner_map,
-    write_frontier_csv,
-    write_frontier_json,
-    write_refined_json,
+from repro.analysis.scaling import (
+    format_scaling_report,
+    scan_crossovers,
+    winner_rows,
+    write_json,
 )
 from repro.engine import MachineSpec
-from repro.sweep import SweepAxis, run_refined_sweep, run_sweep
+from repro.sweep import SweepAxis, run_sweep
 
 SIMPLE_SMALL = {"n": 16, "niters": 2, "ncond": 2}
 X = "prim.*.per_byte_beyond"
@@ -45,138 +39,84 @@ def grid_sweep(tmp_path_factory):
     )
 
 
+def _knee_crossings(sweep):
+    """The cc/rr crossings along ``X``, one group per value of ``Y``."""
+    return [
+        c
+        for c in scan_crossovers(sweep, [X])
+        if (c.experiment, c.reference) == ("cc", "rr")
+    ]
+
+
 # ---------------------------------------------------------------------------
-# maps over a real grid
+# the crossings along X, grouped by Y
 # ---------------------------------------------------------------------------
 
 
 class TestCrossoverMap:
     def test_contour_per_latency(self, grid_sweep):
-        contours = crossover_map(grid_sweep, X, Y)
-        cc = [c for c in contours if (c.experiment, c.reference) == ("cc", "rr")]
-        assert {c.y for c in cc} == {1e-5, 5e-5}
+        cc = _knee_crossings(grid_sweep)
+        assert sorted(dict(c.group)[Y] for c in cc) == [1e-5, 5e-5]
         for c in cc:
-            assert isinstance(c, ContourPoint)
             assert c.benchmark == "simple"
+            assert c.axis == X
             assert c.x_low <= c.x_estimate <= c.x_high
             assert c.ratio_low < 1.0 < c.ratio_high
 
     def test_knee_moves_with_latency(self, grid_sweep):
         # higher wire latency makes combining win longer: the knee's
         # x-estimate grows with y
-        cc = sorted(
-            (
-                c
-                for c in crossover_map(grid_sweep, X, Y)
-                if (c.experiment, c.reference) == ("cc", "rr")
-            ),
-            key=lambda c: c.y,
-        )
+        cc = sorted(_knee_crossings(grid_sweep), key=lambda c: dict(c.group)[Y])
         assert cc[0].x_estimate < cc[-1].x_estimate
 
     def test_unknown_axis_raises(self, grid_sweep):
-        with pytest.raises(KeyError, match="not in sweep axes"):
-            crossover_map(grid_sweep, X, "net.bandwidth")
+        with pytest.raises(KeyError, match="no axis 'net.bandwidth'"):
+            scan_crossovers(grid_sweep, ["net.bandwidth"])
+
+
+# ---------------------------------------------------------------------------
+# the fastest key per point
+# ---------------------------------------------------------------------------
 
 
 class TestWinnerMap:
     def test_grid_shape_and_order(self, grid_sweep):
-        rows = winner_map(grid_sweep, X, Y)
-        assert len(rows) == 6  # 3 x-values x 2 y-values
-        assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
+        headers, rows = winner_rows(grid_sweep)
+        assert headers == [X, Y, "benchmark", "winner"]
+        assert len(rows) == 6  # 3 x-values x 2 y-values, one benchmark
+        assert [(r[0], r[1]) for r in rows] == [
+            (p.coord(X), p.coord(Y)) for p in grid_sweep.points
+        ]
+        assert all(r[2] == "simple" for r in rows)
         assert all(r[3] in grid_sweep.keys for r in rows)
 
     def test_winner_flips_along_x(self, grid_sweep):
-        rows = winner_map(grid_sweep, X, Y)
-        at_low_lat = [r[3] for r in rows if r[1] == 1e-5]
-        assert at_low_lat[0] == "cc"  # free combining wins
-        assert at_low_lat[-1] == "rr"  # expensive beyond-knee bytes lose
+        _, rows = winner_rows(grid_sweep)
+        at_low_lat = {r[0]: r[3] for r in rows if r[1] == 1e-5}
+        assert at_low_lat[0.0] == "cc"  # free combining wins
+        assert at_low_lat[1e-6] == "rr"  # expensive beyond-knee bytes lose
 
-
-# ---------------------------------------------------------------------------
-# emission: %.6g CSV, versioned JSON
-# ---------------------------------------------------------------------------
+    def test_json_winners(self, grid_sweep, tmp_path):
+        doc = json.loads(write_json(tmp_path / "map.json", grid_sweep).read_text())
+        headers, rows = winner_rows(grid_sweep)
+        assert doc["winners"] == [dict(zip(headers, row)) for row in rows]
+        at_low_lat = {
+            w[X]: w["winner"] for w in doc["winners"] if w[Y] == 1e-5
+        }
+        assert (at_low_lat[0.0], at_low_lat[1e-6]) == ("cc", "rr")
+        # the crossings along X keep full precision: bit for bit
+        knees = [
+            c["x_estimate"]
+            for c in doc["crossovers"]
+            if c["axis"] == X and (c["experiment"], c["reference"]) == ("cc", "rr")
+        ]
+        assert knees == [c.x_estimate for c in _knee_crossings(grid_sweep)]
 
 
 class TestEmission:
-    def test_csv_golden_formatting(self, grid_sweep, tmp_path):
-        contours = crossover_map(grid_sweep, X, Y)
-        path = write_frontier_csv(tmp_path / "frontier.csv", contours, X, Y)
-        with path.open() as fh:
-            got = list(csv.reader(fh))
-        assert got[0] == ["x_axis", "y_axis"]
-        assert got[1] == [X, Y]
-        assert got[2] == [
-            "benchmark",
-            "experiment",
-            "vs",
-            "y",
-            "x_low",
-            "x_high",
-            "x_estimate",
-            "ratio_low",
-            "ratio_high",
-        ]
-        assert len(got) == 3 + len(contours)
-        est_col = got[2].index("x_estimate")
-        for text_row, c in zip(got[3:], contours):
-            assert text_row[est_col] == f"{c.x_estimate:.6g}"
-            mantissa = text_row[est_col].split("e")[0].replace(".", "")
-            assert len(mantissa.lstrip("-").lstrip("0")) <= 6
-
-    def test_json_schema(self, grid_sweep, tmp_path):
-        path = write_frontier_json(tmp_path / "frontier.json", grid_sweep, X, Y)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == FRONTIER_SCHEMA
-        assert doc["x_axis"] == X and doc["y_axis"] == Y
-        assert doc["threshold"] == 1.0
-        assert doc["benchmarks"] == ["simple"]
-        assert doc["keys"] == ["baseline", "rr", "cc"]
-        assert len(doc["winners"]) == 6
-        assert doc["contours"]
-        # full precision: round-trips bit for bit
-        contours = crossover_map(grid_sweep, X, Y)
-        assert doc["contours"][0]["x_estimate"] == contours[0].x_estimate
-        assert doc == frontier_doc(grid_sweep, X, Y)
-
     def test_report_mentions_contours_and_winners(self, grid_sweep):
-        report = format_frontier_report(grid_sweep, X, Y)
-        assert "Crossover contours" in report
-        assert "Winner grid" in report
-
-
-class TestRefinedEmission:
-    @pytest.fixture(scope="class")
-    def refined(self, tmp_path_factory):
-        return run_refined_sweep(
-            axis=X,
-            lo=0.0,
-            hi=1e-6,
-            tol=1e-8,
-            coarse=5,
-            benchmarks="simple",
-            keys=("baseline", "rr", "cc"),
-            machine=MachineSpec.coerce("t3d", nprocs=16),
-            overrides={"prim.*.knee_bytes": 32},
-            config_overrides={"simple": SIMPLE_SMALL},
-            cache_dir=tmp_path_factory.mktemp("refined"),
-            jobs=2,
-        )
-
-    def test_refined_json_ledger(self, refined, tmp_path):
-        path = write_refined_json(tmp_path / "refined.json", refined)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == FRONTIER_SCHEMA
-        assert doc["axis"] == X
-        assert doc["rounds"] == refined.rounds
-        assert doc["round_fingerprints"] == refined.round_fingerprints
-        assert doc["points_evaluated"] == refined.points_evaluated
-        assert doc["dense_points"] == refined.dense_points
-        assert doc["crossovers"] and doc["winner_flips"]
-        assert doc == json.loads(json.dumps(refined_doc(refined)))
-
-    def test_refined_report(self, refined):
-        report = format_refined_report(refined)
-        assert "Refined" in report and "evaluations" in report
-        assert "Localized crossovers" in report
-        assert "Winner flips" in report
+        report = format_scaling_report(grid_sweep)
+        assert "Crossovers" in report and "win->loss" in report
+        winners = report.split("\n\n")[-1].splitlines()
+        assert winners[0] == "Fastest key per point"
+        assert len(winners) == 3 + 6  # title, header, rule, one row per point

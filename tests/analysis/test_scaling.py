@@ -9,14 +9,17 @@ from repro.analysis.scaling import (
     SCALING_SCHEMA,
     detect_crossovers,
     find_crossings,
+    format_refined_report,
     format_scaling_report,
+    refined_doc,
     scaling_rows,
     speedup_curve,
     write_csv,
     write_json,
+    write_refined_json,
 )
 from repro.engine import MachineSpec
-from repro.sweep import SweepAxis, run_sweep
+from repro.sweep import SweepAxis, run_refined_sweep, run_sweep
 
 SIMPLE_SMALL = {"n": 16, "niters": 2, "ncond": 2}
 
@@ -175,6 +178,17 @@ class TestDetectCrossovers:
         assert "Scaling sweep" in report
         assert "Crossovers" in report and "win->loss" in report
 
+    def test_winner_table_needs_two_keys(self):
+        one_key = run_sweep(
+            axes=[SweepAxis("net.latency", (1e-6, 1e-4))],
+            benchmarks="simple",
+            keys=("cc",),
+            machine=MachineSpec.coerce("t3d", nprocs=4),
+            config_overrides={"simple": SIMPLE_SMALL},
+            cache=False,
+        )
+        assert "Fastest key per point" not in format_scaling_report(one_key)
+
 
 class TestEmission:
     def test_csv_round_trips(self, knee_sweep, tmp_path):
@@ -225,3 +239,45 @@ class TestEmission:
         assert {"benchmark", "experiment", "reference", "axis", "x_estimate"} <= set(
             doc["crossovers"][0]
         )
+        # the fastest key per point: combining wins until the knee
+        assert [(w["prim.*.per_byte_beyond"], w["benchmark"], w["winner"])
+                for w in doc["winners"]] == [
+            (0.0, "simple", "cc"), (3e-7, "simple", "cc"), (1e-6, "simple", "rr")
+        ]
+
+
+class TestRefinedEmission:
+    @pytest.fixture(scope="class")
+    def refined(self, tmp_path_factory):
+        return run_refined_sweep(
+            axis="prim.*.per_byte_beyond",
+            lo=0.0,
+            hi=1e-6,
+            tol=1e-8,
+            coarse=5,
+            benchmarks="simple",
+            keys=("baseline", "rr", "cc"),
+            machine=MachineSpec.coerce("t3d", nprocs=16),
+            overrides={"prim.*.knee_bytes": 32},
+            config_overrides={"simple": SIMPLE_SMALL},
+            cache_dir=tmp_path_factory.mktemp("refined"),
+            jobs=2,
+        )
+
+    def test_refined_json_ledger(self, refined, tmp_path):
+        path = write_refined_json(tmp_path / "refined.json", refined)
+        doc = json.loads(path.read_text())
+        assert doc["schema"] == SCALING_SCHEMA
+        assert doc["axis"] == "prim.*.per_byte_beyond"
+        assert doc["rounds"] == refined.rounds
+        assert doc["round_fingerprints"] == refined.round_fingerprints
+        assert doc["points_evaluated"] == refined.points_evaluated
+        assert doc["dense_points"] == refined.dense_points
+        assert doc["crossovers"] and doc["winner_flips"]
+        assert doc == json.loads(json.dumps(refined_doc(refined)))
+
+    def test_refined_report(self, refined):
+        report = format_refined_report(refined)
+        assert "Refined" in report and "evaluations" in report
+        assert "Localized crossovers" in report
+        assert "Winner flips" in report

@@ -1,6 +1,7 @@
 """Tests for baseline snapshots and regression diffs."""
 
 import json
+import math
 
 import pytest
 
@@ -112,18 +113,15 @@ class TestDiff:
         assert drift.field == "total_messages"
         assert "expected" in drift.describe()
 
-    def test_time_within_tolerance_passes(self, snapshot):
+    def test_time_one_ulp_drifts(self, snapshot):
+        # times compare exactly, as the tier-1 golden test does
         current = _copy(snapshot)
         cell = current["benchmarks"]["swm"]["cc"]
-        cell["execution_time"] *= 1.03
-        assert diff_baseline(current, snapshot, time_tolerance=0.05) == []
-
-    def test_time_outside_tolerance_drifts(self, snapshot):
-        current = _copy(snapshot)
-        cell = current["benchmarks"]["swm"]["cc"]
-        cell["execution_time"] *= 1.08
-        drifts = diff_baseline(current, snapshot, time_tolerance=0.05)
-        assert [d.field for d in drifts] == ["execution_time"]
+        want = cell["execution_time"]
+        cell["execution_time"] = math.nextafter(want, math.inf)
+        (drift,) = diff_baseline(current, snapshot)
+        assert (drift.experiment, drift.field) == ("cc", "execution_time")
+        assert (drift.expected, drift.actual) == (want, cell["execution_time"])
 
     def test_missing_cell_drifts(self, snapshot):
         current = _copy(snapshot)

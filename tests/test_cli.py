@@ -345,6 +345,19 @@ def test_sweep_smoke_and_golden(tmp_path, capsys):
     assert doc["axes"] == [{"name": "net.latency", "values": [1e-6, 1e-4]}]
     assert doc["keys"] == ["baseline", "cc"]
     assert len(doc["rows"]) == 4
+    assert len(doc["winners"]) == 2  # one per point
+
+
+def test_sweep_report_ends_with_winner_table(capsys):
+    assert main(
+        ["sweep", "--axis", "net.latency=1e-6,1e-4", "--no-cache"] + SWEEP_SCALE
+    ) == 0
+    table = capsys.readouterr().out.rstrip().split("\n\n")[-1].splitlines()
+    assert table[0] == "Fastest key per point"
+    assert table[1].split() == ["net.latency", "|", "benchmark", "|", "winner"]
+    rows = [[cell.strip() for cell in line.split("|")] for line in table[3:]]
+    assert [row[0] for row in rows] == ["1e-06", "0.0001"]
+    assert all(row[1] == "simple" and row[2] in ("baseline", "cc") for row in rows)
 
 
 def test_sweep_default_cache_reuses_results(tmp_path, capsys):
@@ -517,32 +530,36 @@ def test_frontier_refine_localizes_crossover(tmp_path, capsys):
     assert (tmp_path / "refined.csv").exists()
 
 
-def test_frontier_dense_two_axis_map(tmp_path, capsys):
-    assert main([
-        "frontier",
-        "--axis", "prim.*.per_byte_beyond=0,5e-7,1e-6",
-        "--axis", "net.latency=1e-5,5e-5",
-        "--nprocs", "16",
-        "--bench", "simple",
-        "--keys", "baseline", "cc",
-        "--config", "n=16", "--config", "niters=2", "--config", "ncond=2",
-        "--cache-dir", str(tmp_path / "cache"),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "Winner grid" in out
-
-
-def test_frontier_requires_exactly_one_mode(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["frontier", "--bench", "simple"])
-    with pytest.raises(SystemExit):
+def test_frontier_axis_is_a_usage_error(tmp_path, capsys):
+    """The two-axis map is ``repro sweep --axis X --axis Y``; ``frontier``
+    only refines."""
+    with pytest.raises(SystemExit) as exc:
         main([
             "frontier",
             "--refine", "net.latency=0:1",
             "--tol", "1e-3",
-            "--axis", "net.latency=1,2",
-            "--axis", "net.bandwidth=1e8,2e8",
+            "--axis", "prim.*.per_byte_beyond=0,5e-7,1e-6",
+            "--axis", "net.latency=1e-5,5e-5",
+            "--cache-dir", str(tmp_path / "cache"),
         ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --axis" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_frontier_requires_exactly_one_mode(capsys):
+    """Refinement is the one mode: ``--refine`` and ``--tol`` are
+    required arguments."""
+    for argv, missing in (
+        (["frontier", "--bench", "simple"], "--refine, --tol"),
+        (["frontier", "--refine", "net.latency=0:1"], "--tol"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}" in (
+            capsys.readouterr().err
+        )
 
 
 @pytest.mark.parametrize("span", ["0:nan", "0:inf", "-inf:1e-6", "nan:nan"])
@@ -791,6 +808,8 @@ TWO_BENCH_CONFIG = [
     [
         ["experiments"],
         ["sweep", "--keys", "baseline", "cc", "--axis", "net.latency=1e-6,2e-5"],
+        ["frontier", "--keys", "baseline", "cc", "--refine", "net.latency=1e-6:2e-5",
+         "--tol", "5e-6", "--coarse", "3"],
         ["compose", "--variant", "net.latency=6e-5"],
     ],
     ids=lambda command: command[0],
@@ -821,11 +840,10 @@ BASELINE = str(Path(__file__).resolve().parents[1] / "baselines" / "paper.json")
         ["compare", "--baseline", BASELINE],
         ["sweep", "--axis", "net.latency=1e-6,2e-5"],
         ["frontier", "--refine", "net.latency=0:1e-5", "--tol", "1e-6"],
-        ["frontier", "--axis", "net.latency=1e-6,2e-5", "--axis", "prim.*.fixed=0,1e-6"],
         ["fit", "--synthetic", "net.latency=3.2e-5"],
         ["compose"],
     ],
-    ids=["experiments", "compare", "sweep", "frontier-refine", "frontier-map", "fit", "compose"],
+    ids=["experiments", "compare", "sweep", "frontier-refine", "fit", "compose"],
 )
 def test_config_no_selected_benchmark_declares_exits(command, tmp_path):
     """A NAME that neither SIMPLE nor SP declares exits before any work

@@ -2,11 +2,11 @@
 
 The baseline pins every cell of the paper study: static and dynamic
 counts, messages, bytes, model time and the three ``sim.fastpath.*``
-counters.  ``repro compare`` reads the same file with 5% of slack on
-times; this test allows none.  Transfer plans feed the counts and the
-cost model the times, so a change that moves a message, a byte or one
-ulp of a time fails here, and so does one that stops a loop
-extrapolating.  An intended output change re-pins the file with ``repro
+counters.  ``repro compare`` reads the same file just as exactly, so
+CI's compare step and this test fail on the same drift.  Transfer
+plans feed the counts and the cost model the times, so a change that
+moves a message, a byte or one ulp of a time fails here, and so does
+one that stops a loop extrapolating.  An intended output change re-pins the file with ``repro
 compare --baseline baselines/paper.json --update``.
 """
 
