@@ -798,8 +798,9 @@ def _parse_profile(pairs):
 def _check_generated(seed, profile):
     """The differential harness behind ``generate --check``: compiled
     fast path vs interpreted oracle (TIMING, both machines, baseline and
-    full optimization), then full-optimization NUMERIC vs the sequential
-    reference.  Returns human-readable mismatch descriptions.
+    full optimization: time, clocks, counters and the per-rank account),
+    then full-optimization NUMERIC vs the sequential reference.  Returns
+    human-readable mismatch descriptions.
 
     The source is generated, parsed, analyzed and lowered once.  That one
     communication-free program is optimized at both levels
@@ -811,6 +812,7 @@ def _check_generated(seed, profile):
     from repro import optimize, reference_run, t3d
     from repro.machine import paragon
     from repro.programs import generate as gen
+    from repro.runtime.instrument import settled_mismatches
 
     problems = []
     lowered = gen.generate_program(seed, profile)
@@ -833,6 +835,12 @@ def _check_generated(seed, profile):
                 problems.append(
                     f"fast path diverges from oracle ({opt_name} on "
                     f"{machine_name}: {fast.time!r} vs {slow.time!r})"
+                )
+            mismatched = settled_mismatches(fast.instrument, slow.instrument)
+            if mismatched:
+                problems.append(
+                    f"fast path's account diverges from oracle ({opt_name} "
+                    f"on {machine_name}: {', '.join(mismatched)})"
                 )
     ref = reference_run(lowered)
     num = simulate(programs["full"], t3d(4), ExecutionMode.NUMERIC)

@@ -1,9 +1,11 @@
 """Time-breakdown profiling: where do the model seconds go?
 
-The timing engine attributes every clock advance to one of three
-buckets — local computation, communication software (per-call costs),
-and waiting (stalls on arrivals, readiness flags, collectives) — and the
-three sum exactly to each rank's clock.  This module reports the
+Every clock advance falls in one of three buckets — local computation,
+communication software (per-call costs), and waiting (stalls on
+arrivals, readiness flags, collectives).  A run settles the first two
+from its op-list execution counts and waiting as the clock less them
+(:func:`repro.runtime.schedule.settle`), so the three sum to each
+rank's clock within one rounding.  This module reports the
 breakdown of the *critical* (slowest) processor, which is what the
 execution time is made of.
 

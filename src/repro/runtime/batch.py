@@ -38,8 +38,11 @@ What the batch does **not** track, by design: per-primitive call counts
 per-variant quantity) and the per-rank time-breakdown vectors
 (compute/comm-sw/wait).  Everything else the paper's figures read —
 clocks, times, static/dynamic counts, message counts, volumes,
-reductions, warnings, scalars — is recorded once (it is
-variant-independent) and matches the scalar path exactly.
+reductions, warnings, scalars — is variant-independent and matches the
+scalar path exactly.  No block form counts: the transfer counters and
+reductions are settled once, when the run ends, from how many times
+each op list ran (:func:`~repro.runtime.schedule.settle`, shared with
+the scalar core).
 
 Memory model: a batch holds ``O(V x P)`` floats for the clock matrix
 plus one ``(V, R)`` block per in-flight transfer and per posted DR flag

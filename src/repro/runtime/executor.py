@@ -43,7 +43,11 @@ template for the machine's shape, built once and kept on the program
 each call it reaches once per run (:meth:`_Simulation.comm_costs`),
 through the one-plan table each plan keeps
 (:attr:`~repro.runtime.transfers.TransferPlan.table`), not through the
-template's table, so it stays the compiled path's oracle.
+template's table, so it stays the compiled path's oracle.  Neither path
+records counters or the per-rank account as it runs: each counts how
+many times the template's op lists ran, and
+:func:`~repro.runtime.schedule.settle` fills the instrumentation from
+those counts when the run ends.
 """
 
 from __future__ import annotations
@@ -65,7 +69,12 @@ from repro.runtime.distarray import DistArray
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.interp import ParallelEvaluator, ScalarEvaluator
 from repro.runtime.options import ExecutionMode, SimOptions
-from repro.runtime.schedule import FastPathStats, compile_schedule, schedule_template
+from repro.runtime.schedule import (
+    FastPathStats,
+    compile_schedule,
+    schedule_template,
+    settle,
+)
 from repro.runtime.timing import BatchTimingEngine, TimingEngine
 from repro.runtime.transfers import TransferPlan
 
@@ -142,7 +151,7 @@ class _Simulation:
         self.static_count = geometry.static_count
         self.instrument = Instrumentation(self.machine.nprocs)
         if batched:
-            self.timing = BatchTimingEngine(target, self.instrument)
+            self.timing = BatchTimingEngine(target)
         else:
             self.timing = TimingEngine(
                 pack_variants([target]), self.instrument, trace_rank
@@ -190,15 +199,28 @@ class _Simulation:
             costs = self._costs[key] = self.timing.bind_costs(costs)
         return costs
 
+    def _prices(self, kind: CallKind, plans: List[int]) -> List[CallCosts]:
+        """The walk's costs of ``kind`` calls on the template's plans
+        numbered ``plans``, for :func:`~repro.runtime.schedule.settle`."""
+        table = self.template.lowered.plans
+        return [self.comm_costs(table[i], kind) for i in plans]
+
     # ------------------------------------------------------------------
     def execute(self) -> Optional[FastPathStats]:
-        """Run the program body: the compiled schedule's stats, or None
-        when the interpreted walk ran."""
+        """Run the program body and settle the instrumentation: the
+        compiled schedule's stats, or None when the interpreted walk
+        ran."""
         stats: Optional[FastPathStats] = None
         if self.fast:
             stats = compile_schedule(self).execute()
         else:
+            lowered = self.template.lowered
+            self._body_index = lowered.body_index
+            self._executions = [0] * lowered.bodies
             self._exec_body(self.program.body)
+            settle(
+                lowered, self._executions, self.timing, self.instrument, self._prices
+            )
         self.timing.assert_quiescent()
         return stats
 
@@ -230,6 +252,7 @@ class _Simulation:
 
     # ------------------------------------------------------------------
     def _exec_body(self, body: List[ir.IRStmt]) -> None:
+        self._executions[self._body_index[id(body)]] += 1
         for stmt in body:
             if isinstance(stmt, ir.Block):
                 for s in stmt.stmts:

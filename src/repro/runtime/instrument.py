@@ -11,7 +11,21 @@ Tracks the quantities the paper reports:
   one communication but up to three messages);
 * per-primitive call counts;
 * reduction (collective) counts — kept separate from point-to-point
-  communication, as the paper's counts are.
+  communication, as the paper's counts are;
+* the per-rank time breakdown: computation, communication software and
+  waiting.
+
+Each of these is a fixed amount per execution of an op, so no op
+records them as it runs.  A run counts how many times each of its op
+lists ran, and :func:`repro.runtime.schedule.settle` fills every counter
+and the breakdown from those counts once, when the run ends: the
+transfer counters and reductions on either timing core, the call
+counts and the breakdown on the scalar core (the batched core keeps
+neither).  Waiting is what the clock holds beyond computation and
+software.  Two things stay dynamic: warnings, recorded as they happen,
+and the rendezvous spread surcharge, the one software cost that depends
+on the run: each rendezvous DN adds it to ``comm_sw_time`` as it
+happens, and settling adds the fixed software costs on top.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from repro.obs import core as obs
 
 @dataclass
 class Instrumentation:
-    """Mutable counters for one simulation run."""
+    """The counters of one simulation run, filled when it ends."""
 
     nprocs: int
     #: the per-rank counters as rows of one ``(3, P)`` matrix: transfers
@@ -55,31 +69,6 @@ class Instrumentation:
         self.wait_time = np.zeros(self.nprocs, dtype=np.float64)
 
     # ------------------------------------------------------------------
-    def record_transfer(self, plan) -> None:
-        """One execution of a transfer described by ``plan``."""
-        block = plan.count_block
-        if block is not None:
-            self.counts += block
-
-    def record_message(self, sender: int, receiver: int, nbytes: int) -> None:
-        """One execution of a one-message transfer (:meth:`record_transfer`
-        on ranks as ints)."""
-        dynamic = self.dynamic_comms
-        dynamic[sender] = dynamic.item(sender) + 1
-        if receiver != sender:
-            dynamic[receiver] = dynamic.item(receiver) + 1
-        self.messages[sender] = self.messages.item(sender) + 1
-        self.bytes_moved[sender] = self.bytes_moved.item(sender) + nbytes
-
-    def record_calls(self, primitive: str, count: int) -> None:
-        """``count`` executions of ``primitive`` across all ranks."""
-        if primitive == "noop" or count == 0:
-            return
-        self.call_counts[primitive] = self.call_counts.get(primitive, 0) + count
-
-    def record_reduction(self) -> None:
-        self.reductions += 1
-
     def warn(self, message: str) -> None:
         """Record a warning once, preserving first-seen order.
 
@@ -117,3 +106,17 @@ class Instrumentation:
             "comm_sw": float(self.comm_sw_time[rank]),
             "wait": float(self.wait_time[rank]),
         }
+
+
+#: what settling fills: the compiled path and the walk must agree on each
+SETTLED = ("counts", "call_counts", "reductions", "compute_time", "comm_sw_time", "wait_time")
+
+
+def settled_mismatches(a: Instrumentation, b: Instrumentation) -> List[str]:
+    """The :data:`SETTLED` fields where ``a`` and ``b`` differ, arrays
+    compared bit for bit."""
+
+    def bits(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+
+    return [name for name in SETTLED if bits(getattr(a, name)) != bits(getattr(b, name))]

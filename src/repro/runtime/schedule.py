@@ -74,9 +74,9 @@ signature), re-saved whenever the trips since the last save reach the
 next power of two, and builds the full signature between saves only
 when a trip's clock bytes equal the saved ones.  On a match, one
 *template* period runs under a snapshot, the remaining whole periods are
-applied in closed form — integer counters advance by ``k * delta``, and
-the template's epoch-advance pattern is replayed ``k`` times through the
-same run-length-coalescing fold the stepping path uses, so the
+applied in closed form — op-list execution counts advance by ``k *
+delta``, and the template's epoch-advance pattern is replayed ``k``
+times through the same run-length-coalescing fold the stepping path uses, so the
 materialized absolute clocks are *bit-identical* to stepping — and the
 last ``< p`` trips step.  A ``repeat`` loop monitors its full state,
 loop scalars included: a cycle whose trips all left the condition false
@@ -86,19 +86,41 @@ can never converge, so the loop reaches its trip cap in closed form
 When the invariants don't hold — the state never repeats, the body
 touches the loop variable, or too few trips remain to skip a whole
 period — the loop simply steps through the compiled ops (``fallbacks``
-counts the loops that stepped to their end).  Exactness contract:
-clocks, dynamic counts, message counts, volumes, warnings, and final
-scalars are identical to the interpreted walk.  The per-rank *time
-breakdown* vectors (compute/comm-sw/wait) are the one exception under
-extrapolation: they are scaled by ``k`` in one multiply, which may
-differ from repeated addition in the last ulps.
+counts the loops that stepped to their end).
+
+Counting executions
+-------------------
+Every counter and the per-rank account are a fixed amount per execution
+of an op, so no dispatched op records them: ops move clocks, in-flight
+blocks and DR flags only.  The template numbers its op lists (the
+program body is list 0, then each loop body, branch arm and ``else`` in
+the order the walk over the IR meets them) and keeps, per leaf, the
+list it sits in and what one execution of it adds (:class:`_Tally`).  A
+run counts how many times each list ran — the program body once, a
+loop body once per trip, a branch arm when taken — in a plain list of
+ints, and :func:`settle` derives the counters, the call counts and the
+account from those counts when the run ends.  The interpreted walk
+counts into the same numbering (its op lists are the IR's, keyed by
+identity) and settles through the same function with its own per-plan
+prices, which equal the template's bit for bit
+(:mod:`repro.runtime.costs`).  Extrapolation scales the counts exactly
+(``k * delta`` in integers).
+
+Exactness contract: clocks, dynamic counts, message counts, volumes,
+call counts, reductions, the per-rank account (compute/comm-sw/wait),
+warnings and final scalars are identical to the interpreted walk,
+extrapolated loops included.  The one software cost that depends on
+the run, a rendezvous DN's spread surcharge, accumulates as it happens
+and is scaled by ``k`` in one multiply under extrapolation, which may
+differ from repeated addition in the last ulps; ``spread_penalty``
+defaults to zero, and then the surcharge is exactly zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,7 +130,7 @@ from repro.ir import nodes as ir
 from repro.ironman.bindings import NOOP
 from repro.ironman.calls import CallKind
 from repro.machine.params import Machine
-from repro.runtime.costs import PlanTable, price
+from repro.runtime.costs import CallCosts, PlanTable, price
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.interp import _BIN_OPS, _INTRINSICS
 from repro.runtime.layout import ProblemLayout
@@ -247,35 +269,24 @@ def _body_touches(body: List[ir.IRStmt], var: str) -> bool:
 
 
 class _Snapshot:
-    __slots__ = (
-        "mark",
-        "counts",
-        "calls",
-        "reductions",
-        "compute",
-        "comm_sw",
-        "wait",
-    )
+    __slots__ = ("mark", "executions", "spread")
 
     def __init__(self, runner: "_Runner") -> None:
-        inst = runner.instrument
         self.mark = len(runner.timing._epoch_log)
-        self.counts = inst.counts.copy()
-        self.calls = dict(inst.call_counts)
-        self.reductions = inst.reductions
-        self.compute = inst.compute_time.copy()
-        self.comm_sw = inst.comm_sw_time.copy()
-        self.wait = inst.wait_time.copy()
+        self.executions = list(runner.executions)
+        self.spread = runner.instrument.comm_sw_time.copy()
 
 
 class _Runner:
     """Dynamic state shared by every op of one compiled run."""
 
-    def __init__(self, timing, instrument, scalars) -> None:
+    def __init__(self, timing, instrument, scalars, bodies: int) -> None:
         self.timing = timing
         self.instrument = instrument
         self.scalars = scalars
         self.stats = FastPathStats()
+        #: how many times each of the template's op lists ran
+        self.executions = [0] * bodies
         #: how many monitored loops are currently executing (an
         #: extrapolating loop must keep logging epoch advances when an
         #: outer monitor is recording its pattern)
@@ -365,9 +376,11 @@ class _Runner:
 
     def extrapolate(self, k: int, snap: _Snapshot) -> None:
         """Apply ``k`` more copies of the iteration that ran since
-        ``snap`` in closed form."""
+        ``snap`` in closed form: the epoch advances it logged and the op
+        lists it ran, and its rendezvous spread surcharges (the one
+        software cost a run accumulates, held in ``comm_sw_time`` until
+        :func:`settle`)."""
         timing = self.timing
-        inst = self.instrument
         pattern = timing._epoch_log[snap.mark :]
         if pattern:
             if self.monitor_depth >= 2:
@@ -378,18 +391,13 @@ class _Runner:
                 timing._epoch_log = None
                 timing.replay_pattern_bulk(pattern, k)
                 timing._epoch_log = saved
-        for current, ref in (
-            (inst.counts, snap.counts),
-            (inst.compute_time, snap.compute),
-            (inst.comm_sw_time, snap.comm_sw),
-            (inst.wait_time, snap.wait),
-        ):
-            current += k * (current - ref)
-        for key, now in list(inst.call_counts.items()):
-            delta = now - snap.calls.get(key, 0)
+        executions = self.executions
+        for body, ref in enumerate(snap.executions):
+            delta = executions[body] - ref
             if delta:
-                inst.call_counts[key] = now + k * delta
-        inst.reductions += k * (inst.reductions - snap.reductions)
+                executions[body] += k * delta
+        spread = self.instrument.comm_sw_time
+        spread += k * (spread - snap.spread)
 
 
 # ---------------------------------------------------------------------------
@@ -398,26 +406,33 @@ class _Runner:
 
 
 class _IfOp:
-    __slots__ = ("arms", "orelse")
+    """A branch: ``arms`` are ``(cond, ops)`` pairs; ``bodies`` numbers
+    each arm's op list, then the ``else`` list's."""
 
-    def __init__(self, arms, orelse) -> None:
+    __slots__ = ("executions", "arms", "orelse", "bodies")
+
+    def __init__(self, runner, arms, orelse, bodies) -> None:
+        self.executions = runner.executions
         self.arms = arms
         self.orelse = orelse
+        self.bodies = bodies
 
     def __call__(self) -> None:
-        for cond, body in self.arms:
+        for arm, (cond, body) in enumerate(self.arms):
             if bool(cond()):
+                self.executions[self.bodies[arm]] += 1
                 for op in body:
                     op()
                 return
+        self.executions[self.bodies[-1]] += 1
         for op in self.orelse:
             op()
 
 
 class _ForOp:
-    __slots__ = ("runner", "var", "low", "high", "step", "body", "eligible")
+    __slots__ = ("runner", "var", "low", "high", "step", "body", "eligible", "index")
 
-    def __init__(self, runner, var, low, high, step, body, eligible) -> None:
+    def __init__(self, runner, var, low, high, step, body, eligible, index) -> None:
         self.runner = runner
         self.var = var
         self.low = low
@@ -425,6 +440,8 @@ class _ForOp:
         self.step = step
         self.body = body
         self.eligible = eligible
+        #: the body's op-list number
+        self.index = index
 
     def __call__(self) -> None:
         lo = int(self.low())
@@ -438,6 +455,8 @@ class _ForOp:
         if n == 0:
             return
         runner = self.runner
+        # every trip runs, stepped or extrapolated
+        runner.executions[self.index] += n
         timing = runner.timing
         scalars = runner.scalars
         body = self.body
@@ -462,20 +481,24 @@ class _ForOp:
 
 
 class _RepeatOp:
-    __slots__ = ("runner", "body", "cond", "cap")
+    __slots__ = ("runner", "body", "cond", "cap", "index")
 
-    def __init__(self, runner, body, cond, cap) -> None:
+    def __init__(self, runner, body, cond, cap, index) -> None:
         self.runner = runner
         self.body = body
         self.cond = cond
         self.cap = cap
+        #: the body's op-list number
+        self.index = index
 
     def __call__(self) -> None:
         timing = self.runner.timing
+        executions, index = self.runner.executions, self.index
         body = self.body
         cond = self.cond
 
         def trip(_: int) -> bool:
+            executions[index] += 1
             for op in body:
                 op()
             timing.loop_rebase()
@@ -561,39 +584,84 @@ class _For(NamedTuple):
     body: list
     #: the body never reads or writes ``var``: the cycle monitor may run
     eligible: bool
+    #: the body's op-list number
+    index: int
 
 
 class _Repeat(NamedTuple):
     body: list
     cond: ir.IRExpr
     max_trips: int
+    #: the body's op-list number
+    index: int
 
 
 class _If(NamedTuple):
     arms: list
     orelse: list
+    #: the op-list number of each arm, then of ``orelse``
+    bodies: Tuple[int, ...]
 
 
-class _Lowered(NamedTuple):
+class _Tally(NamedTuple):
+    """What :func:`settle` reads of the template: per leaf, the op list
+    it sits in (``*_body``) and what one execution of it adds, as index
+    arrays."""
+
+    #: array statements and reductions' partial combines: their charge rows
+    charge_body: np.ndarray
+    charge_row: np.ndarray
+    #: scalar statements: each one's flops, at least one
+    scalar_body: np.ndarray
+    scalar_flops: np.ndarray
+    #: reductions
+    reduce_body: np.ndarray
+    #: calls, each in a slot: its kind's place in ``kinds`` times the
+    #: number of plans, plus its plan's index
+    call_body: np.ndarray
+    call_slot: np.ndarray
+
+
+def _columns(pairs: List[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` pairs as an index array of the ``a`` and one of the
+    ``b``."""
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return a, b
+
+
+@dataclass(eq=False)
+class _Lowered:
     """What the walk over the IR leaves: the node tree, the charge rows
     stacked (an ``(S, 1)`` flops column against ``(S, P)`` element
     counts) with each row's one rank with elements (None when none or
-    several have them), the distinct plans of its calls in one
-    :class:`~repro.runtime.costs.PlanTable` (None without calls) and
-    the call kinds that run on them, in :class:`CallKind` order."""
+    several have them), the distinct plans of its calls, the call kinds
+    that run on them in :class:`CallKind` order, the number of op lists
+    with each IR list's number (keyed by the list's identity; the
+    template keeps the IR alive) and the per-leaf :class:`_Tally`."""
 
     body: list
     flops: np.ndarray
     elements: np.ndarray
     one_rank: Tuple[Optional[int], ...]
-    table: Optional[PlanTable]
+    plans: Tuple[TransferPlan, ...]
     kinds: Tuple[CallKind, ...]
+    bodies: int
+    body_index: Dict[int, int]
+    tally: _Tally
+
+    @cached_property
+    def table(self) -> Optional[PlanTable]:
+        """The distinct plans in one
+        :class:`~repro.runtime.costs.PlanTable` (None without calls),
+        built on the first compiled run: the walk prices each plan
+        through the plan's own table."""
+        return PlanTable(self.plans) if self.plans else None
 
 
 class _TemplateLowerer:
     """The one walk over an IR body: resolves plans, element vectors
-    and loop eligibility, and numbers the distinct charge rows and plan
-    signatures."""
+    and loop eligibility, and numbers the op lists, the distinct charge
+    rows and the plan signatures."""
 
     def __init__(self, geometry: Geometry) -> None:
         self.layout = geometry.layout
@@ -604,10 +672,20 @@ class _TemplateLowerer:
         self.elements: List[np.ndarray] = []
         self.plan_index: Dict[Tuple, int] = {}
         self.table_plans: List[TransferPlan] = []
-        self.kinds: set = set()
+        self.bodies = 0
+        #: identity of each IR list -> its op-list number (a list the IR
+        #: shares between two places keeps the last: both lower to the
+        #: same leaves, so settling either count gives the same sums)
+        self.body_index: Dict[int, int] = {}
+        #: per leaf: (op list, charge row), (op list, flops), op list,
+        #: and (op list, kind, plan index)
+        self.charges: List[Tuple[int, int]] = []
+        self.scalars: List[Tuple[int, int]] = []
+        self.reductions: List[int] = []
+        self.calls: List[Tuple[int, CallKind, int]] = []
 
     def lower(self, body: List[ir.IRStmt]) -> _Lowered:
-        nodes = self.lower_body(body)
+        _, nodes = self.lower_body(body)
         flops = np.array(self.flops, dtype=np.int64).reshape(-1, 1)
         elements = (
             np.stack(self.elements)
@@ -619,37 +697,57 @@ class _TemplateLowerer:
             int(rank) if count == 1 else None
             for rank, count in zip(paying.argmax(axis=1), paying.sum(axis=1))
         )
-        table = PlanTable(self.table_plans) if self.table_plans else None
-        kinds = tuple(kind for kind in CallKind if kind in self.kinds)
-        return _Lowered(nodes, flops, elements, one_rank, table, kinds)
+        called = {kind for _, kind, _ in self.calls}
+        kinds = tuple(kind for kind in CallKind if kind in called)
+        place = {kind: i * len(self.table_plans) for i, kind in enumerate(kinds)}
+        tally = _Tally(
+            *_columns(self.charges),
+            *_columns(self.scalars),
+            np.array(self.reductions, dtype=np.intp),
+            *_columns([(body, place[kind] + i) for body, kind, i in self.calls]),
+        )
+        return _Lowered(
+            nodes,
+            flops,
+            elements,
+            one_rank,
+            tuple(self.table_plans),
+            kinds,
+            self.bodies,
+            self.body_index,
+            tally,
+        )
 
-    def lower_body(self, body: List[ir.IRStmt]) -> list:
+    def lower_body(self, body: List[ir.IRStmt]) -> Tuple[int, list]:
+        """Number the op list ``body`` and lower it: its number and its
+        nodes."""
+        index = self.body_index[id(body)] = self.bodies
+        self.bodies += 1
         nodes: list = []
         for stmt in body:
             if isinstance(stmt, ir.Block):
                 for s in stmt.stmts:
-                    self._lower_simple(s, nodes)
+                    self._lower_simple(s, nodes, index)
             elif isinstance(stmt, ir.ForLoop):
+                inner, ops = self.lower_body(stmt.body)
+                eligible = not _body_touches(stmt.body, stmt.var)
                 nodes.append(
-                    _For(
-                        stmt.var,
-                        stmt.low,
-                        stmt.high,
-                        stmt.step,
-                        self.lower_body(stmt.body),
-                        eligible=not _body_touches(stmt.body, stmt.var),
-                    )
+                    _For(stmt.var, stmt.low, stmt.high, stmt.step, ops, eligible, inner)
                 )
             elif isinstance(stmt, ir.RepeatLoop):
-                nodes.append(
-                    _Repeat(self.lower_body(stmt.body), stmt.cond, stmt.max_trips)
-                )
+                inner, ops = self.lower_body(stmt.body)
+                nodes.append(_Repeat(ops, stmt.cond, stmt.max_trips, inner))
             elif isinstance(stmt, ir.IfStmt):
-                arms = [(cond, self.lower_body(arm)) for cond, arm in stmt.arms]
-                nodes.append(_If(arms, self.lower_body(stmt.orelse)))
+                arms, bodies = [], []
+                for cond, arm in stmt.arms:
+                    inner, ops = self.lower_body(arm)
+                    arms.append((cond, ops))
+                    bodies.append(inner)
+                inner, orelse = self.lower_body(stmt.orelse)
+                nodes.append(_If(arms, orelse, (*bodies, inner)))
             else:  # pragma: no cover - defensive
                 raise RuntimeFault(f"cannot lower {stmt!r}")
-        return nodes
+        return index, nodes
 
     def _row(self, flops: int, region) -> int:
         """The charge row of ``flops`` per element over ``region``
@@ -662,17 +760,24 @@ class _TemplateLowerer:
             self.elements.append(self.layout.element_counts(region))
         return row
 
-    def _lower_simple(self, stmt: ir.SimpleStmt, nodes: list) -> None:
+    def _lower_simple(self, stmt: ir.SimpleStmt, nodes: list, body: int) -> None:
         if isinstance(stmt, ir.ArrayAssign):
-            nodes.append(_Charge(self._row(stmt.flops, stmt.region), stmt.target))
+            row = self._row(stmt.flops, stmt.region)
+            self.charges.append((body, row))
+            nodes.append(_Charge(row, stmt.target))
         elif isinstance(stmt, ir.ScalarAssign):
             for node in ir.walk_expr(stmt.expr):
                 if isinstance(node, ir.IRReduce):
                     # a partial combine charges like an array statement
                     # of at least one flop
                     flops = max(ir.expr_flops(node.operand), 1)
-                    nodes.append(_Reduce(self._row(flops, node.region)))
-            nodes.append(_Assign(stmt.target, stmt.expr, ir.expr_flops(stmt.expr)))
+                    row = self._row(flops, node.region)
+                    self.charges.append((body, row))
+                    self.reductions.append(body)
+                    nodes.append(_Reduce(row))
+            flops = ir.expr_flops(stmt.expr)
+            self.scalars.append((body, max(flops, 1)))
+            nodes.append(_Assign(stmt.target, stmt.expr, flops))
         elif isinstance(stmt, ir.CommCall):
             plan = self.plans.plan(stmt.desc)
             if plan.message_count == 0:
@@ -681,7 +786,7 @@ class _TemplateLowerer:
             if index is None:
                 index = self.plan_index[plan.signature] = len(self.table_plans)
                 self.table_plans.append(plan)
-            self.kinds.add(stmt.kind)
+            self.calls.append((body, stmt.kind, index))
             nodes.append(_Call(stmt.kind, stmt.desc, plan, index))
         else:  # pragma: no cover - defensive
             raise RuntimeFault(f"cannot lower {stmt!r}")
@@ -743,7 +848,7 @@ class _Binder:
         timing = self.timing = sim.timing
         self.scalars = sim.scalars
         self.reduce_hook = sim.scalar_eval.reduce_hook
-        self.runner = _Runner(timing, sim.instrument, sim.scalars)
+        self.runner = _Runner(timing, sim.instrument, sim.scalars, lowered.bodies)
         self.charges = timing.array_cost(lowered.flops, lowered.elements)
         binding = timing.machine.binding
         self.costs = {
@@ -801,6 +906,7 @@ class _Binder:
                         self._compile(node.step) if node.step is not None else None,
                         self.bind(node.body),
                         node.eligible,
+                        node.index,
                     )
                 )
             elif isinstance(node, _Repeat):
@@ -810,29 +916,52 @@ class _Binder:
                         self.bind(node.body),
                         self._compile(node.cond),
                         node.max_trips,
+                        node.index,
                     )
                 )
             else:
                 arms = [(self._compile(c), self.bind(arm)) for c, arm in node.arms]
-                ops.append(_IfOp(arms, self.bind(node.orelse)))
+                ops.append(
+                    _IfOp(self.runner, arms, self.bind(node.orelse), node.bodies)
+                )
         return ops
 
 
 @dataclass
 class CompiledSchedule:
-    """A lowered timing program, ready to dispatch."""
+    """A lowered timing program, ready to dispatch, with its template's
+    lowering and the price tables and charge rows it was bound with,
+    which :func:`settle` reads when the run ends."""
 
     ops: List[Callable[[], None]]
     runner: _Runner
+    lowered: _Lowered
+    costs: Dict[CallKind, List[CallCosts]]
+    charges: np.ndarray
 
     def execute(self) -> FastPathStats:
-        self.runner.timing._epoch_log = []
+        runner = self.runner
+        runner.timing._epoch_log = []
         try:
+            # the program body, op list 0, runs once
+            runner.executions[0] += 1
             for op in self.ops:
                 op()
         finally:
-            self.runner.timing._epoch_log = None
-        return self.runner.stats
+            runner.timing._epoch_log = None
+        settle(
+            self.lowered,
+            runner.executions,
+            runner.timing,
+            runner.instrument,
+            self.prices,
+            self.charges,
+        )
+        return runner.stats
+
+    def prices(self, kind: CallKind, plans: List[int]) -> List[CallCosts]:
+        costs = self.costs[kind]
+        return [costs[i] for i in plans]
 
 
 def compile_schedule(sim) -> CompiledSchedule:
@@ -840,4 +969,109 @@ def compile_schedule(sim) -> CompiledSchedule:
     the program's template (lowered on its first compiled run per
     machine shape), priced and bound to the run."""
     binder = _Binder(sim)
-    return CompiledSchedule(binder.bind(sim.template.lowered.body), binder.runner)
+    lowered = sim.template.lowered
+    return CompiledSchedule(
+        binder.bind(lowered.body), binder.runner, lowered, binder.costs, binder.charges
+    )
+
+
+# ---------------------------------------------------------------------------
+# settling: the counters and the account from op-list executions
+# ---------------------------------------------------------------------------
+
+
+def count_transfers(counts: np.ndarray, plans, runs) -> None:
+    """Add ``runs[i]`` executions of ``plans[i]``'s transfer to the
+    ``(3, P)`` counters: the plans'
+    :attr:`~repro.runtime.transfers.TransferPlan.count_block` times
+    their runs, multiplied in int64 (blocks are narrowed, and their own
+    dtype would overflow)."""
+    runs = np.asarray(runs)
+    used = np.flatnonzero(runs)
+    if len(used):
+        blocks = np.stack([plans[i].count_block for i in used.tolist()])
+        scaled = np.multiply(runs[used, None, None], blocks, dtype=np.int64)
+        counts += scaled.sum(axis=0)
+
+
+def settle(
+    lowered: _Lowered,
+    executions: Sequence[int],
+    timing,
+    inst,
+    prices: Callable[[CallKind, List[int]], List[CallCosts]],
+    charges: Optional[np.ndarray] = None,
+) -> None:
+    """Fill the instrumentation ``inst`` of a run on the core ``timing``
+    from how many times each op list of its template ran
+    (``executions``), once, when the run ends.
+
+    Each leaf adds a fixed amount per execution, so its total is its
+    executions times that amount, with the executions summed per
+    charge row and per plan in integers first.  The transfer counters
+    are each SR plan's runs times its ``count_block``, and reductions
+    the reductions' executions.  On the scalar core, which keeps the
+    per-rank account, ``prices(kind, plans)`` gives those plans' costs
+    (the compiled path's price tables, or the walk's per-plan prices,
+    equal bit for bit) and ``charges`` the charge rows (priced here when
+    None):
+
+    * call counts: each plan's runs times its ``calls``;
+    * comm-sw: each plan's runs times its ``rank_sw``, or, for a
+      rendezvous DN or DR, times ``fixed`` at each receiver, in
+      :class:`CallKind` order, plus the spread surcharges the
+      rendezvous DNs accumulated;
+    * compute: each charge row's runs times the row, plus the scalar
+      statements' flops times the flop time;
+    * wait: the absolute clock less compute and comm-sw.
+
+    Sums run elementwise in a fixed order (never a BLAS product), so
+    equal inputs give equal bits on either path."""
+    tally, plans, kinds = lowered.tally, lowered.plans, lowered.kinds
+    n = np.array(executions, dtype=np.int64)
+    inst.reductions = int(n.take(tally.reduce_body).sum())
+    runs = np.bincount(
+        tally.call_slot,
+        weights=n.take(tally.call_body),
+        minlength=len(kinds) * len(plans),
+    )
+    runs = runs.astype(np.int64).reshape(len(kinds), len(plans))
+    if CallKind.SR in kinds:
+        count_transfers(inst.counts, plans, runs[kinds.index(CallKind.SR)])
+    if not timing.keeps_account:
+        return
+    binding = timing.machine.binding
+    nprocs = len(inst.comm_sw_time)
+    comm_sw = np.zeros(nprocs)
+    for kind, plan_runs in zip(kinds, runs):
+        if kind in _CHARGE_ONLY and binding.primitive(kind) == NOOP:
+            continue
+        used = np.flatnonzero(plan_runs).tolist()
+        if not used:
+            continue
+        times = plan_runs[used]
+        costs = prices(kind, used)
+        name = costs[0].name
+        calls = sum(t * c.calls for t, c in zip(times.tolist(), costs))
+        if calls and name != NOOP:
+            inst.call_counts[name] = inst.call_counts.get(name, 0) + calls
+        if costs[0].rank_sw is None:
+            # rendezvous DN and DR charge ``fixed`` at each receiver
+            receiving = np.zeros(nprocs, dtype=np.int64)
+            for i, t in zip(used, times.tolist()):
+                receiving[plans[i].receivers_unique] += t
+            comm_sw += receiving * costs[0].fixed
+        else:
+            rows = np.stack([c.rank_sw for c in costs])
+            comm_sw += (times[:, None] * rows).sum(axis=0)
+    inst.comm_sw_time += comm_sw
+    if charges is None:
+        charges = timing.array_cost(lowered.flops, lowered.elements)
+    row_runs = np.bincount(
+        tally.charge_row, weights=n.take(tally.charge_body), minlength=len(charges)
+    )
+    compute = (row_runs[:, None] * charges).sum(axis=0)
+    scalar_flops = int((n.take(tally.scalar_body) * tally.scalar_flops).sum())
+    compute += scalar_flops * timing.machine.compute.flop_time
+    inst.compute_time = compute
+    inst.wait_time = timing.absolute_clocks() - compute - inst.comm_sw_time

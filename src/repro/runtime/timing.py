@@ -56,11 +56,14 @@ Single-rank ops
 ---------------
 On the compiled path the scalar core binds a call whose plan has one
 message, and an array charge whose row has one rank with elements, to a
-*scalar form*: a closure that reads and writes only those ranks' clocks,
-in-flight arrival, DR flag and per-rank account as Python floats, with
-the vector op's IEEE operations in the vector op's order.  The vector
-op's other ranks would only add 0.0, a bitwise identity for clocks and
-accounts, which are finite and never ``-0.0``.  The scalar form's
+*scalar form*: a closure that reads and writes only those ranks' clock,
+in-flight arrival and DR flag as Python floats, with the vector op's
+IEEE operations in the vector op's order (a rendezvous DN with a
+nonzero ``spread_penalty`` also adds its surcharge to the receiver's
+software time).  The vector op's other ranks would only add 0.0, a
+bitwise identity for clocks, which are finite and never ``-0.0``.  No
+form counts or accounts: :func:`~repro.runtime.schedule.settle` derives
+the counters and the account when the run ends.  The scalar form's
 arrival and flag are the vector op's one-receiver blocks, so rebasing,
 the cycle monitor and extrapolation see the same state.  The choice is
 made once per run at binding, from plan geometry; the interpreted walk,
@@ -88,16 +91,16 @@ Two cores, one arithmetic
 -------------------------
 :class:`TimingEngine` keeps 1-D clocks and serves :func:`repro.simulate`:
 the compiled path and the interpreted walk, NUMERIC mode, the per-rank
-account (compute / comm-sw / wait and per-primitive call counts) and
-``trace_rank``.  :class:`BatchTimingEngine` keeps a ``(V, P)`` clock
-matrix, V cost-only machine variants, and serves
-:func:`repro.simulate_many`.  It performs the scalar core's float
-operations in the same order, elementwise along the variant axis, so
-each row is bit-identical to a scalar run of that variant; it keeps no
-per-rank account.  Which core runs depends on the call (one machine or a
-variant matrix).  They stay two because numpy indexes a 1-D array
-several times faster than a row of a 2-D one, which is most of the
-scalar dispatch, and the account costs the batch more than it saves
+account (compute / comm-sw / wait and per-primitive call counts, settled
+from the run's op-list executions) and ``trace_rank``.
+:class:`BatchTimingEngine` keeps a ``(V, P)`` clock matrix, V cost-only
+machine variants, and serves :func:`repro.simulate_many`.  It performs
+the scalar core's float operations in the same order, elementwise along
+the variant axis, so each row is bit-identical to a scalar run of that
+variant; it keeps no per-rank account, since call counts differ per
+variant.  Which core runs depends on the call (one machine or a variant
+matrix).  They stay two because numpy indexes a 1-D array several times
+faster than a row of a 2-D one, which is most of the scalar dispatch
 (``docs/SIMULATOR.md`` has the measurements).
 
 Clock representation
@@ -253,6 +256,11 @@ class TimingEngine(_Core):
     (a one-variant pack), with the per-rank account and the optional
     timeline of ``trace_rank``."""
 
+    #: :func:`~repro.runtime.schedule.settle` fills the per-rank account
+    #: and the call counts; the core itself adds only the rendezvous
+    #: spread surcharges to ``instrument.comm_sw_time``
+    keeps_account = True
+
     def __init__(
         self,
         matrix: VariantMatrix,
@@ -377,7 +385,6 @@ class TimingEngine(_Core):
                 "compute", t0, t0 + float(cost[self.trace_rank]), label
             )
         self.clock += cost
-        self.instrument.compute_time += cost
 
     def scalar_cost(self, flops: int) -> float:
         return max(flops, 1) * self.machine.compute.flop_time
@@ -388,7 +395,6 @@ class TimingEngine(_Core):
 
     def charge_scalar_cost(self, cost: float) -> None:
         self.clock += cost
-        self.instrument.compute_time += cost
 
     def charge_reduction(self, flops: int, elements: np.ndarray) -> None:
         self.charge_reduction_vec(
@@ -398,11 +404,8 @@ class TimingEngine(_Core):
     def charge_reduction_vec(self, partial: np.ndarray, tree_time: float) -> None:
         """Local partial combine, then a synchronizing tree combine +
         broadcast: all ranks leave at the same time."""
-        self.instrument.compute_time += partial
         t = float((self.clock + partial).max())
         t += tree_time
-        waited = t - (self.clock + partial)
-        self.instrument.wait_time += waited
         if self.trace_rank is not None:
             r = self.trace_rank
             e = self._epoch_val
@@ -410,7 +413,6 @@ class TimingEngine(_Core):
             self._record("compute", t0, t0 + float(partial[r]), "partial")
             self._record("reduce", t0 + float(partial[r]), e + t, "tree+bcast")
         self.clock[:] = t
-        self.instrument.record_reduction()
 
     # ------------------------------------------------------------------
     # communication
@@ -432,7 +434,6 @@ class TimingEngine(_Core):
             senders = plan.senders_unique
             flags = _per_sender(dr, plan, self.machine.network.raw)
             clock = self.clock[senders]
-            self.instrument.wait_time[senders] += np.maximum(0.0, flags - clock)
             if self.trace_rank is not None and self.trace_rank in senders:
                 i = int(np.searchsorted(senders, self.trace_rank))
                 e = self._epoch_val
@@ -447,10 +448,7 @@ class TimingEngine(_Core):
             t1 = t0 + float(costs.rank_sw[self.trace_rank])
             self._record("send", t0, t1, desc.describe())
         self.clock += costs.rank_sw
-        self.instrument.comm_sw_time += costs.rank_sw
         self._inflight[desc.id] = arrivals
-        self.instrument.record_transfer(plan)
-        self.instrument.record_calls(costs.name, costs.calls)
 
     def _do_complete(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
         arrivals = self._inflight.pop(desc.id, None)
@@ -470,8 +468,9 @@ class TimingEngine(_Core):
             surcharge = costs.spread_penalty * np.minimum(
                 waited, costs.spread_cap
             )
-            self.instrument.wait_time[receivers] += waited
-            self.instrument.comm_sw_time[receivers] += costs.fixed + surcharge
+            if costs.spread_penalty:
+                # the one software cost that depends on the run
+                self.instrument.comm_sw_time[receivers] += surcharge
             if traced:
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
@@ -490,9 +489,6 @@ class TimingEngine(_Core):
             )
         else:
             sw = costs.rank_sw
-            stall = np.maximum(0.0, arrivals - self.clock[receivers])
-            self.instrument.wait_time[receivers] += stall
-            self.instrument.comm_sw_time[receivers] += sw[receivers]
             if traced:
                 e = self._epoch_val
                 t0 = e + float(self.clock[self.trace_rank])
@@ -506,7 +502,6 @@ class TimingEngine(_Core):
                 )
             waited = np.maximum(self.clock[receivers], arrivals)
             self.clock[receivers] = waited + sw[receivers]
-        self.instrument.record_calls(costs.name, costs.calls)
 
     def _do_pre(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
         if costs.sync is SyncKind.RENDEZVOUS:
@@ -521,17 +516,14 @@ class TimingEngine(_Core):
                 )
             flags = self.clock[receivers] + costs.fixed
             self.clock[receivers] = flags
-            self.instrument.comm_sw_time[receivers] += costs.fixed
             self._dr_times[desc.id] = flags
         else:
             # posting receives (irecv/hprobe): fixed cost per incoming
             # message at each receiver
             self._charge_fixed(desc, costs, "recv", "DR")
-        self.instrument.record_calls(costs.name, costs.calls)
 
     def _do_volatile(self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts) -> None:
         self._charge_fixed(desc, costs, "send", "SV")
-        self.instrument.record_calls(costs.name, costs.calls)
 
     def _charge_fixed(
         self, desc: CommDescriptor, costs: CallCosts, kind: str, call: str
@@ -546,7 +538,6 @@ class TimingEngine(_Core):
                 f"{call} {desc.describe()}",
             )
         self.clock += per_rank
-        self.instrument.comm_sw_time += per_rank
 
     # ------------------------------------------------------------------
     # single-rank ops: the vector ops above on one rank, as floats, in
@@ -561,11 +552,10 @@ class TimingEngine(_Core):
         scalar form: the other ranks would only add 0.0."""
         if rank is None or self.trace_rank is not None:
             return partial(self.charge_array_vec, cost, label)
-        clock, compute, c = self.clock, self.instrument.compute_time, cost.item(rank)
+        clock, c = self.clock, cost.item(rank)
 
         def charge_one() -> None:
             clock[rank] = clock.item(rank) + c
-            compute[rank] = compute.item(rank) + c
 
         return charge_one
 
@@ -585,14 +575,10 @@ class TimingEngine(_Core):
     def _send_one(
         self, desc: CommDescriptor, plan: TransferPlan, costs: CallCosts
     ) -> Callable[[], None]:
-        s, d, key = plan.senders.item(0), plan.receivers.item(0), desc.id
-        nbytes = plan.nbytes.item(0)
+        s, key = plan.senders.item(0), desc.id
         cum, wire, sw = costs.cum_sw.item(0), costs.wire.item(0), costs.rank_sw.item(s)
         raw = self.machine.network.raw
         clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
-        inst = self.instrument
-        wait, comm_sw = inst.wait_time, inst.comm_sw_time
-        record, name, calls = inst.record_calls, costs.name, costs.calls
 
         def send_one() -> None:
             if key in inflight:
@@ -602,14 +588,9 @@ class TimingEngine(_Core):
             if dr is not None:
                 # the put waits for the destination's DR flag to cross
                 flag = dr.item(0) + raw
-                gap = flag - t
-                wait[s] = wait.item(s) + (0.0 if 0.0 >= gap else gap)
                 t = t if t >= flag else flag
             inflight[key] = np.array([t + cum + wire])
             clock[s] = t + sw
-            comm_sw[s] = comm_sw.item(s) + sw
-            inst.record_message(s, d, nbytes)
-            record(name, calls)
 
         return send_one
 
@@ -618,11 +599,9 @@ class TimingEngine(_Core):
     ) -> Callable[[], None]:
         d, key = plan.receivers.item(0), desc.id
         clock, inflight = self.clock, self._inflight
-        inst = self.instrument
-        wait, comm_sw = inst.wait_time, inst.comm_sw_time
-        record, name, calls = inst.record_calls, costs.name, costs.calls
         if costs.sync is SyncKind.RENDEZVOUS:
             fixed, penalty, cap = costs.fixed, costs.spread_penalty, costs.spread_cap
+            comm_sw = self.instrument.comm_sw_time
 
             def complete_one() -> None:
                 arrivals = inflight.pop(key, None)
@@ -632,10 +611,9 @@ class TimingEngine(_Core):
                 waited = a - t
                 waited = 0.0 if 0.0 >= waited else waited
                 surcharge = penalty * (waited if waited <= cap else cap)
-                wait[d] = wait.item(d) + waited
-                comm_sw[d] = comm_sw.item(d) + (fixed + surcharge)
+                if penalty:
+                    comm_sw[d] = comm_sw.item(d) + surcharge
                 clock[d] = (t if t >= a else a) + fixed + surcharge
-                record(name, calls)
 
             return complete_one
         sw = costs.rank_sw.item(d)
@@ -645,11 +623,7 @@ class TimingEngine(_Core):
             if arrivals is None:
                 raise _never_sent(desc)
             a, t = arrivals.item(0), clock.item(d)
-            stall = a - t
-            wait[d] = wait.item(d) + (0.0 if 0.0 >= stall else stall)
-            comm_sw[d] = comm_sw.item(d) + sw
             clock[d] = (t if t >= a else a) + sw
-            record(name, calls)
 
         return complete_one
 
@@ -661,15 +635,11 @@ class TimingEngine(_Core):
             return self._fixed_one(d, costs)
         key, fixed = desc.id, costs.fixed
         clock, dr_times = self.clock, self._dr_times
-        comm_sw = self.instrument.comm_sw_time
-        record, name, calls = self.instrument.record_calls, costs.name, costs.calls
 
         def pre_one() -> None:
             flag = clock.item(d) + fixed
             clock[d] = flag
-            comm_sw[d] = comm_sw.item(d) + fixed
             dr_times[key] = np.array([flag])
-            record(name, calls)
 
         return pre_one
 
@@ -680,13 +650,10 @@ class TimingEngine(_Core):
 
     def _fixed_one(self, r: int, costs: CallCosts) -> Callable[[], None]:
         """:meth:`_charge_fixed` on its one paying rank ``r``."""
-        clock, comm_sw, sw = self.clock, self.instrument.comm_sw_time, costs.rank_sw.item(r)
-        record, name, calls = self.instrument.record_calls, costs.name, costs.calls
+        clock, sw = self.clock, costs.rank_sw.item(r)
 
         def fixed_one() -> None:
             clock[r] = clock.item(r) + sw
-            comm_sw[r] = comm_sw.item(r) + sw
-            record(name, calls)
 
         return fixed_one
 
@@ -708,12 +675,14 @@ class BatchTimingEngine(_Core):
     ``mask`` which variants advanced, ``n`` the run length.
     """
 
-    def __init__(self, matrix: VariantMatrix, instrument: Instrumentation) -> None:
+    #: no per-rank account or call counts: those differ per variant
+    keeps_account = False
+
+    def __init__(self, matrix: VariantMatrix) -> None:
         self.matrix = matrix
         self.machine = matrix.base
         self.nprocs = matrix.base.nprocs
         self.nvariants = matrix.nvariants
-        self.instrument = instrument
         self.tree_time = matrix.reduction_time
         V, P = self.nvariants, self.nprocs
         self.clock = np.zeros((V, P), dtype=np.float64)
@@ -824,7 +793,6 @@ class BatchTimingEngine(_Core):
         t = (self.clock + partial).max(axis=1)
         t = t + tree_time
         self.clock[:] = t[:, None]
-        self.instrument.record_reduction()
 
     # -- communication: block forms --------------------------------------
     def bind_call(
@@ -848,7 +816,6 @@ class BatchTimingEngine(_Core):
         order, fan_in = plan.grouping.order, plan.grouping.fan_in
         cum_sw, wire, rank_sw = costs.cum_sw, costs.wire, costs.rank_sw
         clock, inflight, dr_times = self.clock, self._inflight, self._dr_times
-        counts, block = self.instrument.counts, plan.count_block
         add, maximum = np.add, np.maximum
 
         def send_block() -> None:
@@ -870,7 +837,6 @@ class BatchTimingEngine(_Core):
                 t = maximum.reduceat(t, fan_in, axis=1)
             inflight[key] = t
             add(clock, rank_sw, out=clock)
-            add(counts, block, out=counts)
 
         return send_block
 

@@ -2,13 +2,15 @@
 
 An SR used to scatter each message's arrival into a full-length vector
 of ``-inf`` with ``np.maximum.at``, a rendezvous SR scattered each
-message's DR flag into its sender's slot the same way, and
-``Instrumentation.record_transfer`` counted a transfer with a masked
-``+= 1`` and two ``np.add.at``.  Those forms are kept below as the
-oracle.  The timing cores now keep each receiver's latest arrival and
-each receiver's DR flag as a block over ``plan.receivers_unique``,
-merged through the plan's :attr:`~repro.runtime.transfers.TransferPlan.grouping`,
-and count a transfer by adding its ``count_block``.  Each block must
+message's DR flag into its sender's slot the same way, and each
+execution of a transfer was counted with a masked ``+= 1`` and two
+``np.add.at``.  Those forms are kept below as the oracle.  The timing
+cores now keep each receiver's latest arrival and each receiver's DR
+flag as a block over ``plan.receivers_unique``, merged through the
+plan's :attr:`~repro.runtime.transfers.TransferPlan.grouping`, and a
+run's settling counts a transfer's executions as its ``count_block``
+times their number (:func:`~repro.runtime.schedule.count_transfers`),
+widened first, so a narrowed block cannot overflow.  Each block must
 equal the oracle's entries on the block's ranks bit for bit, and the
 oracle must hold nothing but ``-inf`` elsewhere, on every plan of the
 corpus at one variant (the scalar core's 1-D arrays) and at sixteen.
@@ -26,6 +28,7 @@ from repro.programs import BENCHMARKS, KERNELS, build_benchmark, small_config
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.instrument import Instrumentation
 from repro.runtime.layout import ProblemLayout
+from repro.runtime.schedule import count_transfers
 from repro.runtime.timing import _per_receiver, _per_sender
 from repro.runtime.transfers import PlanCache, TransferPlan
 
@@ -107,12 +110,20 @@ def assert_plan_matches_oracle(plan, rng, variants):
 def assert_counts_match_oracle(plan):
     inst, oracle = Instrumentation(plan.nprocs), Instrumentation(plan.nprocs)
     for _ in range(2):
-        inst.record_transfer(plan)
         scatter_counts(oracle, plan)
+    if not plan.message_count:
+        # a call that moves nothing lowers to no op and never settles
+        assert plan.count_block is None and not oracle.counts.any()
+        return
+    count_transfers(inst.counts, [plan], [2])
     assert inst.counts.dtype == np.int64
     assert np.array_equal(inst.counts, oracle.counts)
     for name in ("dynamic_comms", "messages", "bytes_moved"):
         assert np.array_equal(getattr(inst, name), getattr(oracle, name)), name
+    # more executions than a narrowed block's dtype holds
+    many = Instrumentation(plan.nprocs)
+    count_transfers(many.counts, [plan], [100_000])
+    assert np.array_equal(many.counts, 50_000 * oracle.counts)
 
 
 # ---------------------------------------------------------------------------
