@@ -5,11 +5,12 @@ figure of the paper's evaluation.  The expensive part — the
 whole-program study (4 benchmarks x 6 experiment keys at paper scale,
 64 simulated processors) — is submitted as a job matrix through
 :func:`repro.run_study` in the ``suite`` fixture: cells fan out over
-worker processes when the host has them, and land in an on-disk result
-cache under ``benchmarks/.repro-cache/`` so repeated harness runs only
-re-simulate what changed.  The per-figure benchmark targets time one
-representative simulation each and render their tables from the shared
-results.
+worker processes when the host has them.  The study runs cold, with no
+result cache: a record's fingerprint does not cover the simulator's
+code, so a record an earlier source tree wrote would render the tables
+of that tree (a few seconds cold).  The per-figure benchmark targets
+time one representative simulation each and render their tables from
+the shared results.
 
 Each regenerated table is printed and also written to
 ``benchmarks/results/<name>.txt``.
@@ -26,18 +27,17 @@ from repro import run_study
 from repro.programs import BENCHMARKS
 
 RESULTS_DIR = Path(__file__).parent / "results"
-CACHE_DIR = Path(__file__).parent / ".repro-cache"
 
 
 @pytest.fixture(scope="session")
 def suite():
     """The paper-scale whole-program study feeding Figures 8/10/11/12 and
-    Tables 1-4, via the experiment engine (parallel + cached)."""
+    Tables 1-4, via the experiment engine (parallel, uncached)."""
     return run_study(
         benchmarks=BENCHMARKS,
         nprocs=64,
         jobs=min(4, os.cpu_count() or 1),
-        cache_dir=CACHE_DIR,
+        cache=False,
     )
 
 

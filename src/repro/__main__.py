@@ -46,10 +46,12 @@ default config declares ``NAME`` (SIMPLE's ``niters``, SWM's
     study compiled, so each program compiles once.
 
 ``compare``
-    Re-run a study and diff its counts and times against a committed
-    baseline (``--baseline PATH``); every field must match exactly,
-    model times to the last bit.  Exits nonzero on any drift;
-    ``--update`` (re)writes the baseline instead.
+    Re-run a study cold, with no result cache, and diff its counts and
+    times against a committed baseline (``--baseline PATH``); every
+    field must match exactly, model times to the last bit.  Exits
+    nonzero on any drift; ``--update`` (re)writes the baseline instead.
+    A cached record would answer for the simulator that wrote it, so
+    there is no ``--cache-dir`` or ``--no-cache``.
 
 ``sweep``
     Expand ``--axis name=v1,v2,...`` axes (processor counts, network
@@ -515,8 +517,8 @@ def cmd_compare(args) -> int:
                 "compare", benches, _parse_config(args.config)
             ),
             jobs=args.jobs,
-            cache=not args.no_cache,
-            cache_dir=args.cache_dir,
+            # a cached record would answer for the code that wrote it
+            cache=False,
         )
         cells = sum(len(v) for v in study.results.values())
         snapshot = obs.snapshot_study(
@@ -1037,8 +1039,6 @@ def main(argv=None) -> int:
     p.add_argument("--config", action="append", metavar="NAME=VALUE",
                    help=_CONFIG_HELP)
     p.add_argument("--jobs", type=_positive_int, default=1, metavar="N")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache-dir", default=None, metavar="DIR")
     p.add_argument("--update", action="store_true",
                    help="(re)write the baseline instead of comparing")
     p.set_defaults(func=cmd_compare)

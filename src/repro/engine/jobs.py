@@ -44,7 +44,10 @@ from repro.programs import benchmark_source, default_config
 #: shift by ulps) and records carry the fast-path counters.
 #: 4: loops whose state cycles extrapolate too, so records' fast-path
 #: counters changed (times did not).
-ENGINE_VERSION = 4
+#: 5: a loop extrapolates from its first repeated state and from the
+#: period it already stepped, so records' fast-path counters changed
+#: again (times did not).
+ENGINE_VERSION = 5
 
 ConfigValue = Union[int, float]
 

@@ -29,9 +29,12 @@ Steady-state extrapolation folds per-variant: the epoch is kept as
 the whole clock matrix bitwise, and recorded advance patterns replay
 through the same coalescing fold.  A cycle of the batch is a cycle of
 every variant, and the batch's period is the lcm of its variants'
-periods — extrapolation may engage a few trips later than it would
-per-variant (it waits for the *slowest* variant to enter its cycle), but
-the final state is unchanged.
+periods.  So a batch engages later than some of its variants would
+alone, and the final state is unchanged: when every variant settles
+into period 1, the batch extrapolates right after the trip at which its
+last variant first repeats (the monitor compares every trip with the
+one before it); a longer period is found by Brent's saved state, which
+has to lie inside the batch's cycle.
 
 What the batch does **not** track, by design: per-primitive call counts
 (the SR count depends on which ranks paid a nonzero software cost — a

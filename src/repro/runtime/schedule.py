@@ -68,25 +68,30 @@ such recurrences settle into a cycle of some period ``p >= 1``, not
 necessarily a fixed point.  Because the per-trip map is deterministic
 (and, by the eligibility check, independent of the loop variable), a
 state equal to the one ``p`` trips earlier proves that every remaining
-trip repeats with period ``p``.  The monitor finds ``p`` with Brent's
-cycle detection: it holds one saved state (clock bytes plus the full
-signature), re-saved whenever the trips since the last save reach the
-next power of two, and builds the full signature between saves only
-when a trip's clock bytes equal the saved ones.  On a match, one
-*template* period runs under a snapshot, the remaining whole periods are
-applied in closed form — op-list execution counts advance by ``k *
-delta``, and the template's epoch-advance pattern is replayed ``k``
-times through the same run-length-coalescing fold the stepping path uses, so the
-materialized absolute clocks are *bit-identical* to stepping — and the
-last ``< p`` trips step.  A ``repeat`` loop monitors its full state,
-loop scalars included: a cycle whose trips all left the condition false
-can never converge, so the loop reaches its trip cap in closed form
-(with the same warning the walk records).
+trip repeats with period ``p``.  After each trip the monitor keeps a
+lean copy of the state (:data:`_Snapshot`: clock bytes, epoch log
+length, op-list executions, scalars, and pending blocks and spread only
+when there are any) and compares it with two earlier copies, building
+full signatures only when the clock bytes match: the previous trip's,
+which proves a period of one at the state's first repeat, and the one
+Brent's cycle detection saved, re-saved whenever the trips since the
+last save reach the next power of two, which finds any longer period.
+A match after trip ``i`` against the copy after trip ``j`` means trips
+``j+1 .. i`` are one whole period, already stepped and logged.  The
+``k = (n - i) // (i - j)`` whole periods left are applied in closed
+form whenever ``k >= 1`` — op-list execution counts advance by ``k *
+delta``, and the period's logged epoch advances are replayed ``k``
+times through the same run-length-coalescing fold the stepping path
+uses, so the materialized absolute clocks are *bit-identical* to
+stepping — and the last ``< i - j`` trips step.  A ``repeat`` loop
+monitors its full state, loop scalars included: a cycle whose trips all
+left the condition false can never converge, so the loop reaches its
+trip cap in closed form (with the same warning the walk records).
 
 When the invariants don't hold — the state never repeats, the body
-touches the loop variable, or too few trips remain to skip a whole
-period — the loop simply steps through the compiled ops (``fallbacks``
-counts the loops that stepped to their end).
+touches the loop variable, or the cycle is proven with less than one
+whole period left — the loop simply steps through the compiled ops
+(``fallbacks`` counts the loops that stepped to their end).
 
 Counting executions
 -------------------
@@ -129,7 +134,7 @@ from repro.errors import RuntimeFault
 from repro.ir import nodes as ir
 from repro.ironman.bindings import NOOP
 from repro.ironman.calls import CallKind
-from repro.machine.params import Machine
+from repro.machine.params import Machine, SyncKind
 from repro.runtime.costs import CallCosts, PlanTable, price
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.interp import _BIN_OPS, _INTRINSICS
@@ -268,13 +273,41 @@ def _body_touches(body: List[ir.IRStmt], var: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class _Snapshot:
-    __slots__ = ("mark", "executions", "spread")
+#: The cycle monitor's copy of the state after one trip of a loop, taken
+#: after every trip, so it is a plain tuple (a class instance costs more
+#: than the copy) and copies nothing it does not need:
+#:
+#: ``(trip, clock, mark, executions, scalars, inflight, dr, spread)`` —
+#: the number of trips run, the clock offsets' bytes, the epoch log's
+#: length, the op-list executions, the scalar environment, each pending
+#: in-flight and DR-flag block's bytes (rebasing subtracts from them in
+#: place; ``{}`` when none is pending), and the rendezvous spread
+#: surcharges (None unless a DN can add one).
+_Snapshot = Tuple[
+    int, bytes, int, List[int], Dict[str, object], Dict[int, bytes], Dict[int, bytes],
+    Optional[np.ndarray],
+]
 
-    def __init__(self, runner: "_Runner") -> None:
-        self.mark = len(runner.timing._epoch_log)
-        self.executions = list(runner.executions)
-        self.spread = runner.instrument.comm_sw_time.copy()
+_NONE_PENDING: Dict[int, bytes] = {}
+
+#: stands for the snapshot of a trip not run yet: no clock bytes equal None
+_NO_TRIP = (0, None)
+
+
+def _signature(snap: _Snapshot, exclude: Optional[str]) -> Tuple:
+    """The dynamic state of ``snap`` bit for bit: clock offsets,
+    in-flight arrivals, DR flags, and the scalar environment (minus a
+    counted loop's variable, which the eligibility check guarantees the
+    body never looks at)."""
+    _, clock, _, _, scalars, inflight, dr, _ = snap
+    env = tuple(
+        (key, repr(value)) for key, value in sorted(scalars.items()) if key != exclude
+    )
+    return (clock, sorted(inflight.items()), sorted(dr.items()), env)
+
+
+def _same_state(a: _Snapshot, b: _Snapshot, exclude: Optional[str]) -> bool:
+    return a[1] == b[1] and _signature(a, exclude) == _signature(b, exclude)
 
 
 class _Runner:
@@ -287,31 +320,15 @@ class _Runner:
         self.stats = FastPathStats()
         #: how many times each of the template's op lists ran
         self.executions = [0] * bodies
+        #: whether a rendezvous DN can add a spread surcharge to
+        #: ``instrument.comm_sw_time`` (the binder sets it)
+        self.spreads = False
         #: how many monitored loops are currently executing (an
         #: extrapolating loop must keep logging epoch advances when an
-        #: outer monitor is recording its pattern)
+        #: outer monitor may replay them)
         self.monitor_depth = 0
 
     # -- steady-state machinery -----------------------------------------
-    def signature(self, exclude: Optional[str]) -> Tuple:
-        """Bitwise snapshot of the dynamic state after a rebased
-        iteration: clock offsets, in-flight arrivals, DR flags, and the
-        scalar environment (minus the loop variable — the eligibility
-        check guarantees the body never looks at it)."""
-        t = self.timing
-        inflight = tuple(
-            (key, t._inflight[key].tobytes()) for key in sorted(t._inflight)
-        )
-        dr = tuple(
-            (key, t._dr_times[key].tobytes()) for key in sorted(t._dr_times)
-        )
-        env = tuple(
-            (key, repr(value))
-            for key, value in sorted(self.scalars.items())
-            if key != exclude
-        )
-        return (t.clock.tobytes(), inflight, dr, env)
-
     def run_loop(
         self, trip: Callable[[int], bool], n: int, exclude: Optional[str]
     ) -> bool:
@@ -321,48 +338,64 @@ class _Runner:
         condition held).
 
         The trip map is deterministic in the rebased state, so once the
-        state after a trip equals the state ``p`` trips earlier, every
-        later trip repeats with period ``p``.  Brent's cycle detection
-        finds that ``p`` holding one saved state: it re-saves whenever
-        the trips since the last save reach the next power of two, and
-        compares each trip's clock bytes with the saved ones, building
-        the full signature only when those match.  On a match with at
-        least one whole period left to skip, one template period runs
-        under a snapshot, the remaining whole periods are applied in
-        closed form, and the last ``< p`` trips step.  A loop that ran
-        all ``n`` trips without extrapolating counts as a fallback."""
+        state after ``i`` trips equals the state after ``j``, trips
+        ``j+1 .. i`` are one whole period and every later trip repeats
+        it.  After each trip the monitor snapshots the state
+        (:data:`_Snapshot`) and compares it with two earlier snapshots,
+        building full signatures only when the clock bytes match: the
+        previous trip's, which proves a period of one at its first
+        repeat, and the one Brent's cycle detection saved, which it
+        re-saves whenever the trips since the last save reach the next
+        power of two and which finds any longer period.  On a match,
+        the period that already ran since the matched snapshot, and
+        whose epoch advances are logged since then, is applied ``(n -
+        i) // (i - j)`` more times in closed form, and the last ``< i -
+        j`` trips step.  A loop that ran all ``n`` trips without
+        extrapolating counts as a fallback."""
         timing = self.timing
+        executions, scalars = self.executions, self.scalars
+        inflight, dr = timing._inflight, timing._dr_times
+        spread = self.instrument.comm_sw_time if self.spreads else None
         self.monitor_depth += 1
         try:
             i = 0
-            saved_clock = saved_sig = None
+            # the snapshots after the previous trip and at Brent's save
+            last = saved = _NO_TRIP
             since, power = 0, 1
             extrapolated = False
             while i < n:
                 if trip(i):
                     return True
                 i += 1
-                since += 1
                 clock = timing.clock.tobytes()
-                if clock == saved_clock and self.signature(exclude) == saved_sig:
-                    # a cycle of period `since`; skip only whole periods
-                    # past one template period
-                    extrapolated = n - i >= 2 * since
-                    if extrapolated:
-                        snap = _Snapshot(self)
-                        for _ in range(since):
-                            if trip(i):  # pragma: no cover - determinism
-                                return True
-                            i += 1
-                        k = (n - i) // since
-                        self.extrapolate(k, snap)
-                        self.stats.extrapolated_trips += k * since
-                        self.stats.extrapolated_loops += 1
-                        i += k * since
-                    break
-                # a save pays off only if a period of one fits after it
-                if since == power and n - i >= 3:
-                    saved_clock, saved_sig = clock, self.signature(exclude)
+                snap = (
+                    i,
+                    clock,
+                    len(timing._epoch_log),
+                    executions.copy(),
+                    dict(scalars),
+                    {k: a.tobytes() for k, a in inflight.items()} if inflight else _NONE_PENDING,
+                    {k: a.tobytes() for k, a in dr.items()} if dr else _NONE_PENDING,
+                    None if spread is None else spread.copy(),
+                )
+                if clock == last[1] or clock == saved[1]:
+                    match = next(
+                        (s for s in (last, saved) if _same_state(s, snap, exclude)), None
+                    )
+                    if match is not None:
+                        period = i - match[0]
+                        k = (n - i) // period
+                        if k:
+                            self.extrapolate(k, match)
+                            self.stats.extrapolated_trips += k * period
+                            self.stats.extrapolated_loops += 1
+                            i += k * period
+                            extrapolated = True
+                        break
+                last = snap
+                since += 1
+                if since == power:
+                    saved = snap
                     since, power = 0, 2 * power
             while i < n:
                 if trip(i):
@@ -375,16 +408,17 @@ class _Runner:
             self.monitor_depth -= 1
 
     def extrapolate(self, k: int, snap: _Snapshot) -> None:
-        """Apply ``k`` more copies of the iteration that ran since
-        ``snap`` in closed form: the epoch advances it logged and the op
-        lists it ran, and its rendezvous spread surcharges (the one
-        software cost a run accumulates, held in ``comm_sw_time`` until
+        """Apply ``k`` more copies of the period that ran since ``snap``
+        in closed form: the epoch advances it logged, the op lists it
+        ran, and its rendezvous spread surcharges (the one software cost
+        a run accumulates, held in ``comm_sw_time`` until
         :func:`settle`)."""
+        _, _, mark, ran, _, _, _, spread_then = snap
         timing = self.timing
-        pattern = timing._epoch_log[snap.mark :]
+        pattern = timing._epoch_log[mark:]
         if pattern:
             if self.monitor_depth >= 2:
-                # an enclosing monitor is recording: log every advance
+                # an enclosing monitor may replay this trip: log every advance
                 timing.replay_pattern(pattern, k)
             else:
                 saved = timing._epoch_log
@@ -392,12 +426,13 @@ class _Runner:
                 timing.replay_pattern_bulk(pattern, k)
                 timing._epoch_log = saved
         executions = self.executions
-        for body, ref in enumerate(snap.executions):
+        for body, ref in enumerate(ran):
             delta = executions[body] - ref
             if delta:
                 executions[body] += k * delta
-        spread = self.instrument.comm_sw_time
-        spread += k * (spread - snap.spread)
+        if spread_then is not None:
+            spread = self.instrument.comm_sw_time
+            spread += k * (spread - spread_then)
 
 
 # ---------------------------------------------------------------------------
@@ -859,6 +894,10 @@ class _Binder:
             for kind in lowered.kinds
             if not (kind in _CHARGE_ONLY and binding.primitive(kind) == NOOP)
         }
+        self.runner.spreads = timing.keeps_account and any(
+            c.sync is SyncKind.RENDEZVOUS and c.spread_penalty
+            for c in self.costs.get(CallKind.DN, ())
+        )
 
     def _compile(self, expr: ir.IRExpr) -> Callable[[], object]:
         return _compile_scalar(expr, self.scalars, self.reduce_hook)

@@ -19,6 +19,7 @@ from repro import (
     compile_program,
     machine_by_name,
     simulate,
+    simulate_many,
 )
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides
@@ -299,6 +300,175 @@ class TestCycleExtrapolation:
         assert "repeat loop capped at 50 trips without converging" in fast.warnings
         assert fast.fastpath.extrapolated_loops == 1
         assert fast.fastpath.extrapolated_trips >= 20
+
+
+# c counts the loop's first m trips and then holds, and at the default
+# network latency the clocks settle by trip 2, so the state after trip
+# m + 1 is the first to equal the one before it.  With m = 0, c never
+# moves, and how many trips the clocks take to settle depends on the
+# network latency.
+COUNTER_SRC = """
+program counter;
+config n : integer = 16;
+config k : integer = 30;
+config m : integer = 5;
+region R  = [1..n, 1..n];
+region In = [2..n-1, 2..n-1];
+direction east = [0, 1];
+direction west = [0, -1];
+var A, B : [R] double;
+var s, c : double;
+procedure main();
+begin
+  [R] A := index1 + index2;
+  c := 0.0;
+  for t := 1 to k do
+    [In] s := +<< A;
+    [In] B := 0.5 * (A@east + A@west);
+    [In] A := A * 0.9 + B * 0.1;
+    c := min(c + 1.0, m);
+  end;
+end;
+"""
+
+# each outer trip runs an inner loop that repeats from its second trip
+NESTED_SRC = """
+program nested;
+config n : integer = 16;
+config k : integer = 12;
+config j : integer = 10;
+region R  = [1..n, 1..n];
+region In = [2..n-1, 2..n-1];
+direction east = [0, 1];
+direction west = [0, -1];
+direction north = [-1, 0];
+var A, B : [R] double;
+var s : double;
+procedure main();
+begin
+  [R] A := index1 + index2;
+  for t := 1 to k do
+    for u := 1 to j do
+      [In] s := +<< A;
+      [In] B := 0.5 * (A@east + A@west);
+      [In] A := A * 0.9 + B * 0.1;
+    end;
+    [In] B := A@north;
+    [In] A := A + B * 0.5;
+  end;
+end;
+"""
+
+
+def _counter(key, k, m):
+    return compile_program(
+        COUNTER_SRC, "counter.zl", config={"k": k, "m": m}, opt=experiment_spec(key).opt
+    )
+
+
+class TestFirstRepeat:
+    """The monitor proves a period of one at the state's first repeat
+    and skips from the period it already stepped, bit for bit against
+    the walk, which steps every trip."""
+
+    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
+    @pytest.mark.parametrize("m", [2, 6, 11])
+    def test_period_one_extrapolates_every_trip_after_first_repeat(self, m, machine_name):
+        k = 30
+        interp, fast = run_both(_counter("pl", k, m), machine_for(machine_name)("pl"))
+        assert_parity(interp, fast)
+        assert fast.scalars["c"] == m
+        assert fast.fastpath.as_dict() == {
+            "extrapolated_trips": k - (m + 1),
+            "extrapolated_loops": 1,
+            "fallbacks": 0,
+        }
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_one_whole_period_left_extrapolates(self, m):
+        machine = machine_for("t3d")("baseline")
+        interp, fast = run_both(_counter("baseline", m + 2, m), machine)
+        assert_parity(interp, fast)
+        assert fast.fastpath.as_dict() == {
+            "extrapolated_trips": 1,
+            "extrapolated_loops": 1,
+            "fallbacks": 0,
+        }
+        # proven on the last trip: no trip is left to skip
+        interp, fast = run_both(_counter("baseline", m + 1, m), machine)
+        assert_parity(interp, fast)
+        assert fast.fastpath.as_dict() == {
+            "extrapolated_trips": 0,
+            "extrapolated_loops": 0,
+            "fallbacks": 1,
+        }
+
+    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
+    @pytest.mark.parametrize("key", ["baseline", "pl"])
+    def test_outer_period_holds_an_inner_extrapolation(self, key, machine_name):
+        """The outer loop repeats first at trip 2, so the period it
+        replays is the stepped trip 2, whose inner loop skipped its last
+        trips: their epoch advances must be in the outer pattern."""
+        program = compile_program(NESTED_SRC, "nested.zl", opt=experiment_spec(key).opt)
+        interp, fast = run_both(program, machine_for(machine_name)(key))
+        assert_parity(interp, fast)
+        k, j = 12, 10
+        assert fast.fastpath.as_dict() == {
+            "extrapolated_trips": (k - 2) + 2 * (j - 2),
+            "extrapolated_loops": 3,
+            "fallbacks": 0,
+        }
+
+    def test_spread_surcharges_scale_with_the_skipped_periods(self):
+        """A rendezvous DN that waits adds a spread surcharge to the
+        account: the monitor copies it, and the skipped periods add
+        theirs (scaled in one multiply, so within ulps of the walk)."""
+        base = apply_overrides(machine_for("t3d")("pl_shmem"), {"net.raw_latency": 1e-3})
+        machine = apply_overrides(
+            base, {"prim.*.spread_penalty": 0.5, "prim.*.spread_cap": 1e-3}
+        )
+        program = _counter("pl_shmem", 30, 2)
+        interp, fast = run_both(program, machine)
+        assert_parity(interp, fast)
+        assert fast.fastpath.extrapolated_trips > 0
+        spread = fast.instrument.comm_sw_time
+        np.testing.assert_allclose(spread, interp.instrument.comm_sw_time, rtol=1e-12)
+        unpenalized = simulate(program, base, options=SimOptions.timing())
+        assert np.all(spread > unpenalized.instrument.comm_sw_time)
+
+    @pytest.mark.parametrize(
+        "machine_name, latencies, firsts",
+        [("t3d", (1e-6, 1.5e-4, 3e-4), [2, 3, 4]), ("paragon", (1e-6, 4e-4), [2, 5])],
+        ids=["t3d", "paragon"],
+    )
+    def test_batch_extrapolates_after_its_last_variant_repeats(
+        self, machine_name, latencies, firsts
+    ):
+        """Each latency variant alone first repeats at the trip ``firsts``
+        names; the batch, whose state repeats only when every variant's
+        does, extrapolates every trip after the last of them."""
+        k = 40
+        program, longer = _counter("baseline", k, 0), _counter("baseline", k + 1, 0)
+        base = machine_for(machine_name)("baseline")
+        variants = [apply_overrides(base, {"net.latency": lat}) for lat in latencies]
+        scalars = []
+        for machine, first in zip(variants, firsts):
+            interp, fast = run_both(program, machine)
+            assert_parity(interp, fast)
+            assert fast.fastpath.extrapolated_trips == k - first
+            # one trip more skips one trip more: a period of one
+            stretched = simulate(longer, machine, options=SimOptions.timing())
+            assert stretched.fastpath.extrapolated_trips == k + 1 - first
+            scalars.append(fast)
+        run = simulate_many(program, variants)
+        assert run.fastpath.as_dict() == {
+            "extrapolated_trips": k - max(firsts),
+            "extrapolated_loops": 1,
+            "fallbacks": 0,
+        }
+        for v, scalar in enumerate(scalars):
+            assert float(run.times[v]) == scalar.time
+            assert np.array_equal(run.clocks[v], scalar.clocks)
 
 
 class TestFastArgumentValidation:

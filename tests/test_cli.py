@@ -236,12 +236,12 @@ COMPARE_SCALE = [
 ]
 
 
-def test_compare_update_then_clean_rerun(tmp_path, capsys):
+def test_compare_update_then_clean_rerun(tmp_path, capsys, monkeypatch):
+    # compare keeps no result cache: nothing lands in the working directory
+    monkeypatch.chdir(tmp_path)
     baseline = tmp_path / "baselines" / "swm.json"
-    cache = ["--cache-dir", str(tmp_path / "cache")]
     assert main(
-        ["compare", "--baseline", str(baseline), "--update"]
-        + COMPARE_SCALE + cache
+        ["compare", "--baseline", str(baseline), "--update"] + COMPARE_SCALE
     ) == 0
     assert "baseline updated" in capsys.readouterr().out
 
@@ -249,21 +249,20 @@ def test_compare_update_then_clean_rerun(tmp_path, capsys):
     # baseline itself (no --bench/--procs needed)
     code = main(
         ["compare", "--baseline", str(baseline),
-         "--config", "n=16", "--config", "nsteps=2"] + cache
+         "--config", "n=16", "--config", "nsteps=2"]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert "no drift from baseline" in out
+    assert not (tmp_path / ".repro-cache").exists()
 
 
 def test_compare_detects_count_drift(tmp_path, capsys):
     import json
 
     baseline = tmp_path / "swm.json"
-    cache = ["--cache-dir", str(tmp_path / "cache")]
     assert main(
-        ["compare", "--baseline", str(baseline), "--update"]
-        + COMPARE_SCALE + cache
+        ["compare", "--baseline", str(baseline), "--update"] + COMPARE_SCALE
     ) == 0
     capsys.readouterr()
 
@@ -272,7 +271,7 @@ def test_compare_detects_count_drift(tmp_path, capsys):
     baseline.write_text(json.dumps(doc))
     code = main(
         ["compare", "--baseline", str(baseline),
-         "--config", "n=16", "--config", "nsteps=2"] + cache
+         "--config", "n=16", "--config", "nsteps=2"]
     )
     out = capsys.readouterr().out
     assert code == 1
@@ -847,8 +846,8 @@ BASELINE = str(Path(__file__).resolve().parents[1] / "baselines" / "paper.json")
 )
 def test_config_no_selected_benchmark_declares_exits(command, tmp_path):
     """A NAME that neither SIMPLE nor SP declares exits before any work
-    (``fit`` keeps no result cache)."""
-    cache = [] if command[0] == "fit" else ["--cache-dir", str(tmp_path / "cache")]
+    (``fit`` and ``compare`` keep no result cache)."""
+    cache = [] if command[0] in ("fit", "compare") else ["--cache-dir", str(tmp_path / "cache")]
     with pytest.raises(SystemExit) as exc:
         main(command + ["--bench", "simple", "--bench", "sp", "--config", "nsteps=2"] + cache)
     assert str(exc.value) == f"{command[0]}: --config nsteps: no selected benchmark declares it"
