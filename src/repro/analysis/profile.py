@@ -33,13 +33,6 @@ class TimeBreakdown:
     comm_sw: float
     wait: float
 
-    @property
-    def comm_fraction(self) -> float:
-        """Share of the critical path not spent computing."""
-        if self.total == 0:
-            return 0.0
-        return (self.comm_sw + self.wait) / self.total
-
     def as_row(self) -> List[float]:
         return [
             self.total,

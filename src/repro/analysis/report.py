@@ -59,13 +59,3 @@ def format_table(
         if irow == 0:
             lines.append(sep.replace("-+-", "-+-"))
     return "\n".join(lines)
-
-
-def ascii_bar(value: float, scale: float = 1.0, width: int = 40) -> str:
-    """A proportional bar for terminal output (value/scale clipped to
-    [0, 1] maps to 0..width characters)."""
-    if scale <= 0:
-        return ""
-    frac = max(0.0, min(1.0, value / scale))
-    n = int(round(frac * width))
-    return "#" * n

@@ -41,11 +41,3 @@ def static_message_volume_entries(program: ir.IRProgram) -> int:
     transfers the *uncombined* program would need for the same data (used
     to verify that combining preserves volume)."""
     return sum(len(d.entries) for d in program.all_descriptors())
-
-
-def per_block_counts(program: ir.IRProgram) -> list:
-    """(block index, transfer count) pairs in textual order."""
-    return [
-        (i, len(block.descriptors()))
-        for i, block in enumerate(program.walk_blocks())
-    ]

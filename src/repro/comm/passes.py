@@ -163,12 +163,6 @@ class PipelineReport:
         """Do the per-pass deltas explain the whole static reduction?"""
         return self.planned - self.total_removed - self.total_merged == self.final
 
-    def stats_for(self, name: str) -> Optional[PassStats]:
-        for s in self.passes:
-            if s.name == name:
-                return s
-        return None
-
     def as_dict(self) -> dict:
         """JSON-safe representation (stored in engine telemetry)."""
         return {

@@ -30,7 +30,6 @@ from repro.engine.cache import (
     CacheStats,
     DirCache,
     NullCache,
-    ResultCache,
     default_cache_root,
     make_cache,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "MachineSpec",
     "NullCache",
     "RECORD_SCHEMA",
-    "ResultCache",
     "StudyResult",
     "build_matrix",
     "clear_compile_cache",

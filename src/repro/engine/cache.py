@@ -6,8 +6,8 @@ fingerprint.  Two implementations share one small surface — ``get``,
 executable as ``tests/engine/test_backends.py``:
 
 ``DirCache``
-    The ``.repro-cache/`` layout, ``<root>/<aa>/<fingerprint>.json``
-    (the first two hex digits shard the directory).  ``get`` returns
+    The ``.repro-cache/`` layout, one file per record,
+    ``<root>/<fingerprint>.json``.  ``get`` returns
     the stored record or ``None`` on *any* miss — absent, torn,
     corrupt, written under another ``RECORD_SCHEMA``, or with a
     ``result`` block missing a field readers index or holding it with
@@ -17,7 +17,10 @@ executable as ``tests/engine/test_backends.py``:
     and best-effort (a storage failure never fails the run that produced
     the result, and never leaves its temp file behind).  ``stats`` and
     ``prune`` make a stale multi-gigabyte store inspectable and
-    reclaimable without deleting it by hand.
+    reclaimable without deleting it by hand; they also count and remove
+    the records older trees stored under ``<root>/<aa>/`` (the first two
+    hex digits), which ``get`` misses, so their jobs rerun and store
+    flat.
 ``NullCache``
     The ``--no-cache`` cache: everything misses, nothing is stored.
 
@@ -163,8 +166,7 @@ def _usable_result(result: object) -> bool:
 
 
 class DirCache:
-    """A directory of fingerprint-addressed job records (the historical
-    ``.repro-cache/`` layout, byte-for-byte)."""
+    """A directory of fingerprint-addressed job records, one file each."""
 
     kind = "dir"
 
@@ -172,7 +174,7 @@ class DirCache:
         self.root = Path(root) if root is not None else default_cache_root()
 
     def _path(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
+        return self.root / f"{fingerprint}.json"
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The stored record for a fingerprint, or None on any miss
@@ -203,7 +205,7 @@ class DirCache:
         path = self._path(fingerprint)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            self.root.mkdir(parents=True, exist_ok=True)
             tmp.write_text(json.dumps(record, sort_keys=True, indent=1))
             os.replace(tmp, path)
         except OSError:
@@ -260,9 +262,6 @@ class DirCache:
     def describe(self) -> dict:
         return {"backend": self.kind, "location": str(self.root)}
 
-
-#: Historical name for the directory cache; same class, same layout.
-ResultCache = DirCache
 
 #: Either cache the engine can run against.
 CacheBackend = Union[DirCache, NullCache]

@@ -11,7 +11,7 @@ the simulator itself.
 
 The optimizer is a batched **joint grid refinement**: every round
 samples each free path's bracket, evaluates the full cartesian product
-of those samples (``itertools.product``, capped at ``max_candidates``)
+of those samples (``itertools.product``, capped at :data:`MAX_CANDIDATES`)
 in one :func:`repro.simulate_many` call per cell, and moves every path
 at once to the best candidate.  Each bracket then shrinks around an
 interior winner or slides with an edge winner; a round in which no
@@ -414,6 +414,13 @@ class FitResult:
 # the optimizer
 # ---------------------------------------------------------------------------
 
+#: the most joint candidates one round evaluates
+MAX_CANDIDATES = 4096
+#: stop once the mean squared relative error falls to this
+LOSS_TOL = 1e-10
+#: or once every bracket's relative width falls to this
+REL_TOL = 1e-4
+
 
 def fit_machine(
     target: FitTarget,
@@ -422,9 +429,6 @@ def fit_machine(
     bounds: Optional[Mapping[str, Tuple[float, float]]] = None,
     rounds: int = 16,
     samples: int = 9,
-    max_candidates: int = 4096,
-    loss_tol: float = 1e-10,
-    rel_tol: float = 1e-4,
 ) -> FitResult:
     """Fit ``paths`` so the simulator reproduces ``target``.
 
@@ -439,20 +443,18 @@ def fit_machine(
         Optional ``{path: (lo, hi)}`` search brackets; defaults come
         from :func:`repro.machine.default_bounds` around the base
         machine's current value.
-    rounds / samples / max_candidates:
+    rounds / samples:
         At most ``rounds`` grid-refinement rounds.  Each round samples
         ``samples`` values per free path and evaluates the **full
         cartesian product** — every joint combination, up to
-        ``max_candidates`` of them — in one batched call per
+        :data:`MAX_CANDIDATES` of them — in one batched call per
         observation cell; joint sampling separates coupled parameters
         (latency vs per-byte cost) that per-coordinate line searches
         conflate.  When ``samples ** len(paths)`` exceeds
-        ``max_candidates``, per-path sampling density is reduced to
-        fit.
-    loss_tol / rel_tol:
-        Stop when the mean squared relative error falls to
-        ``loss_tol``, or when every bracket's relative width falls to
-        ``rel_tol``.
+        :data:`MAX_CANDIDATES`, per-path sampling density is reduced to
+        fit.  The fit stops early when the mean squared relative error
+        falls to :data:`LOSS_TOL`, or when every bracket's relative
+        width falls to :data:`REL_TOL`.
 
     Loss is the mean over observations of the squared relative time
     error, so cells of very different magnitudes weigh equally.
@@ -463,7 +465,7 @@ def fit_machine(
     if samples < 3:
         raise MachineError(f"samples must be >= 3, got {samples}")
     per_path = samples
-    while per_path > 3 and per_path ** len(paths) > max_candidates:
+    while per_path > 3 and per_path ** len(paths) > MAX_CANDIDATES:
         per_path -= 1
     spec_lib = target.library or experiment_spec(
         target.observations[0].experiment
@@ -515,10 +517,10 @@ def fit_machine(
         initial_loss = current_loss
         done_rounds = 0
         for _ in range(rounds):
-            if current_loss <= loss_tol:
+            if current_loss <= LOSS_TOL:
                 break
             if all(
-                coords[p].resolved(current[p], rel_tol) for p in paths
+                coords[p].resolved(current[p], REL_TOL) for p in paths
             ):
                 break
             # the full cartesian grid over every coordinate's bracket,

@@ -17,7 +17,7 @@ interleaved call lists at the end (see :mod:`repro.comm.schedule`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.ir import nodes as ir
 from repro.lang.regions import Direction, Region
@@ -137,13 +137,3 @@ class BlockInfo:
             array in self.writes[j]
             for j in range(max(start, 0), min(end, len(self.core)))
         )
-
-    def uses_by_key(
-        self,
-    ) -> Dict[Tuple[str, Tuple[int, ...], bool], List[ShiftedUse]]:
-        """Group the block's shifted uses by communication identity,
-        preserving textual order inside each group."""
-        groups: Dict[Tuple[str, Tuple[int, ...]], List[ShiftedUse]] = {}
-        for use in self.shifted_uses:
-            groups.setdefault(use.key, []).append(use)
-        return groups

@@ -147,15 +147,6 @@ def expr_flops(expr: IRExpr) -> int:
     return count
 
 
-def shifted_reads(expr: IRExpr) -> List[IRArrayRead]:
-    """All shifted array reads in the expression, in source order."""
-    return [
-        node
-        for node in walk_expr(expr)
-        if isinstance(node, IRArrayRead) and node.is_shifted
-    ]
-
-
 def arrays_read(expr: IRExpr) -> Set[str]:
     """Names of all arrays read anywhere in the expression."""
     return {
@@ -203,10 +194,6 @@ class CommDescriptor:
     @property
     def arrays(self) -> List[str]:
         return [e.array for e in self.entries]
-
-    @property
-    def is_combined(self) -> bool:
-        return len(self.entries) > 1
 
     def describe(self) -> str:
         names = ", ".join(self.arrays)

@@ -28,16 +28,3 @@ class CallKind(enum.Enum):
     SR = "source ready"
     DN = "destination needed"
     SV = "source volatile"
-
-    @property
-    def is_source_side(self) -> bool:
-        """True for the calls executed on behalf of the sending role."""
-        return self in (CallKind.SR, CallKind.SV)
-
-    @property
-    def is_destination_side(self) -> bool:
-        return self in (CallKind.DR, CallKind.DN)
-
-
-#: Canonical order of the calls for one transfer in naive generated code.
-NAIVE_ORDER = (CallKind.DR, CallKind.SR, CallKind.DN, CallKind.SV)

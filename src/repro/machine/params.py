@@ -113,9 +113,6 @@ class ComputeParams:
     flop_time: float
     loop_overhead: float = 1.0e-6
 
-    def stmt_time(self, flops_per_element: int, elements: int) -> float:
-        return self.loop_overhead + flops_per_element * elements * self.flop_time
-
 
 @dataclass(frozen=True)
 class ReductionParams:

@@ -81,14 +81,6 @@ class MemorySink(Sink):
             if name is None or r["name"] == name
         ]
 
-    def counter_total(self, name: str) -> int:
-        """The last emitted running total of a counter (0 if never hit)."""
-        total = 0
-        for r in self.records:
-            if r["type"] == "counter" and r["name"] == name:
-                total = r["value"]
-        return total
-
 
 class JsonlSink(Sink):
     """Append records as JSON lines to a file (created eagerly, so an

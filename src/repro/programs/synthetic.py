@@ -31,11 +31,6 @@ from repro.runtime import ExecutionMode, simulate
 #: Message sizes (in doubles) swept by the Figure 6 experiment.
 DEFAULT_SIZES = (8, 32, 128, 512, 1024, 2048, 4096)
 
-#: Repetitions per measurement (the paper uses 10000; the simulator is
-#: deterministic so fewer suffice, but the default follows the paper).
-DEFAULT_REPS = 10000
-
-
 def ping_source(size_doubles: int, busy_elems: int, reps: int, with_comm: bool) -> str:
     """Generate the ZL ping program for one message size.
 

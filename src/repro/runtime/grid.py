@@ -49,11 +49,5 @@ class ProcessorGrid:
     def ranks(self) -> Iterator[int]:
         return iter(range(self.nprocs))
 
-    def interior_rank(self) -> int:
-        """A maximally interior rank — the representative processor for
-        the paper's per-processor dynamic communication counts (an
-        interior node participates in every transfer direction)."""
-        return self.rank_of(self.rows // 2, self.cols // 2)
-
     def __str__(self) -> str:
         return f"{self.rows}x{self.cols} mesh"

@@ -169,6 +169,10 @@ def _winner_flips(sweep: SweepResult, axis: str) -> List[WinnerFlip]:
     return flips
 
 
+#: the most bisection rounds one refinement runs
+MAX_ROUNDS = 32
+
+
 def run_refined_sweep(
     *,
     axis: str,
@@ -183,7 +187,6 @@ def run_refined_sweep(
     library: Optional[str] = None,
     overrides: Optional[Mapping[str, object]] = None,
     config_overrides: Optional[Mapping[str, ConfigOverride]] = None,
-    max_rounds: int = 32,
     jobs: Optional[int] = None,
     cache: bool = True,
     cache_dir=None,
@@ -193,7 +196,7 @@ def run_refined_sweep(
     Starts from a ``coarse``-point uniform grid, then repeatedly bisects
     only the intervals still containing a threshold crossing or a
     winner flip, stopping when every such interval is narrower than
-    ``tol`` (or after ``max_rounds`` bisection rounds).  All sweep
+    ``tol`` (or after :data:`MAX_ROUNDS` bisection rounds).  All sweep
     keywords (machine, overrides, caching, ...) match
     :func:`repro.sweep.run_sweep`; the mode is always TIMING.
 
@@ -243,7 +246,7 @@ def run_refined_sweep(
             new = sorted(
                 {v for v in values if v not in evaluated}
             )
-            if not new or len(rounds) >= max_rounds:
+            if not new or len(rounds) >= MAX_ROUNDS:
                 break
             fp = _round_fingerprint(
                 axis, new, tuple(benchmarks) if not isinstance(benchmarks, str)

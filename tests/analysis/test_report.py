@@ -1,6 +1,6 @@
 """Tests for table rendering."""
 
-from repro.analysis.report import ascii_bar, format_table
+from repro.analysis.report import format_table
 
 
 def test_headers_and_alignment():
@@ -26,13 +26,6 @@ def test_integers_rendered_without_decimals():
 def test_title_prepended():
     out = format_table(["a"], [["x"]], title="My Table")
     assert out.splitlines()[0] == "My Table"
-
-
-def test_ascii_bar_proportional():
-    assert len(ascii_bar(0.5, 1.0, width=10)) == 5
-    assert ascii_bar(2.0, 1.0, width=10) == "#" * 10
-    assert ascii_bar(0.0, 1.0) == ""
-    assert ascii_bar(1.0, 0.0) == ""
 
 
 def test_empty_rows_ok():

@@ -2,7 +2,6 @@
 
 from repro import OptimizationConfig, compile_program
 from repro.comm.counts import (
-    per_block_counts,
     static_call_count,
     static_comm_count,
     static_message_volume_entries,
@@ -48,10 +47,3 @@ def test_combined_transfer_counts_once_but_keeps_entries():
     # combining moves the same data: entry totals match rr output
     rr = compile_program(SRC, "p.zl", opt=OptimizationConfig.rr_only())
     assert static_message_volume_entries(cc) == static_message_volume_entries(rr)
-
-
-def test_per_block_counts():
-    prog = compile_program(SRC, "p.zl", opt=OptimizationConfig.baseline())
-    blocks = per_block_counts(prog)
-    # the call site splits main's statements from work's body
-    assert [count for _, count in blocks] == [2, 1]

@@ -1,4 +1,5 @@
-"""Shared fixtures: small ZL programs and machines used across the suite.
+"""Shared fixtures: small ZL programs and machines used across the suite,
+and the session's one cold paper study.
 
 Also pins the hypothesis settings profiles: ``ci`` (the default) is
 fixed-seed and deadline-free so tier-1 runs are deterministic and never
@@ -13,7 +14,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro import OptimizationConfig, compile_program, paragon, t3d
+from repro import OptimizationConfig, compile_program, paragon, run_study, t3d
 from repro.ir import nodes as ir
 
 settings.register_profile(
@@ -88,6 +89,19 @@ begin
   [In] B := A@east;
 end;
 """
+
+
+def cold_paper_study():
+    """The paper's study, 4 benchmarks x 6 keys on t3d/64, simulated cold
+    (no result cache) by the code under test."""
+    return run_study(machine="t3d", nprocs=64, jobs=1, cache=False)
+
+
+@pytest.fixture(scope="session")
+def paper_study():
+    """One cold paper study per session: the paper-shape tests and the
+    paper golden read it."""
+    return cold_paper_study()
 
 
 @pytest.fixture

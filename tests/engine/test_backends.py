@@ -137,6 +137,36 @@ def test_optional_result_fields_may_be_absent(tmp_path):
     assert cache.get(FP_A) == record
 
 
+def test_one_file_per_record(tmp_path):
+    """A fresh cache stores each record as ``<root>/<fingerprint>.json``:
+    N puts leave N files and no directory."""
+    root = tmp_path / "cache"
+    cache = DirCache(root)
+    fingerprints = [f"{i:02x}" * 32 for i in range(5)]
+    for fp in fingerprints:
+        cache.put(fp, _record(fp))
+    assert sorted(p.name for p in root.iterdir()) == sorted(f"{fp}.json" for fp in fingerprints)
+    assert not any(p.is_dir() for p in root.iterdir())
+
+
+def test_legacy_sharded_record_is_counted_pruned_and_missed(tmp_path):
+    """A record an older tree stored under ``<aa>/`` is still counted and
+    pruned; ``get`` misses it, so its job reruns and stores flat."""
+    cache = DirCache(tmp_path)
+    shard = tmp_path / FP_A[:2]
+    shard.mkdir()
+    legacy = shard / f"{FP_A}.json"
+    legacy.write_text(json.dumps(_record(FP_A)))
+    assert cache.stats().entries == 1
+    assert cache.get(FP_A) is None
+    cache.put(FP_A, _record(FP_A))
+    assert cache.get(FP_A) == _record(FP_A)
+    assert cache.stats().entries == 2
+    assert cache.prune() == 2
+    assert not legacy.exists()
+    assert cache.stats().entries == 0
+
+
 def test_stats_census(tmp_path):
     cache = DirCache(tmp_path)
     assert cache.stats().entries == 0
@@ -197,10 +227,8 @@ def test_failed_put_leaves_no_temp_file(tmp_path, monkeypatch):
 def test_prune_removes_orphaned_temp_files(tmp_path):
     cache = DirCache(tmp_path)
     cache.put(FP_A, _record(FP_A))
-    shard = tmp_path / FP_B[:2]
-    shard.mkdir()
-    old = shard / f"{FP_B}.tmp.111"
-    young = shard / f"{FP_B}.tmp.222"
+    old = tmp_path / f"{FP_B}.tmp.111"
+    young = tmp_path / f"{FP_B}.tmp.222"
     old.write_text('{"schema": 3, "payl')  # a write cut off mid-record
     young.write_text('{"schema": 3, "payl')
     an_hour_ago = time.time() - 3600

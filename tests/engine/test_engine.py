@@ -9,10 +9,10 @@ import pytest
 from repro import run_study
 from repro.engine import (
     RECORD_SCHEMA,
+    DirCache,
     ExperimentEngine,
     Job,
     MachineSpec,
-    ResultCache,
     build_matrix,
     clear_compile_cache,
     load_telemetry,
@@ -196,7 +196,7 @@ def test_unusable_cached_result_reruns_and_is_overwritten(tmp_path, corrupt):
 def test_cache_record_roundtrip(tmp_path):
     from repro.engine.cache import RECORD_SCHEMA
 
-    cache = ResultCache(tmp_path)
+    cache = DirCache(tmp_path)
     assert cache.get("ab" * 32) is None
     result = {
         "static_count": 1,

@@ -71,13 +71,3 @@ class TestWrites:
         info = BlockInfo(block_of("s := 1.0; [R] A := s;"))
         assert info.writes[0] == set()
         assert info.writes[1] == {"A"}
-
-
-class TestGrouping:
-    def test_uses_by_key_groups_same_offsets(self):
-        info = BlockInfo(
-            block_of("[In] B := A@east; [In] C := A@east + A@west;")
-        )
-        groups = info.uses_by_key()
-        assert len(groups[("A", (0, 1), False)]) == 2
-        assert len(groups[("A", (0, -1), False)]) == 1

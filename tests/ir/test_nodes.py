@@ -20,10 +20,6 @@ class TestDescriptors:
     def test_ids_are_unique(self):
         assert _desc().id != _desc().id
 
-    def test_is_combined(self):
-        assert not _desc(("A",)).is_combined
-        assert _desc(("A", "B")).is_combined
-
     def test_describe_mentions_arrays_and_direction(self):
         text = _desc(("A", "B")).describe()
         assert "A, B" in text and "east" in text

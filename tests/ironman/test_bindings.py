@@ -70,8 +70,3 @@ def test_unknown_library_rejected_with_valid_list():
 
 def test_all_five_libraries_present():
     assert set(BINDINGS) == {"nx", "nx_async", "nx_callback", "pvm", "shmem"}
-
-
-def test_call_kind_sides():
-    assert CallKind.SR.is_source_side and CallKind.SV.is_source_side
-    assert CallKind.DR.is_destination_side and CallKind.DN.is_destination_side

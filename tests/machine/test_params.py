@@ -56,12 +56,6 @@ class TestNetworkParams:
         assert net.transfer_time(0, raw_wire=False) == pytest.approx(10e-6)
 
 
-class TestComputeParams:
-    def test_stmt_time_scales_with_work(self):
-        comp = ComputeParams(flop_time=10e-9, loop_overhead=1e-6)
-        assert comp.stmt_time(4, 100) == pytest.approx(1e-6 + 4 * 100 * 10e-9)
-
-
 class TestReductionParams:
     def test_tree_depth(self):
         red = ReductionParams(stage_cost=10e-6)

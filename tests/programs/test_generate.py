@@ -48,6 +48,7 @@ from repro.programs.generate import (
     generated_seed,
 )
 from repro.runtime.interp import ParallelEvaluator
+from tests.runtime.test_parity import assert_same_row, run_pair
 
 LEVELS = (("baseline", OptimizationConfig.baseline()), ("full", OptimizationConfig.full()))
 
@@ -184,26 +185,15 @@ def test_minimum_viable_profile_generates():
 @settings(max_examples=10, deadline=None)
 def test_fast_path_matches_oracle(seed):
     """Compiled TIMING fast path == interpreted oracle, bit for bit."""
-    machine = t3d(4, "pvm")
     for opt in (OptimizationConfig.baseline(), OptimizationConfig.full()):
-        program = generate_program(seed, opt=opt)
-        fast = simulate(program, machine, options=SimOptions.timing(fast=True))
-        slow = simulate(program, machine, options=SimOptions.timing(fast=False))
-        assert fast.time == slow.time, _repro_line(seed)
-        assert np.array_equal(fast.clocks, slow.clocks), _repro_line(seed)
-        assert fast.static_comm_count == slow.static_comm_count
-        assert fast.dynamic_comm_count == slow.dynamic_comm_count
+        run_pair(generate_program(seed, opt=opt), t3d(4, "pvm"), _repro_line(seed))
 
 
 @given(seeds, profiles())
 @settings(max_examples=10, deadline=None)
 def test_profiled_fast_path_matches_oracle(seed, profile):
-    machine = t3d(4, "pvm")
     program = generate_program(seed, profile, opt=OptimizationConfig.full())
-    fast = simulate(program, machine, options=SimOptions.timing(fast=True))
-    slow = simulate(program, machine, options=SimOptions.timing(fast=False))
-    assert fast.time == slow.time, _repro_line(seed, profile)
-    assert np.array_equal(fast.clocks, slow.clocks), _repro_line(seed, profile)
+    run_pair(program, t3d(4, "pvm"), _repro_line(seed, profile))
 
 
 @given(seeds)
@@ -218,11 +208,8 @@ def test_batched_rows_match_scalar_simulate(seed):
     run = simulate_many(program, machines)
     assert run.program_name == generated_name(seed)
     for column, machine in enumerate(machines):
-        scalar = simulate(program, machine, options=SimOptions.timing())
-        assert run.times[column] == scalar.time, _repro_line(seed)
-        assert np.array_equal(run.clocks[column], scalar.clocks), _repro_line(seed)
-    assert run.static_comm_count == scalar.static_comm_count
-    assert run.dynamic_comm_count == scalar.dynamic_comm_count
+        scalar = simulate(program, machine, ExecutionMode.TIMING)
+        assert_same_row(run, column, scalar, _repro_line(seed))
 
 
 @given(seeds)
@@ -251,11 +238,7 @@ def test_dense_differential_matrix(seed):
     optimized numerics == reference."""
     for machine in (t3d(4, "pvm"), paragon(4, "nx")):
         for opt in (OptimizationConfig.baseline(), OptimizationConfig.full()):
-            program = generate_program(seed, opt=opt)
-            fast = simulate(program, machine, options=SimOptions.timing(fast=True))
-            slow = simulate(program, machine, options=SimOptions.timing(fast=False))
-            assert fast.time == slow.time, _repro_line(seed)
-            assert np.array_equal(fast.clocks, slow.clocks), _repro_line(seed)
+            run_pair(generate_program(seed, opt=opt), machine, _repro_line(seed))
     ref = reference_run(generate_program(seed, opt=OptimizationConfig.baseline()))
     res = simulate(
         generate_program(seed, opt=OptimizationConfig.full()),

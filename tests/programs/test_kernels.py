@@ -21,18 +21,9 @@ kernel         signature
 =============  =====================================================
 """
 
-import numpy as np
 import pytest
 
-from repro import (
-    ExecutionMode,
-    OptimizationConfig,
-    SimOptions,
-    emit_c,
-    reference_run,
-    simulate,
-    t3d,
-)
+from repro import OptimizationConfig, SimOptions, emit_c, simulate, t3d
 from repro.comm import static_comm_count
 from repro.programs import (
     BENCHMARKS,
@@ -121,35 +112,6 @@ def test_multigrid_declares_three_stride_levels():
     source = benchmark_source("multigrid")
     for stride in (1, 2, 4):
         assert f"[-{stride},  0]" in source
-
-
-@pytest.mark.parametrize("name", KERNELS)
-def test_fast_path_matches_oracle(name):
-    machine = t3d(4, "pvm")
-    program = build_benchmark(
-        name, config=small_config(name), opt=OptimizationConfig.full()
-    )
-    fast = simulate(program, machine, options=SimOptions.timing(fast=True))
-    slow = simulate(program, machine, options=SimOptions.timing(fast=False))
-    assert fast.time == slow.time
-    assert np.array_equal(fast.clocks, slow.clocks)
-
-
-@pytest.mark.parametrize("name", KERNELS)
-def test_optimized_numerics_match_reference(name):
-    config = small_config(name)
-    ref = reference_run(
-        build_benchmark(name, config=config, opt=OptimizationConfig.baseline())
-    )
-    res = simulate(
-        build_benchmark(name, config=config, opt=OptimizationConfig.full()),
-        t3d(4, "pvm"),
-        ExecutionMode.NUMERIC,
-    )
-    for array in sorted(ref.arrays):
-        assert np.allclose(
-            res.array(array), ref.array(array), rtol=1e-12, atol=1e-12
-        ), f"{name}: {array} diverged"
 
 
 def test_kernels_have_genuine_optimization_headroom():

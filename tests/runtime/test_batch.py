@@ -3,10 +3,11 @@
 ``simulate_many``'s contract mirrors the scalar fast path's: every row
 of the batch must be *bit-identical* to running that variant alone —
 through the compiled fast path, which is itself bit-identical to the
-interpreted walk (``test_fastpath``).  These tests enforce the contract
-across the paper matrix, under hypothesis-generated variant sets, and on
-a dense 512-variant grid (``-m slow``), plus the entry point's variant
-validation and the evaluator cache it runs through.
+interpreted walk.  ``tests/runtime/test_parity.py`` holds it over the
+corpus; these tests hold it under hypothesis-generated variant sets, on
+extrapolating loops and on a dense 512-variant grid (``-m slow``), plus
+the entry point's variant validation and the evaluator cache it runs
+through.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    SimOptions,
+    ExecutionMode,
     compile_program,
     machine_by_name,
     simulate,
@@ -23,141 +24,22 @@ from repro import (
 )
 from repro.errors import MachineError, RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
-from repro.machine import apply_overrides, pack_variants
-from repro.programs import BENCHMARKS, build_benchmark, small_config
+from repro.machine import pack_variants
 from repro.runtime import BatchEvaluator
 from tests.conftest import cap_repeats
-from tests.runtime.test_fastpath import TOGGLE_SRC
-
-NPROCS = 16
-
-
-def machine_for(name):
-    def build(key):
-        spec = experiment_spec(key)
-        library = "nx" if name == "paragon" else spec.library
-        return machine_by_name(name, NPROCS, library)
-
-    return build
-
-
-STEADY_SRC = """
-program steady;
-config n : integer = 16;
-config k : integer = 30;
-region R  = [1..n, 1..n];
-region In = [2..n-1, 2..n-1];
-direction east = [0, 1];
-direction west = [0, -1];
-var A, B : [R] double;
-var s : double;
-procedure main();
-begin
-  [R] A := index1 + index2;
-  for t := 1 to k do
-    [In] B := 0.5 * (A@east + A@west);
-    [In] A := A * 0.9 + B * 0.1;
-    [In] s := +<< A;
-  end;
-end;
-"""
-
-REPEAT_SRC = """
-program rep;
-config n : integer = 16;
-region R  = [1..n, 1..n];
-region In = [2..n-1, 2..n-1];
-direction east = [0, 1];
-var A, B : [R] double;
-var s : double;
-procedure main();
-begin
-  [R] A := 1.0;
-  repeat
-    [In] B := A@east;
-    [In] A := A + B * 0.1;
-    [In] s := +<< A;
-  until s > 0.5;
-end;
-"""
-
-_PROGRAMS = {}
-
-
-def _steady_program(key):
-    """STEADY_SRC under one experiment key's optimization config — the
-    bare ``compile_program`` form inserts no communication at all, so
-    every batched test would pass vacuously without ``opt=``."""
-    if key not in _PROGRAMS:
-        _PROGRAMS[key] = compile_program(
-            STEADY_SRC, "steady.zl", opt=experiment_spec(key).opt
-        )
-    return _PROGRAMS[key]
-
-
-# A spread of overrides that together exercise every dispatch path the
-# batched engine vectorizes: wire cost, raw DR latency, software
-# overhead (flat and past the knee), rendezvous spread surcharge, and
-# compute rate.
-DIVERSE_OVERRIDES = [
-    {},
-    {"net.latency": 1e-6, "net.bandwidth": 5e7},
-    {"net.raw_latency": 9e-5},
-    {"prim.*.fixed": 8e-5, "prim.*.spread_penalty": 5e-6},
-    {"prim.*.knee_bytes": 32, "prim.*.per_byte_beyond": 1e-6},
-    {"compute.flop_time": 2e-8, "compute.loop_overhead": 1e-6},
-]
-
-
-def _variants(base, override_sets):
-    return [apply_overrides(base, o) if o else base for o in override_sets]
-
-
-def scalar_fast(program, machine, **kwargs):
-    return simulate(
-        program, machine, options=SimOptions.timing(fast=True, **kwargs)
-    )
-
-
-def scalar_interp(program, machine, **kwargs):
-    return simulate(
-        program, machine, options=SimOptions.timing(fast=False, **kwargs)
-    )
-
-
-def assert_row_parity(run, v, scalar):
-    """Row ``v`` of a ``BatchRun`` must be bitwise equal to the scalar
-    result of that variant (times, clocks, counts, warnings, scalars)."""
-    assert float(run.times[v]) == scalar.time
-    assert np.array_equal(run.clocks[v], scalar.clocks)
-    assert run.static_comm_count == scalar.static_comm_count
-    assert run.dynamic_comm_count == scalar.dynamic_comm_count
-    # the shared quantities are variant-independent by construction, so
-    # the batch's single instrument must match every variant's
-    bi, si = run.instrument, scalar.instrument
-    assert np.array_equal(bi.dynamic_comms, si.dynamic_comms)
-    assert np.array_equal(bi.messages, si.messages)
-    assert np.array_equal(bi.bytes_moved, si.bytes_moved)
-    assert bi.reductions == si.reductions
-    assert run.warnings == scalar.warnings
-    assert run.scalars == scalar.scalars
-
-
-class TestPaperMatrixParity:
-    """Every benchmark x experiment key x machine, base plus two
-    variants, bit-identical to per-variant scalar fast runs."""
-
-    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
-    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
-    @pytest.mark.parametrize("bench", BENCHMARKS)
-    def test_parity(self, bench, key, machine_name):
-        spec = experiment_spec(key)
-        program = build_benchmark(bench, config=small_config(bench), opt=spec.opt)
-        base = machine_for(machine_name)(key)
-        variants = _variants(base, [{}, DIVERSE_OVERRIDES[1], DIVERSE_OVERRIDES[3]])
-        run = simulate_many(program, variants)
-        for v, machine in enumerate(variants):
-            assert_row_parity(run, v, scalar_fast(program, machine))
+from tests.runtime.test_fastpath import (
+    REPEAT_SRC,
+    TOGGLE_SRC,
+    _steady_program,
+    machine_for,
+    variant_overrides,
+)
+from tests.runtime.test_parity import (
+    DIVERSE_OVERRIDES,
+    _variants,
+    assert_same_row,
+    run_pair,
+)
 
 
 class TestDiverseVariantParity:
@@ -173,10 +55,8 @@ class TestDiverseVariantParity:
         assert len({float(t) for t in run.times}) > 2
         assert run.dynamic_comm_count > 0
         for v, machine in enumerate(variants):
-            assert_row_parity(run, v, scalar_fast(program, machine))
-            interp = scalar_interp(program, machine)
-            assert float(run.times[v]) == interp.time
-            assert np.array_equal(run.clocks[v], interp.clocks)
+            _, fast = run_pair(program, machine)
+            assert_same_row(run, v, fast)
 
     def test_multiple_programs(self):
         """Several programs over one packed variant matrix, one call
@@ -189,7 +69,7 @@ class TestDiverseVariantParity:
             run = simulate_many(program, matrix)
             assert run.times.shape == (3,)
             for v, machine in enumerate(variants):
-                assert_row_parity(run, v, scalar_fast(program, machine))
+                assert_same_row(run, v, simulate(program, machine, ExecutionMode.TIMING))
 
     def test_steady_state_extrapolation_engages(self):
         program = _steady_program("pl")
@@ -211,7 +91,7 @@ class TestDiverseVariantParity:
         assert run.fastpath.extrapolated_trips >= 20
         assert len({float(t) for t in run.times}) > 2
         for v, machine in enumerate(variants):
-            assert_row_parity(run, v, scalar_fast(program, machine))
+            assert_same_row(run, v, simulate(program, machine, ExecutionMode.TIMING))
 
     def test_repeat_cap_warning_parity(self):
         program = compile_program(
@@ -223,31 +103,7 @@ class TestDiverseVariantParity:
         run = BatchEvaluator(program, base).evaluate(variants)
         assert any("capped" in w for w in run.warnings)
         for v, machine in enumerate(variants):
-            assert_row_parity(run, v, scalar_fast(program, machine))
-
-
-_pos_float = st.floats(
-    1e-8, 1e-4, allow_nan=False, allow_infinity=False, allow_subnormal=False
-)
-
-variant_overrides = st.fixed_dictionaries(
-    {},
-    optional={
-        "net.latency": _pos_float,
-        "net.bandwidth": st.floats(
-            1e6, 1e9, allow_nan=False, allow_infinity=False, allow_subnormal=False
-        ),
-        "net.raw_latency": _pos_float,
-        "prim.*.fixed": _pos_float,
-        "prim.*.knee_bytes": st.integers(16, 16384),
-        "prim.*.per_byte_beyond": st.floats(
-            0, 1e-6, allow_nan=False, allow_infinity=False, allow_subnormal=False
-        ),
-        "prim.*.spread_penalty": st.floats(
-            0, 1e-5, allow_nan=False, allow_infinity=False, allow_subnormal=False
-        ),
-    },
-)
+            assert_same_row(run, v, simulate(program, machine, ExecutionMode.TIMING))
 
 
 class TestHypothesisDifferential:
@@ -267,11 +123,8 @@ class TestHypothesisDifferential:
         variants = _variants(base, override_sets)
         run = simulate_many(program, variants)
         for v, machine in enumerate(variants):
-            fast = scalar_fast(program, machine)
-            assert_row_parity(run, v, fast)
-            interp = scalar_interp(program, machine)
-            assert float(run.times[v]) == interp.time
-            assert np.array_equal(run.clocks[v], interp.clocks)
+            _, fast = run_pair(program, machine)
+            assert_same_row(run, v, fast)
 
 
 class TestValidation:
@@ -320,9 +173,7 @@ class TestDenseGrid:
         run = simulate_many(program, variants)
         assert len({float(t) for t in run.times}) > 100
         for v, machine in enumerate(variants):
-            scalar = scalar_fast(program, machine)
-            assert float(run.times[v]) == scalar.time
-            assert np.array_equal(run.clocks[v], scalar.clocks)
+            assert_same_row(run, v, simulate(program, machine, ExecutionMode.TIMING))
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +193,9 @@ class TestBatchEvaluator:
         run1 = ev.evaluate(first)
         run2 = ev.evaluate(second)
         for v, machine in enumerate(first):
-            assert_row_parity(run1, v, scalar_fast(program, machine))
+            assert_same_row(run1, v, simulate(program, machine, ExecutionMode.TIMING))
         for v, machine in enumerate(second):
-            assert_row_parity(run2, v, scalar_fast(program, machine))
+            assert_same_row(run2, v, simulate(program, machine, ExecutionMode.TIMING))
 
     def test_matches_one_shot_simulate_many(self):
         program = _steady_program("rr")

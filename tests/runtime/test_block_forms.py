@@ -1,80 +1,29 @@
-"""The batched core's block forms against the scalar core.
+"""The batched core's block forms.
 
 ``BatchTimingEngine.bind_call`` binds every SR, DN, DR and SV call to a
 *block form*: a closure that does the scalar core's IEEE operations in
-the scalar core's order, elementwise over the variants.  Its oracle is
+the scalar core's order, elementwise over the variants.  Their oracle is
 the scalar core, through ``simulate_many`` rows against ``simulate``
-runs: here over the corpus (the paper programs and kernels under every
-distinct optimization of the paper's keys, ``gen_0..7`` at baseline and
-full), under every IRONMAN binding and a spread of cost variants, so
-every form is reached, the Paragon ``nx_async``/``nx_callback`` DR and
-SV fixed charges included.  The faults a block form raises are the
-scalar core's.
+runs over the corpus under every IRONMAN binding and a spread of cost
+variants (``tests/runtime/test_parity.py``).  Here: each binding binds
+its forms, so that harness reaches every form, the Paragon
+``nx_async``/``nx_callback`` DR and SV fixed charges included; and the
+faults a block form raises are the scalar core's.
 """
 
 import pytest
 
-from repro import ExecutionMode, simulate_many
+from repro import ExecutionMode
 from repro.errors import RuntimeFault
-from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
+from repro.experiments_registry import experiment_spec
 from repro.ironman.calls import CallKind
-from repro.machine import pack_variants, paragon, t3d
-from repro.programs import BENCHMARKS, KERNELS, build_benchmark, small_config
+from repro.machine import pack_variants, t3d
+from repro.programs import build_benchmark, small_config
 from repro.runtime.executor import _Simulation
 from repro.runtime.schedule import _Binder, _Call, compile_schedule
-from tests.runtime.test_batch import (
-    DIVERSE_OVERRIDES,
-    _variants,
-    assert_row_parity,
-    scalar_fast,
-)
+from tests.runtime.test_parity import BINDINGS, DIVERSE_OVERRIDES, _variants
 from tests.runtime.test_single_rank import _nodes, _tomcatv
 from tests.runtime.test_template import BLOCK_FORMS, _flatten
-
-#: every IRONMAN binding on 16 ranks
-BASES = (
-    t3d(16, "pvm"),
-    t3d(16, "shmem"),
-    paragon(16, "nx"),
-    paragon(16, "nx_async"),
-    paragon(16, "nx_callback"),
-)
-
-#: the first of the paper's keys with each distinct optimization
-_FIRST_KEY = {}
-for _key in EXPERIMENT_KEYS:
-    _FIRST_KEY.setdefault(experiment_spec(_key).opt, _key)
-KEYS = tuple(_FIRST_KEY.values())
-
-#: 51 programs: 7 under 5 optimizations, 8 generated at baseline and full
-CASES = [(name, key) for name in BENCHMARKS + KERNELS for key in KEYS] + [
-    (f"gen_{seed}", key) for seed in range(8) for key in ("baseline", "pl")
-]
-
-
-def _program(name, key):
-    return build_benchmark(name, config=small_config(name), opt=experiment_spec(key).opt)
-
-
-def test_corpus_reaches_every_distinct_optimization():
-    assert KEYS == ("baseline", "rr", "cc", "pl", "pl_maxlat")
-    assert len(CASES) == 51
-
-
-@pytest.mark.parametrize("name, key", CASES, ids=lambda x: x)
-def test_batched_rows_equal_scalar_runs(name, key):
-    """Every row of ``simulate_many`` under each binding and the six
-    variants is the scalar run of that variant, bit for bit."""
-    program = _program(name, key)
-    for base in BASES:
-        variants = _variants(base, DIVERSE_OVERRIDES)
-        run = simulate_many(program, variants)
-        for v, machine in enumerate(variants):
-            scalar = scalar_fast(program, machine)
-            where = f"{base.library} variant {v}"
-            assert repr(float(run.times[v])) == repr(scalar.time), where
-            assert run.clocks[v].tobytes() == scalar.clocks.tobytes(), where
-            assert_row_parity(run, v, scalar)
 
 
 def _bound_forms(program, base):
@@ -93,18 +42,21 @@ def _bound_forms(program, base):
 @pytest.mark.parametrize(
     "base, forms",
     [
-        (BASES[0], {"send_block", "complete_block"}),
-        (BASES[1], {"send_block", "complete_block", "pre_block"}),
-        (BASES[2], {"send_block", "complete_block"}),
-        (BASES[3], set(BLOCK_FORMS)),
-        (BASES[4], set(BLOCK_FORMS)),
+        (BINDINGS[0], {"send_block", "complete_block"}),
+        (BINDINGS[1], {"send_block", "complete_block", "pre_block"}),
+        (BINDINGS[2], {"send_block", "complete_block"}),
+        (BINDINGS[3], set(BLOCK_FORMS)),
+        (BINDINGS[4], set(BLOCK_FORMS)),
     ],
     ids=lambda x: getattr(x, "library", None),
 )
 def test_every_binding_binds_its_forms(base, forms):
     """DR and SV bound to ``noop`` bind nothing; every other call binds
     its kind's block form, so the harness above runs each form."""
-    assert _bound_forms(_program("simple", "pl"), base) == forms
+    program = build_benchmark(
+        "simple", config=small_config("simple"), opt=experiment_spec("pl").opt
+    )
+    assert _bound_forms(program, base) == forms
 
 
 # ---------------------------------------------------------------------------

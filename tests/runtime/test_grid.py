@@ -46,11 +46,6 @@ class TestNeighbors:
         assert g.neighbor(3, (0, 1)) is None
 
 
-def test_interior_rank_is_central():
-    g = ProcessorGrid(8, 8)
-    assert g.coords(g.interior_rank()) == (4, 4)
-
-
 def test_nprocs_and_str():
     g = ProcessorGrid(2, 8)
     assert g.nprocs == 16

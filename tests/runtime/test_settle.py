@@ -40,9 +40,10 @@ from repro.machine.params import SyncKind
 from repro.programs import BENCHMARKS, build_benchmark
 from repro.programs import generate as gen
 from repro.runtime.executor import _Simulation
-from repro.runtime.instrument import Instrumentation, settled_mismatches
+from repro.runtime.instrument import Instrumentation
 from repro.runtime.timing import TimingEngine, _per_sender
 from tests.runtime.test_arrivals import scatter_counts
+from tests.runtime.test_parity import assert_same_run
 
 #: the account's three per-rank vectors
 ACCOUNT = ("compute_time", "comm_sw_time", "wait_time")
@@ -139,11 +140,6 @@ def oracle_walk(program, machine):
 # ---------------------------------------------------------------------------
 
 
-def assert_same_account(fast, walk):
-    """Every counter and account vector, bit for bit."""
-    assert settled_mismatches(fast.instrument, walk.instrument) == []
-
-
 def assert_matches_oracle(run, oracle):
     inst = run.instrument
     assert inst.counts.dtype == oracle.counts.dtype == np.int64
@@ -169,9 +165,7 @@ def check(program, machine):
     """Compiled run against the oracle walk; the compiled run's stats."""
     fast = simulate(program, machine, options=SimOptions.timing())
     walk, oracle = oracle_walk(program, machine)
-    assert fast.clocks.tobytes() == walk.clocks.tobytes()
-    assert repr(fast.time) == repr(walk.time)
-    assert_same_account(fast, walk)
+    assert_same_run(walk, fast)
     assert_matches_oracle(walk, oracle)
     assert_residual(walk, oracle)
     return fast.fastpath

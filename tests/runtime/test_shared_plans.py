@@ -30,7 +30,7 @@ from repro.programs import build_benchmark, small_config
 from repro.runtime.executor import _Simulation
 from repro.runtime.schedule import _Binder, _Call, schedule_template
 from repro.runtime.transfers import PlanCache, TransferPlan
-from tests.runtime.test_batch import DIVERSE_OVERRIDES, _variants, assert_row_parity, scalar_fast
+from tests.runtime.test_parity import DIVERSE_OVERRIDES, _variants, assert_same_row, run_pair
 from tests.runtime.test_single_rank import _nodes
 
 MACHINES = (t3d(16, "pvm"), t3d(16, "shmem"), paragon(16, "nx"))
@@ -88,13 +88,7 @@ def test_equal_geometry_transfers_in_flight_together_share_one_plan():
 
 @pytest.mark.parametrize("machine", MACHINES, ids=IDS)
 def test_compiled_path_matches_the_walk(machine):
-    program = _jacobi("pl_only")
-    fast = simulate(program, machine, options=SimOptions.timing())
-    walk = simulate(program, machine, options=SimOptions.timing(fast=False))
-    assert fast.fastpath is not None and walk.fastpath is None
-    assert fast.time == walk.time
-    assert fast.clocks.tobytes() == walk.clocks.tobytes()
-    assert np.array_equal(fast.instrument.counts, walk.instrument.counts)
+    run_pair(_jacobi("pl_only"), machine)
 
 
 @pytest.mark.parametrize("machine", MACHINES, ids=IDS)
@@ -103,7 +97,7 @@ def test_batched_rows_match_scalar_runs(machine):
     variants = _variants(machine, DIVERSE_OVERRIDES)
     run = simulate_many(program, variants)
     for v, variant in enumerate(variants):
-        assert_row_parity(run, v, scalar_fast(program, variant))
+        assert_same_row(run, v, simulate(program, variant, ExecutionMode.TIMING))
 
 
 @pytest.mark.parametrize("library", ["pvm", "shmem"])

@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro import ExecutionMode, SimOptions, machine_by_name, simulate
+from repro import ExecutionMode, machine_by_name
 from repro.errors import RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.ironman.calls import CallKind
@@ -30,6 +30,7 @@ from repro.runtime.schedule import (
     _Repeat,
     compile_schedule,
 )
+from tests.runtime.test_parity import run_pair
 from tests.runtime.test_template import BLOCK_FORMS, _flatten
 
 #: every library binding, on the machine that offers it
@@ -79,28 +80,11 @@ def _sim(program, target):
 def test_compiled_equals_walk_bit_for_bit(machine_name, library, key):
     program = _tomcatv(key)
     machine = machine_by_name(machine_name, 64, library)
-    walk = simulate(program, machine, options=SimOptions.timing(fast=False))
-    fast = simulate(program, machine, options=SimOptions.timing(fast=True))
+    _, fast = run_pair(program, machine)
     assert fast.fastpath.extrapolated_trips == 0
     lowered = _sim(program, machine).template.lowered
     plans = [node.plan for node in _nodes(lowered.body) if isinstance(node, _Call)]
     assert any(plan.message_count == 1 for plan in plans)
-    assert fast.clocks.tobytes() == walk.clocks.tobytes()
-    assert repr(fast.time) == repr(walk.time)
-    fi, wi = fast.instrument, walk.instrument
-    for field in (
-        "compute_time",
-        "comm_sw_time",
-        "wait_time",
-        "dynamic_comms",
-        "messages",
-        "bytes_moved",
-    ):
-        assert getattr(fi, field).tobytes() == getattr(wi, field).tobytes(), field
-    assert fi.call_counts == wi.call_counts
-    assert fi.reductions == wi.reductions
-    assert fast.warnings == walk.warnings
-    assert fast.scalars == walk.scalars
 
 
 @pytest.mark.parametrize("machine_name, library", BINDINGS, ids=lambda x: x)

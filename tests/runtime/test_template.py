@@ -30,7 +30,7 @@ from repro.runtime.costs import PlanTable
 from repro.runtime.executor import _Simulation
 from repro.runtime.schedule import _ForOp, _IfOp, _RepeatOp, compile_schedule
 from repro.runtime.transfers import PlanCache
-from tests.runtime.test_fastpath import assert_parity
+from tests.runtime.test_parity import assert_same_run
 
 SRC = """
 program tpl;
@@ -239,7 +239,7 @@ def test_noop_bound_calls_emit_no_op(machine, free):
     assert np.array_equal(inst.dynamic_comms, walk.instrument.dynamic_comms)
     assert np.array_equal(inst.messages, walk.instrument.messages)
     assert np.array_equal(inst.bytes_moved, walk.instrument.bytes_moved)
-    assert_parity(walk, simulate(program, machine, options=TIMING))
+    assert_same_run(walk, simulate(program, machine, options=TIMING))
 
 
 def test_noop_bound_calls_emit_no_batched_op():

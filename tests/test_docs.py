@@ -66,8 +66,11 @@ def test_experiments_md_covers_every_figure_and_table():
 
 def test_benchmarks_exist_for_every_listed_target():
     design = _read("DESIGN.md")
-    for target in re.findall(r"`benchmarks/(bench_\w+\.py)`", design):
-        assert (ROOT / "benchmarks" / target).exists(), target
+    targets = re.findall(r"`((?:benchmarks/bench|tests/paper/test)_\w+\.py)(?:::(\w+))?`", design)
+    assert targets
+    for path, test in targets:
+        assert (ROOT / path).exists(), path
+        assert not test or f"def {test}(" in (ROOT / path).read_text(), (path, test)
 
 
 def test_examples_listed_in_readme_exist():
