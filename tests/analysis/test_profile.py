@@ -50,6 +50,11 @@ def test_breakdown_for_specific_rank(run):
     assert b.total == pytest.approx(float(run.clocks[0]))
 
 
+def test_comm_fraction_between_zero_and_one(run):
+    b = breakdown_of(run)
+    assert 0.0 <= (b.comm_sw + b.wait) / b.total <= 1.0
+
+
 def test_pure_compute_program_has_no_comm_time():
     from repro import compile_program
 

@@ -47,3 +47,9 @@ def test_combined_transfer_counts_once_but_keeps_entries():
     # combining moves the same data: entry totals match rr output
     rr = compile_program(SRC, "p.zl", opt=OptimizationConfig.rr_only())
     assert static_message_volume_entries(cc) == static_message_volume_entries(rr)
+
+
+def test_per_block_counts():
+    prog = compile_program(SRC, "p.zl", opt=OptimizationConfig.baseline())
+    # the call site splits main's statements from work's body
+    assert [len(block.descriptors()) for block in prog.walk_blocks()] == [2, 1]

@@ -71,3 +71,13 @@ class TestWrites:
         info = BlockInfo(block_of("s := 1.0; [R] A := s;"))
         assert info.writes[0] == set()
         assert info.writes[1] == {"A"}
+
+
+class TestGrouping:
+    def test_uses_by_key_groups_same_offsets(self):
+        info = BlockInfo(
+            block_of("[In] B := A@east; [In] C := A@east + A@west;")
+        )
+        keys = [use.key for use in info.shifted_uses]
+        assert keys.count(("A", (0, 1), False)) == 2
+        assert keys.count(("A", (0, -1), False)) == 1

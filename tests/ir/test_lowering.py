@@ -137,6 +137,15 @@ class TestExprHelpers:
         costly = ir.IRIntrinsic("sqrt", [ir.IRConst(1.0)])
         assert ir.expr_flops(costly) > ir.expr_flops(cheap)
 
+    def test_shifted_reads_in_order(self):
+        prog = lower_src("[In] B := A@east * 2.0 + A@west;")
+        reads = [
+            node
+            for node in ir.walk_expr(prog.body[0].stmts[0].expr)
+            if isinstance(node, ir.IRArrayRead) and node.is_shifted
+        ]
+        assert [r.direction.name for r in reads] == ["east", "west"]
+
     def test_arrays_read_includes_unshifted(self):
         prog = lower_src("[In] B := A@east + C;")
         assert ir.arrays_read(prog.body[0].stmts[0].expr) == {"A", "C"}

@@ -1,9 +1,11 @@
 """Unit tests for machine parameter models."""
 
+import numpy as np
 import pytest
 
 from repro.errors import MachineError
 from repro.ironman.bindings import binding_for
+from repro.machine import apply_overrides, pack_variants, t3d
 from repro.machine.params import (
     ComputeParams,
     Machine,
@@ -11,6 +13,8 @@ from repro.machine.params import (
     PrimitiveCost,
     ReductionParams,
 )
+from repro.runtime.instrument import Instrumentation
+from repro.runtime.timing import TimingEngine
 
 
 class TestPrimitiveCost:
@@ -54,6 +58,18 @@ class TestNetworkParams:
         net = NetworkParams(latency=10e-6, bandwidth=100e6, raw_latency=1e-6)
         assert net.transfer_time(0, raw_wire=True) == pytest.approx(1e-6)
         assert net.transfer_time(0, raw_wire=False) == pytest.approx(10e-6)
+
+
+class TestComputeParams:
+    def test_stmt_time_scales_with_work(self):
+        """The timing core charges a whole-array statement its loop
+        overhead plus flops x elements x flop time; a rank without
+        elements pays nothing."""
+        comp = {"compute.flop_time": 10e-9, "compute.loop_overhead": 1e-6}
+        core = TimingEngine(pack_variants([apply_overrides(t3d(4), comp)]), Instrumentation(4))
+        cost = core.array_cost(4, np.array([100, 200, 0, 100]))
+        small, large = 1e-6 + 4 * 100 * 10e-9, 1e-6 + 4 * 200 * 10e-9
+        assert cost.tolist() == pytest.approx([small, large, 0.0, small])
 
 
 class TestReductionParams:

@@ -3,9 +3,7 @@
 Every benchmark, under every optimization configuration and both T3D
 libraries, must produce numerics identical to the sequential reference —
 the load-bearing correctness property of the whole reproduction — and
-must exhibit the count structure the paper's tables are built on.  The
-PVM runs are the engine-parity harness's (``tests/runtime/test_parity.py``
-compares every array within 1e-12); SHMEM's run here.
+must exhibit the count structure the paper's tables are built on.
 """
 
 import numpy as np
@@ -41,7 +39,7 @@ def references():
 
 @pytest.mark.parametrize("bench", BENCHMARKS)
 @pytest.mark.parametrize("key", list(CONFIGS))
-@pytest.mark.parametrize("lib", ["shmem"])
+@pytest.mark.parametrize("lib", ["pvm", "shmem"])
 def test_numerics_match_reference(bench, key, lib, references):
     prog = build_benchmark(bench, config=small_config(bench), opt=CONFIGS[key])
     res = simulate(prog, t3d(16, lib), ExecutionMode.NUMERIC)

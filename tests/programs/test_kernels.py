@@ -21,9 +21,18 @@ kernel         signature
 =============  =====================================================
 """
 
+import numpy as np
 import pytest
 
-from repro import OptimizationConfig, SimOptions, emit_c, simulate, t3d
+from repro import (
+    ExecutionMode,
+    OptimizationConfig,
+    SimOptions,
+    emit_c,
+    reference_run,
+    simulate,
+    t3d,
+)
 from repro.comm import static_comm_count
 from repro.programs import (
     BENCHMARKS,
@@ -36,6 +45,7 @@ from repro.programs import (
     validate_benchmark,
 )
 from repro.errors import ExperimentError
+from tests.runtime.test_parity import run_pair
 
 #: static transfer counts per kernel under each optimization level
 #: (small configs; counts are config-independent for these kernels)
@@ -112,6 +122,31 @@ def test_multigrid_declares_three_stride_levels():
     source = benchmark_source("multigrid")
     for stride in (1, 2, 4):
         assert f"[-{stride},  0]" in source
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_fast_path_matches_oracle(name):
+    program = build_benchmark(
+        name, config=small_config(name), opt=OptimizationConfig.full()
+    )
+    run_pair(program, t3d(4, "pvm"), name)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_optimized_numerics_match_reference(name):
+    config = small_config(name)
+    ref = reference_run(
+        build_benchmark(name, config=config, opt=OptimizationConfig.baseline())
+    )
+    res = simulate(
+        build_benchmark(name, config=config, opt=OptimizationConfig.full()),
+        t3d(4, "pvm"),
+        ExecutionMode.NUMERIC,
+    )
+    for array in sorted(ref.arrays):
+        assert np.allclose(
+            res.array(array), ref.array(array), rtol=1e-12, atol=1e-12
+        ), f"{name}: {array} diverged"
 
 
 def test_kernels_have_genuine_optimization_headroom():

@@ -4,7 +4,8 @@
 of the batch must be *bit-identical* to running that variant alone —
 through the compiled fast path, which is itself bit-identical to the
 interpreted walk.  ``tests/runtime/test_parity.py`` holds it over the
-corpus; these tests hold it under hypothesis-generated variant sets, on
+corpus; these tests hold it across the paper matrix (against that
+harness's scalar runs), under hypothesis-generated variant sets, on
 extrapolating loops and on a dense 512-variant grid (``-m slow``), plus
 the entry point's variant validation and the evaluator cache it runs
 through.
@@ -25,6 +26,7 @@ from repro import (
 from repro.errors import MachineError, RuntimeFault
 from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import pack_variants
+from repro.programs import BENCHMARKS
 from repro.runtime import BatchEvaluator
 from tests.conftest import cap_repeats
 from tests.runtime.test_fastpath import (
@@ -38,8 +40,28 @@ from tests.runtime.test_parity import (
     DIVERSE_OVERRIDES,
     _variants,
     assert_same_row,
+    corpus_key,
+    corpus_program,
+    corpus_runs,
     run_pair,
 )
+
+
+class TestPaperMatrixParity:
+    """Every benchmark x experiment key x machine, base plus two
+    variants, bit-identical to per-variant scalar fast runs (the
+    engine-parity harness's runs of that cell)."""
+
+    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_parity(self, bench, key, machine_name):
+        base = machine_for(machine_name)(key)
+        variants = _variants(base, [{}, DIVERSE_OVERRIDES[1], DIVERSE_OVERRIDES[3]])
+        run = simulate_many(corpus_program(bench, corpus_key(key)), variants)
+        _, scalars = corpus_runs(bench, corpus_key(key), base.library)
+        for row, v in enumerate((0, 1, 3)):
+            assert_same_row(run, row, scalars[v])
 
 
 class TestDiverseVariantParity:

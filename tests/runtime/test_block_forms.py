@@ -4,26 +4,53 @@
 *block form*: a closure that does the scalar core's IEEE operations in
 the scalar core's order, elementwise over the variants.  Their oracle is
 the scalar core, through ``simulate_many`` rows against ``simulate``
-runs over the corpus under every IRONMAN binding and a spread of cost
-variants (``tests/runtime/test_parity.py``).  Here: each binding binds
-its forms, so that harness reaches every form, the Paragon
-``nx_async``/``nx_callback`` DR and SV fixed charges included; and the
-faults a block form raises are the scalar core's.
+runs: here over the paper programs and kernels under every distinct
+optimization of the paper's keys and ``gen_0..7`` at baseline and pl,
+under every IRONMAN binding and a spread of cost variants (cases of the
+engine-parity harness, ``tests/runtime/test_parity.py``, whose runs they
+read).  Each binding binds its forms, so every form is reached, the
+Paragon ``nx_async``/``nx_callback`` DR and SV fixed charges included;
+and the faults a block form raises are the scalar core's.
 """
 
 import pytest
 
 from repro import ExecutionMode
 from repro.errors import RuntimeFault
-from repro.experiments_registry import experiment_spec
 from repro.ironman.calls import CallKind
 from repro.machine import pack_variants, t3d
-from repro.programs import build_benchmark, small_config
+from repro.programs import BENCHMARKS, KERNELS
 from repro.runtime.executor import _Simulation
 from repro.runtime.schedule import _Binder, _Call, compile_schedule
-from tests.runtime.test_parity import BINDINGS, DIVERSE_OVERRIDES, _variants
+from tests.runtime.test_parity import (
+    BINDINGS,
+    DIVERSE_OVERRIDES,
+    KEYS,
+    VARIANTS,
+    _variants,
+    assert_corpus_rows,
+    corpus_program,
+)
 from tests.runtime.test_single_rank import _nodes, _tomcatv
 from tests.runtime.test_template import BLOCK_FORMS, _flatten
+
+#: 51 programs: 7 under 5 optimizations, 8 generated at baseline and pl
+CASES = [(name, key) for name in BENCHMARKS + KERNELS for key in KEYS] + [
+    (f"gen_{seed}", key) for seed in range(8) for key in ("baseline", "pl")
+]
+
+
+def test_corpus_reaches_every_distinct_optimization():
+    assert KEYS == ("baseline", "rr", "cc", "pl", "pl_maxlat")
+    assert len(CASES) == 51
+
+
+@pytest.mark.parametrize("name, key", CASES, ids=lambda x: x)
+def test_batched_rows_equal_scalar_runs(name, key):
+    """Every row of ``simulate_many`` under each binding and the six
+    variants is the scalar run of that variant, bit for bit."""
+    for library in VARIANTS:
+        assert_corpus_rows(name, key, library)
 
 
 def _bound_forms(program, base):
@@ -52,11 +79,8 @@ def _bound_forms(program, base):
 )
 def test_every_binding_binds_its_forms(base, forms):
     """DR and SV bound to ``noop`` bind nothing; every other call binds
-    its kind's block form, so the harness above runs each form."""
-    program = build_benchmark(
-        "simple", config=small_config("simple"), opt=experiment_spec("pl").opt
-    )
-    assert _bound_forms(program, base) == forms
+    its kind's block form, so the corpus above runs each form."""
+    assert _bound_forms(corpus_program("simple", "pl"), base) == forms
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The fast path's contract is *exactness*: for any program, the compiled
 schedule must produce bit-identical clocks, counts, volumes, warnings,
 and scalars versus the interpreted walk — extrapolation included.
 ``tests/runtime/test_parity.py`` holds it over the corpus; these tests
-hold it on synthetic programs built to hit the fallback and
-extrapolation edges, and on derived machine variants.
+hold it across the paper matrix (every benchmark x experiment key x
+machine, read from that harness's runs), on synthetic programs built to
+hit the fallback and extrapolation edges, and on derived machine
+variants.
 """
 
 import numpy as np
@@ -25,7 +27,13 @@ from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.machine import apply_overrides
 from repro.programs import BENCHMARKS, build_benchmark, small_config
 from tests.conftest import cap_repeats
-from tests.runtime.test_parity import assert_same_row, run_pair
+from tests.runtime.test_parity import (
+    VARIANTS,
+    assert_same_row,
+    corpus_key,
+    corpus_runs,
+    run_pair,
+)
 
 NPROCS = 16
 
@@ -39,6 +47,20 @@ def machine_for(name):
         return machine_by_name(name, NPROCS, library)
 
     return build
+
+
+class TestPaperMatrixParity:
+    """Every benchmark x experiment key x machine, at test scale: the
+    engine-parity harness's compiled == walk pair of that cell (``pl_shmem``
+    is its ``pl`` case on SHMEM), simulated once per session."""
+
+    @pytest.mark.parametrize("machine_name", ["t3d", "paragon"])
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    @pytest.mark.parametrize("bench", BENCHMARKS)
+    def test_parity(self, bench, key, machine_name):
+        machine = machine_for(machine_name)(key)
+        assert machine == VARIANTS[machine.library][0]
+        corpus_runs(bench, corpus_key(key), machine.library)
 
 
 STEADY_SRC = """

@@ -20,9 +20,13 @@ and on t3d/16 PVM, NUMERIC equals the TIMING walk on time, clocks and
 counters, and every array is within 1e-12 of ``reference_run`` on the
 lowered program.
 
-The parity tests this harness does not replace (hypothesis
-differentials, the ``-m slow`` matrices, edge-case programs) hold their
-runs with the same two assertions.
+Each binding's runs of a case are simulated once per session
+(:func:`corpus_runs`, :func:`assert_corpus_rows`): the paper-matrix
+tests of ``test_fastpath.py`` and ``test_batch.py`` and the block-form
+corpus of ``test_block_forms.py`` are views of these cases and read the
+same runs.  The other parity tests (hypothesis differentials, the
+``-m slow`` matrices, edge-case programs) hold their runs with the same
+two assertions.
 """
 
 from functools import lru_cache
@@ -79,9 +83,9 @@ def _variants(base, override_sets):
     return [apply_overrides(base, o) if o else base for o in override_sets]
 
 
-#: each binding's cost variants, the binding itself first; built once, so
-#: every case reuses their packed costs
-VARIANTS = [_variants(base, DIVERSE_OVERRIDES) for base in BINDINGS]
+#: each binding's cost variants by library, the binding itself first;
+#: built once, so every case reuses their packed costs
+VARIANTS = {base.library: _variants(base, DIVERSE_OVERRIDES) for base in BINDINGS}
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,44 @@ def _reference(name):
     return reference_run(_lowered(name))
 
 
+def corpus_key(key):
+    """The harness's key for a paper key: the first with its optimization
+    (``pl_shmem`` -> ``pl``)."""
+    return _FIRST_KEY[experiment_spec(key).opt]
+
+
+@lru_cache(maxsize=None)
+def corpus_program(name, key):
+    """Case ``(name, key)``: ``name`` in its small configuration under
+    ``key``'s optimization, built once per session."""
+    return optimize(_lowered(name), experiment_spec(key).opt)
+
+
+@lru_cache(maxsize=None)
+def corpus_runs(name, key, library):
+    """The walk of case ``(name, key)`` on ``library``'s binding and the
+    compiled run of each of its :data:`VARIANTS`, the first held equal to
+    the walk by :func:`assert_same_run`.  Simulated once per session; a
+    failed check caches nothing, so every caller sees it fail."""
+    program = corpus_program(name, key)
+    variants = VARIANTS[library]
+    walk, fast = run_pair(program, variants[0], f"{name} {key} on {library}")
+    rest = (simulate(program, machine, ExecutionMode.TIMING) for machine in variants[1:])
+    return walk, (fast, *rest)
+
+
+@lru_cache(maxsize=None)
+def assert_corpus_rows(name, key, library):
+    """One ``simulate_many`` of case ``(name, key)`` over ``library``'s
+    :data:`VARIANTS`, each row held equal to that variant's compiled run
+    by :func:`assert_same_row`; once per session, like
+    :func:`corpus_runs`."""
+    _, scalars = corpus_runs(name, key, library)
+    run = simulate_many(corpus_program(name, key), VARIANTS[library])
+    for v, scalar in enumerate(scalars):
+        assert_same_row(run, v, scalar, f"{name} {key} on {library} variant {v}")
+
+
 def test_corpus_reaches_every_distinct_optimization():
     assert KEYS == ("baseline", "rr", "cc", "pl", "pl_maxlat")
     assert len(CASES) == 75
@@ -151,19 +193,11 @@ def test_corpus_reaches_every_distinct_optimization():
 
 @pytest.mark.parametrize("name, key", CASES, ids=lambda x: x)
 def test_engines_agree(name, key):
-    program = optimize(_lowered(name), experiment_spec(key).opt)
-    walks = {}
-    for variants in VARIANTS:
-        base = variants[0]
-        where = f"{name} {key} on {base.library}"
-        walks[base.library], fast = run_pair(program, base, where)
-        run = simulate_many(program, variants)
-        for v, machine in enumerate(variants):
-            scalar = fast if v == 0 else simulate(program, machine, ExecutionMode.TIMING)
-            assert_same_row(run, v, scalar, f"{where} variant {v}")
+    for library in VARIANTS:
+        assert_corpus_rows(name, key, library)
 
-    walk = walks["pvm"]
-    numeric = simulate(program, BINDINGS[0], ExecutionMode.NUMERIC)
+    walk, _ = corpus_runs(name, key, "pvm")
+    numeric = simulate(corpus_program(name, key), BINDINGS[0], ExecutionMode.NUMERIC)
     assert repr(numeric.time) == repr(walk.time)
     assert numeric.clocks.tobytes() == walk.clocks.tobytes()
     assert numeric.instrument.counts.tobytes() == walk.instrument.counts.tobytes()
