@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.ir import nodes as ir
-from repro.ir.analysis import BlockInfo
+from repro.ir.analysis import BlockInfo, ShiftedUse
 from repro.lang.regions import Direction, Region, bounding_region
 
 
@@ -126,7 +126,7 @@ class BlockPlan:
     comms: List[PlannedComm]
 
 
-def plan_naive(block: ir.Block, *, assume_clean_entry: bool = True) -> BlockPlan:
+def plan_naive(block: ir.Block) -> BlockPlan:
     """Plan baseline communication for a block.
 
     One :class:`PlannedComm` per distinct ``(array, offset)`` reference
@@ -137,18 +137,16 @@ def plan_naive(block: ir.Block, *, assume_clean_entry: bool = True) -> BlockPlan
     * A@east``) need only one transfer even naively, since the compiler
     emits one set of calls per reference pattern per statement.
 
-    Parameters
-    ----------
-    block:
-        A communication-free basic block (core statements only).
-    assume_clean_entry:
-        Unused placeholder for future inter-block analysis; planning is
-        strictly intra-block, as in the paper.
+    ``block`` is a communication-free basic block (core statements
+    only); planning is strictly intra-block, as in the paper.
     """
     info = BlockInfo(block)
+    # the block's shifted uses per statement, in textual order
+    by_stmt: List[List[ShiftedUse]] = [[] for _ in info.core]
+    for use in info.shifted_uses:
+        by_stmt[use.stmt_index].append(use)
     comms: List[PlannedComm] = []
-    for stmt_index in range(len(info.core)):
-        stmt_uses = [u for u in info.shifted_uses if u.stmt_index == stmt_index]
+    for stmt_index, stmt_uses in enumerate(by_stmt):
         seen: Dict[Tuple[str, Tuple[int, ...]], PlannedComm] = {}
         for use in stmt_uses:
             if not direction_communicates(use.direction, use.region.rank):

@@ -244,18 +244,28 @@ class DirCache:
         """Remove records matching every given filter (age in seconds,
         stored schema version); no filters removes everything.  Temp
         files orphaned by an interrupted ``put`` go too, under the same
-        age filter.  Returns the number of records removed."""
+        age filter, and so does each legacy ``<aa>/`` shard directory the
+        pruning emptied.  Returns the number of records removed."""
         cutoff = time.time() - older_than if older_than is not None else None
         removed = 0
+        emptied = set()
         for path, st in list(self._entries()):
             if cutoff is not None and st.st_mtime > cutoff:
                 continue
             if schema is not None and _stored_schema(path) != schema:
                 continue
-            removed += _unlink(path)
+            if _unlink(path):
+                removed += 1
+                emptied.add(path.parent)
         for path, st in list(self._entries("*.tmp.*")):
-            if cutoff is None or st.st_mtime <= cutoff:
-                _unlink(path)
+            if (cutoff is None or st.st_mtime <= cutoff) and _unlink(path):
+                emptied.add(path.parent)
+        emptied.discard(self.root)
+        for shard in emptied:
+            try:
+                shard.rmdir()  # fails while the directory holds anything
+            except OSError:
+                pass
         obs.add("engine.result_cache.pruned", removed)
         return removed
 

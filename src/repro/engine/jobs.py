@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from repro.errors import ExperimentError, MachineError
@@ -187,7 +187,13 @@ class Job:
         return self.machine.library or experiment_spec(self.experiment).library
 
     def fingerprint(self) -> str:
-        """Content hash identifying this job for the result cache."""
+        """Content hash identifying this job for the result cache.  A job
+        is immutable, so its hash is computed on the first call and kept
+        (a pickled job carries it to a pool worker)."""
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         import repro
 
         spec = experiment_spec(self.experiment)

@@ -20,9 +20,13 @@ with the batched core
 (:class:`~repro.runtime.timing.BatchTimingEngine`), whose block forms
 perform the scalar core's floating-point operations in the same order,
 elementwise across the variant axis, and read the same price tables
-(:func:`~repro.runtime.costs.price`).  So every row of the clock
-matrix is **bit-identical** to the scalar fast path run of that variant
-(``tests/runtime/test_batch.py`` enforces this differentially).
+(:func:`~repro.runtime.costs.price`).  So every variant's clocks are
+**bit-identical** to the scalar fast path run of that variant
+(``tests/runtime/test_batch.py`` enforces this differentially).  The
+core stores the variant axis innermost — clocks ``(P, V)``, blocks
+``(R, V)`` — so that a gather over ranks moves contiguous rows; only
+what it hands back (:attr:`BatchRun.clocks` ``(V, P)``, ``times``
+``(V,)``) is variant-major.
 
 Steady-state extrapolation folds per-variant: the epoch is kept as
 ``(V,)`` run-length-encoded advance runs, the cycle monitor compares
@@ -47,16 +51,18 @@ reductions are settled once, when the run ends, from how many times
 each op list ran (:func:`~repro.runtime.schedule.settle`, shared with
 the scalar core).
 
-Memory model: a batch holds ``O(V x P)`` floats for the clock matrix
-plus one ``(V, R)`` block per in-flight transfer and per posted DR flag
-(``R`` the transfer's receivers), the price table of each call kind —
-per-rank totals as one ``(n, V, P)`` buffer over the program's ``n``
-distinct plans, SR's per-message costs as one ``(V, M_i)`` block per
-plan over its ``M`` messages, and one ``(V, R)`` receive block per DN
-plan, all bound by the block forms without copying — and the
-``(S, V, P)`` charge rows.  For a 1000-variant sweep on 64 ranks this
-is a few MB, not a concern; for 10^6-variant grids, chunk the variant
-list.
+Memory model: a batch holds ``O(P x V)`` floats for the rank-major
+clock matrix plus one ``(R, V)`` block per in-flight transfer and per
+posted DR flag (``R`` the transfer's receivers); the price table of each
+call kind — per-rank totals as one ``(n, V, P)`` buffer over the
+program's ``n`` distinct plans and SR's per-message costs as one ``(V,
+M_i)`` block per plan over its ``M`` messages — and the rank-major
+copies the batched core binds, transposed once per run: ``(P, V)``
+totals and ``(M_i, V)`` message costs per plan, and one ``(R, V)``
+receive block per DN plan; and the ``(S, P, V)`` charge rows.  The
+copies double the price tables' size.  For a 1000-variant sweep on 64
+ranks all of this is a few MB, not a concern; for 10^6-variant grids,
+chunk the variant list.
 """
 
 from __future__ import annotations

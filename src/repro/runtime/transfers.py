@@ -51,7 +51,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -82,23 +82,9 @@ class StripSet:
     src_highs: np.ndarray
 
 
-class Grouping(NamedTuple):
-    """How the timing cores merge a plan's messages per rank: arrivals
-    by receiver and DR flags by sender.  Every field is an ``intp``
-    index array, the type ``take`` and ``reduceat`` index with, or None
-    where it is trivial (the identity, or one message per rank)."""
-
-    #: the messages in receiver order (None: they already are)
-    order: Optional[np.ndarray]
-    #: where each receiver's run starts in receiver order (None: every
-    #: receiver gets one message)
-    fan_in: Optional[np.ndarray]
-    #: each message's receiver as an index into ``receivers_unique``
-    #: (None: message ``m`` goes to the ``m``-th receiver)
-    slots: Optional[np.ndarray]
-    #: where each sender's run of messages starts (None: every sender
-    #: sends one message)
-    sender_runs: Optional[np.ndarray]
+#: index layers of a per-rank maximum: one ``intp`` array per layer,
+#: each with one entry per rank
+Layers = Tuple[np.ndarray, ...]
 
 
 class TransferPlan:
@@ -107,9 +93,10 @@ class TransferPlan:
     ``senders``, ``receivers`` and ``nbytes`` hold one entry per message,
     in (sender, receiver) order; :attr:`strips` holds the strips they
     are summed from, one :class:`StripSet` per entry and strip class.
-    :attr:`grouping` and :attr:`count_block`, which the timing cores and
-    counters read, and :attr:`table`, which the interpreted walk prices,
-    are built on first use.  ``desc`` only supplies the geometry (and
+    :attr:`receiver_layers`, :attr:`sender_layers` and
+    :attr:`count_block`, which the timing cores and counters read, and
+    :attr:`table`, which the interpreted walk prices, are built on first
+    use.  ``desc`` only supplies the geometry (and
     names itself in a construction fault); the plan keeps no reference
     to it, since it serves every descriptor of that geometry."""
 
@@ -151,21 +138,22 @@ class TransferPlan:
         )
 
     @cached_property
-    def grouping(self) -> Grouping:
-        """The plan's per-receiver and per-sender message runs, built on
+    def receiver_layers(self) -> Optional[Layers]:
+        """How the timing cores merge arrivals per receiver: layer ``k``
+        holds each receiver's ``k``-th message, in ``receivers_unique``
+        order (None: message ``m`` is the ``m``-th receiver's only one).
+        Built on first use."""
+        return _layers(self.receivers, np.arange(self.message_count))
+
+    @cached_property
+    def sender_layers(self) -> Optional[Layers]:
+        """How a rendezvous SR merges DR flags per sender: layer ``k``
+        holds the slot in ``receivers_unique`` of each sender's ``k``-th
+        message's receiver, in ``senders_unique`` order (None: sender
+        ``s``'s one message goes to the ``s``-th receiver).  Built on
         first use."""
-        m, receivers = self.message_count, self.receivers
-        order = fan_in = slots = sender_runs = None
-        if (receivers[1:] < receivers[:-1]).any():
-            order = np.argsort(receivers, kind="stable")
-            receivers = receivers[order]
-        if len(self.receivers_unique) != m:
-            fan_in = _run_starts(receivers)
-        if order is not None or fan_in is not None:
-            slots = np.searchsorted(self.receivers_unique, self.receivers)
-        if len(self.senders_unique) != m:
-            sender_runs = _run_starts(self.senders)
-        return Grouping(order, fan_in, slots, sender_runs)
+        slots = np.searchsorted(self.receivers_unique, self.receivers)
+        return _layers(self.senders, slots)
 
     @cached_property
     def count_block(self) -> Optional[np.ndarray]:
@@ -209,6 +197,22 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return np.flatnonzero(first)
+
+
+
+def _layers(keys: np.ndarray, values: np.ndarray) -> Optional[Layers]:
+    """``values`` grouped by ``keys`` as layers: layer ``k`` holds each
+    key's ``k``-th value in message order, keys ascending; a key with
+    fewer values repeats its first, since ``max(x, x) == x``.  None when
+    every key has one value and they are ``0, 1, ...`` in key order."""
+    order = np.argsort(keys, kind="stable")
+    values = values[order]
+    starts = _run_starts(keys[order])
+    if len(starts) == len(values) and (values == np.arange(len(values))).all():
+        return None
+    counts = np.diff(starts, append=len(values))
+    k = np.arange(int(counts.max()))[:, None]
+    return tuple(values[starts + np.where(k < counts, k, 0)].astype(np.intp))
 
 
 def _narrow(a: np.ndarray) -> np.ndarray:
@@ -357,8 +361,8 @@ class PlanCache:
     and use region (:meth:`_geometry_key`), not by descriptor: every
     descriptor with that geometry, in any program on an equal layout,
     gets the one plan object, whose :attr:`~TransferPlan.signature`,
-    :attr:`~TransferPlan.grouping`, :attr:`~TransferPlan.count_block`
-    and :attr:`~TransferPlan.table` are computed once.  A cold t3d/64
+    merge layers, :attr:`~TransferPlan.count_block` and
+    :attr:`~TransferPlan.table` are computed once.  A cold t3d/64
     paper study looks up 646 descriptors and builds 150 plans; the memo
     then pins those 150, about 2 MB by ``tracemalloc``, until
     :meth:`clear_global` (which the benchmark harness calls by name) or

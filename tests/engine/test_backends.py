@@ -165,6 +165,22 @@ def test_legacy_sharded_record_is_counted_pruned_and_missed(tmp_path):
     assert cache.prune() == 2
     assert not legacy.exists()
     assert cache.stats().entries == 0
+    # the emptied shard directory goes too, the root stays
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_prune_keeps_shards_that_still_hold_a_file(tmp_path):
+    """A shard directory keeps whatever the prune's filters left in it,
+    and the root is never removed."""
+    cache = DirCache(tmp_path)
+    for fp, schema in ((FP_A, RECORD_SCHEMA), (FP_B, RECORD_SCHEMA - 1)):
+        shard = tmp_path / "ab"
+        shard.mkdir(exist_ok=True)
+        (shard / f"{fp}.json").write_text(json.dumps(dict(_record(fp), schema=schema)))
+    assert cache.prune(schema=RECORD_SCHEMA - 1) == 1
+    assert [p.name for p in (tmp_path / "ab").iterdir()] == [f"{FP_A}.json"]
+    assert cache.prune() == 1
+    assert tmp_path.is_dir() and list(tmp_path.iterdir()) == []
 
 
 def test_stats_census(tmp_path):

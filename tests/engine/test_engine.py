@@ -62,6 +62,37 @@ def test_fingerprint_is_stable_and_content_sensitive():
     ).fingerprint()
 
 
+def test_engine_hashes_each_job_once(tmp_path, monkeypatch):
+    """The cache lookup and the job's record share one hash per job, on
+    a batched cell and a single job alike, and warm lookups reuse it."""
+    from functools import cached_property
+
+    hashed = []
+    original = Job.__dict__["_fingerprint"].func
+
+    def counting(job):
+        hashed.append(job)
+        return original(job)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Job, "_fingerprint")
+    monkeypatch.setattr(Job, "_fingerprint", counted)
+    specs = [
+        MachineSpec.coerce("t3d", nprocs=16, overrides={"net.latency": lat})
+        for lat in (1e-5, 2e-5)
+    ]
+    jobs = [
+        Job.make("swm", "cc", machine=spec, config=SWM_SMALL) for spec in specs
+    ] + [Job.make("swm", "baseline", machine=specs[0], config=SWM_SMALL)]
+    engine = ExperimentEngine(cache_dir=tmp_path)
+    cold = engine.run(jobs)
+    assert [o.record["fingerprint"] for o in cold] == [original(j) for j in jobs]
+    assert [o.record.get("batched", False) for o in cold] == [True, True, False]
+    assert hashed == jobs
+    warm = engine.run(jobs)
+    assert all(o.cached for o in warm) and hashed == jobs
+
+
 def test_pl_and_pl_shmem_share_a_compile_but_not_a_fingerprint():
     pl = Job.make("swm", "pl", machine=MachineSpec(nprocs=16))
     sh = Job.make("swm", "pl_shmem", machine=MachineSpec(nprocs=16))

@@ -6,14 +6,17 @@ message's DR flag into its sender's slot the same way, and each
 execution of a transfer was counted with a masked ``+= 1`` and two
 ``np.add.at``.  Those forms are kept below as the oracle.  The timing
 cores now keep each receiver's latest arrival and each receiver's DR
-flag as a block over ``plan.receivers_unique``, merged through the
-plan's :attr:`~repro.runtime.transfers.TransferPlan.grouping`, and a
+flag as a block over ``plan.receivers_unique``, merged as layered
+maxima over the plan's
+:attr:`~repro.runtime.transfers.TransferPlan.receiver_layers` and
+:attr:`~repro.runtime.transfers.TransferPlan.sender_layers`, and a
 run's settling counts a transfer's executions as its ``count_block``
 times their number (:func:`~repro.runtime.schedule.count_transfers`),
 widened first, so a narrowed block cannot overflow.  Each block must
 equal the oracle's entries on the block's ranks bit for bit, and the
 oracle must hold nothing but ``-inf`` elsewhere, on every plan of the
-corpus at one variant (the scalar core's 1-D arrays) and at sixteen.
+corpus at one variant (the scalar core's 1-D arrays) and at sixteen
+(the batched core's rank-major ``(M, V)`` and ``(R, V)`` blocks).
 """
 
 from __future__ import annotations
@@ -86,23 +89,27 @@ def assert_block(block, scattered, ranks):
 
 
 def assert_plan_matches_oracle(plan, rng, variants):
+    """The merges of ``plan`` equal the scatter oracle on random blocks:
+    1-D at one variant, rank-major (the variant axis last) at more."""
     shape = (variants,) if variants > 1 else ()
     m, p = plan.message_count, plan.nprocs
     # continuous draws, and coarse ones whose maxima tie
     for times in (
-        rng.random(shape + (m,)),
-        rng.integers(0, 3, shape + (m,)) * 0.25,
+        rng.random((m,) + shape),
+        rng.integers(0, 3, (m,) + shape) * 0.25,
     ):
         assert_block(
-            _per_receiver(times, plan),
-            scatter_arrivals(times, plan),
+            _per_receiver(times, plan).T,
+            scatter_arrivals(times.T, plan),
             plan.receivers_unique,
         )
-    raw = rng.random(shape + (1,)) if variants > 1 else float(rng.random())
-    for clock in (rng.random(shape + (p,)), rng.integers(0, 3, shape + (p,)) * 0.5):
+    raw = rng.random(shape) if variants > 1 else float(rng.random())
+    # the oracle adds the wire time as a (V, 1) column
+    column = raw[:, None] if variants > 1 else raw
+    for clock in (rng.random((p,) + shape), rng.integers(0, 3, (p,) + shape) * 0.5):
         assert_block(
-            _per_sender(clock[..., plan.receivers_unique], plan, raw),
-            scatter_flags(clock, plan, raw),
+            _per_sender(clock[plan.receivers_unique], plan, raw).T,
+            scatter_flags(clock.T, plan, column),
             plan.senders_unique,
         )
 
@@ -162,14 +169,16 @@ def test_corpus_blocks_match_oracle(name):
 def test_paper_plans_with_fan_in_are_the_out_of_order_ones():
     """On t3d/64 the paper study's 150 distinct plans (its 646
     descriptors share them by geometry) include 30 in which some
-    receiver gets three messages; those are exactly the plans whose
-    messages are not in receiver order."""
+    receiver gets three messages, merged over three layers; those are
+    exactly the plans whose messages are not in receiver order."""
     plans = [plan for name in BENCHMARKS for plan in _plans(name, 8, 8)]
     assert len({id(p) for p in plans}) == len(plans)
-    fan_in = {id(p) for p in plans if p.grouping.fan_in is not None}
-    out_of_order = {id(p) for p in plans if p.grouping.order is not None}
+    layered = {id(p): p.receiver_layers for p in plans}
+    fan_in = {key for key, layers in layered.items() if layers and len(layers) > 1}
+    out_of_order = {id(p) for p in plans if (p.receivers[1:] < p.receivers[:-1]).any()}
     assert (len(fan_in), len(plans)) == (30, 150)
     assert fan_in == out_of_order
+    assert {len(layered[key]) for key in fan_in} == {3}
     widest = {int(np.bincount(p.receivers).max()) for p in plans if p.message_count}
     assert widest == {1, 3}
 
@@ -222,14 +231,23 @@ def test_constructed_blocks_match_oracle(messages):
 
 
 def test_constructed_groupings():
-    """The grouping of the three-message fan-in, spelled out."""
+    """The three-message fan-in's grouping per rank, as merge layers,
+    spelled out."""
     plan = constructed(CONSTRUCTED["fan_in_3_out_of_order"], 6)
-    # (0,5) (1,2) (2,5) (3,2) (4,0) (4,5): receivers 0, 2, 5
-    order, fan_in, slots, sender_runs = plan.grouping
-    assert order.tolist() == [4, 1, 3, 0, 2, 5]
-    assert fan_in.tolist() == [0, 1, 3]
-    assert slots.tolist() == [2, 1, 2, 1, 0, 2]
-    assert sender_runs.tolist() == [0, 1, 2, 3, 4]
+    # (0,5) (1,2) (2,5) (3,2) (4,0) (4,5): receivers 0, 2, 5; receiver 0
+    # repeats its one message and receiver 2 its first in the last layer
+    assert [layer.tolist() for layer in plan.receiver_layers] == [
+        [4, 1, 0],
+        [4, 3, 2],
+        [4, 1, 5],
+    ]
+    # each sender's receivers as slots in receivers_unique; sender 4
+    # sends to receivers 0 and 5
+    assert [layer.tolist() for layer in plan.sender_layers] == [
+        [2, 1, 2, 1, 0],
+        [2, 1, 2, 1, 2],
+    ]
+    assert all(layer.dtype == np.intp for layer in plan.receiver_layers)
     assert plan.count_block.tolist() == [
         [1, 1, 1, 1, 1, 1],
         [1, 1, 1, 1, 2, 0],
@@ -241,11 +259,12 @@ def test_constructed_groupings():
 
 
 def test_trivial_groupings_are_none():
-    """One message per rank in receiver order needs no merging."""
+    """One message per rank in receiver order needs no merging: no
+    layers."""
     plan = constructed([(0, 1, 8), (1, 2, 8), (2, 3, 8)], 4)
-    assert plan.grouping == (None, None, None, None)
+    assert (plan.receiver_layers, plan.sender_layers) == (None, None)
     times = np.array([0.1, 0.2, 0.3])
     assert _per_receiver(times, plan) is times
     empty = constructed([], 2)
-    assert empty.grouping == (None, None, None, None)
+    assert (empty.receiver_layers, empty.sender_layers) == (None, None)
     assert empty.count_block is None

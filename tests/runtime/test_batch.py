@@ -13,7 +13,7 @@ through.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
@@ -136,7 +136,6 @@ class TestHypothesisDifferential:
         machine_name=st.sampled_from(["t3d", "paragon"]),
         key=st.sampled_from(EXPERIMENT_KEYS),
     )
-    @settings(max_examples=25, deadline=None)
     def test_batch_matches_both_scalar_paths(
         self, override_sets, machine_name, key
     ):

@@ -6,7 +6,7 @@ charges one rank and moves one message.  On the scalar core such an op
 binds a scalar form that updates only its ranks' clocks and accounts, in
 the vector op's float order; the walk keeps the vector ops and is the
 oracle.  The batched core binds no scalar form: its calls bind block
-forms over ``(V, R)`` blocks, a one-message call a ``(V, 1)`` column.
+forms over ``(R, V)`` blocks, a one-message call a ``(1, V)`` row.
 """
 
 from functools import partial
@@ -126,7 +126,7 @@ def test_batched_core_binds_vector_ops_only():
     """No scalar form on the batched core: a charge stays a
     ``charge_array_vec`` partial and a call binds its kind's block form,
     one-rank rows and one-message plans included; a one-message SR
-    leaves a ``(V, 1)`` in-flight block."""
+    leaves a ``(1, V)`` in-flight block."""
     base = machine_by_name("t3d", 64, "shmem")
     variants = [apply_overrides(base, {"net.latency": lat}) for lat in (1e-5, 4e-5)]
     sim = _sim(_tomcatv("pl"), pack_variants(variants))
@@ -146,7 +146,7 @@ def test_batched_core_binds_vector_ops_only():
             assert BLOCK_FORMS[op.__name__] is node.kind
             if one and node.kind is CallKind.SR and not sim.timing._inflight:
                 op()
-                assert sim.timing._inflight[node.desc.id].shape == (2, 1)
+                assert sim.timing._inflight[node.desc.id].shape == (1, 2)
             seen.add((type(node), one))
     assert seen == {(_Charge, True), (_Charge, False), (_Call, True), (_Call, False)}
     assert sim.timing._inflight
