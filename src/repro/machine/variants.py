@@ -260,16 +260,15 @@ class PrimColumns:
     spread_cap: np.ndarray
 
     def sw_matrix(self, nbytes: np.ndarray) -> np.ndarray:
-        """``(V, M)`` software cost of each message under each variant —
-        the batched :meth:`~repro.machine.params.PrimitiveCost.sw`, with
-        the same operation order so every entry is bit-identical to the
-        scalar call."""
-        extra = np.maximum(0, nbytes[None, :] - self.knee_bytes[:, None])
-        return (
-            self.fixed[:, None]
-            + self.per_byte[:, None] * nbytes[None, :]
-            + self.per_byte_beyond[:, None] * extra
-        )
+        """``(M, V)`` software cost of each message under each variant,
+        the variant axis innermost as in the price tables
+        (:func:`~repro.runtime.costs.price`) — the batched
+        :meth:`~repro.machine.params.PrimitiveCost.sw`, with the same
+        operation order so every entry is bit-identical to the scalar
+        call."""
+        nbytes = nbytes[:, None]
+        extra = np.maximum(0, nbytes - self.knee_bytes)
+        return self.fixed + self.per_byte * nbytes + self.per_byte_beyond * extra
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ whole **matrix of cost vectors** at once: every variant's primitive
 costs, charge rates, and reduction stage costs are stacked into numpy
 arrays with a leading variant axis
 (:func:`repro.machine.variants.pack_variants`), and the CHARGE / REDUCE
-/ SR / DN / DR / SV dispatch loop runs *once* with ``(V, P)`` clock
+/ SR / DN / DR / SV dispatch loop runs *once* with ``(P, V)`` clock
 updates instead of once per variant.  The experiment engine reaches it
 through :func:`repro.engine.batch.run_jobs_batched`, one call per
 TIMING cell of two or more cost variants.
@@ -24,9 +24,10 @@ elementwise across the variant axis, and read the same price tables
 **bit-identical** to the scalar fast path run of that variant
 (``tests/runtime/test_batch.py`` enforces this differentially).  The
 core stores the variant axis innermost — clocks ``(P, V)``, blocks
-``(R, V)`` — so that a gather over ranks moves contiguous rows; only
-what it hands back (:attr:`BatchRun.clocks` ``(V, P)``, ``times``
-``(V,)``) is variant-major.
+``(R, V)``, as the price tables are laid out — so that a gather over
+ranks moves contiguous rows; only what it hands back
+(:attr:`BatchRun.clocks` ``(V, P)``, ``times`` ``(V,)``) is
+variant-major.
 
 Steady-state extrapolation folds per-variant: the epoch is kept as
 ``(V,)`` run-length-encoded advance runs, the cycle monitor compares
@@ -54,15 +55,12 @@ the scalar core).
 Memory model: a batch holds ``O(P x V)`` floats for the rank-major
 clock matrix plus one ``(R, V)`` block per in-flight transfer and per
 posted DR flag (``R`` the transfer's receivers); the price table of each
-call kind — per-rank totals as one ``(n, V, P)`` buffer over the
-program's ``n`` distinct plans and SR's per-message costs as one ``(V,
-M_i)`` block per plan over its ``M`` messages — and the rank-major
-copies the batched core binds, transposed once per run: ``(P, V)``
-totals and ``(M_i, V)`` message costs per plan, and one ``(R, V)``
-receive block per DN plan; and the ``(S, P, V)`` charge rows.  The
-copies double the price tables' size.  For a 1000-variant sweep on 64
-ranks all of this is a few MB, not a concern; for 10^6-variant grids,
-chunk the variant list.
+call kind, which the core binds as priced — per-rank totals as one
+``(n, P, V)`` buffer over the program's ``n`` distinct plans and SR's
+per-message costs as two ``(M, V)`` tables over their ``M`` messages —
+plus one ``(R, V)`` receive block per DN plan; and the ``(S, P, V)``
+charge rows.  For a 1000-variant sweep on 64 ranks all of this is a few
+MB, not a concern; for 10^6-variant grids, chunk the variant list.
 """
 
 from __future__ import annotations

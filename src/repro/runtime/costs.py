@@ -20,25 +20,25 @@ Pricing splits in two halves:
   returns one :class:`CallCosts` per plan, the *price table* of that
   call kind.
 
-Both timing cores read the result: the scalar core
-:meth:`CallCosts.row` ``0`` of a one-variant pack, whose arrays are 1-D
-views, and the batched core the ``(V, ...)`` arrays, which it
-transposes to rank-major once per run
-(:meth:`~repro.runtime.timing.BatchTimingEngine.bind_costs`).  Each
-plan's arrays are contiguous: the per-rank totals of a table are one
-``(n, V, P)`` buffer, so plan ``i``'s ``(V, P)`` block is one slice,
-and SR's per-message ``cum_sw`` and ``wire`` are one contiguous ``(V,
-M_i)`` array per plan.  The scalar core binds its rows as they are: at
-``V = 1`` a plan's rows are slices of the table's, which are
-contiguous, and nothing is copied to make the layout.
+The layout is rank-major, the variant axis innermost, and both timing
+cores bind it as priced.  The per-rank totals of a table are one ``(n,
+P, V)`` buffer, so plan ``i``'s ``(P, V)`` block is one slice of it;
+SR's per-message ``cum_sw`` and ``wire`` are one ``(M, V)`` table each,
+and plan ``i``'s ``(M_i, V)`` block is a slice of its rows; and the
+rendezvous parameters are ``(V,)`` rows.  Every plan's arrays are
+therefore contiguous views, and nothing is copied to lay them out at any
+``V``.  The batched core reads them as they are; the scalar core reads
+:meth:`CallCosts.row` ``0`` of a one-variant pack, whose arrays are
+``[..., 0]`` views, contiguous at ``V = 1``.
 
 Exactness: every per-rank total accumulates from 0.0 in message order,
 which is the float sequence of the per-message loop
 (``tests/runtime/test_costs.py`` keeps those loops, and the per-plan
 builder this replaced, as the oracle).  Messages are in (sender,
 receiver) order within a plan, so each (plan, sender) run of messages is
-contiguous; each run is a zero-padded row that starts at 0.0, and one
-sequential ``cumsum`` over the rows gives every running send sum.
+contiguous; each run is a zero-padded ``(width, V)`` block whose first
+row is 0.0, and one sequential ``cumsum`` along the width gives every
+running send sum.
 Receive and fixed-cost totals use ``np.add.at`` over (plan, rank) slots,
 which adds in index order, so in message order.  Plans never share a
 row or a slot, so concatenating them changes no sum.
@@ -65,15 +65,10 @@ __all__ = ["CallCosts", "PlanTable", "price"]
 class CallCosts:
     """The cost arrays of one IRONMAN call on one plan.
 
-    As :func:`price` returns them, arrays carry a leading variant axis:
-    ``(V, P)`` per-rank totals, ``(V, M)`` per-message costs and
-    ``(V, 1)`` rendezvous columns.  A :meth:`row` view drops it, and its
-    rendezvous parameters and call count become Python numbers.  The
-    batched core's bound view
-    (:meth:`~repro.runtime.timing.BatchTimingEngine.bind_costs`) is
-    rank-major instead: ``(P, V)`` and ``(M, V)`` arrays and ``(V,)``
-    rendezvous rows.  :meth:`row` applies only to priced, unbound
-    costs."""
+    As :func:`price` returns them, arrays carry a trailing variant axis:
+    ``(P, V)`` per-rank totals, ``(M, V)`` per-message costs and ``(V,)``
+    rendezvous rows.  A :meth:`row` view drops it, and its rendezvous
+    parameters and call count become Python numbers."""
 
     #: the bound primitive (call counts are recorded under its name)
     name: str
@@ -88,18 +83,16 @@ class CallCosts:
     #: wire time
     cum_sw: Optional[np.ndarray] = None
     wire: Optional[np.ndarray] = None
-    #: rendezvous parameters: ``(V, 1)`` columns as priced, ``(V,)``
-    #: rows in the batched core's bound view
+    #: rendezvous parameters
     fixed: Union[np.ndarray, float] = 0.0
     spread_penalty: Union[np.ndarray, float] = 0.0
     spread_cap: Union[np.ndarray, float] = 0.0
 
     def row(self, v: int) -> "CallCosts":
-        """Variant ``v`` of priced, unbound costs alone: 1-D array views
-        and Python scalars."""
+        """Variant ``v`` alone: 1-D array views and Python scalars."""
 
         def pick(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            return None if a is None else a[v]
+            return None if a is None else a[..., v]
 
         return CallCosts(
             name=self.name,
@@ -148,53 +141,51 @@ class PlanTable:
 
 
 def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallCosts]:
-    """The ``(V, ...)`` cost arrays of ``kind`` calls on every plan of
+    """The rank-major cost arrays of ``kind`` calls on every plan of
     ``table`` under every variant of ``matrix``, in table order: one
-    vectorized pass.  Each plan's arrays are contiguous."""
+    vectorized pass.  Each plan's arrays are contiguous views of its
+    kind's tables."""
     pc = matrix.prims[matrix.base.binding.primitive(kind)]
     V, n, P = matrix.nvariants, len(table.bounds) - 1, table.nprocs
     common = dict(
         name=pc.name,
         sync=pc.sync,
-        fixed=pc.fixed[:, None],
-        spread_penalty=pc.spread_penalty[:, None],
-        spread_cap=pc.spread_cap[:, None],
+        fixed=pc.fixed,
+        spread_penalty=pc.spread_penalty,
+        spread_cap=pc.spread_cap,
     )
-    # per-rank totals are ``(n, V, P)``, written through their
-    # ``(V, n, P)`` view at each (plan, rank) slot
+    # per-rank totals are ``(n, P, V)``, written at each (plan, rank) slot
     if kind is CallKind.SR:
-        rows = np.zeros((V, len(table.run_slot), table.width))
-        rows[:, table.run, table.place] = pc.sw_matrix(table.nbytes)
-        np.cumsum(rows, axis=2, out=rows)
-        totals = np.zeros((n, V, P))
+        rows = np.zeros((len(table.run_slot), table.width, V))
+        rows[table.run, table.place] = pc.sw_matrix(table.nbytes)
+        np.cumsum(rows, axis=1, out=rows)
+        totals = np.zeros((n, P, V))
         plan, rank = np.divmod(table.run_slot, P)
-        totals.transpose(1, 0, 2)[:, plan, rank] = rows[:, :, -1]
+        totals[plan, rank] = rows[:, -1]
         lat = matrix.net_raw if pc.raw_wire else matrix.net_latency
-        wire = lat[:, None] + table.nbytes[None, :] / matrix.net_bandwidth[:, None]
-        cum_sw = _plan_blocks(rows[:, table.run, table.place], table.bounds)
-        wire = _plan_blocks(wire, table.bounds)
-        calls = np.count_nonzero(totals > 0, axis=2)
+        wire = lat + table.nbytes[:, None] / matrix.net_bandwidth
+        cum_sw = rows[table.run, table.place]
+        calls = np.count_nonzero(totals > 0, axis=1)
+        bounds = table.bounds
         return [
             CallCosts(
                 calls=calls[i],
                 rank_sw=totals[i],
-                cum_sw=cum_sw[i],
-                wire=wire[i],
+                cum_sw=cum_sw[lo:hi],
+                wire=wire[lo:hi],
                 **common,
             )
-            for i in range(n)
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         ]
     # SV runs on the senders, DR and DN on the receivers; rendezvous DR
     # and DN charge their parameters directly
     sv = kind is CallKind.SV
     totals = None
     if sv or pc.sync is not SyncKind.RENDEZVOUS:
-        per_message = (
-            pc.sw_matrix(table.nbytes) if kind is CallKind.DN else pc.fixed[:, None]
-        )
-        totals = np.zeros((n, V, P))
+        per_message = pc.sw_matrix(table.nbytes) if kind is CallKind.DN else pc.fixed
+        totals = np.zeros((n, P, V))
         plan, rank = np.divmod(table.send_slots if sv else table.recv_slots, P)
-        np.add.at(totals.transpose(1, 0, 2), (slice(None), plan, rank), per_message)
+        np.add.at(totals, (plan, rank), per_message)
     return [
         CallCosts(
             calls=np.full(V, callers),
@@ -203,10 +194,3 @@ def price(table: PlanTable, kind: CallKind, matrix: VariantMatrix) -> List[CallC
         )
         for i, callers in enumerate(table.send_callers if sv else table.recv_callers)
     ]
-
-
-def _plan_blocks(per_message: np.ndarray, bounds: List[int]) -> List[np.ndarray]:
-    """``(V, M)`` per-message costs as one contiguous ``(V, M_i)`` array
-    per plan.  A row (``V = 1``) slices into contiguous views, which are
-    not copied."""
-    return [np.ascontiguousarray(per_message[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]

@@ -27,8 +27,9 @@ Reductions synchronize all ranks (combine + broadcast tree).
 
 The :class:`~repro.runtime.costs.CallCosts` of every call are priced
 once per run by :func:`~repro.runtime.costs.price` and bound at
-lowering: each core takes its view of them (:meth:`TimingEngine.bind_costs`)
-and binds the compiled op itself (``bind_call``, ``bind_charge``).  The
+lowering: each core takes its view of them (``bind_costs``: the batched
+core every variant as priced, the scalar core its one variant's row) and
+binds the compiled op itself (``bind_call``, ``bind_charge``).  The
 scalar core's call op is one of its methods, ``op(desc, plan, costs)``,
 or a scalar form; the batched core's is a block form (both below).
 
@@ -83,15 +84,14 @@ The batched core binds every SR, DN, DR and SV call to a *block form*
 (:meth:`BatchTimingEngine.bind_call`): a closure over the clock matrix,
 the in-flight and DR-flag tables, the plan's index arrays and merge
 layers and the call's cost blocks.  The core keeps its state rank-major,
-the variant axis innermost: the clock matrix is ``(P, V)``, in-flight
-and flag blocks ``(R, V)``, and :meth:`BatchTimingEngine.bind_costs`
-transposes each plan's priced blocks once per run to ``(P, V)`` and
-``(M, V)`` (:func:`~repro.runtime.costs.price` keeps its variant-major
-tables).  So every gather and scatter over ranks moves whole
-contiguous rows.  A form gathers each index once with ``take`` and does
-the scalar core's IEEE operations in the scalar core's order,
-elementwise over the variants: an arrival is ``t =
-clock.take(senders, axis=0); t += cum_sw; t += wire``, which is
+the variant axis innermost, as :func:`~repro.runtime.costs.price` lays
+out the costs it binds: the clock matrix is ``(P, V)``, in-flight and
+flag blocks ``(R, V)``, and each plan's priced blocks ``(P, V)`` and
+``(M, V)`` views of its kind's price table.  So every gather and
+scatter over ranks moves whole contiguous rows.  A form gathers each
+index once with ``take`` and does the scalar core's IEEE operations in
+the scalar core's order, elementwise over the variants: an arrival is
+``t = clock.take(senders, axis=0); t += cum_sw; t += wire``, which is
 ``(clock + cum_sw) + wire``, and a wait-arrival DN adds the receive
 totals over the plan's receivers, gathered once per plan and run.  A
 rendezvous DN whose spread penalty is zero in every variant binds
@@ -139,7 +139,7 @@ masks over the variants that advanced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -244,12 +244,16 @@ def _never_sent(desc: CommDescriptor) -> RuntimeFault:
 
 
 class _Core:
-    """What the two cores share: the in-flight tables, the charge
-    binding and the end-of-run check."""
+    """What the two cores share: the in-flight tables, the cost and
+    charge binding and the end-of-run check."""
 
     matrix: VariantMatrix
     _inflight: Dict[int, np.ndarray]
     _dr_times: Dict[int, np.ndarray]
+
+    def bind_costs(self, costs: CallCosts) -> CallCosts:
+        """This core's view of priced costs: as priced, every variant."""
+        return costs
 
     def bind_charge(
         self, cost: np.ndarray, rank: Optional[int], label: str
@@ -691,8 +695,8 @@ class BatchTimingEngine(_Core):
 
     Every method and block form performs the scalar core's float
     operations in the same order, elementwise along the variant axis.
-    In-flight arrival and DR-flag blocks are ``(R, V)``, and the bound
-    cost blocks ``(M, V)`` or ``(P, V)`` (:meth:`bind_costs`); only
+    In-flight arrival and DR-flag blocks are ``(R, V)``, and the cost
+    blocks it binds as priced ``(M, V)`` or ``(P, V)``; only
     :meth:`absolute_clocks` and :meth:`elapsed` give the ``(V, P)`` and
     ``(V,)`` results callers read.  The epoch is per-variant
     run-length-encoded, and the advance log entries are ``(c, mask, n)``
@@ -719,25 +723,6 @@ class BatchTimingEngine(_Core):
         self._epoch_c = np.zeros(V, dtype=np.float64)
         self._epoch_n = np.zeros(V, dtype=np.int64)
         self._epoch_log: Optional[List[Tuple]] = None
-
-    def bind_costs(self, costs: CallCosts) -> CallCosts:
-        """This core's view of priced costs: every variant, rank-major.
-        Each plan's blocks are transposed once per run, contiguous: the
-        per-rank totals to ``(P, V)``, SR's per-message costs to ``(M,
-        V)``, and the rendezvous columns to ``(V,)`` rows."""
-
-        def rank_major(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
-            return None if a is None else np.ascontiguousarray(a.T)
-
-        return replace(
-            costs,
-            rank_sw=rank_major(costs.rank_sw),
-            cum_sw=rank_major(costs.cum_sw),
-            wire=rank_major(costs.wire),
-            fixed=costs.fixed[:, 0],
-            spread_penalty=costs.spread_penalty[:, 0],
-            spread_cap=costs.spread_cap[:, 0],
-        )
 
     # -- epoch ----------------------------------------------------------
     @property

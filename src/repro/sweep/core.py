@@ -4,9 +4,10 @@
 :class:`SweepPoint`\\ s — each one a derived
 :class:`~repro.engine.MachineSpec` (``nprocs`` swept through the spec's
 processor count, every other axis through a validated
-:mod:`repro.machine.variants` override) whose machine is probe-built
-eagerly, so an unknown primitive name or out-of-domain value fails
-before any job runs.
+:mod:`repro.machine.variants` override).  The spec validates each value
+and one probe machine per processor count is built eagerly, so an
+out-of-domain value, an unknown primitive name or a grid that does not
+tile fails before any job runs.
 
 :func:`run_sweep` then builds the ``benchmark x experiment`` matrix for
 every point with :func:`~repro.engine.core.build_matrix` and submits the
@@ -81,10 +82,12 @@ def expand_axes(
 ) -> Tuple[SweepPoint, ...]:
     """The cartesian product of ``axes`` over a base machine spec.
 
-    Points come out in row-major order (last axis fastest), each with
-    its machine probe-built once for validation.  Axis overrides stack
-    on top of any overrides already pinned on ``base``; an axis may
-    re-sweep a pinned path (the axis value wins).
+    Points come out in row-major order (last axis fastest).  Axis
+    overrides stack on top of any overrides already pinned on ``base``;
+    an axis may re-sweep a pinned path (the axis value wins).  Every
+    point's spec validates its values; the points at one processor
+    count apply the same paths to the same base machine, so one probe
+    build per count validates their primitive names and grid.
     """
     spec = MachineSpec.coerce(base, library=library)
     names = [axis.name for axis in axes]
@@ -92,6 +95,7 @@ def expand_axes(
         raise MachineError(f"duplicate sweep axes in {names}")
 
     points: List[SweepPoint] = []
+    probed = set()
     for combo in itertools.product(*(axis.values for axis in axes)):
         coords = tuple(zip(names, combo))
         nprocs = spec.nprocs
@@ -102,7 +106,9 @@ def expand_axes(
             else:
                 overrides[name] = value
         machine = MachineSpec.coerce(spec, nprocs=nprocs, overrides=overrides)
-        machine.build()  # validate primitive names / grids eagerly
+        if nprocs not in probed:
+            machine.build()
+            probed.add(nprocs)
         points.append(SweepPoint(coords=coords, machine=machine))
     return tuple(points)
 

@@ -11,10 +11,14 @@ per-plan caches (``prim_vectors``'s running sum, ``recv_sw_by_rank``,
 table of a program's plans, concatenated as a schedule template
 concatenates them, must equal them bit for bit on every plan of the
 corpus, at one variant and at sixteen, and on random cost models.
+The builders read and return the variant-major layout they were written
+for, so they are compared with the rank-major price table through one
+small adapter (:func:`variant_major`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -27,10 +31,14 @@ from repro.experiments_registry import EXPERIMENT_KEYS, experiment_spec
 from repro.ironman.calls import CallKind
 from repro.machine import apply_overrides, pack_variants, paragon, t3d
 from repro.machine.params import SyncKind
+from repro.machine.variants import PrimColumns
 from repro.programs import BENCHMARKS, KERNELS, build_benchmark, small_config
+from repro.runtime import ExecutionMode
 from repro.runtime.costs import CallCosts, PlanTable, price
+from repro.runtime.executor import _Simulation
 from repro.runtime.grid import ProcessorGrid
 from repro.runtime.layout import ProblemLayout
+from repro.runtime.schedule import compile_schedule
 from repro.runtime.transfers import PlanCache
 
 # ---------------------------------------------------------------------------
@@ -176,6 +184,38 @@ def _fixed_table(plan, role, fixed):
 # ---------------------------------------------------------------------------
 
 
+class _VariantMajorPrim(PrimColumns):
+    """A primitive's columns whose ``sw_matrix`` is ``(V, M)``, as the
+    oracles read it."""
+
+    def sw_matrix(self, nbytes):
+        return super().sw_matrix(nbytes).T
+
+
+def oracle_matrix(matrix):
+    """``matrix`` as the oracles read it."""
+    prims = {name: _VariantMajorPrim(**vars(pc)) for name, pc in matrix.prims.items()}
+    return dataclasses.replace(matrix, prims=prims)
+
+
+def variant_major(costs):
+    """Priced rank-major ``costs`` in the oracles' variant-major layout:
+    arrays transposed, rendezvous rows as ``(V, 1)`` columns."""
+
+    def transposed(a):
+        return None if a is None else a.T
+
+    return dataclasses.replace(
+        costs,
+        rank_sw=transposed(costs.rank_sw),
+        cum_sw=transposed(costs.cum_sw),
+        wire=transposed(costs.wire),
+        fixed=costs.fixed[:, None],
+        spread_penalty=costs.spread_penalty[:, None],
+        spread_cap=costs.spread_cap[:, None],
+    )
+
+
 def same(a, b) -> bool:
     """Bitwise equality of two float arrays."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
@@ -212,7 +252,8 @@ def assert_matches_scalar_oracle(plan, kind, costs, machine):
 
 
 def assert_matches_batched_oracle(plan, kind, costs, matrix):
-    """All variants against the batched ``cumsum`` builders."""
+    """All variants against the batched ``cumsum`` builders, in their
+    layout (:func:`variant_major`, :func:`oracle_matrix`)."""
     pc = matrix.prims[matrix.base.binding.primitive(kind)]
     if kind is CallKind.SR:
         cum, total, wire = _send_vectors(plan, pc, matrix)
@@ -247,14 +288,15 @@ def assert_price_table_matches(plans, machines, matrix=None, rows=None):
     per-plan builder and the batched oracle on every variant, and
     against the scalar oracle on ``rows`` (default: every variant)."""
     matrix = matrix if matrix is not None else pack_variants(machines)
+    oracle = oracle_matrix(matrix)
     rows = range(len(machines)) if rows is None else rows
     table = PlanTable(plans)
     for kind in CallKind:
         priced = price(table, kind, matrix)
         assert len(priced) == len(plans)
         for plan, costs in zip(plans, priced):
-            assert_same_costs(costs, call_costs(plan, kind, matrix))
-            assert_matches_batched_oracle(plan, kind, costs, matrix)
+            assert_same_costs(variant_major(costs), call_costs(plan, kind, oracle))
+            assert_matches_batched_oracle(plan, kind, variant_major(costs), oracle)
             for v in rows:
                 assert_matches_scalar_oracle(plan, kind, costs.row(v), machines[v])
 
@@ -350,25 +392,55 @@ def test_corpus_reaches_multi_message_senders_and_receivers():
     )
 
 
+def _tables(priced):
+    """The price tables behind ``priced``, by field: every plan's array
+    is a C-contiguous view of its field's one table."""
+    tables = {}
+    for field in ("rank_sw", "cum_sw", "wire"):
+        arrays = [getattr(costs, field) for costs in priced]
+        if arrays[0] is not None:
+            table = tables[field] = arrays[0].base
+            assert table is not None, field
+            for a in arrays:
+                assert a.flags.c_contiguous and a.base is table, field
+    return tables
+
+
 @pytest.mark.parametrize("nvariants", [1, 16])
 def test_each_plan_is_priced_contiguous(nvariants):
-    """A core binds a plan's cost arrays as they are: each is
-    C-contiguous, a plan's ``(V, P)`` totals are one slice of the
-    table's ``(n, V, P)`` buffer, and at one variant SR's per-message
-    arrays are views of the table's row, not copies."""
+    """A core binds a plan's cost arrays as priced, at any variant
+    count: a plan's ``(P, V)`` totals are one slice of the table's ``(n,
+    P, V)`` buffer, and SR's ``(M_i, V)`` per-message arrays slices of
+    one ``(M, V)`` table each, so every one is a view, not a copy."""
     (plans, _) = _mesh_plans("simple")
+    table = PlanTable(plans)
     for base in BASES:
         matrix = pack_variants([apply_overrides(base, o) for o in VARIANTS[:nvariants]])
         for kind in CallKind:
-            priced = price(PlanTable(plans), kind, matrix)
-            for costs in priced:
-                if costs.rank_sw is not None:
-                    assert costs.rank_sw.flags.c_contiguous
-                    assert costs.rank_sw.base is priced[0].rank_sw.base
-                for a in (costs.cum_sw, costs.wire):
-                    if a is not None:
-                        assert a.flags.c_contiguous
-                        assert (a.base is not None) == (nvariants == 1)
+            tables = _tables(price(table, kind, matrix))
+            assert kind is not CallKind.SR or set(tables) == {"rank_sw", "cum_sw", "wire"}
+            for field, buffer in tables.items():
+                rows = (len(plans), 16) if field == "rank_sw" else (table.bounds[-1],)
+                assert buffer.shape == (*rows, nvariants), field
+
+
+def test_batched_schedule_binds_the_price_tables():
+    """A batched run binds each plan's priced arrays themselves, not
+    copies: every bound array shares memory with its kind's price
+    table."""
+    program = build_benchmark(
+        "simple", config=small_config("simple"), opt=experiment_spec("pl").opt
+    )
+    machines = [apply_overrides(t3d(16, "shmem"), o) for o in VARIANTS[:4]]
+    sim = _Simulation(program, pack_variants(machines), ExecutionMode.TIMING, None, fast=True)
+    bound = compile_schedule(sim).costs
+    assert CallKind.SR in bound
+    for priced in bound.values():
+        for field in ("rank_sw", "cum_sw", "wire"):
+            arrays = [getattr(costs, field) for costs in priced]
+            if arrays[0] is not None:
+                table = arrays[0].base
+                assert all(np.shares_memory(a, table) for a in arrays if a.size), field
 
 
 # ---------------------------------------------------------------------------

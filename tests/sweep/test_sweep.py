@@ -104,6 +104,29 @@ class TestExpandAxes:
         with pytest.raises(MachineError, match="no primitive"):
             expand_axes([SweepAxis("prim.bogus.fixed", (1e-6,))], "t3d")
 
+    def test_one_probe_build_per_processor_count(self, monkeypatch):
+        built = []
+        build = MachineSpec.build
+
+        def counted(spec, *args):
+            built.append(spec.nprocs)
+            return build(spec, *args)
+
+        monkeypatch.setattr(MachineSpec, "build", counted)
+        grid = [
+            SweepAxis("net.latency", (1e-6, 2e-6, 4e-6, 8e-6)),
+            SweepAxis("prim.*.fixed", (0.0, 1e-6, 2e-6, 4e-6)),
+        ]
+        assert len(expand_axes(grid, "t3d")) == 16
+        assert built == [64]
+        built.clear()
+        grid = [SweepAxis("nprocs", (4, 9, 16)), SweepAxis("net.latency", (1e-6, 1e-5, 1e-4))]
+        assert len(expand_axes(grid, "t3d")) == 9
+        assert built == [4, 9, 16]
+        # the values of points that are not probed are still validated
+        with pytest.raises(MachineError, match="must be positive"):
+            expand_axes([SweepAxis("net.bandwidth", (1e8, 0.0))], "t3d")
+
     def test_points_fingerprint_independently(self):
         points = expand_axes([SweepAxis("net.latency", (1e-6, 1e-5))], "t3d")
         prints = {
